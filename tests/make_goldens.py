@@ -2,7 +2,9 @@
 
 Run from anywhere: ``python tests/make_goldens.py``.  Each golden captures
 the byte-exact stdout of one CLI invocation over the checked-in fixture
-files; the determinism suite replays the commands and compares bytes.
+files.  Every command in ``GOLDEN_COMMANDS`` is recorded twice: as the
+named JSON report, and without ``--json`` as its text twin ``<name>.txt``.
+``tests/test_goldens.py`` replays both and compares bytes.
 """
 
 import os
@@ -83,13 +85,20 @@ GOLDEN_COMMANDS = {
 }
 
 
+def golden_cases():
+    """(file name, argv) of every golden: each JSON command, then its text twin."""
+    for name, argv in GOLDEN_COMMANDS.items():
+        yield name, argv
+        yield name.removesuffix(".json") + ".txt", [a for a in argv if a != "--json"]
+
+
 def main() -> int:
     golden_dir = DATA / "golden"
     golden_dir.mkdir(exist_ok=True)
     cwd = os.getcwd()
     os.chdir(DATA)
     try:
-        for name, argv in GOLDEN_COMMANDS.items():
+        for name, argv in golden_cases():
             code, out, err = execute(argv)
             if code != 0:
                 sys.stderr.write(f"{name}: exit {code}: {err}")
