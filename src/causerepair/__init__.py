@@ -18,6 +18,7 @@ from .causality import (
     explain,
     most_responsible_causes,
     rdp_decide,
+    responsibilities,
     responsibility,
 )
 from .diagnosis import (
@@ -36,10 +37,9 @@ from .errors import (
     SemanticError,
 )
 from .hitting import (
-    EdgeFamily,
-    HittingFramework,
     HittingSolution,
-    edge_family,
+    antichain,
+    endogenous_part,
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     minimum_hitting_set_containing,

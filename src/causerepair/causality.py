@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import SemanticError
 from .hitting import (
-    endogenous_framework,
+    endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     minimum_hitting_set_containing,
 )
@@ -52,8 +52,7 @@ def _require_endogenous(d: Instance, t: Fact) -> Fact:
 
 def actual_causes(d: Instance, q: UnionQuery) -> frozenset[Fact]:
     """All actual causes: the union of the endogenous support edges."""
-    fw = endogenous_framework(d, q)
-    return frozenset(f for edge in fw.edges for f in edge)
+    return frozenset(f for edge in endogenous_support_sets(d, q) for f in edge)
 
 
 def contingency_sets(
@@ -65,8 +64,7 @@ def contingency_sets(
     endogenous support family that contain ``t``; enumeration is capped.
     """
     t = _require_endogenous(d, t)
-    fw = endogenous_framework(d, q)
-    solution = enumerate_minimal_hitting_sets(fw, cap)
+    solution = enumerate_minimal_hitting_sets(endogenous_support_sets(d, q), cap)
     picked = [s - {t} for s in solution.sets if t in s]
     return tuple(sorted(picked, key=lambda s: (len(s), sorted(fact_key(f) for f in s))))
 
@@ -74,11 +72,24 @@ def contingency_sets(
 def responsibility(d: Instance, q: UnionQuery, t: Fact) -> Fraction:
     """Exact responsibility of ``t``, without enumerating contingency sets."""
     t = _require_endogenous(d, t)
-    found = minimum_hitting_set_containing(endogenous_framework(d, q), t)
+    found = minimum_hitting_set_containing(endogenous_support_sets(d, q), t)
     if found is None:
         return ZERO
     size, _ = found
     return Fraction(1, size)
+
+
+def responsibilities(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
+    """Every actual cause with its exact responsibility, in canonical order.
+
+    One support family serves all causes; facts that are not causes are
+    left out (their responsibility is 0).
+    """
+    edges = endogenous_support_sets(d, q)
+    causes = sorted({f for edge in edges for f in edge}, key=fact_key)
+    return {
+        t: Fraction(1, minimum_hitting_set_containing(edges, t)[0]) for t in causes
+    }
 
 
 def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
@@ -92,32 +103,28 @@ def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
     v = Fraction(v)
     if v < 0 or (v > 0 and v.numerator != 1):
         raise SemanticError(f"threshold must be 0 or 1/k, got {v}")
-    if not eval_boolean(d, q):
-        return False
+    edges = endogenous_support_sets(d, q)
     resolved = d.find(t.pred, t.args)
     if resolved is None or not resolved.is_endogenous:
         return False
-    fw = endogenous_framework(d, q)
     if v == 0:
-        return any(resolved in edge for edge in fw.edges)
-    return minimum_hitting_set_containing(fw, resolved, budget=v.denominator)
+        return any(resolved in edge for edge in edges)
+    return minimum_hitting_set_containing(edges, resolved, budget=v.denominator)
 
 
 def most_responsible_causes(
     d: Instance, q: UnionQuery
 ) -> tuple[frozenset[Fact], Fraction]:
-    """The causes of maximal responsibility, with the shared value."""
-    fw = endogenous_framework(d, q)
-    causes = frozenset(f for edge in fw.edges for f in edge)
-    if not causes:
+    """The causes of maximal responsibility, with the shared value.
+
+    A minimum hitting set is subset-minimal, so the global minimum is the
+    smallest per-cause size and the top value is the largest score.
+    """
+    scores = responsibilities(d, q)
+    if not scores:
         return frozenset(), ZERO
-    best_size, _ = minimum_hitting_set_containing(fw)
-    top = frozenset(
-        t
-        for t in causes
-        if minimum_hitting_set_containing(fw, t)[0] == best_size
-    )
-    return top, Fraction(1, best_size)
+    best = max(scores.values())
+    return frozenset(t for t, rho in scores.items() if rho == best), best
 
 
 def check_minimal_contingency(
@@ -143,8 +150,12 @@ def check_minimal_contingency(
 
 
 def explain(d: Instance, q: UnionQuery, t: Fact, cap: int | None = None) -> CauseReport:
-    """Assemble the full per-fact verdict."""
+    """Assemble the full per-fact verdict.
+
+    The responsibility is read off the smallest minimal contingency set
+    (they come smallest first), so the support family is built once.
+    """
     resolved = _require_endogenous(d, t)
     contingencies = contingency_sets(d, q, resolved, cap)
-    rho = responsibility(d, q, resolved)
+    rho = Fraction(1, 1 + len(contingencies[0])) if contingencies else ZERO
     return CauseReport(resolved, bool(contingencies), rho, contingencies)

@@ -13,6 +13,7 @@ errors, 2 semantic errors, 3 enumeration-cap exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -119,18 +120,19 @@ def _cause_listing(pairs) -> tuple[dict, list[str]]:
     return result, lines
 
 
-def _repair_payload(reps) -> list[dict]:
-    return [
-        {"kept": _sorted_facts(r.kept.facts), "removed": _sorted_facts(r.removed)}
-        for r in reps
-    ]
+def _deletion_entries(d, removed_sets) -> list[dict]:
+    """Report entries of deletion repairs of ``d``, one per removed set.
 
-
-def _repair_lines(reps) -> list[str]:
+    Each fact of ``d`` is formatted once; kept and removed facts come out
+    in canonical order by walking the instance's sorted facts.
+    """
+    names = [(f, format_fact(f)) for f in d.sorted_facts]
     return [
-        "repair: keep {%s}  remove {%s}"
-        % (", ".join(_sorted_facts(r.kept.facts)), ", ".join(_sorted_facts(r.removed)))
-        for r in reps
+        {
+            "kept": [name for f, name in names if f not in removed],
+            "removed": [name for f, name in names if f in removed],
+        }
+        for removed in removed_sets
     ]
 
 
@@ -145,9 +147,7 @@ def _cmd_causes(args, inputs: _Inputs, use_oracle: bool = False) -> str:
         scored = oracle.oracle_causes_and_responsibility(d, q).items()
         pairs = [(t, rho) for t, rho in scored if rho > 0]
     else:
-        pairs = [
-            (t, causality.responsibility(d, q, t)) for t in causality.actual_causes(d, q)
-        ]
+        pairs = causality.responsibilities(d, q).items()
     result, lines = _cause_listing(pairs)
     if not lines:
         lines = ["no causes"]
@@ -167,13 +167,9 @@ def _cmd_mrc(args, inputs: _Inputs) -> str:
     d = inputs.instance()
     q = inputs.query()
     top, value = causality.most_responsible_causes(d, q)
-    result = {
-        "causes": _sorted_facts(top),
-        "responsibility": _fraction_json(value),
-    }
-    lines = [f"{name}  {_fraction_text(value)}" for name in _sorted_facts(top)] or [
-        "no causes"
-    ]
+    names = _sorted_facts(top)
+    result = {"causes": names, "responsibility": _fraction_json(value)}
+    lines = [f"{name}  {_fraction_text(value)}" for name in names] or ["no causes"]
     return _render(args, "mrc", inputs, result, lines)
 
 
@@ -219,68 +215,50 @@ def _cmd_repairs(args, inputs: _Inputs, use_oracle: bool = False) -> str:
     d = inputs.instance()
     sigma = inputs.constraints()
     semantics = args.semantics
+    if semantics == "null" and not use_oracle:
+        return _null_repairs_report(args, inputs, d, sigma)
     if use_oracle:
         if semantics not in ("s", "c", "endo"):
             raise SemanticError(f"oracle repairs do not cover semantics {semantics!r}")
-        kept_sets = sorted(
-            oracle.oracle_repairs(d, sigma, semantics),
-            key=lambda kept: sorted(fact_key(f) for f in d.facts - kept),
+        removed_sets = sorted(
+            (d.facts - kept for kept in oracle.oracle_repairs(d, sigma, semantics)),
+            key=lambda removed: sorted(fact_key(f) for f in removed),
         )
-        result = {
-            "semantics": semantics,
-            "repairs": [
-                {
-                    "kept": _sorted_facts(kept),
-                    "removed": _sorted_facts(d.facts - kept),
-                }
-                for kept in kept_sets
-            ],
-        }
-        lines = [
-            "repair: keep {%s}  remove {%s}"
-            % (
-                ", ".join(_sorted_facts(kept)),
-                ", ".join(_sorted_facts(d.facts - kept)),
-            )
-            for kept in kept_sets
-        ]
-        return _render(args, "oracle.repairs", inputs, result, lines)
-    if semantics in ("s", "c"):
-        reps = _compute_repairs(d, sigma, semantics, args.max_enum)
-    elif semantics == "go":
-        if not args.priority:
-            raise SemanticError("global-optimal repairs need --priority")
-        priority = preferences.validate_priority(d, sigma, inputs.priorities())
-        reps = preferences.global_optimal_repairs(d, sigma, priority, args.max_enum)
-    elif semantics == "endo":
-        reps = preferences.endogenous_repairs(d, sigma, args.max_enum)
-    elif semantics == "null":
-        null_reps = preferences.null_repairs(d, sigma, args.max_enum)
-        result = {
-            "semantics": "null",
-            "repairs": [
-                {
-                    "facts": _sorted_facts(r.result.facts),
-                    "diff": sorted(str(c) for c in r.diff),
-                }
-                for r in sorted(
-                    null_reps, key=lambda r: sorted(str(c) for c in r.diff)
-                )
-            ],
-        }
-        lines = [
-            "repair: {%s}  diff {%s}"
-            % (
-                ", ".join(_sorted_facts(r.result.facts)),
-                ", ".join(sorted(str(c) for c in r.diff)),
-            )
-            for r in sorted(null_reps, key=lambda r: sorted(str(c) for c in r.diff))
-        ]
-        return _render(args, "repairs", inputs, result, lines)
     else:
-        raise SemanticError(f"unknown repair semantics {semantics!r}")
-    result = {"semantics": semantics, "repairs": _repair_payload(reps)}
-    return _render(args, "repairs", inputs, result, _repair_lines(reps))
+        if semantics in ("s", "c"):
+            reps = _compute_repairs(d, sigma, semantics, args.max_enum)
+        elif semantics == "go":
+            if not args.priority:
+                raise SemanticError("global-optimal repairs need --priority")
+            priority = preferences.validate_priority(d, sigma, inputs.priorities())
+            reps = preferences.global_optimal_repairs(d, sigma, priority, args.max_enum)
+        elif semantics == "endo":
+            reps = preferences.endogenous_repairs(d, sigma, args.max_enum)
+        else:
+            raise SemanticError(f"unknown repair semantics {semantics!r}")
+        removed_sets = [r.removed for r in reps]
+    entries = _deletion_entries(d, removed_sets)
+    lines = [
+        "repair: keep {%s}  remove {%s}" % (", ".join(e["kept"]), ", ".join(e["removed"]))
+        for e in entries
+    ]
+    result = {"semantics": semantics, "repairs": entries}
+    command = "oracle.repairs" if use_oracle else "repairs"
+    return _render(args, command, inputs, result, lines)
+
+
+def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
+    entries = [
+        {"facts": _sorted_facts(r.result.facts), "diff": sorted(str(c) for c in r.diff)}
+        for r in preferences.null_repairs(d, sigma, args.max_enum)
+    ]
+    entries.sort(key=lambda entry: entry["diff"])
+    lines = [
+        "repair: {%s}  diff {%s}" % (", ".join(e["facts"]), ", ".join(e["diff"]))
+        for e in entries
+    ]
+    result = {"semantics": "null", "repairs": entries}
+    return _render(args, "repairs", inputs, result, lines)
 
 
 def _cmd_cqa(args, inputs: _Inputs) -> str:
@@ -304,15 +282,11 @@ def _cmd_diagnose(args, inputs: _Inputs) -> str:
     problem = diagnosis.build_problem(d, q)
     containing = parse_fact(args.containing) if args.containing else None
     found = diagnosis.diagnoses(problem, args.kind, containing, args.max_enum)
-    result = {
-        "kind": args.kind,
-        "conflicts": [_sorted_facts(e) for e in problem.conflicts],
-        "diagnoses": [_sorted_facts(diag.abnormal) for diag in found],
-    }
-    lines = ["conflict: {%s}" % ", ".join(_sorted_facts(e)) for e in problem.conflicts]
-    lines += [
-        "diagnosis: {%s}" % ", ".join(_sorted_facts(diag.abnormal)) for diag in found
-    ]
+    conflicts = [_sorted_facts(e) for e in problem.conflicts]
+    diagnoses = [_sorted_facts(diag.abnormal) for diag in found]
+    result = {"kind": args.kind, "conflicts": conflicts, "diagnoses": diagnoses}
+    lines = ["conflict: {%s}" % ", ".join(names) for names in conflicts]
+    lines += ["diagnosis: {%s}" % ", ".join(names) for names in diagnoses]
     if args.emit_theory:
         theory = diagnosis.render_theory(problem)
         result["theory"] = theory.splitlines()
@@ -335,7 +309,9 @@ def _cmd_preferred_causes(args, inputs: _Inputs) -> str:
 # Argument wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused after."""
     parser = _Parser(prog="causerepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,16 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .causality import _require_endogenous
 from .errors import SemanticError
-from .hitting import (
-    EdgeFamily,
-    HittingFramework,
-    endogenous_support_sets,
-    enumerate_minimal_hitting_sets,
-    exogenously_supported,
-)
-from .queries import ConjunctiveQuery, UnionQuery, Var, eval_boolean
-from .relational import Fact, Instance, fact_key, format_constant
+from .hitting import endogenous_part, enumerate_minimal_hitting_sets, support_sets
+from .queries import ConjunctiveQuery, UnionQuery, Var
+from .relational import Fact, Instance, format_constant
 from .repairs import CARDINALITY, SUBSET, Repair
 
 
@@ -36,7 +31,7 @@ from .repairs import CARDINALITY, SUBSET, Repair
 class DiagnosisProblem:
     instance: Instance
     query: UnionQuery
-    conflicts: EdgeFamily
+    conflicts: tuple[frozenset[Fact], ...]
     # Set when some support set is purely exogenous: the observation then
     # stays derivable no matter which endogenous facts turn abnormal, so
     # no diagnosis exists even though the conflict family is empty.
@@ -53,14 +48,13 @@ def build_problem(d: Instance, q: UnionQuery) -> DiagnosisProblem:
     """Set up the diagnosis problem for the observation that ``q`` holds."""
     if not q.is_boolean:
         raise SemanticError("diagnosis problems are built from boolean queries")
-    if not eval_boolean(d, q):
+    family = support_sets(d, q)
+    if not family:
         raise SemanticError("the query is false: there is nothing to explain")
-    return DiagnosisProblem(
-        d,
-        q,
-        endogenous_support_sets(d, q),
-        unexplainable=exogenously_supported(d, q),
-    )
+    conflicts = endogenous_part(family, d.endogenous)
+    if frozenset() in conflicts:
+        return DiagnosisProblem(d, q, (), unexplainable=True)
+    return DiagnosisProblem(d, q, conflicts)
 
 
 def diagnoses(
@@ -79,13 +73,8 @@ def diagnoses(
         raise SemanticError(f"unknown diagnosis kind {kind!r}")
     if m.unexplainable:
         return ()
-    target = None
-    if containing is not None:
-        target = m.instance.find(containing.pred, containing.args)
-        if target is None or not target.is_endogenous:
-            raise SemanticError(f"{containing} is not an endogenous fact")
-    fw = HittingFramework(m.instance.endogenous, m.conflicts)
-    family = list(enumerate_minimal_hitting_sets(fw, cap).sets)
+    target = None if containing is None else _require_endogenous(m.instance, containing)
+    family = enumerate_minimal_hitting_sets(m.conflicts, cap).sets
     if target is not None:
         family = [s for s in family if target in s]
     if kind == CARDINALITY and family:
@@ -97,14 +86,14 @@ def diagnoses(
 def repairs_from_diagnoses(
     m: DiagnosisProblem, kind: str = SUBSET, cap: int | None = None
 ) -> tuple[Repair, ...]:
-    """Each minimal diagnosis, removed from the instance, is a repair."""
+    """Each minimal diagnosis, removed from the instance, is a repair
+    (in the canonical order of the diagnoses)."""
     if m.instance.exogenous:
         raise SemanticError("repairs from diagnoses assume all facts endogenous")
-    out = [
+    return tuple(
         Repair(m.instance.without(diag.abnormal), diag.abnormal, kind)
         for diag in diagnoses(m, kind, cap=cap)
-    ]
-    return tuple(sorted(out, key=lambda r: sorted(fact_key(f) for f in r.removed)))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Minimal support sets and hitting-set solvers.
 
 The central reduction: the family of subset-minimal sub-instances that
-make a boolean query true doubles as a hypergraph whose vertices are the
-endogenous facts.  Hitting sets of that hypergraph are exactly the
-deletion sets that falsify the query, so minimal hitting sets encode
-repairs, contingency sets, and diagnoses all at once.
+make a boolean query true doubles as a hypergraph whose vertices are
+facts.  Hitting sets of that hypergraph are exactly the deletion sets
+that falsify the query, so minimal hitting sets encode repairs,
+contingency sets, and diagnoses all at once.
 
-Two solvers operate on the family:
+A family is a plain tuple of frozensets, an antichain in canonical order
+(``antichain``).  ``support_sets`` builds the one for a query;
+``endogenous_part`` restricts it to the endogenous facts, where an edge
+with no endogenous fact turns into the empty edge, which nothing hits.
+Each entry point builds its family once and hands it to the solvers by
+value.
+
+Two solvers operate on a family:
 
 * ``enumerate_minimal_hitting_sets`` computes the full transversal
   hypergraph by the classic multiply-and-minimize scheme (process one
@@ -55,97 +62,54 @@ def _canonical_family(sets: Iterable[frozenset], key: Callable) -> tuple[frozens
     return tuple(sorted(sets, key=lambda s: sorted(key(x) for x in s)))
 
 
-@dataclass(frozen=True)
-class EdgeFamily:
-    """An antichain of fact sets; ``bound`` caps the edge size (the ``d``
-    of the d-hitting-set problem, i.e. the widest disjunct that generated
-    the family)."""
-
-    edges: tuple[frozenset, ...]
-    bound: int
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
-
-def edge_family(edges: Iterable[frozenset], bound: int | None = None, key=fact_key) -> EdgeFamily:
-    edges = list(edges)
-    ordered = _canonical_family(edges, key)
-    for e in ordered:
-        for other in ordered:
-            if e < other:
-                raise SemanticError("edge family is not an antichain")
-    if bound is None:
-        bound = max((len(e) for e in ordered), default=0)
-    return EdgeFamily(ordered, bound)
-
-
-@dataclass(frozen=True)
-class HittingFramework:
-    universe: frozenset
-    edges: EdgeFamily
-
-
-def framework(universe: Iterable, edges: EdgeFamily) -> HittingFramework:
-    universe = frozenset(universe)
-    for e in edges:
-        if not e <= universe:
-            raise SemanticError("an edge is not contained in the universe")
-    return HittingFramework(universe, edges)
+def antichain(sets: Iterable[frozenset], key=fact_key) -> tuple[frozenset, ...]:
+    """The subset-minimal members of a family, in canonical order."""
+    return _canonical_family(minimal_sets(sets), key)
 
 
 @dataclass(frozen=True)
 class HittingSolution:
     sets: tuple[frozenset, ...]
-    kind: str
 
 
 # ---------------------------------------------------------------------------
 # Support sets
 
 
-def support_sets(d: Instance, q: UnionQuery) -> EdgeFamily:
-    """All subset-minimal sub-instances satisfying some disjunct of ``q``."""
+def support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact], ...]:
+    """All subset-minimal sub-instances satisfying some disjunct of ``q``.
+
+    The family is empty exactly when ``q`` is false on ``d``.
+    """
     if not q.is_boolean:
         raise SemanticError("support sets are defined for boolean queries")
     images: set[frozenset[Fact]] = set()
     for cq in q.disjuncts:
         images |= witnesses(d.facts, cq)
-    bound = max(len(cq.atoms) for cq in q.disjuncts)
-    return EdgeFamily(_canonical_family(minimal_sets(images), fact_key), bound)
+    return antichain(images)
 
 
-def endogenous_support_sets(d: Instance, q: UnionQuery) -> EdgeFamily:
-    """Endogenous restrictions of the support sets.
+def endogenous_part(
+    family: Iterable[frozenset[Fact]], endogenous: frozenset[Fact]
+) -> tuple[frozenset[Fact], ...]:
+    """Endogenous restriction of a support family.
+
+    A support set made purely of exogenous facts restricts to the empty
+    edge, which absorbs every other edge: the result is then ``(∅,)``,
+    a family with no hitting set at all.
+    """
+    return antichain(e & endogenous for e in family)
+
+
+def endogenous_support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact], ...]:
+    """Endogenous restrictions of the support sets, as seen by causes.
 
     If any support set is witnessed entirely by exogenous facts, the query
     cannot be falsified through endogenous deletions at all, so the family
     collapses to the empty one (no causes, no contingencies).
     """
-    full = support_sets(d, q)
-    restricted = {e & d.endogenous for e in full}
-    if any(not e for e in restricted):
-        return EdgeFamily((), full.bound)
-    return EdgeFamily(
-        _canonical_family(minimal_sets(restricted), fact_key), full.bound
-    )
-
-
-def endogenous_framework(d: Instance, q: UnionQuery) -> HittingFramework:
-    return HittingFramework(d.endogenous, endogenous_support_sets(d, q))
-
-
-def full_framework(d: Instance, q: UnionQuery) -> HittingFramework:
-    """Framework over the whole instance; repairs ignore the partition."""
-    return HittingFramework(d.facts, support_sets(d, q))
-
-
-def exogenously_supported(d: Instance, q: UnionQuery) -> bool:
-    """True when some support set contains no endogenous fact."""
-    return any(not (e & d.endogenous) for e in support_sets(d, q))
+    part = endogenous_part(support_sets(d, q), d.endogenous)
+    return () if frozenset() in part else part
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +117,7 @@ def exogenously_supported(d: Instance, q: UnionQuery) -> bool:
 
 
 def enumerate_minimal_hitting_sets(
-    h: HittingFramework, cap: int | None = None, key=fact_key
+    edges: Iterable[frozenset], cap: int | None = None, key=fact_key
 ) -> HittingSolution:
     """All subset-minimal hitting sets, canonically ordered.
 
@@ -162,9 +126,9 @@ def enumerate_minimal_hitting_sets(
     """
     cap = DEFAULT_CAP if cap is None else cap
     solutions: list[frozenset] = [frozenset()]
-    for edge in h.edges:
+    for edge in edges:
         if not edge:
-            return HittingSolution((), "all-s-minimal")
+            return HittingSolution(())
         extended: set[frozenset] = set()
         for s in solutions:
             if s & edge:
@@ -175,7 +139,7 @@ def enumerate_minimal_hitting_sets(
         solutions = minimal_sets(extended)
         if len(solutions) > cap:
             raise CapExceededError(cap)
-    return HittingSolution(_canonical_family(solutions, key), "all-s-minimal")
+    return HittingSolution(_canonical_family(solutions, key))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +200,7 @@ def _shrunken_rest(edges, witness_edge, t):
 
 
 def minimum_hitting_set_containing(
-    h: HittingFramework,
+    edges: Iterable[frozenset],
     t=None,
     budget: int | None = None,
     key=fact_key,
@@ -253,7 +217,7 @@ def minimum_hitting_set_containing(
     question is strictly below ``budget``; explores a search tree of
     branching factor at most the edge bound and depth below ``budget``.
     """
-    edges = list(h.edges)
+    edges = list(edges)
     if any(not e for e in edges):
         # an empty edge cannot be hit
         return False if budget is not None else None
@@ -263,8 +227,6 @@ def minimum_hitting_set_containing(
                 return False
             return _branch(edges, budget - 1, frozenset(), key) is not None
         return _exact_minimum(edges, key)
-    if t not in h.universe:
-        raise SemanticError(f"{t} is not in the hitting universe")
     t_edges = [e for e in edges if t in e]
     if not t_edges:
         return False if budget is not None else None

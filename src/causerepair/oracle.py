@@ -105,18 +105,18 @@ def oracle_repairs(
 
 
 def oracle_hitting(
-    h, bound: int = 20
+    universe, edges, bound: int = 20
 ) -> tuple[tuple[frozenset, ...], int | None, dict]:
-    """Exhaustive transversal scan of a hitting framework.
+    """Exhaustive transversal scan of a family of edges over a universe.
 
     Returns the minimal hitting sets, the global minimum size (None when
     no hitting set exists), and for every universe element the smallest
     minimal hitting set containing it (None when there is none).
     """
-    universe = sorted(h.universe, key=fact_key)
+    universe = sorted(universe, key=fact_key)
     if len(universe) > bound:
         raise BoundExceededError(f"universe of {len(universe)} exceeds bound {bound}")
-    edges = list(h.edges)
+    edges = list(edges)
 
     def hits(subset: frozenset) -> bool:
         return all(e & subset for e in edges)

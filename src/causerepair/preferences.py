@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
 from .errors import SemanticError
 from .hitting import (
-    HittingFramework,
-    edge_family,
+    antichain,
+    endogenous_part,
     enumerate_minimal_hitting_sets,
-    minimal_sets,
     support_sets,
 )
 from .queries import (
@@ -45,7 +45,6 @@ from .queries import (
     UnionQuery,
     Var,
     dc_of_query,
-    is_consistent,
     iter_matches,
     violation_view,
 )
@@ -119,28 +118,14 @@ def _resolve_pairs(d: Instance, pairs: Iterable[tuple[Fact, Fact]]):
 
 
 def _check_acyclic(pairs) -> None:
-    adjacency: dict[Fact, list[Fact]] = {}
+    """Reject a cyclic relation; a self-pair counts as a cycle."""
+    graph: dict[Fact, set[Fact]] = {}
     for a, b in pairs:
-        adjacency.setdefault(a, []).append(b)
-    state: dict[Fact, int] = {}
-
-    def visit(node):
-        state[node] = 1
-        for nxt in adjacency.get(node, ()):
-            mark = state.get(nxt)
-            if mark == 1:
-                raise SemanticError("priority relation contains a cycle")
-            if mark is None:
-                visit(nxt)
-        state[node] = 2
-
-    for node in adjacency:
-        if node not in state:
-            visit(node)
-
-
-def _cooccurring(d: Instance, view: UnionQuery) -> set[frozenset[Fact]]:
-    return {frozenset(e) for e in support_sets(d, view)}
+        graph.setdefault(a, set()).add(b)
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        raise SemanticError("priority relation contains a cycle") from exc
 
 
 def validate_priority(
@@ -149,7 +134,7 @@ def validate_priority(
     """Build a repair priority: acyclic, and every pair mutually conflicting."""
     resolved = _resolve_pairs(d, pairs)
     _check_acyclic(resolved)
-    conflicts = _cooccurring(d, violation_view(sigma))
+    conflicts = support_sets(d, violation_view(sigma))
     for a, b in resolved:
         if a == b or not any(a in c and b in c for c in conflicts):
             raise SemanticError(f"{a} and {b} are not mutually conflicting")
@@ -162,7 +147,7 @@ def validate_causal_priority(
     """Build a causal priority: acyclic, every pair jointly contributing."""
     resolved = _resolve_pairs(d, pairs)
     _check_acyclic(resolved)
-    together = _cooccurring(d, q)
+    together = support_sets(d, q)
     for a, b in resolved:
         if a == b or not any(a in c and b in c for c in together):
             raise SemanticError(f"{a} and {b} are not jointly contributing")
@@ -279,14 +264,8 @@ def endogenous_repairs(
     witness made purely of exogenous facts means no endogenous repair
     exists, unlike plain subset repairs which always do.
     """
-    if is_consistent(d, sigma):
-        return (Repair(d, frozenset(), ENDOGENOUS_SEM),)
-    full = support_sets(d, violation_view(sigma))
-    restricted = [e & d.endogenous for e in full]
-    if any(not e for e in restricted):
-        return ()
-    fw = HittingFramework(d.endogenous, edge_family(minimal_sets(restricted)))
-    solution = enumerate_minimal_hitting_sets(fw, cap)
+    edges = endogenous_part(support_sets(d, violation_view(sigma)), d.endogenous)
+    solution = enumerate_minimal_hitting_sets(edges, cap)
     return tuple(
         Repair(d.without(s), s, ENDOGENOUS_SEM) for s in solution.sets
     )
@@ -319,7 +298,7 @@ def endogenous_encoding(
             for dc in sigma
         )
     )
-    conflicts = _cooccurring(extended, violation_view(guarded))
+    conflicts = support_sets(extended, violation_view(guarded))
     pairs = set()
     for c in conflicts:
         for x in c:
@@ -405,14 +384,8 @@ def null_repairs(
     for f in d.facts:
         if f.fact_id is None:
             raise SemanticError(f"{f} has no tuple id; null-based mode needs ids")
-    if is_consistent(d, sigma):
-        return (NullRepair(d, frozenset()),)
-    kill = _kill_sets(d, sigma)
-    if any(not k for k in kill):
-        return ()
-    universe = frozenset(p for k in kill for p in k)
-    fw = HittingFramework(universe, edge_family(minimal_sets(kill), key=attr_key))
-    solution = enumerate_minimal_hitting_sets(fw, cap, key=attr_key)
+    edges = antichain(_kill_sets(d, sigma), key=attr_key)
+    solution = enumerate_minimal_hitting_sets(edges, cap, key=attr_key)
     return tuple(NullRepair(_apply_changes(d, s), s) for s in solution.sets)
 
 

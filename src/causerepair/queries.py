@@ -3,8 +3,7 @@
 The query language is unions of conjunctive queries with optional
 inequality literals.  A denial constraint is the negation of a boolean
 conjunctive query; ``dc_of_query`` and ``violation_view`` convert between
-the two representations and are inverse to each other up to variable
-renaming.
+the two representations and are inverse to each other.
 
 Null semantics: the reserved constant ``null`` never satisfies a join
 (matching a repeated variable, or a constant in an atom pattern), and any
@@ -258,28 +257,3 @@ def is_consistent(d: Instance, sigma: DenialConstraintSet) -> bool:
     if not sigma.constraints:
         return True
     return not eval_boolean(d, violation_view(sigma))
-
-
-def canonical_query(q: UnionQuery) -> UnionQuery:
-    """Rename variables to a canonical scheme for structural comparison."""
-    renamed = []
-    free_map = {v: f"F{i}" for i, v in enumerate(q.free_vars)}
-    for cq in q.disjuncts:
-        mapping = dict(free_map)
-        counter = 0
-
-        def rename(t):
-            nonlocal counter
-            if not isinstance(t, Var):
-                return t
-            if t.name not in mapping:
-                mapping[t.name] = f"V{counter}"
-                counter += 1
-            return Var(mapping[t.name])
-
-        atoms = tuple(Atom(a.pred, tuple(rename(t) for t in a.terms)) for a in cq.atoms)
-        ineqs = tuple((rename(l), rename(r)) for l, r in cq.inequalities)
-        renamed.append(
-            ConjunctiveQuery(atoms, ineqs, tuple(free_map[v] for v in cq.free_vars))
-        )
-    return UnionQuery(tuple(renamed))

@@ -94,10 +94,6 @@ class Instance:
 
     facts: frozenset[Fact]
 
-    @staticmethod
-    def of(facts: Iterable[Fact]) -> "Instance":
-        return Instance(frozenset(facts))
-
     @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:
         return tuple(sorted(self.facts, key=fact_key))
@@ -143,9 +139,6 @@ class Instance:
 
     def __str__(self) -> str:
         return serialize_instance(self)
-
-
-EMPTY_INSTANCE = Instance(frozenset())
 
 
 def delta(d: Instance, d_prime: Instance) -> frozenset[Fact]:

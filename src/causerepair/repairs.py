@@ -20,11 +20,12 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import causality
+from .causality import _require_endogenous
 from .errors import SemanticError
 from .hitting import (
     enumerate_minimal_hitting_sets,
-    full_framework,
     minimum_hitting_set_containing,
+    support_sets,
 )
 from .queries import (
     DenialConstraintSet,
@@ -56,11 +57,10 @@ def _sorted_repairs(repairs_set: Iterable[Repair]) -> tuple[Repair, ...]:
 
 
 def _deletion_sets(d: Instance, sigma: DenialConstraintSet, cap):
-    """Minimal deletion sets restoring consistency (∅ family if consistent)."""
-    if is_consistent(d, sigma):
-        return [frozenset()]
-    fw = full_framework(d, violation_view(sigma))
-    return list(enumerate_minimal_hitting_sets(fw, cap).sets)
+    """Minimal deletion sets restoring consistency, in canonical order
+    (just ∅ if consistent)."""
+    edges = support_sets(d, violation_view(sigma))
+    return enumerate_minimal_hitting_sets(edges, cap).sets
 
 
 def repairs(
@@ -76,9 +76,7 @@ def repairs(
     if semantics == CARDINALITY:
         smallest = min(len(s) for s in deletions)
         deletions = [s for s in deletions if len(s) == smallest]
-    return _sorted_repairs(
-        Repair(d.without(s), s, semantics) for s in deletions
-    )
+    return tuple(Repair(d.without(s), s, semantics) for s in deletions)
 
 
 def is_repair(
@@ -102,10 +100,8 @@ def is_repair(
             not is_consistent(Instance(candidate.facts | {f}), sigma) for f in removed
         )
     if semantics == CARDINALITY:
-        if is_consistent(d, sigma):
-            return not removed
-        fw = full_framework(d, violation_view(sigma))
-        best_size, _ = minimum_hitting_set_containing(fw)
+        edges = support_sets(d, violation_view(sigma))
+        best_size, _ = minimum_hitting_set_containing(edges)
         return len(removed) == best_size
     raise SemanticError(f"unknown repair semantics {semantics!r}")
 
@@ -120,11 +116,7 @@ def causes_via_repairs(
     responsible cause iff the second is, and its responsibility is the
     inverse of the smallest member of the first.
     """
-    resolved = d.find(t.pred, t.args)
-    if resolved is None:
-        raise SemanticError(f"{t} is not in the instance")
-    if not resolved.is_endogenous:
-        raise SemanticError(f"{t} is exogenous; only endogenous facts can be causes")
+    resolved = _require_endogenous(d, t)
     sigma = dc_of_query(q)
     deletions = _deletion_sets(d, sigma, cap)
     smallest = min(len(s) for s in deletions)

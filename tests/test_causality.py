@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from causerepair.causality import (
@@ -9,14 +11,22 @@ from causerepair.causality import (
     explain,
     most_responsible_causes,
     rdp_decide,
+    responsibilities,
     responsibility,
 )
 from causerepair.errors import SemanticError
+from causerepair.oracle import oracle_causes_and_responsibility
 from causerepair.parsing import parse_fact, parse_instance, parse_program
 from causerepair.queries import violation_view
 from causerepair.relational import Instance
 
-from conftest import load_constraints, load_instance, load_query
+from conftest import (
+    load_constraints,
+    load_instance,
+    load_query,
+    random_boolean_query,
+    random_instance,
+)
 
 
 def _gammas(sets):
@@ -84,6 +94,25 @@ def test_responsibility_chain_example(chain_instance, chain_query):
     }
     for name, value in expected.items():
         assert responsibility(chain_instance, chain_query, parse_fact(name)) == value
+
+
+def test_responsibilities_agree_with_oracle_randomized():
+    # one support family scores every cause; mrc and explain read the same values
+    rng = random.Random(31)
+    for _ in range(80):
+        d = random_instance(rng)
+        q = random_boolean_query(rng)
+        scores = responsibilities(d, q)
+        expected = {
+            t: rho for t, rho in oracle_causes_and_responsibility(d, q).items() if rho > 0
+        }
+        assert scores == expected
+        top, value = most_responsible_causes(d, q)
+        best = max(expected.values(), default=Fraction(0))
+        assert value == best
+        assert top == {t for t, rho in expected.items() if rho == best}
+        for t in d.endogenous:
+            assert explain(d, q, t).responsibility == expected.get(t, Fraction(0))
 
 
 def test_rdp_decide_thresholds(chain_instance, chain_query):

@@ -12,7 +12,6 @@ from causerepair.diagnosis import (
     repairs_from_diagnoses,
 )
 from causerepair.errors import SemanticError
-from causerepair.hitting import EdgeFamily
 from causerepair.parsing import parse_fact, parse_instance
 from causerepair.queries import violation_view
 from causerepair.relational import Instance
@@ -63,9 +62,7 @@ def test_minimal_diagnoses_all_endogenous_variant():
 
 
 def test_diagnoses_empty_conflicts_has_empty_diagnosis():
-    problem = DiagnosisProblem(
-        parse_instance("P(a)."), load_query("ex1.dlq"), EdgeFamily((), 0)
-    )
+    problem = DiagnosisProblem(parse_instance("P(a)."), load_query("ex1.dlq"), ())
     assert _sets(diagnoses(problem, "s")) == {frozenset()}
 
 
@@ -162,9 +159,7 @@ def test_rendered_theory_one_ab_predicate_per_schema_predicate():
 
 
 def test_rendered_theory_empty_instance():
-    problem = DiagnosisProblem(
-        Instance(frozenset()), load_query("ex1.dlq"), EdgeFamily((), 3)
-    )
+    problem = DiagnosisProblem(Instance(frozenset()), load_query("ex1.dlq"), ())
     lines = render_theory(problem).splitlines()
     assert "forall x1 (S(x1) <-> false)" in lines
     assert "forall x1 x2 (R(x1,x2) <-> false)" in lines

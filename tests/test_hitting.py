@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from causerepair.errors import CapExceededError, SemanticError
+from causerepair.errors import CapExceededError
 from causerepair.hitting import (
-    HittingFramework,
-    edge_family,
-    endogenous_framework,
+    antichain,
+    endogenous_part,
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
-    framework,
     minimum_hitting_set_containing,
     support_sets,
 )
@@ -54,12 +52,6 @@ def test_support_sets_self_join_example():
     ]
 
 
-def test_support_sets_bound_tracks_widest_disjunct():
-    d4 = load_instance("ex4.facts")
-    view = violation_view(load_constraints("ex4.dlq"))
-    assert support_sets(d4, view).bound == 2
-
-
 def test_endogenous_support_sets_example():
     d6 = load_instance("ex6.facts")
     view = violation_view(load_constraints("ex4.dlq"))
@@ -69,7 +61,7 @@ def test_endogenous_support_sets_example():
 def test_endogenous_support_sets_all_endogenous():
     d4 = load_instance("ex4.facts")
     view = violation_view(load_constraints("ex4.dlq"))
-    assert endogenous_support_sets(d4, view).edges == support_sets(d4, view).edges
+    assert endogenous_support_sets(d4, view) == support_sets(d4, view)
 
 
 def test_fully_exogenous_support_collapses_family():
@@ -77,18 +69,20 @@ def test_fully_exogenous_support_collapses_family():
     view = violation_view(load_constraints("ex4.dlq"))
     # the witness {P(a),Q(a,b)} has no endogenous part: nothing is a cause
     assert len(endogenous_support_sets(d, view)) == 0
+    # the plain restriction keeps the unhittable empty edge instead
+    assert endogenous_part(support_sets(d, view), d.endogenous) == (frozenset(),)
+    assert enumerate_minimal_hitting_sets((frozenset(),)).sets == ()
 
 
 def test_enumerate_example_seven():
     d4 = load_instance("ex4.facts")
     view = violation_view(load_constraints("ex4.dlq"))
-    solution = enumerate_minimal_hitting_sets(endogenous_framework(d4, view))
+    solution = enumerate_minimal_hitting_sets(endogenous_support_sets(d4, view))
     assert _names(solution.sets) == [["P(a)"], ["Q(a,b)", "R(a,c)"]]
 
 
 def test_enumerate_empty_family_yields_empty_set():
-    fw = framework({fact("P", "a")}, edge_family([]))
-    solution = enumerate_minimal_hitting_sets(fw)
+    solution = enumerate_minimal_hitting_sets(())
     assert solution.sets == (frozenset(),)
 
 
@@ -96,10 +90,10 @@ def test_enumerate_scaling_instance_n2():
     src = "R(1,0). R(1,1). R(2,0). R(2,1). S(0). S(1)."
     d = parse_instance(src)
     _, sigma = parse_program(":- R(X,Y), R(X,Z), S(Y), S(Z), Y != Z.\n")
-    fw = endogenous_framework(d, violation_view(sigma))
-    solution = enumerate_minimal_hitting_sets(fw)
+    edges = endogenous_support_sets(d, violation_view(sigma))
+    solution = enumerate_minimal_hitting_sets(edges)
     assert len(solution.sets) == 6
-    brute, _, _ = oracle_hitting(fw)
+    brute, _, _ = oracle_hitting(d.endogenous, edges)
     assert set(solution.sets) == set(brute)
 
 
@@ -108,66 +102,53 @@ def test_enumeration_cap():
         " ".join(f"R({i},0). R({i},1)." for i in range(1, 5)) + " S(0). S(1)."
     )
     _, sigma = parse_program(":- R(X,Y), R(X,Z), S(Y), S(Z), Y != Z.\n")
-    fw = endogenous_framework(d, violation_view(sigma))
+    edges = endogenous_support_sets(d, violation_view(sigma))
     with pytest.raises(CapExceededError):
-        enumerate_minimal_hitting_sets(fw, cap=3)
+        enumerate_minimal_hitting_sets(edges, cap=3)
 
 
-def test_edge_family_rejects_non_antichain():
-    a, b = fact("P", "a"), fact("P", "b")
-    with pytest.raises(SemanticError):
-        edge_family([frozenset({a}), frozenset({a, b})])
-
-
-def test_framework_rejects_stray_edges():
-    a, b = fact("P", "a"), fact("P", "b")
-    with pytest.raises(SemanticError):
-        framework({a}, edge_family([frozenset({a, b})]))
+def test_antichain_keeps_minimal_sets_in_canonical_order():
+    a, b, c = fact("P", "a"), fact("P", "b"), fact("P", "c")
+    family = [frozenset({c}), frozenset({a, b}), frozenset({a, c}), frozenset({a})]
+    assert antichain(family) == (frozenset({a}), frozenset({c}))
 
 
 def test_minimum_with_forced_element_example_seven():
     d4 = load_instance("ex4.facts")
     view = violation_view(load_constraints("ex4.dlq"))
-    fw = endogenous_framework(d4, view)
-    size, witness = minimum_hitting_set_containing(fw, d4.find("P", ("a",)))
+    edges = endogenous_support_sets(d4, view)
+    size, witness = minimum_hitting_set_containing(edges, d4.find("P", ("a",)))
     assert size == 1
     assert {str(f) for f in witness} == {"P(a)"}
 
 
 def test_minimum_with_forced_element_self_join():
     d8 = load_instance("ex8.facts")
-    fw = endogenous_framework(d8, load_query("ex8.dlq"))
-    size, _ = minimum_hitting_set_containing(fw, d8.find("R", ("a", "a")))
+    edges = endogenous_support_sets(d8, load_query("ex8.dlq"))
+    size, _ = minimum_hitting_set_containing(edges, d8.find("R", ("a", "a")))
     assert size == 2
 
 
 def test_budget_one_is_always_no():
     d4 = load_instance("ex4.facts")
     view = violation_view(load_constraints("ex4.dlq"))
-    fw = endogenous_framework(d4, view)
-    assert minimum_hitting_set_containing(fw, d4.find("P", ("a",)), budget=1) is False
-    assert minimum_hitting_set_containing(fw, d4.find("P", ("a",)), budget=2) is True
+    edges = endogenous_support_sets(d4, view)
+    assert minimum_hitting_set_containing(edges, d4.find("P", ("a",)), budget=1) is False
+    assert minimum_hitting_set_containing(edges, d4.find("P", ("a",)), budget=2) is True
 
 
 def test_global_minimum_without_forced_element():
     d4 = load_instance("ex4.facts")
-    fw = endogenous_framework(d4, violation_view(load_constraints("ex4.dlq")))
-    size, witness = minimum_hitting_set_containing(fw)
+    edges = endogenous_support_sets(d4, violation_view(load_constraints("ex4.dlq")))
+    size, witness = minimum_hitting_set_containing(edges)
     assert size == 1 and {str(f) for f in witness} == {"P(a)"}
-
-
-def test_forced_element_outside_universe():
-    d4 = load_instance("ex4.facts")
-    fw = endogenous_framework(d4, violation_view(load_constraints("ex4.dlq")))
-    with pytest.raises(SemanticError):
-        minimum_hitting_set_containing(fw, fact("P", "zzz"))
 
 
 def test_forced_element_on_no_edge():
     a, b, c = fact("P", "a"), fact("P", "b"), fact("P", "c")
-    fw = framework({a, b, c}, edge_family([frozenset({a, b})]))
-    assert minimum_hitting_set_containing(fw, c) is None
-    assert minimum_hitting_set_containing(fw, c, budget=5) is False
+    edges = (frozenset({a, b}),)
+    assert minimum_hitting_set_containing(edges, c) is None
+    assert minimum_hitting_set_containing(edges, c, budget=5) is False
 
 
 def test_forced_element_must_be_irredundant():
@@ -175,14 +156,11 @@ def test_forced_element_must_be_irredundant():
     # is {t,a}, but there t is dead weight; the smallest where t matters is
     # {t,b,c}.  Deletion semantics needs the latter.
     t, a, b, c = (fact("V", x) for x in ("t", "a", "b", "c"))
-    fw = framework(
-        {t, a, b, c},
-        edge_family([frozenset({t, a}), frozenset({a, b}), frozenset({a, c})]),
-    )
-    size, witness = minimum_hitting_set_containing(fw, t)
+    edges = antichain([frozenset({t, a}), frozenset({a, b}), frozenset({a, c})])
+    size, witness = minimum_hitting_set_containing(edges, t)
     assert size == 3
     assert witness == {t, b, c}
-    _, _, per_element = oracle_hitting(fw)
+    _, _, per_element = oracle_hitting({t, a, b, c}, edges)
     assert per_element[t] == 3
 
 
@@ -194,23 +172,21 @@ def test_oracle_agreement_on_random_frameworks():
         for _ in range(rng.randint(0, 5)):
             size = rng.randint(1, min(3, len(universe)))
             edges.add(frozenset(rng.sample(universe, size)))
-        from causerepair.hitting import minimal_sets
-
-        fw = framework(universe, edge_family(minimal_sets(edges)))
-        enumerated = set(enumerate_minimal_hitting_sets(fw).sets)
-        brute_sets, brute_min, per_element = oracle_hitting(fw)
+        edges = antichain(edges)
+        enumerated = set(enumerate_minimal_hitting_sets(edges).sets)
+        brute_sets, brute_min, per_element = oracle_hitting(universe, edges)
         assert enumerated == set(brute_sets)
-        exact = minimum_hitting_set_containing(fw)
+        exact = minimum_hitting_set_containing(edges)
         if brute_min is None:
             assert exact is None
         else:
             assert exact[0] == brute_min
         for u in universe:
-            found = minimum_hitting_set_containing(fw, u)
+            found = minimum_hitting_set_containing(edges, u)
             assert (found[0] if found else None) == per_element[u]
             for k in range(1, 5):
                 expected = per_element[u] is not None and per_element[u] < k
-                assert minimum_hitting_set_containing(fw, u, budget=k) == expected
+                assert minimum_hitting_set_containing(edges, u, budget=k) == expected
 
 
 def test_hitting_vertex_cover_duality():
@@ -218,16 +194,16 @@ def test_hitting_vertex_cover_duality():
     # vertex covers (complements of maximal independent sets) coincide
     # with the enumerated minimal hitting sets
     d8 = load_instance("ex8.facts")
-    fw = endogenous_framework(d8, load_query("ex8.dlq"))
-    covers = set(enumerate_minimal_hitting_sets(fw).sets)
-    vertices = sorted(fw.universe, key=str)
+    edges = endogenous_support_sets(d8, load_query("ex8.dlq"))
+    covers = set(enumerate_minimal_hitting_sets(edges).sets)
+    vertices = sorted(d8.endogenous, key=str)
     from itertools import combinations
 
     all_covers = []
     for size in range(len(vertices) + 1):
         for combo in combinations(vertices, size):
             s = frozenset(combo)
-            if all(e & s for e in fw.edges):
+            if all(e & s for e in edges):
                 all_covers.append(s)
     minimal_covers = {
         s for s in all_covers if not any(t < s for t in all_covers)

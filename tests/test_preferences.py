@@ -11,6 +11,7 @@ from causerepair.causality import (
 )
 from causerepair.errors import SemanticError
 from causerepair.parsing import (
+    constraint_set,
     parse_fact,
     parse_instance,
     parse_priorities,
@@ -69,6 +70,21 @@ def test_priority_validation_rejects_cycles():
     cycle = pairs + [(pairs[0][1], pairs[0][0])]
     with pytest.raises(SemanticError):
         validate_priority(d, sigma, cycle)
+
+
+def test_priority_validation_long_chains_and_self_pairs():
+    # 1,500 pairs nest deeper than the interpreter's recursion limit
+    d = parse_instance(" ".join(f"P(a{i})." for i in range(1501)))
+    sigma = constraint_set(":- P(X), Q(X).\n")
+    chain = [(fact("P", f"a{i}"), fact("P", f"a{i + 1}")) for i in range(1500)]
+    # acyclic, so validation gets as far as the conflict check
+    with pytest.raises(SemanticError, match="not mutually conflicting"):
+        validate_priority(d, sigma, chain)
+    closed = chain + [(fact("P", "a1500"), fact("P", "a0"))]
+    with pytest.raises(SemanticError, match="cycle"):
+        validate_priority(d, sigma, closed)
+    with pytest.raises(SemanticError, match="cycle"):
+        validate_priority(d, sigma, [(fact("P", "a0"), fact("P", "a0"))])
 
 
 def test_priority_validation_rejects_non_conflicting_pairs():

@@ -7,7 +7,6 @@ from causerepair.parsing import parse_instance, parse_program, single_query
 from causerepair.queries import (
     Var,
     answer_dc,
-    canonical_query,
     dc_of_query,
     eval_answers,
     eval_boolean,
@@ -113,11 +112,9 @@ def test_dc_of_query_rejects_free_variables():
 
 def test_duality_roundtrip():
     q = load_query("ex1.dlq")
-    back = violation_view(dc_of_query(q))
-    assert canonical_query(back) == canonical_query(q)
+    assert violation_view(dc_of_query(q)) == q
     sigma = load_constraints("ex4.dlq")
-    again = dc_of_query(violation_view(sigma))
-    assert canonical_query(violation_view(again)) == canonical_query(violation_view(sigma))
+    assert dc_of_query(violation_view(sigma)) == sigma
 
 
 def test_fd_violation_view_is_evaluable():
