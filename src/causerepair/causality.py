@@ -23,8 +23,8 @@ from .hitting import (
     enumerate_minimal_hitting_sets,
     minimum_hitting_set_containing,
 )
-from .queries import UnionQuery, eval_boolean
-from .relational import Fact, Instance, fact_key
+from .queries import UnionQuery, _maximal_deletion
+from .relational import Fact, Instance, fact_key, set_key
 
 Responsibility = Fraction
 
@@ -42,9 +42,7 @@ class CauseReport:
 
 
 def _require_endogenous(d: Instance, t: Fact) -> Fact:
-    resolved = d.find(t.pred, t.args)
-    if resolved is None:
-        raise SemanticError(f"{t} is not in the instance")
+    resolved = d.resolve(t)
     if not resolved.is_endogenous:
         raise SemanticError(f"{t} is exogenous; only endogenous facts can be causes")
     return resolved
@@ -65,18 +63,21 @@ def contingency_sets(
     """
     t = _require_endogenous(d, t)
     solution = enumerate_minimal_hitting_sets(endogenous_support_sets(d, q), cap)
-    picked = [s - {t} for s in solution.sets if t in s]
-    return tuple(sorted(picked, key=lambda s: (len(s), sorted(fact_key(f) for f in s))))
+    return _contingencies(solution.sets, t)
+
+
+def _contingencies(transversal, t: Fact) -> tuple[frozenset[Fact], ...]:
+    """``t``'s minimal contingency sets read off the minimal hitting sets
+    of its family, smallest first."""
+    picked = [s - {t} for s in transversal if t in s]
+    return tuple(sorted(picked, key=lambda s: (len(s), set_key(s))))
 
 
 def responsibility(d: Instance, q: UnionQuery, t: Fact) -> Fraction:
     """Exact responsibility of ``t``, without enumerating contingency sets."""
     t = _require_endogenous(d, t)
-    found = minimum_hitting_set_containing(endogenous_support_sets(d, q), t)
-    if found is None:
-        return ZERO
-    size, _ = found
-    return Fraction(1, size)
+    size = minimum_hitting_set_containing(endogenous_support_sets(d, q), t)
+    return ZERO if size is None else Fraction(1, size)
 
 
 def responsibilities(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
@@ -88,7 +89,7 @@ def responsibilities(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
     edges = endogenous_support_sets(d, q)
     causes = sorted({f for edge in edges for f in edge}, key=fact_key)
     return {
-        t: Fraction(1, minimum_hitting_set_containing(edges, t)[0]) for t in causes
+        t: Fraction(1, minimum_hitting_set_containing(edges, t)) for t in causes
     }
 
 
@@ -141,12 +142,7 @@ def check_minimal_contingency(
     gamma = frozenset(_require_endogenous(d, g) for g in gamma)
     if t in gamma:
         raise SemanticError(f"{t} cannot belong to its own contingency set")
-    removed = gamma | {t}
-    if eval_boolean(d.without(removed), q):
-        return False
-    return all(
-        eval_boolean(d.without(removed - {f}), q) for f in removed
-    )
+    return _maximal_deletion(d, gamma | {t}, q)
 
 
 def explain(d: Instance, q: UnionQuery, t: Fact, cap: int | None = None) -> CauseReport:

@@ -7,7 +7,8 @@ canonical order, responsibilities as exact ``{num, den}`` pairs.  Repeated
 runs on identical inputs produce byte-identical output.
 
 Exit codes: 0 success (including negative decisions), 1 usage or parse
-errors, 2 semantic errors, 3 enumeration-cap exhaustion.
+errors (an input file that is not UTF-8 text included), 2 semantic
+errors, 3 enumeration-cap exhaustion or an oracle input above its bound.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import causality, diagnosis, oracle, preferences
-from .errors import CapExceededError, ParseError, SemanticError
+from .errors import BoundExceededError, CapExceededError, ParseError, SemanticError
 from .repairs import consistent_answer as _consistent_answer
 from .repairs import repairs as _compute_repairs
 from .parsing import (
@@ -31,8 +32,7 @@ from .parsing import (
     parse_priorities,
     single_query,
 )
-from .queries import dc_of_query
-from .relational import fact_key, format_fact
+from .relational import fact_key, format_fact, set_key
 
 USAGE_ERROR = 1
 SEMANTIC_ERROR = 2
@@ -77,8 +77,11 @@ class _Inputs:
 
     def _read(self, role: str, path: str) -> str:
         self.digests[role] = _digest(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
     def instance(self):
         return parse_instance(self._read("instance", self.args.instance))
@@ -218,16 +221,12 @@ def _cmd_repairs(args, inputs: _Inputs, use_oracle: bool = False) -> str:
     if semantics == "null" and not use_oracle:
         return _null_repairs_report(args, inputs, d, sigma)
     if use_oracle:
-        if semantics not in ("s", "c", "endo"):
-            raise SemanticError(f"oracle repairs do not cover semantics {semantics!r}")
         removed_sets = sorted(
             (d.facts - kept for kept in oracle.oracle_repairs(d, sigma, semantics)),
-            key=lambda removed: sorted(fact_key(f) for f in removed),
+            key=set_key,
         )
     else:
-        if semantics in ("s", "c"):
-            reps = _compute_repairs(d, sigma, semantics, args.max_enum)
-        elif semantics == "go":
+        if semantics == "go":
             if not args.priority:
                 raise SemanticError("global-optimal repairs need --priority")
             priority = preferences.validate_priority(d, sigma, inputs.priorities())
@@ -235,7 +234,7 @@ def _cmd_repairs(args, inputs: _Inputs, use_oracle: bool = False) -> str:
         elif semantics == "endo":
             reps = preferences.endogenous_repairs(d, sigma, args.max_enum)
         else:
-            raise SemanticError(f"unknown repair semantics {semantics!r}")
+            reps = _compute_repairs(d, sigma, semantics, args.max_enum)
         removed_sets = [r.removed for r in reps]
     entries = _deletion_entries(d, removed_sets)
     lines = [
@@ -411,7 +410,7 @@ def execute(argv: list[str]) -> tuple[int, str, str]:
         return USAGE_ERROR, "", f"error: {exc}\n"
     except SemanticError as exc:
         return SEMANTIC_ERROR, "", f"error: {exc}\n"
-    except CapExceededError as exc:
+    except (CapExceededError, BoundExceededError) as exc:
         return CAP_ERROR, "", f"error: {exc}\n"
 
 

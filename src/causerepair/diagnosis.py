@@ -24,7 +24,7 @@ from .errors import SemanticError
 from .hitting import endogenous_part, enumerate_minimal_hitting_sets, support_sets
 from .queries import ConjunctiveQuery, UnionQuery, Var
 from .relational import Fact, Instance, format_constant
-from .repairs import CARDINALITY, SUBSET, Repair
+from .repairs import SUBSET, Repair, _select
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class DiagnosisProblem:
 @dataclass(frozen=True)
 class Diagnosis:
     abnormal: frozenset[Fact]
-    kind: str
 
 
 def build_problem(d: Instance, q: UnionQuery) -> DiagnosisProblem:
@@ -69,18 +68,13 @@ def diagnoses(
     cardinality ones (within the restricted family when ``containing`` is
     given, matching the responsibility correspondence).
     """
-    if kind not in (SUBSET, CARDINALITY):
-        raise SemanticError(f"unknown diagnosis kind {kind!r}")
-    if m.unexplainable:
-        return ()
-    target = None if containing is None else _require_endogenous(m.instance, containing)
-    family = enumerate_minimal_hitting_sets(m.conflicts, cap).sets
-    if target is not None:
-        family = [s for s in family if target in s]
-    if kind == CARDINALITY and family:
-        smallest = min(len(s) for s in family)
-        family = [s for s in family if len(s) == smallest]
-    return tuple(Diagnosis(s, kind) for s in family)
+    family = ()
+    if not m.unexplainable:
+        target = None if containing is None else _require_endogenous(m.instance, containing)
+        family = enumerate_minimal_hitting_sets(m.conflicts, cap).sets
+        if target is not None:
+            family = [s for s in family if target in s]
+    return tuple(Diagnosis(s) for s in _select(family, kind))
 
 
 def repairs_from_diagnoses(
@@ -91,7 +85,7 @@ def repairs_from_diagnoses(
     if m.instance.exogenous:
         raise SemanticError("repairs from diagnoses assume all facts endogenous")
     return tuple(
-        Repair(m.instance.without(diag.abnormal), diag.abnormal, kind)
+        Repair(m.instance.without(diag.abnormal), diag.abnormal)
         for diag in diagnoses(m, kind, cap=cap)
     )
 

@@ -25,7 +25,7 @@ Two solvers operate on a family:
   pick an uncovered edge, branch on its at most ``d`` vertices.  With a
   budget ``k`` the tree has depth below ``k``, which makes the decision
   fixed-parameter tractable in ``k``; exact sizes come from a binary
-  search over ``k``.
+  search over ``k``.  The minimum is a size: no witness set is built.
 
 When an element ``t`` is forced, the relevant quantity is the minimum
 size of an *irredundant* hitting set containing ``t`` (one in which some
@@ -44,7 +44,7 @@ from typing import Callable, Iterable
 
 from .errors import CapExceededError, SemanticError
 from .queries import UnionQuery, witnesses
-from .relational import Fact, Instance, fact_key
+from .relational import Fact, Instance, fact_key, set_key
 
 DEFAULT_CAP = 100_000
 
@@ -59,7 +59,7 @@ def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
 
 
 def _canonical_family(sets: Iterable[frozenset], key: Callable) -> tuple[frozenset, ...]:
-    return tuple(sorted(sets, key=lambda s: sorted(key(x) for x in s)))
+    return tuple(sorted(sets, key=lambda s: set_key(s, key)))
 
 
 def antichain(sets: Iterable[frozenset], key=fact_key) -> tuple[frozenset, ...]:
@@ -153,34 +153,30 @@ def _first_unhit(edges, acc):
     return None
 
 
-def _branch(edges, limit, acc, key):
-    """Deterministic DFS: extend ``acc`` by at most ``limit`` vertices to
-    hit every edge; returns the completed set or None."""
+def _branch(edges, limit, acc, key) -> bool:
+    """Deterministic DFS: can ``acc`` be extended by at most ``limit``
+    vertices to hit every edge?"""
     edge = _first_unhit(edges, acc)
     if edge is None:
-        return acc
+        return True
     if limit <= 0:
-        return None
-    for v in sorted(edge, key=key):
-        found = _branch(edges, limit - 1, acc | {v}, key)
-        if found is not None:
-            return found
-    return None
+        return False
+    return any(_branch(edges, limit - 1, acc | {v}, key) for v in sorted(edge, key=key))
 
 
-def _exact_minimum(edges, key):
-    """(size, witness) of a minimum hitting set, via binary search on the
-    budget; edges must all be non-empty."""
+def _exact_minimum(edges, key) -> int:
+    """Size of a minimum hitting set, via binary search on the budget;
+    edges must all be non-empty."""
     if not edges:
-        return 0, frozenset()
+        return 0
     lo, hi = 1, len(edges)  # one vertex per edge always suffices
     while lo < hi:
         mid = (lo + hi) // 2
-        if _branch(edges, mid, frozenset(), key) is not None:
+        if _branch(edges, mid, frozenset(), key):
             hi = mid
         else:
             lo = mid + 1
-    return lo, _branch(edges, lo, frozenset(), key)
+    return lo
 
 
 def _shrunken_rest(edges, witness_edge, t):
@@ -205,47 +201,34 @@ def minimum_hitting_set_containing(
     budget: int | None = None,
     key=fact_key,
 ):
-    """Minimum-cardinality hitting-set queries with an optional forced element.
+    """Minimum-cardinality hitting-set sizes with an optional forced element.
 
-    Without ``t``: the global minimum, as ``(size, witness)``.
+    Without ``t``: the size of a minimum hitting set, ``None`` if an edge
+    is empty.
 
     With ``t``: the minimum size of a hitting set in which ``t`` is
     irredundant (equivalently, of a subset-minimal hitting set containing
     ``t``); ``None`` if ``t`` lies on no edge.
 
-    With ``budget``: decision mode, answering only whether the size in
-    question is strictly below ``budget``; explores a search tree of
+    With ``t`` and ``budget``: decision mode, answering only whether that
+    size is strictly below ``budget``; explores a search tree of
     branching factor at most the edge bound and depth below ``budget``.
+    ``budget`` is read only together with ``t``.
     """
     edges = list(edges)
     if any(not e for e in edges):
         # an empty edge cannot be hit
         return False if budget is not None else None
     if t is None:
-        if budget is not None:
-            if budget <= 0:
-                return False
-            return _branch(edges, budget - 1, frozenset(), key) is not None
         return _exact_minimum(edges, key)
     t_edges = [e for e in edges if t in e]
     if not t_edges:
         return False if budget is not None else None
-    t_edges.sort(key=lambda e: sorted(key(x) for x in e))
     if budget is not None:
         if budget <= 1:
             return False  # the set contains t already, so size >= 1
         return any(
             _branch(_shrunken_rest(edges, e, t), budget - 2, frozenset(), key)
-            is not None
             for e in t_edges
         )
-    best = None
-    for e in t_edges:
-        size, rest_witness = _exact_minimum(_shrunken_rest(edges, e, t), key)
-        candidate = (size + 1, rest_witness | {t})
-        if best is None or candidate[0] < best[0] or (
-            candidate[0] == best[0]
-            and sorted(key(x) for x in candidate[1]) < sorted(key(x) for x in best[1])
-        ):
-            best = candidate
-    return best
+    return 1 + min(_exact_minimum(_shrunken_rest(edges, e, t), key) for e in t_edges)

@@ -229,7 +229,8 @@ def parse_instance(source: str) -> Instance:
     parser = _Parser(source)
     tag = ENDOGENOUS
     arities: dict[str, int] = {}
-    by_key: dict[tuple, Fact] = {}
+    facts: list[Fact] = []
+    tags: dict[tuple, str] = {}
     ids_seen: dict[int, Fact] = {}
     while not parser.at_end():
         directive = parser.accept("DIRECTIVE")
@@ -257,12 +258,10 @@ def parse_instance(source: str) -> Instance:
             if clash is not None and clash != f:
                 raise SemanticError(f"duplicate tuple id {f.fact_id}")
             ids_seen[f.fact_id] = f
-        key = (f.pred, f.args, f.fact_id)
-        previous = by_key.get(key)
-        if previous is not None and previous.tag != f.tag:
+        if tags.setdefault(f.atom, f.tag) != f.tag:
             raise SemanticError(f"fact {f} declared both endogenous and exogenous")
-        by_key[key] = f
-    return Instance(frozenset(by_key.values()))
+        facts.append(f)
+    return Instance(frozenset(facts))
 
 
 # ---------------------------------------------------------------------------

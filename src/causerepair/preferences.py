@@ -49,14 +49,7 @@ from .queries import (
     violation_view,
 )
 from .relational import ENDOGENOUS, NULL, Fact, Instance, fact_key
-from .repairs import (
-    ENDOGENOUS_SEM,
-    GLOBAL_OPTIMAL,
-    NULL_SEM,
-    Repair,
-    SUBSET,
-    repairs,
-)
+from .repairs import SUBSET, Repair, repairs
 
 
 @dataclass(frozen=True)
@@ -106,15 +99,7 @@ class NullRepair:
 
 
 def _resolve_pairs(d: Instance, pairs: Iterable[tuple[Fact, Fact]]):
-    resolved = []
-    for strong, weak in pairs:
-        s = d.find(strong.pred, strong.args)
-        w = d.find(weak.pred, weak.args)
-        if s is None or w is None:
-            missing = strong if s is None else weak
-            raise SemanticError(f"priority mentions unknown fact {missing}")
-        resolved.append((s, w))
-    return resolved
+    return [(d.resolve(strong), d.resolve(weak)) for strong, weak in pairs]
 
 
 def _check_acyclic(pairs) -> None:
@@ -181,12 +166,7 @@ def global_optimal_repairs(
     that still improves, so nothing further needs scanning.
     """
     base = repairs(d, sigma, SUBSET, cap)
-    out = [
-        Repair(r.kept, r.removed, GLOBAL_OPTIMAL)
-        for r in base
-        if not any(_improves(other, r, priority) for other in base)
-    ]
-    return tuple(out)
+    return tuple(r for r in base if not any(_improves(other, r, priority) for other in base))
 
 
 def preferred_causes(
@@ -232,23 +212,9 @@ def check_preference_contingency(
     Checked exhaustively against the global-optimal repairs; unlike the
     unrestricted variant there is no polynomial shortcut here.
     """
-    resolved = d.find(t.pred, t.args)
-    if resolved is None:
-        raise SemanticError(f"{t} is not in the instance")
-    gamma_resolved = set()
-    for g in gamma:
-        rg = d.find(g.pred, g.args)
-        if rg is None:
-            raise SemanticError(f"{g} is not in the instance")
-        gamma_resolved.add(rg)
-    target = frozenset(gamma_resolved) | {resolved}
-    inverted = pc.inverted()
-    go = global_optimal_repairs(d, dc_of_query(q), inverted, cap)
-    endo = d.endogenous
-    return any(
-        r.removed == target and resolved in r.removed and r.removed <= endo
-        for r in go
-    )
+    target = {d.resolve(t), *(d.resolve(g) for g in gamma)}
+    go = global_optimal_repairs(d, dc_of_query(q), pc.inverted(), cap)
+    return any(r.removed == target and r.removed <= d.endogenous for r in go)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +232,7 @@ def endogenous_repairs(
     """
     edges = endogenous_part(support_sets(d, violation_view(sigma)), d.endogenous)
     solution = enumerate_minimal_hitting_sets(edges, cap)
-    return tuple(
-        Repair(d.without(s), s, ENDOGENOUS_SEM) for s in solution.sets
-    )
+    return tuple(Repair(d.without(s), s) for s in solution.sets)
 
 
 def endogenous_encoding(

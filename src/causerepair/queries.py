@@ -257,3 +257,11 @@ def is_consistent(d: Instance, sigma: DenialConstraintSet) -> bool:
     if not sigma.constraints:
         return True
     return not eval_boolean(d, violation_view(sigma))
+
+
+def _maximal_deletion(d: Instance, removed: frozenset[Fact], q: UnionQuery) -> bool:
+    """Whether deleting ``removed`` from ``d`` falsifies ``q`` while putting
+    back any single deleted fact makes it true again (truth is monotone,
+    so single facts decide maximality)."""
+    kept = d.facts - removed
+    return not eval_boolean(kept, q) and all(eval_boolean(kept | {f}, q) for f in removed)

@@ -4,8 +4,10 @@ An instance is a finite set of ground facts over opaque constants.  Every
 fact carries a tag that marks it endogenous (a candidate for causes,
 contingencies, and diagnoses) or exogenous (fixed background).  Fact
 identity is the atom plus the optional tuple id; the tag is metadata and
-never participates in identity, so an instance cannot hold the same atom
-under both tags.
+never participates in identity.  One atom carries one tag, whatever its
+tuple ids: ``parse_instance`` rejects a clash and ``check_wellformed``
+reports one.  ``Instance`` itself does not check, since deletions build
+instances on hot paths.
 
 Constants are plain strings.  The reserved token ``null`` denotes the
 distinguished null value; it never joins with anything (including itself),
@@ -81,6 +83,11 @@ def fact_key(f: Fact) -> tuple:
     return (f.pred, f.args, f.fact_id if f.fact_id is not None else -1)
 
 
+def set_key(s, key=fact_key) -> list:
+    """Canonical sort key of a set: its members' keys, in order."""
+    return sorted(key(x) for x in s)
+
+
 def format_fact(f: Fact) -> str:
     args = ",".join(format_constant(a) for a in f.args)
     if f.fact_id is not None:
@@ -125,6 +132,13 @@ class Instance:
         """Look up the instance's fact with the given atom, if present."""
         return self.by_atom.get((pred, args))
 
+    def resolve(self, f: Fact) -> Fact:
+        """The instance's fact with the atom of ``f``; absent is an error."""
+        found = self.by_atom.get(f.atom)
+        if found is None:
+            raise SemanticError(f"{f} is not in the instance")
+        return found
+
     def without(self, removed: Iterable[Fact]) -> "Instance":
         return Instance(self.facts - frozenset(removed))
 
@@ -164,14 +178,19 @@ def check_wellformed(d: Instance) -> list[str]:
     """Return diagnostics for invariant violations; empty means well-formed."""
     diagnostics = []
     arities: dict[str, int] = {}
+    tags: dict[tuple, Fact] = {}
+    ids_seen: dict[int, Fact] = {}
     for f in d.sorted_facts:
         seen = arities.setdefault(f.pred, f.arity)
         if seen != f.arity:
             diagnostics.append(
                 f"predicate {f.pred} used with arity {seen} and {f.arity}"
             )
-    ids_seen: dict[int, Fact] = {}
-    for f in d.sorted_facts:
+        first = tags.setdefault(f.atom, f)
+        if first.tag != f.tag:
+            diagnostics.append(
+                f"{format_fact(first)} and {format_fact(f)} are one atom under both tags"
+            )
         if f.fact_id is None:
             continue
         other = ids_seen.get(f.fact_id)

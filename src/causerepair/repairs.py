@@ -20,9 +20,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import causality
-from .causality import _require_endogenous
+from .causality import _contingencies, _require_endogenous
 from .errors import SemanticError
 from .hitting import (
+    endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     minimum_hitting_set_containing,
     support_sets,
@@ -30,30 +31,31 @@ from .hitting import (
 from .queries import (
     DenialConstraintSet,
     UnionQuery,
+    _maximal_deletion,
     dc_of_query,
-    is_consistent,
     violation_view,
 )
-from .relational import Fact, Instance, fact_key
+from .relational import Fact, Instance, set_key
 
 SUBSET = "s"
 CARDINALITY = "c"
-GLOBAL_OPTIMAL = "go"
-ENDOGENOUS_SEM = "endo"
-NULL_SEM = "null"
 
 
 @dataclass(frozen=True)
 class Repair:
     kept: Instance
     removed: frozenset[Fact]
-    semantics: str
 
 
-def _sorted_repairs(repairs_set: Iterable[Repair]) -> tuple[Repair, ...]:
-    return tuple(
-        sorted(repairs_set, key=lambda r: sorted(fact_key(f) for f in r.removed))
-    )
+def _select(family, semantics: str) -> tuple[frozenset, ...]:
+    """The members of a deletion family that a semantics keeps, in order:
+    all of them under 's', the smallest under 'c'."""
+    if semantics == SUBSET:
+        return tuple(family)
+    if semantics == CARDINALITY:
+        smallest = min((len(s) for s in family), default=0)
+        return tuple(s for s in family if len(s) == smallest)
+    raise SemanticError(f"unknown repair semantics {semantics!r}")
 
 
 def _deletion_sets(d: Instance, sigma: DenialConstraintSet, cap):
@@ -70,13 +72,8 @@ def repairs(
     cap: int | None = None,
 ) -> tuple[Repair, ...]:
     """All repairs under subset ('s') or cardinality ('c') semantics."""
-    if semantics not in (SUBSET, CARDINALITY):
-        raise SemanticError(f"unknown repair semantics {semantics!r}")
-    deletions = _deletion_sets(d, sigma, cap)
-    if semantics == CARDINALITY:
-        smallest = min(len(s) for s in deletions)
-        deletions = [s for s in deletions if len(s) == smallest]
-    return tuple(Repair(d.without(s), s, semantics) for s in deletions)
+    deletions = _select(_deletion_sets(d, sigma, cap), semantics)
+    return tuple(Repair(d.without(s), s) for s in deletions)
 
 
 def is_repair(
@@ -85,24 +82,20 @@ def is_repair(
     """Repair checking without enumeration.
 
     Subset semantics is the polynomial check: the candidate is consistent
-    and restoring any single deleted fact breaks consistency (violations
-    are monotone, so single-fact checks suffice for maximality).
-    Cardinality semantics additionally compares the deletion count with
-    the global minimum from the branching solver.
+    and restoring any single deleted fact breaks consistency.  Cardinality
+    semantics additionally compares the deletion count with the global
+    minimum from the branching solver.
     """
     if not candidate.facts <= d.facts:
         raise SemanticError("candidate repair is not a sub-instance")
-    if not is_consistent(candidate, sigma):
-        return False
+    view = violation_view(sigma)
     removed = d.facts - candidate.facts
+    if not _maximal_deletion(d, removed, view):
+        return False
     if semantics == SUBSET:
-        return all(
-            not is_consistent(Instance(candidate.facts | {f}), sigma) for f in removed
-        )
+        return True
     if semantics == CARDINALITY:
-        edges = support_sets(d, violation_view(sigma))
-        best_size, _ = minimum_hitting_set_containing(edges)
-        return len(removed) == best_size
+        return len(removed) == minimum_hitting_set_containing(support_sets(d, view))
     raise SemanticError(f"unknown repair semantics {semantics!r}")
 
 
@@ -117,20 +110,14 @@ def causes_via_repairs(
     inverse of the smallest member of the first.
     """
     resolved = _require_endogenous(d, t)
-    sigma = dc_of_query(q)
-    deletions = _deletion_sets(d, sigma, cap)
-    smallest = min(len(s) for s in deletions)
+    deletions = _deletion_sets(d, dc_of_query(q), cap)
     endo = d.endogenous
 
     def keep(family):
         picked = [s for s in family if resolved in s and s <= endo]
-        return tuple(
-            sorted(picked, key=lambda s: (len(s), sorted(fact_key(f) for f in s)))
-        )
+        return tuple(sorted(picked, key=lambda s: (len(s), set_key(s))))
 
-    diff_s = keep(deletions)
-    diff_c = keep([s for s in deletions if len(s) == smallest])
-    return diff_s, diff_c
+    return keep(deletions), keep(_select(deletions, CARDINALITY))
 
 
 def repair_responsibility(diff_s: tuple[frozenset[Fact], ...]) -> Fraction:
@@ -148,32 +135,20 @@ def repairs_via_causes(
 ) -> tuple[Repair, ...]:
     """Reassemble repairs from causes and their minimal contingency sets.
 
-    Requires a fully endogenous instance.  Distinct cause/contingency
-    pairs may collapse to one repair; the result is deduplicated and must
-    coincide with ``repairs`` on the same inputs.
+    Requires a fully endogenous instance.  One support family and one
+    enumeration of its minimal hitting sets serve every cause; distinct
+    cause/contingency pairs may collapse to one repair, so the result is
+    deduplicated, and it must coincide with ``repairs`` on the same inputs.
+    A consistent instance has no causes and repairs to itself.
     """
     if d.exogenous:
         raise SemanticError("repairs-from-causes requires all facts endogenous")
-    if semantics not in (SUBSET, CARDINALITY):
-        raise SemanticError(f"unknown repair semantics {semantics!r}")
-    if is_consistent(d, sigma):
-        return (Repair(d, frozenset(), semantics),)
-    view = violation_view(sigma)
-    assembled: dict[frozenset[Fact], Repair] = {}
-    if semantics == SUBSET:
-        for t in causality.actual_causes(d, view):
-            for gamma in causality.contingency_sets(d, view, t, cap):
-                removed = gamma | {t}
-                assembled[removed] = Repair(d.without(removed), removed, semantics)
-    else:
-        top, value = causality.most_responsible_causes(d, view)
-        target = int(1 / value)
-        for t in top:
-            for gamma in causality.contingency_sets(d, view, t, cap):
-                if len(gamma) + 1 == target:
-                    removed = gamma | {t}
-                    assembled[removed] = Repair(d.without(removed), removed, semantics)
-    return _sorted_repairs(assembled.values())
+    edges = endogenous_support_sets(d, violation_view(sigma))
+    transversal = enumerate_minimal_hitting_sets(edges, cap).sets
+    causes = {f for edge in edges for f in edge}
+    assembled = {gamma | {t} for t in causes for gamma in _contingencies(transversal, t)}
+    removed_sets = sorted(assembled, key=set_key) if edges else [frozenset()]
+    return tuple(Repair(d.without(s), s) for s in _select(removed_sets, semantics))
 
 
 def consistent_answer(

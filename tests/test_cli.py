@@ -40,6 +40,20 @@ def test_missing_file_is_usage_error():
     assert code == 1 and out == "" and "missing.facts" in err
 
 
+def test_non_utf8_input_is_usage_error(tmp_path):
+    inst = tmp_path / "latin1.facts"
+    inst.write_bytes("S(caf\u00e9).\n".encode("latin-1"))
+    code, out, err = execute(["causes", "-i", str(inst), "-q", "ex1.dlq"])
+    assert code == 1 and out == "" and "latin1.facts" in err
+
+
+def test_oracle_bound_exceeded_exit_code(tmp_path):
+    inst = tmp_path / "wide.facts"
+    inst.write_text(" ".join(f"S(a{i})." for i in range(16)) + "\n")
+    code, out, err = execute(["oracle", "causes", "-i", str(inst), "-q", "ex1.dlq"])
+    assert code == 3 and out == "" and "bound" in err
+
+
 def test_unknown_flag_is_usage_error():
     code, _, err = execute(["causes", "--nope"])
     assert code == 1 and "usage" in err.lower()

@@ -117,16 +117,13 @@ def test_minimum_with_forced_element_example_seven():
     d4 = load_instance("ex4.facts")
     view = violation_view(load_constraints("ex4.dlq"))
     edges = endogenous_support_sets(d4, view)
-    size, witness = minimum_hitting_set_containing(edges, d4.find("P", ("a",)))
-    assert size == 1
-    assert {str(f) for f in witness} == {"P(a)"}
+    assert minimum_hitting_set_containing(edges, d4.find("P", ("a",))) == 1
 
 
 def test_minimum_with_forced_element_self_join():
     d8 = load_instance("ex8.facts")
     edges = endogenous_support_sets(d8, load_query("ex8.dlq"))
-    size, _ = minimum_hitting_set_containing(edges, d8.find("R", ("a", "a")))
-    assert size == 2
+    assert minimum_hitting_set_containing(edges, d8.find("R", ("a", "a"))) == 2
 
 
 def test_budget_one_is_always_no():
@@ -140,8 +137,7 @@ def test_budget_one_is_always_no():
 def test_global_minimum_without_forced_element():
     d4 = load_instance("ex4.facts")
     edges = endogenous_support_sets(d4, violation_view(load_constraints("ex4.dlq")))
-    size, witness = minimum_hitting_set_containing(edges)
-    assert size == 1 and {str(f) for f in witness} == {"P(a)"}
+    assert minimum_hitting_set_containing(edges) == 1
 
 
 def test_forced_element_on_no_edge():
@@ -157,9 +153,7 @@ def test_forced_element_must_be_irredundant():
     # {t,b,c}.  Deletion semantics needs the latter.
     t, a, b, c = (fact("V", x) for x in ("t", "a", "b", "c"))
     edges = antichain([frozenset({t, a}), frozenset({a, b}), frozenset({a, c})])
-    size, witness = minimum_hitting_set_containing(edges, t)
-    assert size == 3
-    assert witness == {t, b, c}
+    assert minimum_hitting_set_containing(edges, t) == 3
     _, _, per_element = oracle_hitting({t, a, b, c}, edges)
     assert per_element[t] == 3
 
@@ -176,14 +170,9 @@ def test_oracle_agreement_on_random_frameworks():
         enumerated = set(enumerate_minimal_hitting_sets(edges).sets)
         brute_sets, brute_min, per_element = oracle_hitting(universe, edges)
         assert enumerated == set(brute_sets)
-        exact = minimum_hitting_set_containing(edges)
-        if brute_min is None:
-            assert exact is None
-        else:
-            assert exact[0] == brute_min
+        assert minimum_hitting_set_containing(edges) == brute_min
         for u in universe:
-            found = minimum_hitting_set_containing(edges, u)
-            assert (found[0] if found else None) == per_element[u]
+            assert minimum_hitting_set_containing(edges, u) == per_element[u]
             for k in range(1, 5):
                 expected = per_element[u] is not None and per_element[u] < k
                 assert minimum_hitting_set_containing(edges, u, budget=k) == expected

@@ -58,6 +58,8 @@ def test_parse_errors():
         parse_instance("R(2;a,b). S(2;c).")  # duplicate id
     with pytest.raises(SemanticError):
         parse_instance("@endogenous\nP(a).\n@exogenous\nP(a).")  # tag clash
+    with pytest.raises(SemanticError):
+        parse_instance("R(a,b).\n@exogenous\nR(1;a,b).")  # tag clash across ids
 
 
 def test_fact_identity_ignores_tag():
@@ -96,6 +98,14 @@ def test_wellformed_fixture_and_violations():
         frozenset({fact("R", "a", fact_id=2), fact("S", "b", fact_id=2)})
     )
     assert any("id 2" in msg for msg in check_wellformed(dup))
+
+
+def test_wellformed_reports_tag_clash():
+    clash = Instance(
+        frozenset({fact("R", "a", "b"), fact("R", "a", "b", tag=EXOGENOUS, fact_id=1)})
+    )
+    assert any("both" in msg for msg in check_wellformed(clash))
+    assert check_wellformed(load_instance("ex13.facts")) == []
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,13 @@
+import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from causerepair import hitting
 from causerepair.errors import SemanticError
+from causerepair.oracle import oracle_repairs
 from causerepair.parsing import parse_fact, parse_instance
 from causerepair.queries import dc_of_query
 from causerepair.repairs import (
@@ -13,9 +18,15 @@ from causerepair.repairs import (
     repairs,
     repairs_via_causes,
 )
-from causerepair.relational import Instance
+from causerepair.relational import Fact, Instance
 
-from conftest import load_constraints, load_instance, load_query
+from conftest import (
+    load_constraints,
+    load_instance,
+    load_query,
+    random_boolean_query,
+    random_instance,
+)
 
 
 def _kept(reps):
@@ -55,8 +66,10 @@ def test_is_repair_examples(chain_instance):
     assert is_repair(chain_instance, sigma, d2, "c") is False
     d = parse_instance("S(a1).")
     assert is_repair(d, sigma, d, "s") is True
-    not_maximal = Instance(frozenset(list(chain_instance.facts)[:2]))
-    assert is_repair(chain_instance, sigma, not_maximal, "s") in (True, False)
+    # consistent, but S(a2) can be put back
+    not_maximal = Instance(frozenset(f for f in chain_instance if str(f) in D1 - {"S(a2)"}))
+    assert is_repair(chain_instance, sigma, not_maximal, "s") is False
+    assert is_repair(chain_instance, sigma, not_maximal, "c") is False
 
 
 def test_is_repair_rejects_non_subinstance(chain_instance):
@@ -129,6 +142,56 @@ def test_repairs_via_causes_consistent_instance():
     sigma = load_constraints("cqa2.dlq")
     (only,) = repairs_via_causes(d, sigma, "s")
     assert only.kept == d
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to a ``hitting`` function, wherever the package binds it."""
+    original = getattr(hitting, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("causerepair") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_repairs_via_causes_builds_one_family(chain_instance, monkeypatch):
+    sigma = load_constraints("ex2.dlq")
+    builds = _count_calls(monkeypatch, "support_sets")
+    enumerations = _count_calls(monkeypatch, "enumerate_minimal_hitting_sets")
+    for semantics in ("s", "c"):
+        builds.clear()
+        enumerations.clear()
+        assert len(repairs_via_causes(chain_instance, sigma, semantics)) >= 1
+        assert len(builds) == 1 and len(enumerations) == 1
+
+
+def test_repair_engines_agree_with_oracle_randomized():
+    rng = random.Random(2015)
+    inconsistent = 0
+    while inconsistent < 30:  # most random constraints hold; count the rest
+        drawn = random_instance(rng, max_facts=6)
+        d = Instance(frozenset(Fact(f.pred, f.args) for f in drawn.facts))
+        sigma = dc_of_query(random_boolean_query(rng))
+        subsets = [
+            Instance(frozenset(c))
+            for size in range(len(d) + 1)
+            for c in combinations(d.sorted_facts, size)
+        ]
+        inconsistent += d.facts not in oracle_repairs(d, sigma, "s")
+        for semantics in ("s", "c"):
+            expected = set(oracle_repairs(d, sigma, semantics))
+            assert {r.kept.facts for r in repairs(d, sigma, semantics)} == expected
+            assert {
+                r.kept.facts for r in repairs_via_causes(d, sigma, semantics)
+            } == expected
+            assert {
+                s.facts for s in subsets if is_repair(d, sigma, s, semantics)
+            } == expected
 
 
 def test_repairs_via_causes_rejects_exogenous():
