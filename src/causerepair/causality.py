@@ -97,9 +97,10 @@ def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
     """Decide whether ``t``'s responsibility strictly exceeds ``v``.
 
     ``v`` must be 0 or 1/k.  For positive thresholds the decision runs in
-    budgeted mode with ``k`` as the parameter, never computing the exact
-    responsibility; facts that are absent or exogenous simply fail the
-    membership test.
+    budgeted mode with ``k`` as the parameter: the iterative deepening
+    stops at depth ``k - 2`` beyond ``t``, so a responsibility at or below
+    ``v`` is never computed exactly; facts that are absent or exogenous
+    simply fail the membership test.
     """
     v = Fraction(v)
     if v < 0 or (v > 0 and v.numerator != 1):

@@ -96,18 +96,17 @@ class _Inputs:
         return parse_priorities(self._read("priority", self.args.priority))
 
 
-def _render(args, command: str, inputs: _Inputs, result: dict, text_lines, warnings=None):
+def _render(args, command: str, inputs: _Inputs, result: dict, text_lines):
     if args.json:
         report = {
             "command": command,
             "argv": list(args.raw_argv),
             "inputs": {k: inputs.digests[k] for k in sorted(inputs.digests)},
             "result": result,
-            "warnings": list(warnings or []),
+            "warnings": [],
         }
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     lines = list(text_lines)
-    lines.extend(f"warning: {w}" for w in warnings or [])
     return "\n".join(lines) + "\n" if lines else ""
 
 

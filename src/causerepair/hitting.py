@@ -22,10 +22,14 @@ Two solvers operate on a family:
 
 * ``minimum_hitting_set_containing`` answers minimum-cardinality
   questions without enumeration, by a bounded-depth branching search:
-  pick an uncovered edge, branch on its at most ``d`` vertices.  With a
-  budget ``k`` the tree has depth below ``k``, which makes the decision
-  fixed-parameter tractable in ``k``; exact sizes come from a binary
-  search over ``k``.  The minimum is a size: no witness set is built.
+  pick the first unhit edge, branch on its at most ``d`` vertices.  One
+  iterative-deepening loop (``_smallest``) tries depths ``k = 0, 1, ...``
+  and stops at the first that succeeds.  Each depth is a search tree of
+  depth ``k`` and branching factor ``d``, so every question is
+  fixed-parameter tractable in ``k``; a budget only caps the depth.
+  Each edge's vertices are sorted once per call, so the branching order,
+  and with it the run time, is the same in every process.  The minimum
+  is a size: no witness set is built.
 
 When an element ``t`` is forced, the relevant quantity is the minimum
 size of an *irredundant* hitting set containing ``t`` (one in which some
@@ -34,7 +38,8 @@ would overshoot on star-shaped families where every small hitting set
 makes ``t`` redundant, and irredundance is what deletion semantics needs:
 a deletion set whose every member matters.  The search realizes this by
 choosing a witness edge for ``t``, forbidding that edge's other vertices,
-and solving the remaining (t-free) edges.
+and solving the remaining (t-free) edges; the families of all witness
+edges are searched together, one depth at a time.
 """
 
 from __future__ import annotations
@@ -50,9 +55,10 @@ DEFAULT_CAP = 100_000
 
 
 def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
-    """Subset-minimal members of a family (its antichain)."""
+    """Subset-minimal members of a family (its antichain), smallest first;
+    members of equal size keep their input order."""
     result: list[frozenset] = []
-    for s in sorted(set(sets), key=len):
+    for s in sorted(dict.fromkeys(sets), key=len):
         if not any(r <= s for r in result):
             result.append(s)
     return result
@@ -119,7 +125,7 @@ def endogenous_support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact]
 def enumerate_minimal_hitting_sets(
     edges: Iterable[frozenset], cap: int | None = None, key=fact_key
 ) -> HittingSolution:
-    """All subset-minimal hitting sets, canonically ordered.
+    """All subset-minimal hitting sets, in canonical order under ``key``.
 
     Raises ``CapExceededError`` once the working family outgrows ``cap``;
     exponential families exist even for single fixed constraints.
@@ -134,7 +140,7 @@ def enumerate_minimal_hitting_sets(
             if s & edge:
                 extended.add(s)
             else:
-                for v in sorted(edge, key=key):
+                for v in edge:
                     extended.add(s | {v})
         solutions = minimal_sets(extended)
         if len(solutions) > cap:
@@ -146,37 +152,29 @@ def enumerate_minimal_hitting_sets(
 # Bounded branching for minimum hitting sets
 
 
-def _first_unhit(edges, acc):
-    for e in edges:
-        if not (e & acc):
-            return e
-    return None
-
-
-def _branch(edges, limit, acc, key) -> bool:
+def _branch(edges, limit, acc) -> bool:
     """Deterministic DFS: can ``acc`` be extended by at most ``limit``
-    vertices to hit every edge?"""
-    edge = _first_unhit(edges, acc)
-    if edge is None:
+    vertices to hit every edge?  ``edges`` pairs each edge with its
+    vertices in branching order."""
+    for edge, vertices in edges:
+        if not (edge & acc):
+            break
+    else:
         return True
     if limit <= 0:
         return False
-    return any(_branch(edges, limit - 1, acc | {v}, key) for v in sorted(edge, key=key))
+    return any(_branch(edges, limit - 1, acc | {v}) for v in vertices)
 
 
-def _exact_minimum(edges, key) -> int:
-    """Size of a minimum hitting set, via binary search on the budget;
-    edges must all be non-empty."""
-    if not edges:
-        return 0
-    lo, hi = 1, len(edges)  # one vertex per edge always suffices
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _branch(edges, mid, frozenset(), key):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _smallest(families, limit: int) -> int | None:
+    """The least ``k <= limit`` such that some family has a hitting set of
+    size ``k``, by iterative deepening; ``None`` if there is none.  Edges
+    must all be non-empty."""
+    ordered = [[(e, sorted(e, key=fact_key)) for e in edges] for edges in families]
+    for k in range(limit + 1):
+        if any(_branch(edges, k, frozenset()) for edges in ordered):
+            return k
+    return None
 
 
 def _shrunken_rest(edges, witness_edge, t):
@@ -199,7 +197,6 @@ def minimum_hitting_set_containing(
     edges: Iterable[frozenset],
     t=None,
     budget: int | None = None,
-    key=fact_key,
 ):
     """Minimum-cardinality hitting-set sizes with an optional forced element.
 
@@ -211,24 +208,19 @@ def minimum_hitting_set_containing(
     ``t``); ``None`` if ``t`` lies on no edge.
 
     With ``t`` and ``budget``: decision mode, answering only whether that
-    size is strictly below ``budget``; explores a search tree of
-    branching factor at most the edge bound and depth below ``budget``.
-    ``budget`` is read only together with ``t``.
+    size is strictly below ``budget``; the search never goes deeper than
+    ``budget - 2`` vertices beyond ``t``, branching on at most the edge
+    bound at each level.  ``budget`` is read only together with ``t``.
     """
     edges = list(edges)
     if any(not e for e in edges):
         # an empty edge cannot be hit
         return False if budget is not None else None
     if t is None:
-        return _exact_minimum(edges, key)
-    t_edges = [e for e in edges if t in e]
-    if not t_edges:
+        return _smallest([edges], len(edges))  # one vertex per edge suffices
+    rests = [_shrunken_rest(edges, e, t) for e in edges if t in e]
+    if not rests:
         return False if budget is not None else None
     if budget is not None:
-        if budget <= 1:
-            return False  # the set contains t already, so size >= 1
-        return any(
-            _branch(_shrunken_rest(edges, e, t), budget - 2, frozenset(), key)
-            for e in t_edges
-        )
-    return 1 + min(_exact_minimum(_shrunken_rest(edges, e, t), key) for e in t_edges)
+        return budget > 1 and _smallest(rests, budget - 2) is not None
+    return 1 + _smallest(rests, max(map(len, rests)))

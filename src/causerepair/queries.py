@@ -29,9 +29,6 @@ class Var:
         return f"Var({self.name})"
 
 
-Term = "Var | str"
-
-
 @dataclass(frozen=True)
 class Atom:
     pred: str

@@ -112,7 +112,10 @@ def test_responsibilities_agree_with_oracle_randomized():
         assert value == best
         assert top == {t for t, rho in expected.items() if rho == best}
         for t in d.endogenous:
-            assert explain(d, q, t).responsibility == expected.get(t, Fraction(0))
+            rho = expected.get(t, Fraction(0))
+            assert explain(d, q, t).responsibility == rho
+            for k in range(1, 5):
+                assert rdp_decide(d, q, t, Fraction(1, k)) == (rho > Fraction(1, k))
 
 
 def test_rdp_decide_thresholds(chain_instance, chain_query):

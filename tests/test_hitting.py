@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import causerepair
 from causerepair.errors import CapExceededError
 from causerepair.hitting import (
     antichain,
@@ -161,9 +166,9 @@ def test_forced_element_must_be_irredundant():
 def test_oracle_agreement_on_random_frameworks():
     rng = random.Random(99)
     for _ in range(60):
-        universe = [fact("U", str(i)) for i in range(rng.randint(1, 7))]
+        universe = [fact("U", str(i)) for i in range(rng.randint(1, 10))]
         edges = set()
-        for _ in range(rng.randint(0, 5)):
+        for _ in range(rng.randint(0, 8)):
             size = rng.randint(1, min(3, len(universe)))
             edges.add(frozenset(rng.sample(universe, size)))
         edges = antichain(edges)
@@ -173,9 +178,50 @@ def test_oracle_agreement_on_random_frameworks():
         assert minimum_hitting_set_containing(edges) == brute_min
         for u in universe:
             assert minimum_hitting_set_containing(edges, u) == per_element[u]
-            for k in range(1, 5):
+            for k in range(1, 6):
                 expected = per_element[u] is not None and per_element[u] < k
                 assert minimum_hitting_set_containing(edges, u, budget=k) == expected
+
+
+_COUNT_BRANCH_NODES = """
+from causerepair import hitting
+from causerepair.causality import responsibilities
+from causerepair.parsing import parse_instance, single_query
+
+calls = 0
+branch = hitting._branch
+
+
+def counting(*args):
+    global calls
+    calls += 1
+    return branch(*args)
+
+
+hitting._branch = counting
+d = parse_instance(
+    "R(a0,a0). R(a0,a1). R(a2,a6). R(a4,a3). R(a5,a2). R(a5,a7). R(a6,a2). "
+    "R(a7,a5). S(a0). S(a1). S(a2). S(a4). S(a5). S(a6)."
+)
+responsibilities(d, single_query("q :- S(X), R(X,Y), S(Y)."))
+print(calls)
+"""
+
+
+def _branch_nodes(hash_seed: str) -> int:
+    package_root = str(Path(causerepair.__file__).parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=package_root)
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_BRANCH_NODES],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return int(out.stdout)
+
+
+def test_branching_order_ignores_string_hashing():
+    # ties among equal-size edges keep their canonical order, so the
+    # search visits the same nodes in every process
+    assert _branch_nodes("1") == _branch_nodes("2")
 
 
 def test_hitting_vertex_cover_duality():

@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private function and class is referenced from elsewhere.
 
 A stdlib ``ast`` check standing in for a linter.  ``__init__`` exists to
-re-export, so it is exempt.  String annotations count as uses of the
-names they mention.
+re-export, so it is exempt from the import check.  String annotations
+count as uses of the names they mention.  A private helper's references
+inside its own body (recursion) do not keep it alive.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -34,7 +37,7 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set[str]:
+def _used(tree: ast.AST) -> set[str]:
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
@@ -48,3 +51,30 @@ def _used(tree: ast.Module) -> set[str]:
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     assert sorted(_imported(tree) - _used(tree)) == []
+
+
+@functools.cache
+def _top_level_uses() -> list[tuple[Path, ast.stmt, set[str]]]:
+    """Each top-level statement of the package with its module and the
+    names it uses, attribute names included."""
+    uses = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            attributes = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            uses.append((path, node, _used(node) | attributes))
+    return uses
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    uses = _top_level_uses()
+    private = [
+        node for where, node, _ in uses
+        if where == path and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    orphans = [
+        node.name for node in private
+        if not any(node.name in names for _, other, names in uses if other is not node)
+    ]
+    assert orphans == []
