@@ -97,8 +97,8 @@ def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
     """Decide whether ``t``'s responsibility strictly exceeds ``v``.
 
     ``v`` must be 0 or 1/k.  For positive thresholds the decision runs in
-    budgeted mode with ``k`` as the parameter: the iterative deepening
-    stops at depth ``k - 2`` beyond ``t``, so a responsibility at or below
+    budgeted mode with ``k`` as the parameter: the search never adds more
+    than ``k - 2`` facts beyond ``t``, so a responsibility at or below
     ``v`` is never computed exactly; facts that are absent or exogenous
     simply fail the membership test.
     """

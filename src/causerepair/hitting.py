@@ -13,23 +13,21 @@ with no endogenous fact turns into the empty edge, which nothing hits.
 Each entry point builds its family once and hands it to the solvers by
 value.
 
-Two solvers operate on a family:
-
-* ``enumerate_minimal_hitting_sets`` computes the full transversal
-  hypergraph by the classic multiply-and-minimize scheme (process one
-  edge at a time, extend each partial solution, prune non-minimal sets).
-  The family can be exponential, so enumeration is capped.
-
-* ``minimum_hitting_set_containing`` answers minimum-cardinality
-  questions without enumeration, by a bounded-depth branching search:
-  pick the first unhit edge, branch on its at most ``d`` vertices.  One
-  iterative-deepening loop (``_smallest``) tries depths ``k = 0, 1, ...``
-  and stops at the first that succeeds.  Each depth is a search tree of
-  depth ``k`` and branching factor ``d``, so every question is
-  fixed-parameter tractable in ``k``; a budget only caps the depth.
-  Each edge's vertices are sorted once per call, so the branching order,
-  and with it the run time, is the same in every process.  The minimum
-  is a size: no witness set is built.
+Every solver is one search, ``_search``, over the subset-minimal hitting
+sets of a family (MMCS, Murakami and Uno).  It branches on the vertices
+of the first unhit edge, those on the most edges first; it adds a vertex
+only while each chosen vertex still hits some edge alone (a critical
+edge), so each set it reaches is minimal; and it keeps each vertex out
+of its later siblings' subtrees, so it reaches each set once.  A bound
+caps the set size and each set found may lower it:
+``enumerate_minimal_hitting_sets`` keeps no bound and collects every set,
+up to a cap on their number; ``minimum_hitting_set_containing`` lowers
+the bound below each set found (branch and bound), so the last set found
+is a minimum.  Edges and vertices are bitmasks (``int.bit_count`` needs
+Python 3.10) and ``key`` fixes the order, so the search, and its run
+time, is the same in every process.  An empty edge has no vertex to
+branch on, so a family holding one has no hitting set; no family need
+be an antichain.
 
 When an element ``t`` is forced, the relevant quantity is the minimum
 size of an *irredundant* hitting set containing ``t`` (one in which some
@@ -39,7 +37,7 @@ makes ``t`` redundant, and irredundance is what deletion semantics needs:
 a deletion set whose every member matters.  The search realizes this by
 choosing a witness edge for ``t``, forbidding that edge's other vertices,
 and solving the remaining (t-free) edges; the families of all witness
-edges are searched together, one depth at a time.
+edges share one bound.
 """
 
 from __future__ import annotations
@@ -119,7 +117,47 @@ def endogenous_support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact]
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of all minimal hitting sets
+# The search
+
+
+def _search(edges, found, most, key=fact_key) -> None:
+    """Visit every subset-minimal hitting set of ``edges`` with at most
+    ``most`` members once, calling ``found`` on it; ``found`` returns the
+    new bound, ``None`` for none."""
+    edges = list(edges)
+    on: dict = {}  # vertex -> mask of the edges it lies on
+    for i, e in enumerate(edges):
+        for v in e:
+            on[v] = on.get(v, 0) | 1 << i
+    bit = {v: 1 << j for j, v in enumerate(on)}
+    rows = [sorted(e, key=lambda v: (-on[v].bit_count(), key(v))) for e in edges]
+    rows = [[(v, bit[v], on[v]) for v in row] for row in rows]
+    chosen: list = []
+    bound = len(edges) if most is None else most
+
+    def branches(uncovered, banned, crit):
+        # crit[i]: the edges that chosen[i] alone hits
+        for v, b, mask in rows[(uncovered & -uncovered).bit_length() - 1]:
+            if len(chosen) >= bound:
+                return
+            if not b & banned:
+                kept = [c & ~mask for c in crit]
+                if all(kept):
+                    chosen.append(v)
+                    yield uncovered & ~mask, banned, kept + [uncovered & mask]
+                    chosen.pop()
+            banned |= b
+
+    # a stack of open nodes, not recursion: sets may be thousands deep
+    stack = [iter([((1 << len(edges)) - 1, 0, [])])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif node[0]:
+            stack.append(branches(*node))
+        elif (bound := found(frozenset(chosen))) is None:
+            bound = len(edges)  # a minimal set needs one edge per member
 
 
 def enumerate_minimal_hitting_sets(
@@ -127,70 +165,35 @@ def enumerate_minimal_hitting_sets(
 ) -> HittingSolution:
     """All subset-minimal hitting sets, in canonical order under ``key``.
 
-    Raises ``CapExceededError`` once the working family outgrows ``cap``;
-    exponential families exist even for single fixed constraints.
+    Raises ``CapExceededError`` as soon as more than ``cap`` sets are
+    found; exponential families exist even for single fixed constraints.
     """
     cap = DEFAULT_CAP if cap is None else cap
-    solutions: list[frozenset] = [frozenset()]
-    for edge in edges:
-        if not edge:
-            return HittingSolution(())
-        extended: set[frozenset] = set()
-        for s in solutions:
-            if s & edge:
-                extended.add(s)
-            else:
-                for v in edge:
-                    extended.add(s | {v})
-        solutions = minimal_sets(extended)
-        if len(solutions) > cap:
+    sets: list[frozenset] = []
+
+    def found(s):
+        sets.append(s)
+        if len(sets) > cap:
             raise CapExceededError(cap)
-    return HittingSolution(_canonical_family(solutions, key))
+
+    _search(edges, found, None, key)
+    return HittingSolution(_canonical_family(sets, key))
 
 
-# ---------------------------------------------------------------------------
-# Bounded branching for minimum hitting sets
+def _smallest(families, most: int | None) -> int | None:
+    """The least size of a subset-minimal hitting set of any of the
+    families, if one has at most ``most`` members; ``None`` otherwise.
+    One bound, lowered by every set found, serves all the families."""
+    best = None
 
+    def found(s):
+        nonlocal best
+        best = len(s)
+        return best - 1
 
-def _branch(edges, limit, acc) -> bool:
-    """Deterministic DFS: can ``acc`` be extended by at most ``limit``
-    vertices to hit every edge?  ``edges`` pairs each edge with its
-    vertices in branching order."""
-    for edge, vertices in edges:
-        if not (edge & acc):
-            break
-    else:
-        return True
-    if limit <= 0:
-        return False
-    return any(_branch(edges, limit - 1, acc | {v}) for v in vertices)
-
-
-def _smallest(families, limit: int) -> int | None:
-    """The least ``k <= limit`` such that some family has a hitting set of
-    size ``k``, by iterative deepening; ``None`` if there is none.  Edges
-    must all be non-empty."""
-    ordered = [[(e, sorted(e, key=fact_key)) for e in edges] for edges in families]
-    for k in range(limit + 1):
-        if any(_branch(edges, k, frozenset()) for edges in ordered):
-            return k
-    return None
-
-
-def _shrunken_rest(edges, witness_edge, t):
-    """Edges not containing ``t``, with the witness edge's other vertices
-    removed (they are forbidden, so ``t`` stays irredundant).  Antichains
-    guarantee no edge is swallowed whole."""
-    blocked = witness_edge - {t}
-    rest = []
-    for e in edges:
-        if t in e:
-            continue
-        shrunk = e - blocked
-        if not shrunk:
-            raise AssertionError("antichain violated: edge absorbed by witness")
-        rest.append(shrunk)
-    return minimal_sets(rest)
+    for edges in families:
+        _search(edges, found, most if best is None else best - 1)
+    return best
 
 
 def minimum_hitting_set_containing(
@@ -205,22 +208,19 @@ def minimum_hitting_set_containing(
 
     With ``t``: the minimum size of a hitting set in which ``t`` is
     irredundant (equivalently, of a subset-minimal hitting set containing
-    ``t``); ``None`` if ``t`` lies on no edge.
+    ``t``); ``None`` if there is none, as when ``t`` lies on no edge.
 
     With ``t`` and ``budget``: decision mode, answering only whether that
     size is strictly below ``budget``; the search never goes deeper than
-    ``budget - 2`` vertices beyond ``t``, branching on at most the edge
-    bound at each level.  ``budget`` is read only together with ``t``.
+    ``budget - 2`` vertices beyond ``t``.  ``budget`` is read only
+    together with ``t``.
     """
     edges = list(edges)
-    if any(not e for e in edges):
-        # an empty edge cannot be hit
-        return False if budget is not None else None
     if t is None:
-        return _smallest([edges], len(edges))  # one vertex per edge suffices
-    rests = [_shrunken_rest(edges, e, t) for e in edges if t in e]
-    if not rests:
-        return False if budget is not None else None
+        return _smallest([edges], None)
+    # t alone hits its witness edge w: w's other vertices are forbidden
+    rests = [[e - (w - {t}) for e in edges if t not in e] for w in edges if t in w]
     if budget is not None:
         return budget > 1 and _smallest(rests, budget - 2) is not None
-    return 1 + _smallest(rests, max(map(len, rests)))
+    rest = _smallest(rests, None)
+    return None if rest is None else 1 + rest

@@ -69,6 +69,7 @@ def _tokenize(source: str) -> list[_Token]:
         if ch == "%":
             while i < n and source[i] != "\n":
                 i += 1
+                col += 1
             continue
         start_line, start_col = line, col
         if ch == '"':
@@ -103,9 +104,10 @@ def _tokenize(source: str) -> list[_Token]:
             continue
         two = source[i : i + 2]
         if two in _PUNCT:
+            # one character long when the input ends with a mark
             tokens.append(_Token("PUNCT", two, start_line, start_col))
-            i += 2
-            col += 2
+            i += len(two)
+            col += len(two)
             continue
         if ch in _PUNCT:
             tokens.append(_Token("PUNCT", ch, start_line, start_col))

@@ -110,6 +110,23 @@ def test_enumeration_cap():
     edges = endogenous_support_sets(d, violation_view(sigma))
     with pytest.raises(CapExceededError):
         enumerate_minimal_hitting_sets(edges, cap=3)
+    # the cap counts the sets found, not intermediate partial solutions:
+    # the 4-cycle a-b-d-c has exactly the two covers {a,d} and {b,c}
+    a, b, c, d = (fact("V", x) for x in "abcd")
+    cycle = antichain([frozenset(p) for p in ((a, b), (a, c), (b, d), (c, d))])
+    covers = enumerate_minimal_hitting_sets(cycle, cap=2).sets
+    assert set(covers) == {frozenset({a, d}), frozenset({b, c})}
+    with pytest.raises(CapExceededError):
+        enumerate_minimal_hitting_sets(cycle, cap=1)
+
+
+def test_hitting_sets_deeper_than_the_recursion_limit():
+    # the search keeps its own stack: one set may have thousands of members
+    n = sys.getrecursionlimit() + 100
+    edges = tuple(frozenset({fact("V", str(i))}) for i in range(n))
+    assert enumerate_minimal_hitting_sets(edges).sets == (frozenset().union(*edges),)
+    assert minimum_hitting_set_containing(edges) == n
+    assert minimum_hitting_set_containing(edges, fact("V", "0")) == n
 
 
 def test_antichain_keeps_minimal_sets_in_canonical_order():
@@ -167,61 +184,69 @@ def test_oracle_agreement_on_random_frameworks():
     rng = random.Random(99)
     for _ in range(60):
         universe = [fact("U", str(i)) for i in range(rng.randint(1, 10))]
-        edges = set()
+        drawn = set()
         for _ in range(rng.randint(0, 8)):
             size = rng.randint(1, min(3, len(universe)))
-            edges.add(frozenset(rng.sample(universe, size)))
-        edges = antichain(edges)
-        enumerated = set(enumerate_minimal_hitting_sets(edges).sets)
-        brute_sets, brute_min, per_element = oracle_hitting(universe, edges)
-        assert enumerated == set(brute_sets)
-        assert minimum_hitting_set_containing(edges) == brute_min
-        for u in universe:
-            assert minimum_hitting_set_containing(edges, u) == per_element[u]
-            for k in range(1, 6):
-                expected = per_element[u] is not None and per_element[u] < k
-                assert minimum_hitting_set_containing(edges, u, budget=k) == expected
+            drawn.add(frozenset(rng.sample(universe, size)))
+        # the solvers need no antichain: a raw family has the same answers
+        for edges in (tuple(drawn), antichain(drawn)):
+            enumerated = set(enumerate_minimal_hitting_sets(edges).sets)
+            brute_sets, brute_min, per_element = oracle_hitting(universe, edges)
+            assert enumerated == set(brute_sets)
+            assert minimum_hitting_set_containing(edges) == brute_min
+            for u in universe:
+                assert minimum_hitting_set_containing(edges, u) == per_element[u]
+                for k in range(1, 6):
+                    expected = per_element[u] is not None and per_element[u] < k
+                    assert minimum_hitting_set_containing(edges, u, budget=k) == expected
 
 
-_COUNT_BRANCH_NODES = """
+_COUNT_SEARCH_NODES = """
+import sys
+
 from causerepair import hitting
 from causerepair.causality import responsibilities
 from causerepair.parsing import parse_instance, single_query
 
-calls = 0
-branch = hitting._branch
+# each open search node is one run of the generator ``branches``: keep
+# every frame that runs its code object, and count them
+consts = hitting._search.__code__.co_consts
+node = next(c for c in consts if getattr(c, "co_name", "") == "branches")
+frames = set()
 
 
-def counting(*args):
-    global calls
-    calls += 1
-    return branch(*args)
+def count(frame, event, arg):
+    if event == "call" and frame.f_code is node:
+        frames.add(frame)
 
 
-hitting._branch = counting
 d = parse_instance(
     "R(a0,a0). R(a0,a1). R(a2,a6). R(a4,a3). R(a5,a2). R(a5,a7). R(a6,a2). "
     "R(a7,a5). S(a0). S(a1). S(a2). S(a4). S(a5). S(a6)."
 )
-responsibilities(d, single_query("q :- S(X), R(X,Y), S(Y)."))
-print(calls)
+q = single_query("q :- S(X), R(X,Y), S(Y).")
+sys.setprofile(count)
+responsibilities(d, q)
+sys.setprofile(None)
+print(len(frames))
 """
 
 
-def _branch_nodes(hash_seed: str) -> int:
+def _search_nodes(hash_seed: str) -> int:
     package_root = str(Path(causerepair.__file__).parent.parent)
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=package_root)
     out = subprocess.run(
-        [sys.executable, "-c", _COUNT_BRANCH_NODES],
+        [sys.executable, "-c", _COUNT_SEARCH_NODES],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     return int(out.stdout)
 
 
 def test_branching_order_ignores_string_hashing():
-    # ties among equal-size edges keep their canonical order, so the
-    # search visits the same nodes in every process
-    assert _branch_nodes("1") == _branch_nodes("2")
+    # vertices are ordered by degree and fact key, edges canonically, so
+    # the search visits the same nodes in every process
+    first, second = _search_nodes("1"), _search_nodes("2")
+    assert first == second > 0
 
 
 def test_hitting_vertex_cover_duality():

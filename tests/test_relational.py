@@ -60,6 +60,11 @@ def test_parse_errors():
         parse_instance("@endogenous\nP(a).\n@exogenous\nP(a).")  # tag clash
     with pytest.raises(SemanticError):
         parse_instance("R(a,b).\n@exogenous\nR(1;a,b).")  # tag clash across ids
+    # the end of input sits one column past the last character
+    with pytest.raises(ParseError, match="line 1, column 5:"):
+        parse_instance("R(a)")
+    with pytest.raises(ParseError, match="line 1, column 12:"):
+        parse_instance("R(a) % note")
 
 
 def test_fact_identity_ignores_tag():
