@@ -2,7 +2,9 @@
 
 Everything here applies the definitions literally by scanning subsets.
 The only machinery shared with the optimized modules is query evaluation;
-no hitting-set code, no minimization tricks.  Each scan first tabulates
+no hitting-set code, no minimization tricks.  That evaluation is the
+indexed join of ``queries.iter_matches``, itself checked against a plain
+nested-loop evaluator in ``tests/test_queries.py``.  Each scan first tabulates
 the query on every relevant subset (pure repeated evaluation, nothing
 clever), then reads the definitions off the table.  Bounds guard against
 accidental exponential blowups and are configuration, not constants.

@@ -10,15 +10,24 @@ Null semantics: the reserved constant ``null`` never satisfies a join
 inequality with a null operand evaluates to false.  A variable occurring
 exactly once may still bind null, so a fact with null attributes keeps
 witnessing patterns that do not constrain those positions.
+
+Evaluation is an indexed nested-loop join.  Each conjunctive query fixes
+its join order once (``ConjunctiveQuery.join_order``): next comes the atom
+with the most positions bound by constants or by earlier atoms, ties in
+query order.  Each call groups the facts by predicate and arity, and each
+join step looks its candidates up in a hash index on its bound positions,
+built on the step's first lookup.  A lookup through a null value finds
+nothing, which is the null rule above, unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SemanticError
-from .relational import Fact, Instance, is_null
+from .relational import NULL, Fact, Instance, is_null
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,29 @@ class ConjunctiveQuery:
 
     def variables(self) -> set[str]:
         return {t.name for a in self.atoms for t in a.terms if isinstance(t, Var)}
+
+    @cached_property
+    def join_order(self) -> tuple["_JoinStep", ...]:
+        """The atoms in evaluation order: most bound positions first, ties
+        in query order.  Computed once per query, not per evaluation."""
+        bound: set[str] = set()
+
+        def is_bound(t) -> bool:
+            return not isinstance(t, Var) or t.name in bound
+
+        remaining = list(range(len(self.atoms)))
+        steps = []
+        while remaining:
+            best = max(remaining, key=lambda i: sum(map(is_bound, self.atoms[i].terms)))
+            remaining.remove(best)
+            atom = self.atoms[best]
+            key = tuple(p for p, t in enumerate(atom.terms) if is_bound(t))
+            steps.append(_JoinStep(
+                best, (atom.pred, len(atom.terms)), key, tuple(atom.terms[p] for p in key),
+                tuple((p, t) for p, t in enumerate(atom.terms) if p not in key),
+            ))
+            bound.update(t.name for t in atom.terms if isinstance(t, Var))
+        return tuple(steps)
 
     def safety_violations(self) -> list[str]:
         """Variables used in inequalities or the head but not in any atom."""
@@ -119,17 +151,12 @@ class DenialConstraintSet:
 # Evaluation
 
 
-def _index(facts: Iterable[Fact]) -> dict[str, list[Fact]]:
-    out: dict[str, list[Fact]] = {}
-    for f in facts:
-        out.setdefault(f.pred, []).append(f)
-    return out
-
-
-def _extend(binding: dict, terms: tuple, args: tuple[str, ...]) -> dict | None:
-    """Unify one atom pattern against one fact; None if it fails."""
+def _extend(binding: dict, pattern: tuple, args: tuple[str, ...]) -> dict | None:
+    """Unify the (position, term) pairs of an atom pattern against one
+    fact's arguments; None if it fails."""
     new = None
-    for term, value in zip(terms, args):
+    for position, term in pattern:
+        value = args[position]
         if isinstance(term, Var):
             bound = binding.get(term.name) if new is None else new.get(term.name)
             if bound is None:
@@ -153,29 +180,63 @@ def _inequalities_hold(cq: ConjunctiveQuery, binding: dict) -> bool:
     return True
 
 
+class _JoinStep(NamedTuple):
+    atom: int  # the atom's position in the query
+    relation: tuple[str, int]  # its predicate and arity
+    key_positions: tuple[int, ...]  # positions bound when the step runs
+    key_terms: tuple  # the terms at those positions
+    rest: tuple  # (position, term) at the others: first and repeated occurrences
+
+
+def _hash_index(positions: tuple[int, ...], relation: list[Fact]) -> dict[tuple, list[Fact]]:
+    """The relation's facts by their values at ``positions``."""
+    if not positions:
+        return {(): relation}
+    out: dict[tuple, list[Fact]] = {}
+    for f in relation:
+        args = f.args
+        out.setdefault(tuple([args[p] for p in positions]), []).append(f)
+    return out
+
+
+def _walk(cq: ConjunctiveQuery, relations: dict, indexes: list, depth: int,
+          binding: dict, used: list):
+    """Extend ``binding`` through the join steps from ``depth`` on.  A
+    module-level generator, so the indexes it fills form no reference cycle."""
+    steps = cq.join_order
+    if depth == len(steps):
+        if _inequalities_hold(cq, binding):
+            yield tuple(used), binding
+        return
+    step = steps[depth]
+    key = tuple([binding[t.name] if isinstance(t, Var) else t for t in step.key_terms])
+    if NULL in key:
+        return  # joins never pass through null; the constant null matches nothing
+    index = indexes[depth]
+    if index is None:
+        index = indexes[depth] = _hash_index(step.key_positions, relations[step.relation])
+    for f in index.get(key, ()):
+        extended = _extend(binding, step.rest, f.args)
+        if extended is None:
+            continue
+        used[step.atom] = f
+        yield from _walk(cq, relations, indexes, depth + 1, extended, used)
+
+
 def iter_matches(
     facts: Iterable[Fact], cq: ConjunctiveQuery
 ) -> Iterator[tuple[tuple[Fact, ...], dict]]:
-    """Yield (facts-per-atom, binding) for every satisfying assignment."""
-    index = _index(facts)
+    """Yield (facts-per-atom, binding) for every satisfying assignment.
 
-    def walk(pos: int, binding: dict, used: list[Fact]):
-        if pos == len(cq.atoms):
-            if _inequalities_hold(cq, binding):
-                yield tuple(used), binding
-            return
-        atom = cq.atoms[pos]
-        for f in index.get(atom.pred, ()):
-            if f.arity != len(atom.terms):
-                continue
-            extended = _extend(binding, atom.terms, f.args)
-            if extended is None:
-                continue
-            used.append(f)
-            yield from walk(pos + 1, extended, used)
-            used.pop()
-
-    yield from walk(0, {}, [])
+    The facts come in query atom order, whatever the join order."""
+    relations: dict[tuple[str, int], list[Fact]] = {s.relation: [] for s in cq.join_order}
+    for f in facts:
+        relation = relations.get((f.pred, len(f.args)))
+        if relation is not None:
+            relation.append(f)
+    if all(relations.values()):  # an atom without candidate facts matches nothing
+        n = len(cq.atoms)
+        yield from _walk(cq, relations, [None] * n, 0, {}, [None] * n)
 
 
 def witnesses(facts: Iterable[Fact], cq: ConjunctiveQuery) -> set[frozenset[Fact]]:

@@ -21,6 +21,7 @@ from causerepair.preferences import (
     AttrChange,
     CausalPriorityRelation,
     _apply_changes,
+    _kill_sets,
     check_preference_contingency,
     endogenous_encoding,
     endogenous_repairs,
@@ -402,3 +403,10 @@ def test_null_causes_id_multiplicity_option():
     deduped_map = {t.fact_id: rho for t, rho in deduped}
     for i, rho in plain_map.items():
         assert deduped_map[i] >= rho
+
+
+def test_kill_sets_follow_query_atom_order():
+    # the join binds S(a) first; the kill set must still name S's position
+    d = parse_instance("R(1;b,c). S(2;a).")
+    sigma = constraint_set(":- R(X,Y), S(a).\n")
+    assert _kill_sets(d, sigma) == [frozenset({AttrChange("S", 2, 1)})]

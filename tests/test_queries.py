@@ -1,18 +1,26 @@
 import random
+from collections import Counter
 
 import pytest
 
+from causerepair import queries
 from causerepair.errors import ParseError, SemanticError
 from causerepair.parsing import parse_instance, parse_program, single_query
 from causerepair.queries import (
+    Atom,
+    ConjunctiveQuery,
     Var,
+    _extend,
+    _inequalities_hold,
     answer_dc,
     dc_of_query,
     eval_answers,
     eval_boolean,
+    iter_matches,
     violation_view,
+    witnesses,
 )
-from causerepair.relational import Instance, fact
+from causerepair.relational import NULL, Fact, Instance, fact, fact_key
 
 from conftest import load_constraints, load_instance, load_query, random_boolean_query, random_instance
 
@@ -192,3 +200,136 @@ def test_duality_iff_violation_on_random_instances():
         q = random_boolean_query(rng)
         sigma = dc_of_query(q)
         assert eval_boolean(d, violation_view(sigma)) == eval_boolean(d, q)
+
+
+# ---------------------------------------------------------------------------
+# The indexed join against plain nested loops
+
+
+def nested_loop_matches(facts, cq):
+    """The unindexed evaluator: each atom scans its whole predicate, in
+    query order.  The reference for ``iter_matches``."""
+    index = {}
+    for f in facts:
+        index.setdefault(f.pred, []).append(f)
+
+    def walk(pos, binding, used):
+        if pos == len(cq.atoms):
+            if _inequalities_hold(cq, binding):
+                yield tuple(used), binding
+            return
+        atom = cq.atoms[pos]
+        for f in index.get(atom.pred, ()):
+            if f.arity != len(atom.terms):
+                continue
+            extended = _extend(binding, tuple(enumerate(atom.terms)), f.args)
+            if extended is None:
+                continue
+            used.append(f)
+            yield from walk(pos + 1, extended, used)
+            used.pop()
+
+    yield from walk(0, {}, [])
+
+
+def _canonical(matches) -> Counter:
+    return Counter(
+        (tuple(fact_key(f) for f in used), tuple(sorted(binding.items())))
+        for used, binding in matches
+    )
+
+
+# R is used at two arities; null is an ordinary constant of the domain
+_JOIN_PREDS = (("P", 1), ("R", 1), ("R", 2), ("S", 2), ("T", 3))
+_JOIN_CONSTANTS = ("a", "b", "c", NULL)
+
+
+def _random_join_instance(rng: random.Random) -> Instance:
+    facts = set()
+    for _ in range(rng.randint(4, 30)):
+        pred, arity = rng.choice(_JOIN_PREDS)
+        args = tuple(rng.choice(_JOIN_CONSTANTS) for _ in range(arity))
+        fact_id = len(facts) + 1 if rng.random() < 0.3 else None
+        facts.add(Fact(pred, args, fact_id=fact_id))
+    return Instance(frozenset(facts))
+
+
+def _random_join_query(rng: random.Random) -> ConjunctiveQuery:
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        pred, arity = rng.choice(_JOIN_PREDS)
+        terms = tuple(
+            Var(rng.choice("XYZ")) if rng.random() < 0.75 else rng.choice(_JOIN_CONSTANTS)
+            for _ in range(arity)
+        )
+        atoms.append(Atom(pred, terms))
+    variables = sorted({t.name for a in atoms for t in a.terms if isinstance(t, Var)})
+    inequalities = ()
+    if variables and rng.random() < 0.4:
+        left = rng.choice(variables)
+        right = rng.choice([Var(v) for v in variables if v != left] + list(_JOIN_CONSTANTS))
+        inequalities = ((Var(left), right),)
+    return ConjunctiveQuery(tuple(atoms), inequalities)
+
+
+def test_indexed_join_agrees_with_nested_loops():
+    rng = random.Random(20261018)
+    nonempty = 0
+    for _ in range(1000):
+        d = _random_join_instance(rng)
+        cq = _random_join_query(rng)
+        expected = _canonical(nested_loop_matches(d.facts, cq))
+        assert _canonical(iter_matches(d.facts, cq)) == expected, (str(d), str(cq))
+        nonempty += bool(expected)
+    assert nonempty > 250  # the comparison is not vacuous
+
+
+def _chain_instance(rng: random.Random, n: int) -> Instance:
+    """n draws of R(a_j,a_k) and S(a_m) over a domain of n constants."""
+    facts = set()
+    for _ in range(n):
+        j, k, m = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        facts.add(fact("R", f"a{j}", f"a{k}"))
+        facts.add(fact("S", f"a{m}"))
+    return Instance(frozenset(facts))
+
+
+def test_join_work_is_linear_on_a_chain_instance(monkeypatch):
+    d = _chain_instance(random.Random(0), 1000)
+    assert len(d) > 1500
+    calls = 0
+
+    def counting_extend(*args):
+        nonlocal calls
+        calls += 1
+        return _extend(*args)
+
+    monkeypatch.setattr(queries, "_extend", counting_extend)
+    (cq,) = single_query("q :- S(X), R(X,Y), S(Y).\n").disjuncts
+    images = witnesses(d.facts, cq)
+    s_values = {f.args[0] for f in d.facts if f.pred == "S"}
+    assert images == {
+        frozenset({fact("S", f.args[0]), f, fact("S", f.args[1])})
+        for f in d.facts
+        if f.pred == "R" and f.args[0] in s_values and f.args[1] in s_values
+    }
+    assert calls <= 2 * len(d)
+
+
+def test_matches_come_in_query_atom_order():
+    (cq,) = single_query("q :- R(X,Y), S(a).\n").disjuncts
+    assert [step.atom for step in cq.join_order] == [1, 0]  # S(a) is bound first
+    d = parse_instance("R(b,c). S(a).")
+    ((used, binding),) = iter_matches(d.facts, cq)
+    assert used == (fact("R", "b", "c"), fact("S", "a"))
+    assert binding == {"X": "b", "Y": "c"}
+
+
+@pytest.mark.parametrize("query, instance, expected", [
+    ("q :- S(X), R(X,Y).", "S(null). R(null,b).", False),
+    ("q :- R(X,Y), S(null).", "R(a,b). S(null).", False),
+    ("q :- R(X,X).", "R(null,null).", False),
+    ("q :- R(X,Y).", "R(null,b).", True),
+])
+def test_null_lookups_at_every_join_step(query, instance, expected):
+    assert eval_boolean(parse_instance(instance), single_query(query + "\n")) is expected
