@@ -42,6 +42,7 @@ from .hitting import (
     endogenous_part,
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
+    forced_minima,
     minimum_hitting_set_containing,
     support_sets,
 )

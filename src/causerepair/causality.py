@@ -9,7 +9,10 @@ Everything here runs through the hitting-set view: causes are the facts
 on some edge of the endogenous support family, minimal contingency sets
 are minimal hitting sets with ``t`` stripped out, and responsibility
 questions become minimum-hitting-set questions, answered by the bounded
-branching solver rather than by enumeration.
+branching solver rather than by enumeration.  ``responsibilities``
+(behind ``most_responsible_causes`` and the cardinality-repair CQA
+check) asks for every cause at once, so each component of the family is
+solved once and its minimum shared (``hitting.forced_minima``).
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from .errors import SemanticError
 from .hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
+    forced_minima,
     minimum_hitting_set_containing,
 )
 from .queries import UnionQuery, _maximal_deletion
-from .relational import Fact, Instance, fact_key, set_key
+from .relational import Fact, Instance, set_key
 
 Responsibility = Fraction
 
@@ -84,13 +88,13 @@ def responsibilities(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
     """Every actual cause with its exact responsibility, in canonical order.
 
     One support family serves all causes; facts that are not causes are
-    left out (their responsibility is 0).
+    left out (their responsibility is 0).  Each connected component's
+    minimum hitting set is found once; a cause's contingency size is
+    then the best rest family within its own component plus the other
+    components' minima, with no search repeated per cause.
     """
-    edges = endogenous_support_sets(d, q)
-    causes = sorted({f for edge in edges for f in edge}, key=fact_key)
-    return {
-        t: Fraction(1, minimum_hitting_set_containing(edges, t)) for t in causes
-    }
+    sizes = forced_minima(endogenous_support_sets(d, q))
+    return {t: Fraction(1, size) for t, size in sizes.items()}
 
 
 def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:

@@ -7,8 +7,9 @@ canonical order, responsibilities as exact ``{num, den}`` pairs.  Repeated
 runs on identical inputs produce byte-identical output.
 
 Exit codes: 0 success (including negative decisions), 1 usage or parse
-errors (an input file that is not UTF-8 text included), 2 semantic
-errors, 3 enumeration-cap exhaustion or an oracle input above its bound.
+errors (a negative ``--max-enum`` and an input file that is not UTF-8
+text included), 2 semantic errors, 3 enumeration-cap exhaustion or an
+oracle input above its bound.
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _enumeration_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -321,7 +332,7 @@ def _build_parser() -> _Parser:
         if constraints:
             p.add_argument("-c", "--constraints", required=True)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--max-enum", type=int, default=None)
+        p.add_argument("--max-enum", type=_enumeration_cap, default=None)
 
     p = sub.add_parser("causes", help="actual causes with responsibilities")
     common(p, query=True)

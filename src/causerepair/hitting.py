@@ -13,31 +13,47 @@ with no endogenous fact turns into the empty edge, which nothing hits.
 Each entry point builds its family once and hands it to the solvers by
 value.
 
+Each entry point translates its family once into a mask table
+(``_table``): the vertices in ``key`` order, and each edge an ``int``
+with bit ``i`` set for vertex ``i`` (``int.bit_count`` needs Python
+3.10).  Everything after that works on masks, never on facts, and the
+order is fixed by ``key``, so every search, and its run time, is the
+same in every process.
+
 Every solver is one search, ``_search``, over the subset-minimal hitting
-sets of a family (MMCS, Murakami and Uno).  It branches on the vertices
-of the first unhit edge, those on the most edges first; it adds a vertex
-only while each chosen vertex still hits some edge alone (a critical
-edge), so each set it reaches is minimal; and it keeps each vertex out
-of its later siblings' subtrees, so it reaches each set once.  A bound
-caps the set size and each set found may lower it:
-``enumerate_minimal_hitting_sets`` keeps no bound and collects every set,
-up to a cap on their number; ``minimum_hitting_set_containing`` lowers
-the bound below each set found (branch and bound), so the last set found
-is a minimum.  Edges and vertices are bitmasks (``int.bit_count`` needs
-Python 3.10) and ``key`` fixes the order, so the search, and its run
-time, is the same in every process.  An empty edge has no vertex to
-branch on, so a family holding one has no hitting set; no family need
-be an antichain.
+sets of a mask family (MMCS, Murakami and Uno).  It branches on the
+unhit edge with the fewest vertices not yet ruled out, trying those on
+the most edges first; it adds a vertex only while each chosen vertex
+still hits some edge alone (a critical edge), so each set it reaches is
+minimal; and it keeps each vertex out of its later siblings' subtrees,
+so it reaches each set once.  A bound caps the set size and each set
+found may lower it; a node is cut when its chosen vertices plus a greedy
+packing of pairwise disjoint unhit edges, each needing a vertex of its
+own, exceed the bound.  An empty edge has no vertex to branch on, so a
+family holding one has no hitting set; no family need be an antichain.
+
+``enumerate_minimal_hitting_sets`` runs the search once over the whole
+family with no bound and maps each set found back to facts, up to a cap
+on their number.  Minima take three more steps first, valid for the
+minimum size but not for enumeration, since they lose minimal sets
+(``_least``): drop every edge that contains another, drop every vertex
+whose edges another vertex also lies on (the d-Hitting-Set kernel's
+first rules; on the chain query every ``R(x,y)`` goes and the family
+becomes a graph), and split what is left into connected components.
+Each component is searched by branch and bound, the bound lowered below
+every set found, and the minimum is the sum over the components.
 
 When an element ``t`` is forced, the relevant quantity is the minimum
 size of an *irredundant* hitting set containing ``t`` (one in which some
 edge is hit by ``t`` alone).  Plain "minimum hitting set containing t"
 would overshoot on star-shaped families where every small hitting set
 makes ``t`` redundant, and irredundance is what deletion semantics needs:
-a deletion set whose every member matters.  The search realizes this by
-choosing a witness edge for ``t``, forbidding that edge's other vertices,
-and solving the remaining (t-free) edges; the families of all witness
-edges share one bound.
+a deletion set whose every member matters.  Only ``t``'s own component
+changes: choose a witness edge for ``t``, forbid that edge's other
+vertices, and take the plain minimum of the component's ``t``-free
+edges; the witness edges share one bound.  The other components add
+their own minima, which ``forced_minima`` computes once and shares
+across every vertex of the family.
 """
 
 from __future__ import annotations
@@ -112,7 +128,10 @@ def endogenous_support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact]
     cannot be falsified through endogenous deletions at all, so the family
     collapses to the empty one (no causes, no contingencies).
     """
-    part = endogenous_part(support_sets(d, q), d.endogenous)
+    family = support_sets(d, q)
+    if not d.exogenous:
+        return family  # the restriction is the identity
+    part = endogenous_part(family, d.endogenous)
     return () if frozenset() in part else part
 
 
@@ -120,44 +139,125 @@ def endogenous_support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact]
 # The search
 
 
-def _search(edges, found, most, key=fact_key) -> None:
-    """Visit every subset-minimal hitting set of ``edges`` with at most
-    ``most`` members once, calling ``found`` on it; ``found`` returns the
-    new bound, ``None`` for none."""
+def _table(edges: Iterable[frozenset], key=fact_key) -> tuple[list, list[int]]:
+    """The family as bitmasks: its vertices in ``key`` order, and one mask
+    per edge with bit ``i`` set for vertex ``i``."""
     edges = list(edges)
-    on: dict = {}  # vertex -> mask of the edges it lies on
-    for i, e in enumerate(edges):
-        for v in e:
+    vertices = sorted({v for e in edges for v in e}, key=key)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    return vertices, [sum(bit[v] for v in e) for e in edges]
+
+
+def _bits(mask: int):
+    """The one-bit masks of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
+    """The edges grouped into connected components (edges sharing a
+    vertex), each with the union of its edges; an empty edge is a
+    component of its own."""
+    parts: dict[int, tuple[int, list[int]]] = {}
+    owner: dict[int, int] = {}  # vertex -> the part it lies in
+    for i, e in enumerate(masks):
+        joined, group = e, [e]
+        for part in {owner[v] for v in _bits(e) if v in owner}:
+            vertices, edges = parts.pop(part)
+            joined |= vertices
+            group += edges
+        owner.update(dict.fromkeys(_bits(joined), i))
+        parts[i] = (joined, group)
+    return list(parts.values())
+
+
+def _reduced(masks: list[int]) -> list[int]:
+    """A family with the same minimum hitting-set size as the nonempty
+    edges given: no edge contains another, and no vertex lies only on
+    edges that another vertex lies on too (of two such twins the first
+    stays).  Any minimum hitting set can swap a dropped vertex for one
+    that stays, but minimal hitting sets are lost, so this serves minima
+    only."""
+    while True:
+        kept: list[int] = []
+        lowest: dict[int, list[int]] = {}  # vertex -> kept edges it is lowest on
+        for e in sorted(set(masks), key=int.bit_count):
+            if not any(k & e == k for v in _bits(e) for k in lowest.get(v, ())):
+                kept.append(e)
+                lowest.setdefault(e & -e, []).append(e)
+        on: dict[int, int] = {}  # vertex -> mask of the edges it lies on
+        common: dict[int, int] = {}  # vertex -> the vertices on all its edges
+        for i, e in enumerate(kept):
+            for v in _bits(e):
+                on[v] = on.get(v, 0) | 1 << i
+                common[v] = common.get(v, e) & e
+        dropped = 0
+        for v, others in common.items():
+            others &= ~v
+            # an earlier vertex there dominates v or is its twin; a later
+            # one dominates it only if it lies on more edges
+            if others & (v - 1) or any(on[u] != on[v] for u in _bits(others)):
+                dropped |= v
+        if not dropped:
+            return kept
+        masks = [e & ~dropped for e in kept]
+
+
+def _search(masks: list[int], found, most: int | None = None) -> None:
+    """Visit every subset-minimal hitting set of the edge masks with at
+    most ``most`` members once, calling ``found`` on its vertex mask;
+    ``found`` returns the new bound, ``None`` for none."""
+    masks = sorted(masks, key=int.bit_count)  # small edges pack best
+    on: dict[int, int] = {}  # vertex -> mask of the edges it lies on
+    for i, e in enumerate(masks):
+        for v in _bits(e):
             on[v] = on.get(v, 0) | 1 << i
-    bit = {v: 1 << j for j, v in enumerate(on)}
-    rows = [sorted(e, key=lambda v: (-on[v].bit_count(), key(v))) for e in edges]
-    rows = [[(v, bit[v], on[v]) for v in row] for row in rows]
-    chosen: list = []
-    bound = len(edges) if most is None else most
+    rows = [
+        sorted(((v, on[v]) for v in _bits(e)), key=lambda r: (-r[1].bit_count(), r[0]))
+        for e in masks
+    ]
+    chosen: list[int] = []
+    bound = len(masks) if most is None else most
 
     def branches(uncovered, banned, crit):
-        # crit[i]: the edges that chosen[i] alone hits
-        for v, b, mask in rows[(uncovered & -uncovered).bit_length() - 1]:
-            if len(chosen) >= bound:
+        # crit[i]: the edges that chosen[i] alone hits.  Branch on the
+        # unhit edge with the fewest vertices left; pairwise disjoint unhit
+        # edges each need a vertex of their own (a packing), so no set
+        # below this node is smaller than len(chosen) + packed
+        fewest = packed = used = 0
+        for low in _bits(uncovered):
+            i = low.bit_length() - 1
+            left = masks[i] & ~banned
+            if not left:
                 return
-            if not b & banned:
+            if not fewest or left.bit_count() < fewest:
+                fewest, row = left.bit_count(), rows[i]
+            if not left & used:
+                used |= left
+                packed += 1
+        for v, mask in row:
+            if len(chosen) + packed > bound:
+                return
+            if not v & banned:
                 kept = [c & ~mask for c in crit]
                 if all(kept):
                     chosen.append(v)
                     yield uncovered & ~mask, banned, kept + [uncovered & mask]
                     chosen.pop()
-            banned |= b
+            banned |= v
 
     # a stack of open nodes, not recursion: sets may be thousands deep
-    stack = [iter([((1 << len(edges)) - 1, 0, [])])]
+    stack = [iter([((1 << len(masks)) - 1, 0, [])])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
         elif node[0]:
             stack.append(branches(*node))
-        elif (bound := found(frozenset(chosen))) is None:
-            bound = len(edges)  # a minimal set needs one edge per member
+        elif (bound := found(sum(chosen))) is None:
+            bound = len(masks)  # a minimal set needs one edge per member
 
 
 def enumerate_minimal_hitting_sets(
@@ -169,30 +269,57 @@ def enumerate_minimal_hitting_sets(
     found; exponential families exist even for single fixed constraints.
     """
     cap = DEFAULT_CAP if cap is None else cap
+    vertices, masks = _table(edges, key)
     sets: list[frozenset] = []
 
-    def found(s):
-        sets.append(s)
+    def found(chosen):
+        sets.append(frozenset(vertices[v.bit_length() - 1] for v in _bits(chosen)))
         if len(sets) > cap:
             raise CapExceededError(cap)
 
-    _search(edges, found, None, key)
+    _search(masks, found)
     return HittingSolution(_canonical_family(sets, key))
 
 
-def _smallest(families, most: int | None) -> int | None:
-    """The least size of a subset-minimal hitting set of any of the
-    families, if one has at most ``most`` members; ``None`` otherwise.
-    One bound, lowered by every set found, serves all the families."""
+def _least(masks: list[int], most: int | None = None) -> int | None:
+    """The size of a minimum hitting set of the edge masks, if it has at
+    most ``most`` members; ``None`` otherwise, as when an edge is empty.
+    The reduced family splits into components, solved one by one, each
+    within what the earlier ones left of ``most``."""
+    if 0 in masks:
+        return None
+    total = 0
     best = None
 
-    def found(s):
+    def found(chosen):
         nonlocal best
-        best = len(s)
+        best = chosen.bit_count()
         return best - 1
 
-    for edges in families:
-        _search(edges, found, most if best is None else best - 1)
+    for _, edges in _components(_reduced(masks)):
+        best = None
+        _search(edges, found, None if most is None else most - total)
+        if best is None:
+            return None
+        total += best
+    return total
+
+
+def _forced_rest(edges: list[int], t: int, most: int | None = None, floor: int = 0):
+    """The least size, if at most ``most``, of a hitting set of the edges
+    without ``t`` that avoids the other vertices of one of ``t``'s witness
+    edges; ``None`` otherwise.  The witness edges share one bound, and
+    the search stops once a size reaches ``floor``, a known lower bound."""
+    rest = [e for e in edges if not e & t]
+    best = None
+    for w in edges:
+        if w & t:
+            limit = most if best is None else best - 1
+            if limit is not None and limit < floor:
+                break
+            size = _least([e & ~w for e in rest], limit)
+            if size is not None:
+                best = size
     return best
 
 
@@ -215,12 +342,42 @@ def minimum_hitting_set_containing(
     ``budget - 2`` vertices beyond ``t``.  ``budget`` is read only
     together with ``t``.
     """
-    edges = list(edges)
+    vertices, masks = _table(edges)
     if t is None:
-        return _smallest([edges], None)
-    # t alone hits its witness edge w: w's other vertices are forbidden
-    rests = [[e - (w - {t}) for e in edges if t not in e] for w in edges if t in w]
-    if budget is not None:
-        return budget > 1 and _smallest(rests, budget - 2) is not None
-    rest = _smallest(rests, None)
-    return None if rest is None else 1 + rest
+        return _least(masks)
+    try:
+        bit = 1 << vertices.index(t)
+    except ValueError:  # t lies on no edge
+        return None if budget is None else False
+    own: list[int] = []
+    others: list[int] = []
+    for part, group in _components(masks):
+        (own if part & bit else others).extend(group)
+    if budget is None:
+        other, rest = _least(others), _forced_rest(own, bit)
+        return None if other is None or rest is None else 1 + rest + other
+    other = _least(others, budget - 2)
+    return other is not None and _forced_rest(own, bit, budget - 2 - other) is not None
+
+
+def forced_minima(edges: Iterable[frozenset]) -> dict:
+    """``minimum_hitting_set_containing(edges, t)`` for every vertex ``t``
+    of the family, in ``fact_key`` order.
+
+    Each component's minimum is found once: ``t``'s size is 1, plus the
+    forced rest within its own component, plus the other components'
+    minima.  Within the component the size is at least its minimum,
+    which lets the search over witness edges stop early.
+    """
+    vertices, masks = _table(edges)
+    parts = _components(masks)
+    minima = [_least(group) for _, group in parts]
+    if None in minima:
+        return dict.fromkeys(vertices)
+    total = sum(minima)
+    sizes = {}
+    for (part, group), least in zip(parts, minima):
+        for t in _bits(part):
+            rest = _forced_rest(group, t, floor=least - 1)
+            sizes[t] = None if rest is None else 1 + rest + total - least
+    return {v: sizes[1 << i] for i, v in enumerate(vertices)}

@@ -18,7 +18,7 @@ from causerepair.errors import SemanticError
 from causerepair.oracle import oracle_causes_and_responsibility
 from causerepair.parsing import parse_fact, parse_instance, parse_program
 from causerepair.queries import violation_view
-from causerepair.relational import Instance
+from causerepair.relational import Instance, fact_key
 
 from conftest import (
     load_constraints,
@@ -116,6 +116,20 @@ def test_responsibilities_agree_with_oracle_randomized():
             assert explain(d, q, t).responsibility == rho
             for k in range(1, 5):
                 assert rdp_decide(d, q, t, Fraction(1, k)) == (rho > Fraction(1, k))
+
+
+
+def test_responsibilities_agree_with_single_responsibility_randomized():
+    # responsibilities shares each component's minimum across causes;
+    # responsibility searches for one cause alone
+    rng = random.Random(17)
+    for _ in range(200):
+        d = random_instance(rng, max_facts=14)
+        q = random_boolean_query(rng)
+        scores = responsibilities(d, q)
+        assert list(scores) == sorted(actual_causes(d, q), key=fact_key)
+        for t, rho in scores.items():
+            assert responsibility(d, q, t) == rho
 
 
 def test_rdp_decide_thresholds(chain_instance, chain_query):

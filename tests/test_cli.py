@@ -54,6 +54,15 @@ def test_oracle_bound_exceeded_exit_code(tmp_path):
     assert code == 3 and out == "" and "bound" in err
 
 
+def test_negative_enumeration_cap_is_usage_error():
+    argv = ["repairs", "-i", "ex4.facts", "-c", "ex4.dlq", "--semantics", "s"]
+    code, out, err = execute(argv + ["--max-enum", "-1"])
+    assert code == 1 and out == "" and "--max-enum" in err and "negative" in err
+    code, _, err = execute(argv + ["--max-enum", "many"])
+    assert code == 1 and "invalid int value: 'many'" in err
+    assert execute(argv + ["--max-enum", "0"])[0] == 3
+
+
 def test_unknown_flag_is_usage_error():
     code, _, err = execute(["causes", "--nope"])
     assert code == 1 and "usage" in err.lower()

@@ -2,17 +2,22 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import causerepair
+from causerepair import hitting
+from causerepair.causality import most_responsible_causes
 from causerepair.errors import CapExceededError
 from causerepair.hitting import (
     antichain,
     endogenous_part,
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
+    forced_minima,
+    minimal_sets,
     minimum_hitting_set_containing,
     support_sets,
 )
@@ -67,6 +72,22 @@ def test_endogenous_support_sets_all_endogenous():
     d4 = load_instance("ex4.facts")
     view = violation_view(load_constraints("ex4.dlq"))
     assert endogenous_support_sets(d4, view) == support_sets(d4, view)
+
+
+def test_all_endogenous_family_is_minimized_once(monkeypatch):
+    # the endogenous restriction of an all-endogenous family is the
+    # identity, so the support family is not minimized a second time
+    d4 = load_instance("ex4.facts")
+    view = violation_view(load_constraints("ex4.dlq"))
+    calls = []
+
+    def counted(sets):
+        calls.append(1)
+        return minimal_sets(sets)
+
+    monkeypatch.setattr(hitting, "minimal_sets", counted)
+    assert len(endogenous_support_sets(d4, view)) == 2
+    assert len(calls) == 1
 
 
 def test_fully_exogenous_support_collapses_family():
@@ -180,6 +201,26 @@ def test_forced_element_must_be_irredundant():
     assert per_element[t] == 3
 
 
+def _assert_agrees_with_oracle(universe, edges):
+    """Enumeration, every minimum, forced minimum and budget decision,
+    checked against the oracle and against each other: minima drop
+    vertices and edges, split components and prune by packings, while
+    enumeration does none of that."""
+    enumerated = enumerate_minimal_hitting_sets(edges).sets
+    brute_sets, brute_min, per_element = oracle_hitting(universe, edges)
+    assert set(enumerated) == set(brute_sets)
+    smallest = min((len(s) for s in enumerated), default=None)
+    assert minimum_hitting_set_containing(edges) == brute_min == smallest
+    for u in universe:
+        through = min((len(s) for s in enumerated if u in s), default=None)
+        assert minimum_hitting_set_containing(edges, u) == per_element[u] == through
+        for k in range(1, 7):
+            expected = through is not None and through < k
+            assert minimum_hitting_set_containing(edges, u, budget=k) is expected
+    on_edges = {v for e in edges for v in e}
+    assert forced_minima(edges) == {u: per_element[u] for u in on_edges}
+
+
 def test_oracle_agreement_on_random_frameworks():
     rng = random.Random(99)
     for _ in range(60):
@@ -190,15 +231,98 @@ def test_oracle_agreement_on_random_frameworks():
             drawn.add(frozenset(rng.sample(universe, size)))
         # the solvers need no antichain: a raw family has the same answers
         for edges in (tuple(drawn), antichain(drawn)):
-            enumerated = set(enumerate_minimal_hitting_sets(edges).sets)
-            brute_sets, brute_min, per_element = oracle_hitting(universe, edges)
-            assert enumerated == set(brute_sets)
-            assert minimum_hitting_set_containing(edges) == brute_min
-            for u in universe:
-                assert minimum_hitting_set_containing(edges, u) == per_element[u]
-                for k in range(1, 6):
-                    expected = per_element[u] is not None and per_element[u] < k
-                    assert minimum_hitting_set_containing(edges, u, budget=k) == expected
+            _assert_agrees_with_oracle(universe, edges)
+
+
+def _block_family(rng):
+    """A random family over two to four vertex-disjoint blocks.  Each
+    block holds chain-shaped edges {S(x), R(x,y), S(y)}, whose R vertex
+    lies on one edge only and so is dominated by S(x), plus raw draws
+    over its vertices that may contain an earlier edge."""
+    edges = []
+    for b in range(rng.randint(2, 4)):
+        names = [f"{b}{i}" for i in range(rng.randint(1, 3))]
+        block = []
+        for _ in range(rng.randint(1, 2)):
+            x, y = rng.choice(names), rng.choice(names)
+            block.append(frozenset({fact("S", x), fact("R", x, y), fact("S", y)}))
+        universe = sorted({v for e in block for v in e}, key=str)
+        for _ in range(rng.randint(0, 2)):
+            block.append(frozenset(rng.sample(universe, rng.randint(1, min(3, len(universe))))))
+        edges += block
+    if rng.random() < 0.05:
+        edges.append(frozenset())
+    return edges
+
+
+def test_split_reduced_search_agrees_with_oracle_on_block_families():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        edges = _block_family(rng)
+        universe = {v for e in edges for v in e}
+        if len(universe) <= 12:
+            _assert_agrees_with_oracle(universe, edges)
+            checked += 1
+
+
+def _nodes(call):
+    """The result of ``call()`` and the number of search nodes it opened:
+    each open node is one run of the generator ``branches``."""
+    consts = hitting._search.__code__.co_consts
+    node = next(c for c in consts if getattr(c, "co_name", "") == "branches")
+    frames = set()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is node:
+            frames.add(frame)
+
+    sys.setprofile(count)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, len(frames)
+
+
+def _chain_instance(n, domain):
+    # n seeded draws of R(a_j,a_k) and S(a_m) over ``domain`` constants
+    rng = random.Random(0)
+    facts = set()
+    for _ in range(n):
+        j, k, m = (rng.randrange(domain) for _ in range(3))
+        facts |= {fact("R", f"a{j}", f"a{k}"), fact("S", f"a{m}")}
+    return Instance(frozenset(facts))
+
+
+def _keyed_instance(values, conflicts, keys=50):
+    # one A(k,v) per key, but ``values`` of them for ``conflicts`` keys
+    rng = random.Random(0)
+    conflicted = set(rng.sample(range(keys), conflicts))
+    return Instance(frozenset(
+        fact("A", f"k{k}", f"v{v}")
+        for k in range(keys)
+        for v in rng.sample(range(1000), values if k in conflicted else 1)
+    ))
+
+
+@pytest.mark.parametrize("instance, query, edges, causes, value, most", [
+    # sparse chains: dropping dominated vertices leaves small components
+    (_chain_instance(60, 60), "q :- S(X), R(X,Y), S(Y).", 32, 52, 18, 1_000),
+    (_chain_instance(134, 134), "q :- S(X), R(X,Y), S(Y).", 55, 49, 26, 5_000),
+    # a dense chain keeps components of up to 69 edges: the packing bound
+    (_chain_instance(100, 40), "q :- S(X), R(X,Y), S(Y).", 77, 34, 20, 15_000),
+    # twelve key groups of four, each a K4 that needs three deletions
+    (_keyed_instance(4, 12), "q :- A(X,Y), A(X,Z), Y != Z.", 72, 48, 36, 600),
+], ids=["chain-60", "chain-134", "dense-chain-100", "keyed-4x12"])
+def test_most_responsible_causes_work_stays_bounded(instance, query, edges, causes, value, most):
+    # a search over the whole family without reduction, split or bound
+    # does not finish these in minutes; node counts are deterministic
+    q = single_query(query)
+    assert len(support_sets(instance, q)) == edges
+    (top, rho), nodes = _nodes(lambda: most_responsible_causes(instance, q))
+    assert (len(top), rho) == (causes, Fraction(1, value))
+    assert 0 < nodes <= most
 
 
 _COUNT_SEARCH_NODES = """
