@@ -20,12 +20,19 @@ Priority files:
 
 Variables start with an uppercase letter; constants are lowercase
 identifiers, integers, or double-quoted strings.  The bare token ``null``
-is the reserved null value.
+is the reserved null value.  Integers are ASCII digits with an optional
+leading ``-``; any other digit that is not part of an identifier is an
+unexpected character.
+
+All four grammars (with ``--atoms`` fact lists) share one scanner: a
+single regular expression that skips blanks and comments and yields
+``(kind, text, offset)`` tokens.  Line and column are worked out from
+the offset only when an error is reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError, SemanticError
 from .queries import (
@@ -38,189 +45,137 @@ from .queries import (
 )
 from .relational import ENDOGENOUS, EXOGENOUS, Fact, Instance
 
+# Token kinds are the group names, except that a mark (PUNCT) is its own
+# kind, as in ``accept(",")``.  Order matters: a mark before a
+# number (``:-5``), an ASCII digit before a word.  WORD catches words
+# that start with any other word character; ``_tokenize`` checks that
+# it is a letter.  EOF matches at the end, BAD anything else.  STRING is
+# unrolled (no nested alternation) so that an unterminated string fails
+# in linear time.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|%[^\n]*)*"
+    r"(?:(?P<PUNCT>:-|!=|[(),;.>])"
+    r"|(?P<IDENT>[a-z_]\w*)"
+    r"|(?P<VARIDENT>[A-Z]\w*)"
+    r"|(?P<INT>-?[0-9]+)"
+    r'|(?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*")'
+    r"|(?P<DIRECTIVE>@\w*)"
+    r"|(?P<WORD>\w+)"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.))",
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT VARIANT INT STRING PUNCT DIRECTIVE EOF
-    text: str
-    line: int
-    column: int
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """Line and column (both from 1) of an offset into ``source``."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-_PUNCT = (":-", "!=", "(", ")", ",", ";", ".", ">")
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            i += 1
-            col += 1
-            buf = []
-            while i < n and source[i] != '"':
-                if source[i] == "\\" and i + 1 < n:
-                    buf.append(source[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if source[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                buf.append(source[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        if ch == "@":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i + 1 : j]
-            tokens.append(_Token("DIRECTIVE", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in _PUNCT:
-            # one character long when the input ends with a mark
-            tokens.append(_Token("PUNCT", two, start_line, start_col))
-            i += len(two)
-            col += len(two)
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "VARIDENT" if word[0].isupper() else "IDENT"
-            tokens.append(_Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        offset = m.start(kind)
+        text = m[kind]
+        if kind == "PUNCT":
+            kind = text
+        elif kind == "STRING":
+            text = _ESCAPE.sub(r"\1", text[1:-1])
+        elif kind == "DIRECTIVE":
+            text = text[1:]
+        elif kind == "WORD":
+            if not text[0].isalpha():
+                raise ParseError(f"unexpected character {text[0]!r}", *_position(source, offset))
+            kind = "VARIDENT" if text[0].isupper() else "IDENT"
+        elif kind == "EOF":
+            break  # after a trailing blank or comment, a second empty match follows
+        elif kind == "BAD":
+            message = "unterminated string" if text == '"' else f"unexpected character {text!r}"
+            raise ParseError(message, *_position(source, offset))
+        tokens.append((kind, text, offset))
+    tokens.append(("EOF", "", offset))
     return tokens
 
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
 
     @property
-    def current(self) -> _Token:
+    def current(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        tok = self.current
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
+    def accept(self, kind: str) -> tuple[str, str, int] | None:
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
         return None
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.accept(kind, text)
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.accept(kind)
         if tok is None:
-            want = text if text is not None else kind.lower()
-            raise ParseError(
-                f"expected {want!r}, found {self.current.text or 'end of input'!r}",
-                self.current.line,
-                self.current.column,
-            )
+            raise self.unexpected(repr(kind.lower()))
         return tok
 
+    def error(self, tok: tuple[str, str, int], message: str) -> ParseError:
+        return ParseError(message, *_position(self.source, tok[2]))
+
+    def unexpected(self, want: str) -> ParseError:
+        tok = self.current
+        return self.error(tok, f"expected {want}, found {tok[1] or 'end of input'!r}")
+
     def at_end(self) -> bool:
-        return self.current.kind == "EOF"
+        return self.current[0] == "EOF"
 
     # -- shared pieces ------------------------------------------------
 
     def constant(self) -> str:
         tok = self.current
-        if tok.kind in ("IDENT", "INT", "STRING"):
-            return self.advance().text
-        raise ParseError(
-            f"expected a constant, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
+        if tok[0] in ("IDENT", "INT", "STRING"):
+            self.pos += 1
+            return tok[1]
+        raise self.unexpected("a constant")
 
     def term(self):
-        if self.current.kind == "VARIDENT":
-            return Var(self.advance().text)
+        if self.current[0] == "VARIDENT":
+            return Var(self.advance()[1])
         return self.constant()
 
-    def predicate_name(self) -> _Token:
+    def predicate_name(self) -> str:
         """Predicate names may start upper- or lowercase; the following
         parenthesis is what identifies them."""
         tok = self.accept("IDENT") or self.accept("VARIDENT")
         if tok is None:
-            raise ParseError(
-                f"expected a predicate name, found {self.current.text or 'end of input'!r}",
-                self.current.line,
-                self.current.column,
-            )
-        return tok
+            raise self.unexpected("a predicate name")
+        return tok[1]
 
     def fact_literal(self, default_tag: str = ENDOGENOUS) -> Fact:
         name = self.predicate_name()
-        self.expect("PUNCT", "(")
+        self.expect("(")
         fact_id = None
-        if (
-            self.current.kind == "INT"
-            and self.tokens[self.pos + 1].kind == "PUNCT"
-            and self.tokens[self.pos + 1].text == ";"
-        ):
-            id_tok = self.advance()
-            self.advance()  # ';'
-            fact_id = int(id_tok.text)
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos][0] == "INT" and tokens[pos + 1][0] == ";":
+            self.pos += 2
+            fact_id = int(tokens[pos][1])
             if fact_id <= 0:
                 raise SemanticError(f"tuple ids must be positive, got {fact_id}")
         args = []
-        if not self.accept("PUNCT", ")"):
+        if not self.accept(")"):
             args.append(self.constant())
-            while self.accept("PUNCT", ","):
+            while self.accept(","):
                 args.append(self.constant())
-            self.expect("PUNCT", ")")
-        return Fact(name.text, tuple(args), default_tag, fact_id)
+            self.expect(")")
+        return Fact(name, tuple(args), default_tag, fact_id)
 
 
 # ---------------------------------------------------------------------------
@@ -229,38 +184,39 @@ class _Parser:
 
 def parse_instance(source: str) -> Instance:
     parser = _Parser(source)
+    tokens, fact_literal, expect = parser.tokens, parser.fact_literal, parser.expect
     tag = ENDOGENOUS
     arities: dict[str, int] = {}
     facts: list[Fact] = []
     tags: dict[tuple, str] = {}
     ids_seen: dict[int, Fact] = {}
-    while not parser.at_end():
-        directive = parser.accept("DIRECTIVE")
-        if directive is not None:
-            if directive.text == "endogenous":
+    while True:
+        tok = tokens[parser.pos]
+        if tok[0] == "EOF":
+            break
+        if tok[0] == "DIRECTIVE":
+            parser.pos += 1
+            if tok[1] == "endogenous":
                 tag = ENDOGENOUS
-            elif directive.text == "exogenous":
+            elif tok[1] == "exogenous":
                 tag = EXOGENOUS
             else:
-                raise ParseError(
-                    f"unknown directive @{directive.text}",
-                    directive.line,
-                    directive.column,
-                )
+                raise parser.error(tok, f"unknown directive @{tok[1]}")
             continue
-        f = parser.fact_literal(tag)
-        parser.expect("PUNCT", ".")
-        seen_arity = arities.setdefault(f.pred, f.arity)
-        if seen_arity != f.arity:
+        f = fact_literal(tag)
+        expect(".")
+        pred, args, fact_id = f.pred, f.args, f.fact_id
+        seen_arity = arities.setdefault(pred, len(args))
+        if seen_arity != len(args):
             raise SemanticError(
-                f"predicate {f.pred} used with arity {seen_arity} and {f.arity}"
+                f"predicate {pred} used with arity {seen_arity} and {len(args)}"
             )
-        if f.fact_id is not None:
-            clash = ids_seen.get(f.fact_id)
+        if fact_id is not None:
+            clash = ids_seen.get(fact_id)
             if clash is not None and clash != f:
-                raise SemanticError(f"duplicate tuple id {f.fact_id}")
-            ids_seen[f.fact_id] = f
-        if tags.setdefault(f.atom, f.tag) != f.tag:
+                raise SemanticError(f"duplicate tuple id {fact_id}")
+            ids_seen[fact_id] = f
+        if tags.setdefault((pred, args), tag) != tag:
             raise SemanticError(f"fact {f} declared both endogenous and exogenous")
         facts.append(f)
     return Instance(frozenset(facts))
@@ -278,18 +234,17 @@ def parse_program(source: str) -> tuple[dict[str, UnionQuery], DenialConstraintS
     while not parser.at_end():
         head_name = None
         head_vars: tuple[str, ...] = ()
-        if parser.current.kind in ("IDENT", "VARIDENT"):
-            head_tok = parser.advance()
-            head_name = head_tok.text
-            if parser.accept("PUNCT", "("):
-                names = [parser.expect("VARIDENT").text]
-                while parser.accept("PUNCT", ","):
-                    names.append(parser.expect("VARIDENT").text)
-                parser.expect("PUNCT", ")")
+        if parser.current[0] in ("IDENT", "VARIDENT"):
+            head_name = parser.advance()[1]
+            if parser.accept("("):
+                names = [parser.expect("VARIDENT")[1]]
+                while parser.accept(","):
+                    names.append(parser.expect("VARIDENT")[1])
+                parser.expect(")")
                 head_vars = tuple(names)
-        parser.expect("PUNCT", ":-")
+        parser.expect(":-")
         cq = _parse_body(parser, head_vars)
-        parser.expect("PUNCT", ".")
+        parser.expect(".")
         if head_name is None:
             constraints.append(DenialConstraint(cq))
         else:
@@ -307,32 +262,29 @@ def _parse_body(parser: _Parser, head_vars: tuple[str, ...]) -> ConjunctiveQuery
     atoms: list[Atom] = []
     inequalities: list[tuple] = []
     while True:
-        is_atom = parser.current.kind in ("IDENT", "VARIDENT") and (
-            parser.tokens[parser.pos + 1].kind == "PUNCT"
-            and parser.tokens[parser.pos + 1].text == "("
+        is_atom = parser.current[0] in ("IDENT", "VARIDENT") and (
+            parser.tokens[parser.pos + 1][0] == "("
         )
         if is_atom:
-            name = parser.advance()
-            parser.expect("PUNCT", "(")
+            name = parser.advance()[1]
+            parser.expect("(")
             terms = []
-            if not parser.accept("PUNCT", ")"):
+            if not parser.accept(")"):
                 terms.append(parser.term())
-                while parser.accept("PUNCT", ","):
+                while parser.accept(","):
                     terms.append(parser.term())
-                parser.expect("PUNCT", ")")
-            atoms.append(Atom(name.text, tuple(terms)))
+                parser.expect(")")
+            atoms.append(Atom(name, tuple(terms)))
         else:
             left = parser.term()
-            parser.expect("PUNCT", "!=")
+            parser.expect("!=")
             right = parser.term()
             inequalities.append((left, right))
-        if not parser.accept("PUNCT", ","):
+        if not parser.accept(","):
             break
     if not atoms:
-        tok = parser.current
-        raise SemanticError(
-            f"rule body near line {tok.line} has no positive atom"
-        )
+        line, _ = _position(parser.source, parser.current[2])
+        raise SemanticError(f"rule body near line {line} has no positive atom")
     cq = ConjunctiveQuery(tuple(atoms), tuple(inequalities), head_vars)
     unsafe = cq.safety_violations()
     if unsafe:
@@ -373,10 +325,9 @@ def constraint_set(source: str) -> DenialConstraintSet:
 def parse_fact(text: str) -> Fact:
     parser = _Parser(text)
     f = parser.fact_literal()
-    parser.accept("PUNCT", ".")
+    parser.accept(".")
     if not parser.at_end():
-        tok = parser.current
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        raise parser.error(parser.current, f"trailing input {parser.current[1]!r}")
     return f
 
 
@@ -387,11 +338,10 @@ def parse_fact_list(text: str) -> list[Fact]:
         return []
     parser = _Parser(stripped)
     facts = [parser.fact_literal()]
-    while parser.accept("PUNCT", ";"):
+    while parser.accept(";"):
         facts.append(parser.fact_literal())
     if not parser.at_end():
-        tok = parser.current
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        raise parser.error(parser.current, f"trailing input {parser.current[1]!r}")
     return facts
 
 
@@ -400,8 +350,8 @@ def parse_priorities(source: str) -> list[tuple[Fact, Fact]]:
     pairs = []
     while not parser.at_end():
         stronger = parser.fact_literal()
-        parser.expect("PUNCT", ">")
+        parser.expect(">")
         weaker = parser.fact_literal()
-        parser.expect("PUNCT", ".")
+        parser.expect(".")
         pairs.append((stronger, weaker))
     return pairs

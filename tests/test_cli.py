@@ -47,6 +47,13 @@ def test_non_utf8_input_is_usage_error(tmp_path):
     assert code == 1 and out == "" and "latin1.facts" in err
 
 
+def test_non_ascii_digit_is_usage_error(tmp_path):
+    inst = tmp_path / "digit.facts"
+    inst.write_text("S(\u00b2;a3).\n", encoding="utf-8")
+    code, out, err = execute(["causes", "-i", str(inst), "-q", "ex1.dlq"])
+    assert code == 1 and out == "" and "unexpected character" in err
+
+
 def test_oracle_bound_exceeded_exit_code(tmp_path):
     inst = tmp_path / "wide.facts"
     inst.write_text(" ".join(f"S(a{i})." for i in range(16)) + "\n")
