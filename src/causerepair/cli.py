@@ -6,6 +6,12 @@ text or, with ``--json``, a canonical report: fixed key order, facts in
 canonical order, responsibilities as exact ``{num, den}`` pairs.  Repeated
 runs on identical inputs produce byte-identical output.
 
+The report is written by ``_json``, which joins each container's members
+in one pass and is byte-identical to ``json.dumps(report, indent=2,
+sort_keys=True)``; text lines are built only when no ``--json`` is given.
+Each fact of the instance is formatted once per invocation, and every
+set of its facts is named by the facts' positions in canonical order.
+
 Exit codes: 0 success (including negative decisions), 1 usage or parse
 errors (a negative ``--max-enum`` and an input file that is not UTF-8
 text included), 2 semantic errors, 3 enumeration-cap exhaustion or an
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -34,6 +41,8 @@ from .parsing import (
     single_query,
 )
 from .relational import fact_key, format_fact, set_key
+
+_encode_string = json.encoder.encode_basestring_ascii
 
 USAGE_ERROR = 1
 SEMANTIC_ERROR = 2
@@ -71,6 +80,31 @@ def _fraction_json(value: Fraction) -> dict:
 
 def _sorted_facts(facts) -> list[str]:
     return [format_fact(f) for f in sorted(facts, key=fact_key)]
+
+
+def _named(d) -> tuple[list[str], dict]:
+    """The names of ``d``'s facts in canonical order, and each fact's
+    position there; a set of them is named by its sorted positions."""
+    facts = d.sorted_facts
+    return [format_fact(f) for f in facts], {f: i for i, f in enumerate(facts)}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str keys: each
+    dict and list (a tuple is a list) joined at once, strings escaped in C."""
+    if isinstance(value, str):
+        return _encode_string(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_encode_string(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        try:  # most lists hold names only, escaped without a call per name
+            items = list(map(_encode_string, value))
+        except TypeError:
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return json.dumps(value)
 
 
 def _digest(path: str) -> dict:
@@ -116,7 +150,7 @@ def _render(args, command: str, inputs: _Inputs, result: dict, text_lines):
             "result": result,
             "warnings": [],
         }
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json(report) + "\n"
     lines = list(text_lines)
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -134,19 +168,20 @@ def _cause_listing(pairs) -> tuple[dict, list[str]]:
 
 
 def _deletion_entries(d, removed_sets) -> list[dict]:
-    """Report entries of deletion repairs of ``d``, one per removed set.
-
-    Each fact of ``d`` is formatted once; kept and removed facts come out
-    in canonical order by walking the instance's sorted facts.
-    """
-    names = [(f, format_fact(f)) for f in d.sorted_facts]
-    return [
-        {
-            "kept": [name for f, name in names if f not in removed],
-            "removed": [name for f, name in names if f in removed],
-        }
-        for removed in removed_sets
-    ]
+    """Report entries of deletion repairs of ``d``, one per removed set:
+    the kept names are the runs of ``d``'s names between the removed
+    positions, so both lists come out in canonical order."""
+    names, position = _named(d)
+    entries = []
+    for removed in removed_sets:
+        cuts = sorted(position[f] for f in removed)
+        kept, start = [], 0
+        for i in cuts:
+            kept += names[start:i]
+            start = i + 1
+        kept += names[start:]
+        entries.append({"kept": kept, "removed": [names[i] for i in cuts]})
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +282,29 @@ def _cmd_repairs(args, inputs: _Inputs, use_oracle: bool = False) -> str:
             reps = _compute_repairs(d, sigma, semantics, args.max_enum)
         removed_sets = [r.removed for r in reps]
     entries = _deletion_entries(d, removed_sets)
-    lines = [
+    lines = (
         "repair: keep {%s}  remove {%s}" % (", ".join(e["kept"]), ", ".join(e["removed"]))
         for e in entries
-    ]
+    )
     result = {"semantics": semantics, "repairs": entries}
     command = "oracle.repairs" if use_oracle else "repairs"
     return _render(args, command, inputs, result, lines)
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
-    entries = [
-        {"facts": _sorted_facts(r.result.facts), "diff": sorted(str(c) for c in r.diff)}
-        for r in preferences.null_repairs(d, sigma, args.max_enum)
-    ]
+    # every repair holds d's unchanged fact objects, which d keeps alive,
+    # so they are found by identity and only nulled facts are formatted
+    rows = {id(f): (fact_key(f), format_fact(f)) for f in d.facts}
+    entries = []
+    for r in preferences.null_repairs(d, sigma, args.max_enum):
+        facts = sorted(rows.get(id(f)) or (fact_key(f), format_fact(f)) for f in r.result.facts)
+        diff = sorted(str(c) for c in r.diff)
+        entries.append({"facts": [name for _, name in facts], "diff": diff})
     entries.sort(key=lambda entry: entry["diff"])
-    lines = [
+    lines = (
         "repair: {%s}  diff {%s}" % (", ".join(e["facts"]), ", ".join(e["diff"]))
         for e in entries
-    ]
+    )
     result = {"semantics": "null", "repairs": entries}
     return _render(args, "repairs", inputs, result, lines)
 
@@ -291,15 +330,17 @@ def _cmd_diagnose(args, inputs: _Inputs) -> str:
     problem = diagnosis.build_problem(d, q)
     containing = parse_fact(args.containing) if args.containing else None
     found = diagnosis.diagnoses(problem, args.kind, containing, args.max_enum)
-    conflicts = [_sorted_facts(e) for e in problem.conflicts]
-    diagnoses = [_sorted_facts(diag.abnormal) for diag in found]
+    names, position = _named(d)
+    conflicts = [[names[i] for i in sorted(position[f] for f in e)] for e in problem.conflicts]
+    diagnoses = [[names[i] for i in sorted(position[f] for f in x.abnormal)] for x in found]
     result = {"kind": args.kind, "conflicts": conflicts, "diagnoses": diagnoses}
-    lines = ["conflict: {%s}" % ", ".join(names) for names in conflicts]
-    lines += ["diagnosis: {%s}" % ", ".join(names) for names in diagnoses]
     if args.emit_theory:
-        theory = diagnosis.render_theory(problem)
-        result["theory"] = theory.splitlines()
-        lines += theory.splitlines()
+        result["theory"] = diagnosis.render_theory(problem).splitlines()
+    lines = itertools.chain(
+        ("conflict: {%s}" % ", ".join(names) for names in conflicts),
+        ("diagnosis: {%s}" % ", ".join(names) for names in diagnoses),
+        result.get("theory", ()),
+    )
     return _render(args, "diagnose", inputs, result, lines)
 
 

@@ -33,13 +33,14 @@ own, exceed the bound.  An empty edge has no vertex to branch on, so a
 family holding one has no hitting set; no family need be an antichain.
 
 ``enumerate_minimal_hitting_sets`` runs the search once over the whole
-family with no bound and maps each set found back to facts, up to a cap
-on their number.  Minima take three more steps first, valid for the
-minimum size but not for enumeration, since they lose minimal sets
-(``_least``): drop every edge that contains another, drop every vertex
-whose edges another vertex also lies on (the d-Hitting-Set kernel's
-first rules; on the chain query every ``R(x,y)`` goes and the family
-becomes a graph), and split what is left into connected components.
+family with no bound, up to a cap on the number of sets, sorts the sets
+found as lists of vertex indexes and only then maps them back to facts.
+Minima take three more steps first, valid for the minimum size but not
+for enumeration, since they lose minimal sets (``_least``): drop every
+edge that contains another, drop every vertex whose edges another vertex
+also lies on (the d-Hitting-Set kernel's first rules; on the chain query
+every ``R(x,y)`` goes and the family becomes a graph), and split what is
+left into connected components.
 Each component is searched by branch and bound, the bound lowered below
 every set found, and the minimum is the sum over the components.
 
@@ -265,20 +266,25 @@ def enumerate_minimal_hitting_sets(
 ) -> HittingSolution:
     """All subset-minimal hitting sets, in canonical order under ``key``.
 
+    The order comes from the vertex indexes: ``_table`` numbers the
+    vertices in ``key`` order, and ``key`` tells a family's vertices
+    apart, so sorting each set's ascending indexes sorts by ``set_key``.
+
     Raises ``CapExceededError`` as soon as more than ``cap`` sets are
     found; exponential families exist even for single fixed constraints.
     """
     cap = DEFAULT_CAP if cap is None else cap
     vertices, masks = _table(edges, key)
-    sets: list[frozenset] = []
+    sets: list[list[int]] = []
 
     def found(chosen):
-        sets.append(frozenset(vertices[v.bit_length() - 1] for v in _bits(chosen)))
+        sets.append([v.bit_length() - 1 for v in _bits(chosen)])
         if len(sets) > cap:
             raise CapExceededError(cap)
 
     _search(masks, found)
-    return HittingSolution(_canonical_family(sets, key))
+    sets.sort()
+    return HittingSolution(tuple(frozenset([vertices[i] for i in s]) for s in sets))
 
 
 def _least(masks: list[int], most: int | None = None) -> int | None:

@@ -332,11 +332,11 @@ def parse_fact(text: str) -> Fact:
 
 
 def parse_fact_list(text: str) -> list[Fact]:
-    """Semicolon-separated fact literals, e.g. ``P(a,b); R(b,c)``."""
-    stripped = text.strip()
-    if not stripped:
+    """Semicolon-separated fact literals, e.g. ``P(a,b); R(b,c)``; none
+    when the text holds only blanks and comments."""
+    parser = _Parser(text)
+    if parser.at_end():
         return []
-    parser = _Parser(stripped)
     facts = [parser.fact_literal()]
     while parser.accept(";"):
         facts.append(parser.fact_literal())

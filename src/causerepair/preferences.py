@@ -321,18 +321,17 @@ def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrCh
 
 
 def _apply_changes(d: Instance, changes: frozenset[AttrChange]) -> Instance:
+    """``d`` with the changed positions nulled; set algebra over the few
+    changed facts keeps the stored hashes of all the others."""
     by_id: dict[int, set[int]] = {}
     for c in changes:
         by_id.setdefault(c.fact_id, set()).add(c.position - 1)
-    updated = []
-    for f in d.facts:
-        hit = by_id.get(f.fact_id)
-        if hit:
-            args = tuple(NULL if i in hit else a for i, a in enumerate(f.args))
-            updated.append(f.with_args(args))
-        else:
-            updated.append(f)
-    return Instance(frozenset(updated))
+    old = [f for f in d.facts if f.fact_id in by_id]
+    new = [
+        f.with_args(tuple(NULL if i in by_id[f.fact_id] else a for i, a in enumerate(f.args)))
+        for f in old
+    ]
+    return Instance(d.facts.difference(old).union(new))
 
 
 def null_repairs(

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from causerepair import cli
 from causerepair.cli import execute
 
 from conftest import DATA
@@ -172,3 +174,93 @@ def test_cqa_multiple_atoms():
         ]
     )
     assert code == 0 and out.strip() == "false"
+
+
+def test_comment_only_atoms_name_no_ground_atoms():
+    code, out, err = execute(
+        ["cqa", "-i", "cqa2.facts", "-c", "cqa2.dlq", "--atoms", "% none\n"]
+    )
+    assert code == 2 and out == "" and "names no ground atoms" in err
+
+
+# ---------------------------------------------------------------------------
+# The report writer against json.dumps
+
+_JSON_CHARS = 'ab Z09"\\/\b\f\n\r\t\x00\x1f\x7féǅ中\u2028😀\U0010ffff'
+
+
+def _random_string(rng):
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_json(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return _random_string(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 7, -(10**30), 10**40 + 1, rng.randint(-999, 999)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([0.5, -0.0, 1e300, -2.25])
+    if kind == 4:
+        return rng.choice([[], (), {}])
+    if kind == 5:
+        return [rng.choice(_JSON_CHARS) * rng.randrange(3) for _ in range(rng.randrange(1, 4))]
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {_random_string(rng) if rng.random() < 0.3 else rng.choice("abAB_"): v for v in items}
+
+
+def test_report_writer_matches_json_dumps_randomized():
+    rng = random.Random(11)
+    fixed = [[], {}, (), [[]], {"a": {}}, ["x", ()], ("é", [1, {"k": None}]), "\U0001f600"]
+    for value in fixed + [_random_json(rng) for _ in range(2000)]:
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+
+# ---------------------------------------------------------------------------
+# Work done for a report
+
+
+def _keyed_files(tmp_path, keys=8, conflicts=4) -> int:
+    """Writes keyed facts with tuple ids (``keys`` keys, the first
+    ``conflicts`` of them with two values each) and the key constraint as
+    a DC and as a query; returns the number of facts."""
+    facts, ident = [], 0
+    for k in range(keys):
+        for v in range(2 if k < conflicts else 1):
+            ident += 1
+            facts.append(f"A({ident};k{k},v{v}).")
+    (tmp_path / "keyed.facts").write_text("\n".join(facts) + "\n")
+    (tmp_path / "key.dlq").write_text(":- A(X,Y), A(X,Z), Y != Z.\n")
+    (tmp_path / "keyq.dlq").write_text("q :- A(X,Y), A(X,Z), Y != Z.\n")
+    return len(facts)
+
+
+@pytest.mark.parametrize("command, listed, count, nulled", [
+    # 2 x 2 ways to null each of the 4 conflicts: 256 repairs, each with a
+    # position nulled in 4 facts
+    (["repairs", "-c", "key.dlq", "--semantics", "null"], "repairs", 256, 256 * 4),
+    (["diagnose", "-q", "keyq.dlq"], "diagnoses", 16, 0),
+    (["repairs", "-c", "key.dlq", "--semantics", "s"], "repairs", 16, 0),
+], ids=["null", "diagnose", "s"])
+def test_each_fact_is_formatted_once(tmp_path, monkeypatch, command, listed, count, nulled):
+    size = _keyed_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    calls = 0
+    format_fact = cli.format_fact
+
+    def counting(f):
+        nonlocal calls
+        calls += 1
+        return format_fact(f)
+
+    monkeypatch.setattr(cli, "format_fact", counting)
+    code, out, err = execute(command + ["-i", "keyed.facts", "--json"])
+    assert code == 0, err
+    assert len(json.loads(out)["result"][listed]) == count
+    assert calls <= size + nulled

@@ -23,8 +23,9 @@ from causerepair.hitting import (
 )
 from causerepair.oracle import oracle_hitting
 from causerepair.parsing import parse_instance, parse_program, single_query
+from causerepair.preferences import AttrChange, attr_key
 from causerepair.queries import violation_view
-from causerepair.relational import Instance, fact
+from causerepair.relational import Fact, Instance, fact, fact_key
 
 from conftest import (
     load_constraints,
@@ -148,6 +149,37 @@ def test_hitting_sets_deeper_than_the_recursion_limit():
     assert enumerate_minimal_hitting_sets(edges).sets == (frozenset().union(*edges),)
     assert minimum_hitting_set_containing(edges) == n
     assert minimum_hitting_set_containing(edges, fact("V", "0")) == n
+
+
+def _set_key_order(sets, key):
+    """The enumeration's order before it sorted vertex indexes: each set's
+    sorted member keys, compared as lists."""
+    return tuple(sorted(sets, key=lambda s: sorted(key(x) for x in s)))
+
+
+@pytest.mark.parametrize("key", [fact_key, attr_key], ids=["fact_key", "attr_key"])
+def test_enumeration_order_is_the_set_key_order_randomized(key):
+    rng = random.Random(23)
+    for _ in range(300):
+        if key is fact_key:
+            pool = {
+                Fact(rng.choice("AB"), (rng.choice("ab"), rng.choice("ab")), fact_id=i)
+                for i in rng.choices([None, 1, 2, 3, 12], k=rng.randint(1, 10))
+            }
+        else:
+            pool = {
+                AttrChange(rng.choice("AB"), rng.randint(1, 12), rng.randint(1, 2))
+                for _ in range(rng.randint(1, 10))
+            }
+        pool = sorted(pool, key=key)  # set order follows string hashing
+        rng.shuffle(pool)
+        edges = [
+            frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+            for _ in range(rng.randint(1, 7))
+        ]
+        found = enumerate_minimal_hitting_sets(edges, key=key).sets
+        assert found == _set_key_order(found, key)
+        assert found and all(e & s for s in found for e in edges)
 
 
 def test_antichain_keeps_minimal_sets_in_canonical_order():

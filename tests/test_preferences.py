@@ -33,7 +33,7 @@ from causerepair.preferences import (
     validate_priority,
 )
 from causerepair.queries import dc_of_query, is_consistent, violation_view
-from causerepair.relational import EXOGENOUS, Instance, fact
+from causerepair.relational import ENDOGENOUS, EXOGENOUS, NULL, Fact, Instance, fact
 
 from conftest import (
     data_path,
@@ -329,6 +329,41 @@ def test_null_repairs_fixture_with_brute_force_certification():
         s for s in consistent_sets if not any(t < s for t in consistent_sets)
     }
     assert {frozenset(str(c) for c in s) for s in minimal} == _diffs(reps)
+
+
+def _rebuilt_with_changes(d, changes):
+    """``_apply_changes`` as it was: every fact of ``d`` rebuilt into a new set."""
+    by_id = {}
+    for c in changes:
+        by_id.setdefault(c.fact_id, set()).add(c.position - 1)
+    updated = []
+    for f in d.facts:
+        hit = by_id.get(f.fact_id)
+        if hit:
+            args = tuple(NULL if i in hit else a for i, a in enumerate(f.args))
+            updated.append(f.with_args(args))
+        else:
+            updated.append(f)
+    return Instance(frozenset(updated))
+
+
+def test_apply_changes_equals_full_rebuild_randomized():
+    rng = random.Random(17)
+    for _ in range(300):
+        facts = []
+        for i in range(1, rng.randint(1, 12) + 1):
+            pred, arity = rng.choice([("R", 2), ("S", 1), ("T", 3)])
+            args = tuple(rng.choice(["a", "b", NULL]) for _ in range(arity))
+            tag = EXOGENOUS if rng.random() < 0.3 else ENDOGENOUS
+            facts.append(Fact(pred, args, tag, i))
+        d = Instance(frozenset(facts))
+        changes = frozenset(
+            AttrChange(f.pred, f.fact_id, rng.randint(1, f.arity))
+            for f in rng.choices(facts, k=rng.randint(0, 4))
+        )
+        got, want = _apply_changes(d, changes), _rebuilt_with_changes(d, changes)
+        assert got == want
+        assert {(f, f.tag) for f in got.facts} == {(f, f.tag) for f in want.facts}
 
 
 def test_null_repair_published_diff_values():

@@ -159,6 +159,21 @@ def test_position_after_escaped_newline_in_string():
     assert f.args == ("x\nyz",)
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [("  P(a,", 1, 7), ("\n\n  P(a) Q", 3, 8), ("% c\n P(a);\n\t)", 3, 2)],
+)
+def test_fact_list_errors_point_into_the_text_as_given(text, line, column):
+    with pytest.raises(ParseError, match=f"line {line}, column {column}:"):
+        parsing.parse_fact_list(text)
+
+
+def test_fact_list_of_blanks_and_comments_is_empty():
+    assert parsing.parse_fact_list("") == []
+    assert parsing.parse_fact_list(" \n\t% no atoms here\n") == []
+    assert parsing.parse_fact_list("  P(a) ; Q(b) % two\n") == [fact("P", "a"), fact("Q", "b")]
+
+
 _OLD_PUNCT = (":-", "!=", "(", ")", ",", ";", ".", ">")
 
 
