@@ -91,6 +91,7 @@ from .relational import (
     delta,
     fact,
     serialize_instance,
+    violations,
 )
 from .repairs import (
     Repair,

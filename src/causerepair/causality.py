@@ -110,7 +110,7 @@ def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
     if v < 0 or (v > 0 and v.numerator != 1):
         raise SemanticError(f"threshold must be 0 or 1/k, got {v}")
     edges = endogenous_support_sets(d, q)
-    resolved = d.find(t.pred, t.args)
+    resolved = d.find(t.pred, t.args, t.fact_id)
     if resolved is None or not resolved.is_endogenous:
         return False
     if v == 0:

@@ -12,6 +12,14 @@ sort_keys=True)``; text lines are built only when no ``--json`` is given.
 Each fact of the instance is formatted once per invocation, and every
 set of its facts is named by the facts' positions in canonical order.
 
+The front end checks syntax only; the engines check meaning.  A typed
+fact (``--tuple``, ``--gamma``, ``--containing``, ``--atoms``, a priority
+file) names the instance's fact with its atom and, if it has one, its
+tuple id; an absent one is an error, except that ``rdp`` and ``cqa``
+answer false.  ``--threshold`` is read as a fraction, and ``rdp_decide``
+alone requires 0 or 1/k.  The ``oracle`` subcommands have handlers of
+their own, apart from the engines they check.
+
 Exit codes: 0 success (including negative decisions), 1 usage or parse
 errors (a negative ``--max-enum`` and an input file that is not UTF-8
 text included), 2 semantic errors, 3 enumeration-cap exhaustion or an
@@ -155,7 +163,9 @@ def _render(args, command: str, inputs: _Inputs, result: dict, text_lines):
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _cause_listing(pairs) -> tuple[dict, list[str]]:
+def _cause_listing(pairs, none_found: str) -> tuple[dict, list[str]]:
+    """The report and text lines of scored causes; ``none_found`` is the
+    one line printed when there are none."""
     ordered = sorted(pairs, key=lambda p: (-p[1], fact_key(p[0])))
     result = {
         "causes": [
@@ -164,11 +174,11 @@ def _cause_listing(pairs) -> tuple[dict, list[str]]:
         ]
     }
     lines = [f"{format_fact(t)}  {_fraction_text(rho)}" for t, rho in ordered]
-    return result, lines
+    return result, lines or [none_found]
 
 
-def _deletion_entries(d, removed_sets) -> list[dict]:
-    """Report entries of deletion repairs of ``d``, one per removed set:
+def _repairs_report(args, inputs: _Inputs, command: str, d, removed_sets) -> str:
+    """The report of deletion repairs of ``d``, one entry per removed set:
     the kept names are the runs of ``d``'s names between the removed
     positions, so both lists come out in canonical order."""
     names, position = _named(d)
@@ -181,25 +191,23 @@ def _deletion_entries(d, removed_sets) -> list[dict]:
             start = i + 1
         kept += names[start:]
         entries.append({"kept": kept, "removed": [names[i] for i in cuts]})
-    return entries
+    lines = (
+        "repair: keep {%s}  remove {%s}" % (", ".join(e["kept"]), ", ".join(e["removed"]))
+        for e in entries
+    )
+    result = {"semantics": args.semantics, "repairs": entries}
+    return _render(args, command, inputs, result, lines)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 
-def _cmd_causes(args, inputs: _Inputs, use_oracle: bool = False) -> str:
+def _cmd_causes(args, inputs: _Inputs) -> str:
     d = inputs.instance()
     q = inputs.query()
-    if use_oracle:
-        scored = oracle.oracle_causes_and_responsibility(d, q).items()
-        pairs = [(t, rho) for t, rho in scored if rho > 0]
-    else:
-        pairs = causality.responsibilities(d, q).items()
-    result, lines = _cause_listing(pairs)
-    if not lines:
-        lines = ["no causes"]
-    return _render(args, "oracle.causes" if use_oracle else "causes", inputs, result, lines)
+    result, lines = _cause_listing(causality.responsibilities(d, q).items(), "no causes")
+    return _render(args, "causes", inputs, result, lines)
 
 
 def _cmd_responsibility(args, inputs: _Inputs) -> str:
@@ -239,7 +247,10 @@ def _cmd_rdp(args, inputs: _Inputs) -> str:
     d = inputs.instance()
     q = inputs.query()
     t = parse_fact(args.tuple)
-    threshold = _parse_threshold(args.threshold)
+    try:
+        threshold = Fraction(args.threshold)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SemanticError(f"malformed threshold {args.threshold!r}") from exc
     verdict = causality.rdp_decide(d, q, t, threshold)
     result = {
         "fact": format_fact(t),
@@ -249,46 +260,22 @@ def _cmd_rdp(args, inputs: _Inputs) -> str:
     return _render(args, "rdp", inputs, result, [str(verdict).lower()])
 
 
-def _parse_threshold(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SemanticError(f"malformed threshold {text!r}") from exc
-    if value != 0 and value.numerator != 1:
-        raise SemanticError(f"threshold must be 0 or 1/k, got {text!r}")
-    return value
-
-
-def _cmd_repairs(args, inputs: _Inputs, use_oracle: bool = False) -> str:
+def _cmd_repairs(args, inputs: _Inputs) -> str:
     d = inputs.instance()
     sigma = inputs.constraints()
     semantics = args.semantics
-    if semantics == "null" and not use_oracle:
+    if semantics == "null":
         return _null_repairs_report(args, inputs, d, sigma)
-    if use_oracle:
-        removed_sets = sorted(
-            (d.facts - kept for kept in oracle.oracle_repairs(d, sigma, semantics)),
-            key=set_key,
-        )
+    if semantics == "go":
+        if not args.priority:
+            raise SemanticError("global-optimal repairs need --priority")
+        priority = preferences.validate_priority(d, sigma, inputs.priorities())
+        reps = preferences.global_optimal_repairs(d, sigma, priority, args.max_enum)
+    elif semantics == "endo":
+        reps = preferences.endogenous_repairs(d, sigma, args.max_enum)
     else:
-        if semantics == "go":
-            if not args.priority:
-                raise SemanticError("global-optimal repairs need --priority")
-            priority = preferences.validate_priority(d, sigma, inputs.priorities())
-            reps = preferences.global_optimal_repairs(d, sigma, priority, args.max_enum)
-        elif semantics == "endo":
-            reps = preferences.endogenous_repairs(d, sigma, args.max_enum)
-        else:
-            reps = _compute_repairs(d, sigma, semantics, args.max_enum)
-        removed_sets = [r.removed for r in reps]
-    entries = _deletion_entries(d, removed_sets)
-    lines = (
-        "repair: keep {%s}  remove {%s}" % (", ".join(e["kept"]), ", ".join(e["removed"]))
-        for e in entries
-    )
-    result = {"semantics": semantics, "repairs": entries}
-    command = "oracle.repairs" if use_oracle else "repairs"
-    return _render(args, command, inputs, result, lines)
+        reps = _compute_repairs(d, sigma, semantics, args.max_enum)
+    return _repairs_report(args, inputs, "repairs", d, [r.removed for r in reps])
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
@@ -349,10 +336,28 @@ def _cmd_preferred_causes(args, inputs: _Inputs) -> str:
     q = inputs.query()
     pc = preferences.validate_causal_priority(d, q, inputs.priorities())
     pairs = preferences.preferred_causes(d, q, pc, args.max_enum)
-    result, lines = _cause_listing(pairs)
-    if not lines:
-        lines = ["no preferred causes"]
+    result, lines = _cause_listing(pairs, "no preferred causes")
     return _render(args, "preferred-causes", inputs, result, lines)
+
+
+# ---------------------------------------------------------------------------
+# The brute-force oracle, kept apart from the engines it checks
+
+
+def _cmd_oracle_causes(args, inputs: _Inputs) -> str:
+    d = inputs.instance()
+    q = inputs.query()
+    scored = oracle.oracle_causes_and_responsibility(d, q).items()
+    result, lines = _cause_listing([(t, rho) for t, rho in scored if rho > 0], "no causes")
+    return _render(args, "oracle.causes", inputs, result, lines)
+
+
+def _cmd_oracle_repairs(args, inputs: _Inputs) -> str:
+    d = inputs.instance()
+    sigma = inputs.constraints()
+    kept_sets = oracle.oracle_repairs(d, sigma, args.semantics)
+    removed_sets = sorted((d.facts - kept for kept in kept_sets), key=set_key)
+    return _repairs_report(args, inputs, "oracle.repairs", d, removed_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +370,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="causerepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True, query=False, constraints=False):
-        if instance:
-            p.add_argument("-i", "--instance", required=True)
+    def common(p, query=False, constraints=False):
+        p.add_argument("-i", "--instance", required=True)
         if query:
             p.add_argument("-q", "--query", required=True)
         if constraints:
@@ -417,9 +421,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="brute-force reference results")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
+    # a subcommand's defaults overwrite the outer "oracle" command name
     p = oracle_sub.add_parser("causes")
+    p.set_defaults(command="oracle.causes")
     common(p, query=True)
     p = oracle_sub.add_parser("repairs")
+    p.set_defaults(command="oracle.repairs")
     common(p, constraints=True)
     p.add_argument("--semantics", default="s", choices=["s", "c", "endo"])
 
@@ -436,6 +443,8 @@ _DISPATCH = {
     "cqa": _cmd_cqa,
     "diagnose": _cmd_diagnose,
     "preferred-causes": _cmd_preferred_causes,
+    "oracle.causes": _cmd_oracle_causes,
+    "oracle.repairs": _cmd_oracle_repairs,
 }
 
 
@@ -449,14 +458,7 @@ def execute(argv: list[str]) -> tuple[int, str, str]:
     args.raw_argv = list(argv)
     inputs = _Inputs(args)
     try:
-        if args.command == "oracle":
-            if args.oracle_command == "causes":
-                out = _cmd_causes(args, inputs, use_oracle=True)
-            else:
-                out = _cmd_repairs(args, inputs, use_oracle=True)
-        else:
-            out = _DISPATCH[args.command](args, inputs)
-        return 0, out, ""
+        return 0, _DISPATCH[args.command](args, inputs), ""
     except (ParseError, OSError) as exc:
         return USAGE_ERROR, "", f"error: {exc}\n"
     except SemanticError as exc:

@@ -60,7 +60,7 @@ across every vertex of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import CapExceededError, SemanticError
 from .queries import UnionQuery, witnesses
@@ -79,13 +79,9 @@ def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
     return result
 
 
-def _canonical_family(sets: Iterable[frozenset], key: Callable) -> tuple[frozenset, ...]:
-    return tuple(sorted(sets, key=lambda s: set_key(s, key)))
-
-
 def antichain(sets: Iterable[frozenset], key=fact_key) -> tuple[frozenset, ...]:
     """The subset-minimal members of a family, in canonical order."""
-    return _canonical_family(minimal_sets(sets), key)
+    return tuple(sorted(minimal_sets(sets), key=lambda s: set_key(s, key)))
 
 
 @dataclass(frozen=True)

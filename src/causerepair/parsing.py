@@ -28,6 +28,10 @@ All four grammars (with ``--atoms`` fact lists) share one scanner: a
 single regular expression that skips blanks and comments and yields
 ``(kind, text, offset)`` tokens.  Line and column are worked out from
 the offset only when an error is reported.
+
+The parsers check grammar only: an instance file's facts meet the
+instance invariants (``relational.violations``) once all are read, and a
+typed fact is checked when an instance resolves it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .queries import (
     UnionQuery,
     Var,
 )
-from .relational import ENDOGENOUS, EXOGENOUS, Fact, Instance
+from .relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, violations
 
 # Token kinds are the group names, except that a mark (PUNCT) is its own
 # kind, as in ``accept(",")``.  Order matters: a mark before a
@@ -183,13 +187,12 @@ class _Parser:
 
 
 def parse_instance(source: str) -> Instance:
+    """Parse an instance file; a grammar error is reported before the
+    first broken instance invariant (``relational.violations``)."""
     parser = _Parser(source)
     tokens, fact_literal, expect = parser.tokens, parser.fact_literal, parser.expect
     tag = ENDOGENOUS
-    arities: dict[str, int] = {}
     facts: list[Fact] = []
-    tags: dict[tuple, str] = {}
-    ids_seen: dict[int, Fact] = {}
     while True:
         tok = tokens[parser.pos]
         if tok[0] == "EOF":
@@ -203,22 +206,10 @@ def parse_instance(source: str) -> Instance:
             else:
                 raise parser.error(tok, f"unknown directive @{tok[1]}")
             continue
-        f = fact_literal(tag)
+        facts.append(fact_literal(tag))
         expect(".")
-        pred, args, fact_id = f.pred, f.args, f.fact_id
-        seen_arity = arities.setdefault(pred, len(args))
-        if seen_arity != len(args):
-            raise SemanticError(
-                f"predicate {pred} used with arity {seen_arity} and {len(args)}"
-            )
-        if fact_id is not None:
-            clash = ids_seen.get(fact_id)
-            if clash is not None and clash != f:
-                raise SemanticError(f"duplicate tuple id {fact_id}")
-            ids_seen[fact_id] = f
-        if tags.setdefault((pred, args), tag) != tag:
-            raise SemanticError(f"fact {f} declared both endogenous and exogenous")
-        facts.append(f)
+    for problem in violations(facts):
+        raise SemanticError(problem)
     return Instance(frozenset(facts))
 
 
@@ -296,13 +287,9 @@ def _parse_body(parser: _Parser, head_vars: tuple[str, ...]) -> ConjunctiveQuery
     return cq
 
 
-def single_query(source: str, name: str | None = None) -> UnionQuery:
-    """Parse a program expected to define exactly one (or the named) query."""
+def single_query(source: str) -> UnionQuery:
+    """Parse a program expected to define exactly one query."""
     queries, _ = parse_program(source)
-    if name is not None:
-        if name not in queries:
-            raise SemanticError(f"no query named {name} in the program")
-        return queries[name]
     if len(queries) != 1:
         raise SemanticError(
             f"expected exactly one named query, found {len(queries)}"

@@ -98,45 +98,39 @@ class NullRepair:
 # Priority validation
 
 
-def _resolve_pairs(d: Instance, pairs: Iterable[tuple[Fact, Fact]]):
-    return [(d.resolve(strong), d.resolve(weak)) for strong, weak in pairs]
-
-
-def _check_acyclic(pairs) -> None:
-    """Reject a cyclic relation; a self-pair counts as a cycle."""
+def _validated(
+    d: Instance, q: UnionQuery, pairs: Iterable[tuple[Fact, Fact]], relation: str
+) -> frozenset[tuple[Fact, Fact]]:
+    """``pairs`` resolved in ``d``, checked to be acyclic (a self-pair is a
+    cycle) and each to lie on one support set of ``q``."""
+    resolved = [(d.resolve(strong), d.resolve(weak)) for strong, weak in pairs]
     graph: dict[Fact, set[Fact]] = {}
-    for a, b in pairs:
+    for a, b in resolved:
         graph.setdefault(a, set()).add(b)
     try:
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         raise SemanticError("priority relation contains a cycle") from exc
+    together = support_sets(d, q)
+    for a, b in resolved:
+        if not any(a in s and b in s for s in together):
+            raise SemanticError(f"{a} and {b} are not {relation}")
+    return frozenset(resolved)
 
 
 def validate_priority(
     d: Instance, sigma: DenialConstraintSet, pairs: Iterable[tuple[Fact, Fact]]
 ) -> PriorityRelation:
     """Build a repair priority: acyclic, and every pair mutually conflicting."""
-    resolved = _resolve_pairs(d, pairs)
-    _check_acyclic(resolved)
-    conflicts = support_sets(d, violation_view(sigma))
-    for a, b in resolved:
-        if a == b or not any(a in c and b in c for c in conflicts):
-            raise SemanticError(f"{a} and {b} are not mutually conflicting")
-    return PriorityRelation(frozenset(resolved))
+    view = violation_view(sigma)
+    return PriorityRelation(_validated(d, view, pairs, "mutually conflicting"))
 
 
 def validate_causal_priority(
     d: Instance, q: UnionQuery, pairs: Iterable[tuple[Fact, Fact]]
 ) -> CausalPriorityRelation:
     """Build a causal priority: acyclic, every pair jointly contributing."""
-    resolved = _resolve_pairs(d, pairs)
-    _check_acyclic(resolved)
-    together = support_sets(d, q)
-    for a, b in resolved:
-        if a == b or not any(a in c and b in c for c in together):
-            raise SemanticError(f"{a} and {b} are not jointly contributing")
-    return CausalPriorityRelation(frozenset(resolved))
+    return CausalPriorityRelation(_validated(d, q, pairs, "jointly contributing"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,16 @@ An instance is a finite set of ground facts over opaque constants.  Every
 fact carries a tag that marks it endogenous (a candidate for causes,
 contingencies, and diagnoses) or exogenous (fixed background).  Fact
 identity is the atom plus the optional tuple id; the tag is metadata and
-never participates in identity.  One atom carries one tag, whatever its
-tuple ids: ``parse_instance`` rejects a clash and ``check_wellformed``
-reports one.  ``Instance`` itself does not check, since deletions build
-instances on hot paths.
+never participates in identity.  A fact typed by a user is named by its
+atom and, when it carries one, by its tuple id (``Instance.find`` and
+``Instance.resolve``); without an id it names the atom's first fact in
+canonical order.
+
+The invariants are stated once, in ``violations``: one arity per
+predicate, one tag per atom (whatever its tuple ids), and one fact per
+tuple id.  ``parse_instance`` rejects the first violation and
+``check_wellformed`` lists them all.  ``Instance`` itself does not check,
+since deletions build instances on hot paths.
 
 Constants are plain strings.  The reserved token ``null`` denotes the
 distinguished null value; it never joins with anything (including itself),
@@ -115,26 +121,36 @@ class Instance:
 
     @cached_property
     def schema(self) -> dict[str, int]:
-        """Predicate name -> arity (first occurrence wins on conflicts)."""
-        out: dict[str, int] = {}
-        for f in self.sorted_facts:
-            out.setdefault(f.pred, f.arity)
-        return out
+        """Predicate name -> arity; on conflicts, that of the predicate's
+        first fact in canonical order (the one with the least arguments)."""
+        least: dict[str, tuple[str, ...]] = {}
+        for f in self.facts:
+            seen = least.setdefault(f.pred, f.args)
+            if f.args < seen:
+                least[f.pred] = f.args
+        return {pred: len(args) for pred, args in least.items()}
 
     @cached_property
     def by_atom(self) -> dict[tuple[str, tuple[str, ...]], Fact]:
+        """Atom -> its first fact in canonical order, found in one pass."""
         out: dict[tuple[str, tuple[str, ...]], Fact] = {}
-        for f in self.sorted_facts:
-            out.setdefault(f.atom, f)
+        for f in self.facts:
+            first = out.setdefault((f.pred, f.args), f)
+            if first is not f and fact_key(f) < fact_key(first):
+                out[f.pred, f.args] = f
         return out
 
-    def find(self, pred: str, args: tuple[str, ...]) -> Fact | None:
-        """Look up the instance's fact with the given atom, if present."""
-        return self.by_atom.get((pred, args))
+    def find(self, pred: str, args: tuple[str, ...], fact_id: int | None = None) -> Fact | None:
+        """The instance's fact with the given atom and, if given, tuple id."""
+        found = self.by_atom.get((pred, args))
+        if found is None or fact_id is None or found.fact_id == fact_id:
+            return found
+        probe = Fact(pred, args, fact_id=fact_id)
+        return next((f for f in self.facts if f == probe), None)
 
     def resolve(self, f: Fact) -> Fact:
-        """The instance's fact with the atom of ``f``; absent is an error."""
-        found = self.by_atom.get(f.atom)
+        """The instance's fact that ``f`` names; absent is an error."""
+        found = self.find(f.pred, f.args, f.fact_id)
         if found is None:
             raise SemanticError(f"{f} is not in the instance")
         return found
@@ -174,33 +190,29 @@ def delta(d: Instance, d_prime: Instance) -> frozenset[Fact]:
     return frozenset(left.get(a) or right[a] for a in diff_atoms)
 
 
-def check_wellformed(d: Instance) -> list[str]:
-    """Return diagnostics for invariant violations; empty means well-formed."""
-    diagnostics = []
+def violations(facts: Iterable[Fact]) -> Iterator[str]:
+    """The instance invariants that ``facts`` break, in their order: one
+    arity per predicate, one tag per atom, one fact per tuple id."""
     arities: dict[str, int] = {}
-    tags: dict[tuple, Fact] = {}
-    ids_seen: dict[int, Fact] = {}
-    for f in d.sorted_facts:
-        seen = arities.setdefault(f.pred, f.arity)
-        if seen != f.arity:
-            diagnostics.append(
-                f"predicate {f.pred} used with arity {seen} and {f.arity}"
-            )
-        first = tags.setdefault(f.atom, f)
-        if first.tag != f.tag:
-            diagnostics.append(
-                f"{format_fact(first)} and {format_fact(f)} are one atom under both tags"
-            )
-        if f.fact_id is None:
-            continue
-        other = ids_seen.get(f.fact_id)
-        if other is not None:
-            diagnostics.append(
-                f"id {f.fact_id} used by both {format_fact(other)} and {format_fact(f)}"
-            )
-        else:
-            ids_seen[f.fact_id] = f
-    return diagnostics
+    tags: dict[tuple, str] = {}
+    ids: dict[int, Fact] = {}
+    for f in facts:
+        pred, args, fact_id = f.pred, f.args, f.fact_id
+        seen = arities.setdefault(pred, len(args))
+        if seen != len(args):
+            yield f"predicate {pred} used with arity {seen} and {len(args)}"
+        if tags.setdefault((pred, args), f.tag) != f.tag:
+            yield f"atom {format_fact(Fact(pred, args))} is both endogenous and exogenous"
+        if fact_id is not None:
+            other = ids.setdefault(fact_id, f)
+            if other != f:
+                yield f"id {fact_id} used by both {other} and {f}"
+
+
+def check_wellformed(d: Instance) -> list[str]:
+    """Every invariant violation in ``d``, in canonical fact order; empty
+    means well-formed."""
+    return list(violations(d.sorted_facts))
 
 
 def serialize_instance(d: Instance) -> str:

@@ -177,7 +177,7 @@ def consistent_answer(
     else:
         raise SemanticError(f"unknown repair semantics {semantics!r}")
     for a in atoms:
-        resolved = d.find(a.pred, a.args)
+        resolved = d.find(a.pred, a.args, a.fact_id)
         if resolved is None or resolved in excluded:
             return False
     return True

@@ -85,10 +85,14 @@ def test_semantic_error_exit_code():
 
 
 def test_bad_threshold_exit_code():
-    code, _, err = execute(
-        ["rdp", "-i", "ex1.facts", "-q", "ex1.dlq", "--tuple", "S(a3)", "--threshold", "2/3"]
-    )
+    argv = ["rdp", "-i", "ex1.facts", "-q", "ex1.dlq", "--tuple", "S(a3)", "--threshold"]
+    code, _, err = execute(argv + ["2/3"])
     assert code == 2 and "threshold" in err
+    # the engine alone checks the value, and names it reduced
+    code, _, err = execute(argv + ["4/6"])
+    assert code == 2 and "threshold must be 0 or 1/k, got 2/3" in err
+    code, _, err = execute(argv + ["1/x"])
+    assert code == 2 and "malformed threshold '1/x'" in err
 
 
 def test_cap_exhaustion_exit_code(tmp_path):
@@ -264,3 +268,63 @@ def test_each_fact_is_formatted_once(tmp_path, monkeypatch, command, listed, cou
     assert code == 0, err
     assert len(json.loads(out)["result"][listed]) == count
     assert calls <= size + nulled
+
+
+# ---------------------------------------------------------------------------
+# A typed tuple id names that tuple
+
+_IDS_INSTANCE = "R(1;a,b). R(2;a,b). S(3;a). S(4;b). T(5;c).\n"
+
+
+@pytest.fixture
+def id_files(tmp_path):
+    (tmp_path / "d.facts").write_text(_IDS_INSTANCE)
+    (tmp_path / "q.dlq").write_text("q :- S(X), R(X,Y), S(Y).\n")
+    (tmp_path / "c.dlq").write_text(":- S(X), R(X,Y), S(Y).\n")
+    (tmp_path / "p.prio").write_text("R(9;a,b) > S(3;a).\n")
+    return {name: str(tmp_path / name) for name in ("d.facts", "q.dlq", "c.dlq", "p.prio")}
+
+
+def _on_query(files, *argv):
+    return execute([argv[0], "-i", files["d.facts"], "-q", files["q.dlq"], *argv[1:]])
+
+
+def _on_constraints(files, *argv):
+    return execute([argv[0], "-i", files["d.facts"], "-c", files["c.dlq"], *argv[1:]])
+
+
+def test_tuple_id_names_a_tuple_apart_from_its_twin(id_files):
+    code, out, err = _on_query(
+        id_files, "check-contingency", "--tuple", "R(2;a,b)", "--gamma", "R(1;a,b)"
+    )
+    assert (code, out, err) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("responsibility", "--tuple", "R(9;a,b)"),
+        ("diagnose", "--containing", "R(9;a,b)"),
+        ("check-contingency", "--tuple", "S(3;a)", "--gamma", "R(9;a,b)"),
+    ],
+)
+def test_absent_tuple_id_is_rejected(id_files, argv):
+    code, out, err = _on_query(id_files, *argv)
+    assert code == 2 and out == "" and "R(9;a,b) is not in the instance" in err
+
+
+def test_absent_tuple_id_fails_decisions(id_files):
+    assert _on_query(id_files, "rdp", "--tuple", "R(9;a,b)", "--threshold", "0")[:2] == (0, "false\n")
+    assert _on_constraints(id_files, "cqa", "--atoms", "T(6;c)")[:2] == (0, "false\n")
+
+
+def test_priority_naming_an_absent_tuple_id_is_rejected(id_files):
+    code, out, err = _on_constraints(
+        id_files, "repairs", "--semantics", "go", "--priority", id_files["p.prio"]
+    )
+    assert code == 2 and out == "" and "R(9;a,b) is not in the instance" in err
+
+
+def test_fact_without_id_names_the_first_tuple(id_files):
+    assert _on_constraints(id_files, "cqa", "--atoms", "T(c)")[:2] == (0, "true\n")
+    assert _on_query(id_files, "responsibility", "--tuple", "R(a,b)")[:2] == (0, "1/2\n")

@@ -1,8 +1,14 @@
+import json
+import os
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import causerepair
 from causerepair import parsing
 from causerepair.errors import ParseError, SemanticError
 from causerepair.parsing import parse_instance
@@ -58,12 +64,16 @@ def test_parse_errors():
         parse_instance("R(a4, X).")  # variables are not constants
     with pytest.raises(SemanticError):
         parse_instance("R(a). R(a,b).")  # arity conflict
-    with pytest.raises(SemanticError):
+    with pytest.raises(SemanticError, match=r"^id 2 used by both R\(2;a,b\) and S\(2;c\)$"):
         parse_instance("R(2;a,b). S(2;c).")  # duplicate id
-    with pytest.raises(SemanticError):
+    # the wording reads right when the two facts print alike
+    with pytest.raises(SemanticError, match=r"^atom P\(a\) is both endogenous and exogenous$"):
         parse_instance("@endogenous\nP(a).\n@exogenous\nP(a).")  # tag clash
     with pytest.raises(SemanticError):
         parse_instance("R(a,b).\n@exogenous\nR(1;a,b).")  # tag clash across ids
+    with pytest.raises(ParseError):
+        parse_instance("R(a). R(a,b). S(")  # the grammar is checked first
+    assert len(parse_instance("R(1;a). R(1;a).")) == 1  # a repeated fact is one fact
     # the end of input sits one column past the last character
     with pytest.raises(ParseError, match="line 1, column 5:"):
         parse_instance("R(a)")
@@ -358,3 +368,106 @@ def test_serialize_roundtrip_keeps_tags_randomized():
         assert serialize_instance(again) == text
         tags_seen |= {f.tag for f in d.facts}
     assert tags_seen == {ENDOGENOUS, EXOGENOUS}
+
+
+# ---------------------------------------------------------------------------
+# One statement of the invariants, one tuple-id-aware lookup
+
+
+def _random_clashing_instance(rng: random.Random) -> Instance:
+    """Facts over few atoms: repeated under several ids, under both tags,
+    and with arity conflicts such as R(a), R(a,z) and R(b)."""
+    facts = []
+    for _ in range(rng.randint(1, 10)):
+        pred = rng.choice("PR")
+        args = tuple(rng.choice("abz") for _ in range(rng.randint(0, 2)))
+        fact_id = rng.choice((None, None, 1, 2, 3, 4))
+        facts.append(Fact(pred, args, rng.choice((ENDOGENOUS, EXOGENOUS)), fact_id))
+    return Instance(frozenset(facts))
+
+
+def _sorted_schema(d: Instance) -> dict:
+    """``Instance.schema`` as it was defined over the sorted facts."""
+    out = {}
+    for f in d.sorted_facts:
+        out.setdefault(f.pred, f.arity)
+    return out
+
+
+def _sorted_by_atom(d: Instance) -> dict:
+    """``Instance.by_atom`` as it was defined over the sorted facts."""
+    out = {}
+    for f in d.sorted_facts:
+        out.setdefault(f.atom, f)
+    return out
+
+
+def compare_lookups(count: int = 500) -> dict:
+    """Check the one-pass ``schema``, ``by_atom`` and ``find`` against
+    the sorted definitions on seeded instances; count what was covered."""
+    rng = random.Random(20261018)
+    covered = {"repeated_atom": 0, "tag_clash": 0, "arity_clash": 0}
+    for _ in range(count):
+        d = _random_clashing_instance(rng)
+        assert d.schema == _sorted_schema(d), d
+        expected = _sorted_by_atom(d)
+        assert d.by_atom.keys() == expected.keys(), d
+        assert all(d.by_atom[atom] is f for atom, f in expected.items()), d
+        for pred, args in [*expected, ("R", ("a",)), ("P", ())]:
+            assert d.find(pred, args) is expected.get((pred, args)), d
+        for f in d.facts:
+            assert d.find(f.pred, f.args, f.fact_id) is f, d
+            assert d.find(f.pred, f.args, 9) is None, d
+        atoms = [f.atom for f in d.facts]
+        covered["repeated_atom"] += len(set(atoms)) < len(atoms)
+        covered["tag_clash"] += any("is both" in m for m in check_wellformed(d))
+        covered["arity_clash"] += any("arity" in m for m in check_wellformed(d))
+    return covered
+
+
+def _compare_lookups_in_process(hash_seed: str) -> dict:
+    paths = [str(Path(causerepair.__file__).parent.parent), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(paths))
+    code = "import json, test_relational; print(json.dumps(test_relational.compare_lookups()))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_one_pass_lookups_match_the_sorted_definitions():
+    # frozenset iteration order follows string hashing, so the first
+    # fact in canonical order must win in every process
+    first, second = _compare_lookups_in_process("1"), _compare_lookups_in_process("2")
+    assert first == second
+    assert min(first.values()) > 50, first
+
+
+def test_tuple_id_names_one_fact():
+    d = parse_instance("R(1;a,b). R(2;a,b). R(a,c). S(3;a).")
+    assert str(d.resolve(fact("R", "a", "b", fact_id=2))) == "R(2;a,b)"
+    assert str(d.resolve(fact("R", "a", "b"))) == "R(1;a,b)"
+    assert str(d.resolve(fact("R", "a", "c"))) == "R(a,c)"
+    for absent in (fact("R", "a", "b", fact_id=3), fact("R", "a", "c", fact_id=1)):
+        assert d.find(absent.pred, absent.args, absent.fact_id) is None
+        with pytest.raises(SemanticError, match="is not in the instance"):
+            d.resolve(absent)
+
+
+def test_parse_raises_what_check_wellformed_reports():
+    rng = random.Random(7)
+    planted = set()
+    for _ in range(500):
+        d = _random_clashing_instance(rng)
+        text = "".join(f"@{f.tag}\n{f}.\n" for f in d.sorted_facts)
+        problems = check_wellformed(d)
+        if not problems:
+            again = parse_instance(text)
+            assert {(f, f.tag) for f in again.facts} == {(f, f.tag) for f in d.facts}
+            continue
+        with pytest.raises(SemanticError) as err:
+            parse_instance(text)
+        assert str(err.value) == problems[0], text
+        planted.add(problems[0].split()[0])
+    assert planted == {"predicate", "atom", "id"}
