@@ -22,8 +22,8 @@ their own, apart from the engines they check.
 
 Exit codes: 0 success (including negative decisions), 1 usage or parse
 errors (a negative ``--max-enum`` and an input file that is not UTF-8
-text included), 2 semantic errors, 3 enumeration-cap exhaustion or an
-oracle input above its bound.
+text included), 2 semantic errors, 3 an enumeration cap exceeded (by one
+component's sets or by the product kept) or an oracle input above its bound.
 """
 
 from __future__ import annotations

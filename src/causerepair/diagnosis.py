@@ -24,7 +24,7 @@ from .errors import SemanticError
 from .hitting import endogenous_part, enumerate_minimal_hitting_sets, support_sets
 from .queries import ConjunctiveQuery, UnionQuery, Var
 from .relational import Fact, Instance, format_constant
-from .repairs import SUBSET, Repair, _select
+from .repairs import SUBSET, Repair, _pick
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,16 @@ def diagnoses(
     cardinality ones (within the restricted family when ``containing`` is
     given, matching the responsibility correspondence).
     """
-    family = ()
-    if not m.unexplainable:
-        target = None if containing is None else _require_endogenous(m.instance, containing)
-        family = enumerate_minimal_hitting_sets(m.conflicts, cap).sets
-        if target is not None:
-            family = [s for s in family if target in s]
-    return tuple(Diagnosis(s) for s in _select(family, kind))
+    keep = _pick(kind)
+    if m.unexplainable:
+        return ()
+    if containing is None:
+        found = enumerate_minimal_hitting_sets(m.conflicts, cap, keep=keep).sets
+    else:
+        target = _require_endogenous(m.instance, containing)
+        everything = enumerate_minimal_hitting_sets(m.conflicts, cap).sets
+        found = keep([s for s in everything if target in s])
+    return tuple(map(Diagnosis, found))
 
 
 def repairs_from_diagnoses(

@@ -26,7 +26,8 @@ class SemanticError(CauseRepairError):
 
 
 class CapExceededError(CauseRepairError):
-    """An enumeration produced more results than the configured cap."""
+    """An enumeration would exceed the configured cap: in one component of
+    its family, or in the product of the sets kept per component."""
 
     def __init__(self, cap, message=None):
         super().__init__(message or f"enumeration cap of {cap} exceeded")

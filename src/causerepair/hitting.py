@@ -32,15 +32,16 @@ packing of pairwise disjoint unhit edges, each needing a vertex of its
 own, exceed the bound.  An empty edge has no vertex to branch on, so a
 family holding one has no hitting set; no family need be an antichain.
 
-``enumerate_minimal_hitting_sets`` runs the search once over the whole
-family with no bound, up to a cap on the number of sets, sorts the sets
-found as lists of vertex indexes and only then maps them back to facts.
-Minima take three more steps first, valid for the minimum size but not
-for enumeration, since they lose minimal sets (``_least``): drop every
-edge that contains another, drop every vertex whose edges another vertex
-also lies on (the d-Hitting-Set kernel's first rules; on the chain query
-every ``R(x,y)`` goes and the family becomes a graph), and split what is
-left into connected components.
+A family's minimal hitting sets are the product of its connected
+components' ones (``_components``), and so are the smallest of them, or
+any other choice made per component (``keep``).  Enumeration searches
+each component with no bound, caps the sets each yields and the kept
+product's size, and sorts the product as lists of vertex indexes.
+Minima take two more steps before the split, valid for the minimum size
+but not for enumeration, since they lose minimal sets (``_least``): drop
+every edge that contains another, and drop every vertex whose edges
+another vertex also lies on (the d-Hitting-Set kernel's first rules; on
+the chain query every ``R(x,y)`` goes and the family becomes a graph).
 Each component is searched by branch and bound, the bound lowered below
 every set found, and the minimum is the sum over the components.
 
@@ -60,6 +61,8 @@ across every vertex of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Iterable
 
 from .errors import CapExceededError, SemanticError
@@ -258,28 +261,29 @@ def _search(masks: list[int], found, most: int | None = None) -> None:
 
 
 def enumerate_minimal_hitting_sets(
-    edges: Iterable[frozenset], cap: int | None = None, key=fact_key
+    edges: Iterable[frozenset], cap: int | None = None, key=fact_key, keep=list
 ) -> HittingSolution:
-    """All subset-minimal hitting sets, in canonical order under ``key``.
-
-    The order comes from the vertex indexes: ``_table`` numbers the
-    vertices in ``key`` order, and ``key`` tells a family's vertices
-    apart, so sorting each set's ascending indexes sorts by ``set_key``.
-
-    Raises ``CapExceededError`` as soon as more than ``cap`` sets are
-    found; exponential families exist even for single fixed constraints.
-    """
+    """The product, in canonical order under ``key``, of ``keep`` applied
+    to each connected component's list of subset-minimal hitting sets
+    (all by default).  Exponential families exist even for one fixed
+    constraint: ``CapExceededError`` is raised once a component yields
+    more than ``cap`` sets or the kept lists' sizes multiply to more."""
     cap = DEFAULT_CAP if cap is None else cap
     vertices, masks = _table(edges, key)
-    sets: list[list[int]] = []
+    kept: list[list[int]] = []
+    for _, group in _components(masks):
+        found: dict[frozenset, int] = {}  # each set found -> its mask
 
-    def found(chosen):
-        sets.append([v.bit_length() - 1 for v in _bits(chosen)])
-        if len(sets) > cap:
-            raise CapExceededError(cap)
+        def add(chosen):
+            found[frozenset([vertices[v.bit_length() - 1] for v in _bits(chosen)])] = chosen
+            if len(found) > cap:
+                raise CapExceededError(cap)
 
-    _search(masks, found)
-    sets.sort()
+        _search(group, add)
+        kept.append([found[s] for s in keep(list(found))])
+    if prod(map(len, kept)) > cap:
+        raise CapExceededError(cap)
+    sets = sorted([v.bit_length() - 1 for v in _bits(sum(c))] for c in product(*kept))
     return HittingSolution(tuple(frozenset([vertices[i] for i in s]) for s in sets))
 
 
@@ -288,8 +292,6 @@ def _least(masks: list[int], most: int | None = None) -> int | None:
     most ``most`` members; ``None`` otherwise, as when an edge is empty.
     The reduced family splits into components, solved one by one, each
     within what the earlier ones left of ``most``."""
-    if 0 in masks:
-        return None
     total = 0
     best = None
 

@@ -49,7 +49,7 @@ from .queries import (
     violation_view,
 )
 from .relational import ENDOGENOUS, NULL, Fact, Instance, fact_key
-from .repairs import SUBSET, Repair, repairs
+from .repairs import Repair
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,12 @@ def validate_causal_priority(
 # Global-optimal repairs and preferred causes
 
 
-def _improves(candidate: Repair, over: Repair, priority: PriorityRelation) -> bool:
-    """Global improvement: every tuple lost when moving to ``candidate`` is
-    outweighed by some higher-priority tuple gained."""
-    if candidate.removed == over.removed:
+def _improves(candidate: frozenset, over: frozenset, priority: PriorityRelation) -> bool:
+    """Whether the repair deleting ``candidate`` globally improves the one
+    deleting ``over``: a higher-priority tuple gained outweighs each lost."""
+    if candidate == over:
         return False
-    lost = over.kept.facts - candidate.kept.facts
-    gained = candidate.kept.facts - over.kept.facts
+    lost, gained = candidate - over, over - candidate
     return all(any(priority.prefers(g, t) for g in gained) for t in lost)
 
 
@@ -155,12 +154,19 @@ def global_optimal_repairs(
 ) -> tuple[Repair, ...]:
     """Subset repairs without a global improvement.
 
-    Improvers are searched among the subset repairs themselves: a
-    consistent improving sub-instance always extends to a subset repair
-    that still improves, so nothing further needs scanning.
+    Each priority pair must lie inside one conflict edge, as
+    ``validate_priority`` and ``endogenous_encoding`` ensure, and so inside
+    one connected component of the conflicts: a repair has an improvement
+    iff its part in some component has one among that component's minimal
+    deletion sets, each of which extends to a subset repair.
     """
-    base = repairs(d, sigma, SUBSET, cap)
-    return tuple(r for r in base if not any(_improves(other, r, priority) for other in base))
+
+    def unimproved(parts):
+        return [p for p in parts if not any(_improves(o, p, priority) for o in parts)]
+
+    edges = support_sets(d, violation_view(sigma))
+    deletions = enumerate_minimal_hitting_sets(edges, cap, keep=unimproved).sets
+    return tuple(Repair(d.without(s), s) for s in deletions)
 
 
 def preferred_causes(
@@ -177,20 +183,11 @@ def preferred_causes(
     preferred cause when some such repair removes it within an endogenous
     deletion set.  Responsibilities minimize over those deletion sets only.
     """
-    inverted = pc.inverted()
-    go = global_optimal_repairs(d, dc_of_query(q), inverted, cap)
-    endo = d.endogenous
-    scores: dict[Fact, int] = {}
-    for r in go:
-        if not r.removed or not r.removed <= endo:
-            continue
-        for t in r.removed:
-            size = len(r.removed)
-            if t not in scores or size < scores[t]:
-                scores[t] = size
-    return tuple(
-        (t, Fraction(1, scores[t])) for t in sorted(scores, key=fact_key)
-    )
+    go = global_optimal_repairs(d, dc_of_query(q), pc.inverted(), cap)
+    endogenous = [r.removed for r in go if r.removed <= d.endogenous]
+    # the smallest set holding a fact is the last to name it
+    scores = {t: len(s) for s in sorted(endogenous, key=len, reverse=True) for t in s}
+    return tuple((t, Fraction(1, scores[t])) for t in sorted(scores, key=fact_key))
 
 
 def check_preference_contingency(

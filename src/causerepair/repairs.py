@@ -47,22 +47,20 @@ class Repair:
     removed: frozenset[Fact]
 
 
-def _select(family, semantics: str) -> tuple[frozenset, ...]:
-    """The members of a deletion family that a semantics keeps, in order:
+def _smallest(sets: list) -> list:
+    """The members of least size."""
+    least = min(map(len, sets), default=0)
+    return [s for s in sets if len(s) == least]
+
+
+def _pick(semantics: str):
+    """What a semantics keeps of each conflict component's deletion sets:
     all of them under 's', the smallest under 'c'."""
     if semantics == SUBSET:
-        return tuple(family)
+        return list
     if semantics == CARDINALITY:
-        smallest = min((len(s) for s in family), default=0)
-        return tuple(s for s in family if len(s) == smallest)
+        return _smallest
     raise SemanticError(f"unknown repair semantics {semantics!r}")
-
-
-def _deletion_sets(d: Instance, sigma: DenialConstraintSet, cap):
-    """Minimal deletion sets restoring consistency, in canonical order
-    (just ∅ if consistent)."""
-    edges = support_sets(d, violation_view(sigma))
-    return enumerate_minimal_hitting_sets(edges, cap).sets
 
 
 def repairs(
@@ -72,7 +70,8 @@ def repairs(
     cap: int | None = None,
 ) -> tuple[Repair, ...]:
     """All repairs under subset ('s') or cardinality ('c') semantics."""
-    deletions = _select(_deletion_sets(d, sigma, cap), semantics)
+    edges = support_sets(d, violation_view(sigma))
+    deletions = enumerate_minimal_hitting_sets(edges, cap, keep=_pick(semantics)).sets
     return tuple(Repair(d.without(s), s) for s in deletions)
 
 
@@ -86,17 +85,14 @@ def is_repair(
     semantics additionally compares the deletion count with the global
     minimum from the branching solver.
     """
+    subset = _pick(semantics) is list
     if not candidate.facts <= d.facts:
         raise SemanticError("candidate repair is not a sub-instance")
     view = violation_view(sigma)
     removed = d.facts - candidate.facts
     if not _maximal_deletion(d, removed, view):
         return False
-    if semantics == SUBSET:
-        return True
-    if semantics == CARDINALITY:
-        return len(removed) == minimum_hitting_set_containing(support_sets(d, view))
-    raise SemanticError(f"unknown repair semantics {semantics!r}")
+    return subset or len(removed) == minimum_hitting_set_containing(support_sets(d, view))
 
 
 def causes_via_repairs(
@@ -104,20 +100,22 @@ def causes_via_repairs(
 ) -> tuple[tuple[frozenset[Fact], ...], tuple[frozenset[Fact], ...]]:
     """Deletion-set families for repairs that drop ``t`` endogenously.
 
-    Returns the subset-repair family and the cardinality-repair family.
-    ``t`` is an actual cause iff the first is non-empty, a most
-    responsible cause iff the second is, and its responsibility is the
-    inverse of the smallest member of the first.
+    Returns the deletion sets within the endogenous facts that hold ``t``:
+    all of them, and those of them that are smallest among the endogenous
+    deletion sets.  ``t`` is an actual cause iff the first family is
+    non-empty, a most responsible cause iff the second is, and its
+    responsibility is the inverse of the smallest member of the first.
     """
     resolved = _require_endogenous(d, t)
-    deletions = _deletion_sets(d, dc_of_query(q), cap)
-    endo = d.endogenous
+    edges = support_sets(d, violation_view(dc_of_query(q)))
 
-    def keep(family):
-        picked = [s for s in family if resolved in s and s <= endo]
+    def dropping_t(keep):
+        endogenous = lambda parts: keep([p for p in parts if p <= d.endogenous])
+        found = enumerate_minimal_hitting_sets(edges, cap, keep=endogenous).sets
+        picked = [s for s in found if resolved in s]
         return tuple(sorted(picked, key=lambda s: (len(s), set_key(s))))
 
-    return keep(deletions), keep(_select(deletions, CARDINALITY))
+    return dropping_t(list), dropping_t(_smallest)
 
 
 def repair_responsibility(diff_s: tuple[frozenset[Fact], ...]) -> Fraction:
@@ -136,19 +134,20 @@ def repairs_via_causes(
     """Reassemble repairs from causes and their minimal contingency sets.
 
     Requires a fully endogenous instance.  One support family and one
-    enumeration of its minimal hitting sets serve every cause; distinct
-    cause/contingency pairs may collapse to one repair, so the result is
-    deduplicated, and it must coincide with ``repairs`` on the same inputs.
-    A consistent instance has no causes and repairs to itself.
+    enumeration of its minimal hitting sets (under 'c', the smallest of
+    each component) serve every cause; distinct cause/contingency pairs
+    may collapse to one repair, so the result is deduplicated, and it
+    must coincide with ``repairs`` on the same inputs.  A consistent
+    instance has no causes and repairs to itself.
     """
     if d.exogenous:
         raise SemanticError("repairs-from-causes requires all facts endogenous")
     edges = endogenous_support_sets(d, violation_view(sigma))
-    transversal = enumerate_minimal_hitting_sets(edges, cap).sets
+    transversal = enumerate_minimal_hitting_sets(edges, cap, keep=_pick(semantics)).sets
     causes = {f for edge in edges for f in edge}
     assembled = {gamma | {t} for t in causes for gamma in _contingencies(transversal, t)}
     removed_sets = sorted(assembled, key=set_key) if edges else [frozenset()]
-    return tuple(Repair(d.without(s), s) for s in _select(removed_sets, semantics))
+    return tuple(Repair(d.without(s), s) for s in removed_sets)
 
 
 def consistent_answer(
@@ -170,12 +169,10 @@ def consistent_answer(
         if a.pred not in d.schema:
             raise SemanticError(f"predicate {a.pred} is not in the schema")
     view = violation_view(sigma)
-    if semantics == SUBSET:
+    if _pick(semantics) is list:
         excluded = causality.actual_causes(d, view)
-    elif semantics == CARDINALITY:
-        excluded, _ = causality.most_responsible_causes(d, view)
     else:
-        raise SemanticError(f"unknown repair semantics {semantics!r}")
+        excluded, _ = causality.most_responsible_causes(d, view)
     for a in atoms:
         resolved = d.find(a.pred, a.args, a.fact_id)
         if resolved is None or resolved in excluded:

@@ -10,12 +10,14 @@ from causerepair.causality import (
     responsibility,
 )
 from causerepair.errors import SemanticError
+from causerepair.hitting import support_sets
 from causerepair.parsing import (
     constraint_set,
     parse_fact,
     parse_instance,
     parse_priorities,
     parse_program,
+    single_query,
 )
 from causerepair.preferences import (
     AttrChange,
@@ -33,7 +35,8 @@ from causerepair.preferences import (
     validate_priority,
 )
 from causerepair.queries import dc_of_query, is_consistent, violation_view
-from causerepair.relational import ENDOGENOUS, EXOGENOUS, NULL, Fact, Instance, fact
+from causerepair.relational import ENDOGENOUS, EXOGENOUS, NULL, Fact, Instance, fact, fact_key
+from causerepair.repairs import repairs
 
 from conftest import (
     data_path,
@@ -127,14 +130,88 @@ def test_global_optimal_partial_priorities_two_repairs():
 
 
 def test_empty_priority_keeps_all_subset_repairs():
-    from causerepair.repairs import repairs
-
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
     rel = validate_priority(d, sigma, [])
     assert _removed(global_optimal_repairs(d, sigma, rel)) == _removed(
         repairs(d, sigma, "s")
     )
+
+
+def _improves_reference(candidate, over, priority):
+    """Global improvement between two repairs, read off their kept facts."""
+    lost = over.kept.facts - candidate.kept.facts
+    gained = candidate.kept.facts - over.kept.facts
+    return candidate.removed != over.removed and all(
+        any(priority.prefers(g, t) for g in gained) for t in lost
+    )
+
+
+def _global_optimal_reference(d, sigma, priority):
+    """Every subset repair compared with every other."""
+    base = repairs(d, sigma, "s")
+    return [r for r in base if not any(_improves_reference(o, r, priority) for o in base)]
+
+
+def _preferred_causes_reference(d, q, pc):
+    scores = {}
+    for r in _global_optimal_reference(d, dc_of_query(q), pc.inverted()):
+        if r.removed <= d.endogenous:
+            for t in r.removed:
+                scores[t] = min(scores.get(t, len(r.removed)), len(r.removed))
+    return [(t, Fraction(1, scores[t])) for t in sorted(scores, key=fact_key)]
+
+
+def _random_case(rng, keyed):
+    """A chain or keyed instance, its constraint and the constraint's query,
+    with about a fifth of the facts exogenous."""
+    if keyed:
+        atoms = {
+            ("A", (k, v))
+            for k in "123456"[: rng.randint(2, 5)]
+            for v in rng.sample("abc", rng.choice((1, 2, 2, 3)))
+        }
+        body = "A(X,Y), A(X,Z), Y != Z."
+    else:
+        atoms = set()
+        for _ in range(rng.randint(3, 8)):
+            atoms.add(("R", (rng.choice("abcde"), rng.choice("abcde"))))
+            atoms.add(("S", (rng.choice("abcde"),)))
+        body = "S(X), R(X,Y), S(Y)."
+    d = Instance(frozenset(
+        Fact(pred, args, EXOGENOUS if rng.random() < 0.2 else ENDOGENOUS)
+        for pred, args in sorted(atoms)
+    ))
+    return d, constraint_set(f":- {body}\n"), single_query(f"q :- {body}\n")
+
+
+def _random_acyclic_pairs(rng, d, edges):
+    """Pairs inside single edges, each from a higher to a lower random rank."""
+    rank = {f: i for i, f in enumerate(rng.sample(d.sorted_facts, len(d)))}
+    drawn = {}  # each pair drawn once, in a hash-independent order
+    for e in edges:
+        members = sorted(e, key=fact_key)
+        for a in members:
+            for b in members:
+                if rank[a] < rank[b] and (a, b) not in drawn:
+                    drawn[a, b] = rng.random() < 0.5
+    return [pair for pair, chosen in drawn.items() if chosen]
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["chain", "keyed"])
+def test_global_optimal_repairs_and_preferred_causes_match_all_pairs_randomized(keyed):
+    rng = random.Random(2012 + keyed)
+    pruned = 0
+    for _ in range(150):
+        d, sigma, q = _random_case(rng, keyed)
+        edges = support_sets(d, violation_view(sigma))
+        priority = validate_priority(d, sigma, _random_acyclic_pairs(rng, d, edges))
+        expected = [r.removed for r in _global_optimal_reference(d, sigma, priority)]
+        assert [r.removed for r in global_optimal_repairs(d, sigma, priority)] == expected
+        pruned += len(expected) < len(repairs(d, sigma, "s"))
+        pc = validate_causal_priority(d, q, _random_acyclic_pairs(rng, d, support_sets(d, q)))
+        assert list(preferred_causes(d, q, pc)) == _preferred_causes_reference(d, q, pc)
+    assert pruned >= 100  # the priorities rule out some subset repair
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +304,6 @@ def test_endogenous_repairs_fixture():
 
 
 def test_endogenous_repairs_all_endogenous_equals_subset_repairs(chain_instance):
-    from causerepair.repairs import repairs
-
     sigma = load_constraints("ex2.dlq")
     assert _removed(endogenous_repairs(chain_instance, sigma)) == _removed(
         repairs(chain_instance, sigma, "s")

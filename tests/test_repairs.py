@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 
 from causerepair import hitting
-from causerepair.errors import SemanticError
+from causerepair.causality import most_responsible_causes, responsibility
+from causerepair.cli import execute
+from causerepair.errors import CapExceededError, SemanticError
 from causerepair.oracle import oracle_repairs
-from causerepair.parsing import parse_fact, parse_instance
+from causerepair.parsing import constraint_set, parse_fact, parse_instance, single_query
 from causerepair.queries import dc_of_query
 from causerepair.repairs import (
     causes_via_repairs,
@@ -18,7 +20,7 @@ from causerepair.repairs import (
     repairs,
     repairs_via_causes,
 )
-from causerepair.relational import Fact, Instance
+from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance
 
 from conftest import (
     load_constraints,
@@ -112,6 +114,79 @@ def test_causes_via_repairs_respects_partition():
     # R(a3,a3) is exogenous, so deletion sets touching it never qualify
     diff_s, _ = causes_via_repairs(d13, q, parse_fact("R(a4,a3)"))
     assert diff_s == ()
+
+
+CHAIN_QUERY = "q :- S(X), R(X,Y), S(Y).\n"
+
+
+def test_causes_via_repairs_minimum_deleting_an_exogenous_fact():
+    # the one global minimum {S(a)} deletes an exogenous fact; the four
+    # endogenous deletion sets have two facts each
+    d = parse_instance("@exogenous S(a). @endogenous R(a,b). R(a,c). S(b). S(c).")
+    q = single_query(CHAIN_QUERY)
+    t = parse_fact("R(a,b)")
+    top, value = most_responsible_causes(d, q)
+    assert t in top and value == Fraction(1, 2)
+    diff_s, diff_c = causes_via_repairs(d, q, t)
+    assert [{str(f) for f in s} for s in diff_c] == [
+        {"R(a,b)", "R(a,c)"},
+        {"R(a,b)", "S(c)"},
+    ]
+    assert diff_s == diff_c
+
+
+def test_causes_via_repairs_agree_with_causes_randomized():
+    rng = random.Random(733)
+    q = single_query(CHAIN_QUERY)
+    checked = 0
+    for _ in range(80):
+        facts = set()
+        for _ in range(rng.randint(2, 6)):
+            facts.add(("R", (rng.choice("abcd"), rng.choice("abcd"))))
+            facts.add(("S", (rng.choice("abcd"),)))
+        d = Instance(frozenset(
+            Fact(pred, args, EXOGENOUS if rng.random() < 0.3 else ENDOGENOUS)
+            for pred, args in sorted(facts)
+        ))
+        top, _ = most_responsible_causes(d, q)
+        for t in d.endogenous:
+            diff_s, diff_c = causes_via_repairs(d, q, t)
+            assert bool(diff_c) == (t in top)
+            assert repair_responsibility(diff_s) == responsibility(d, q, t)
+            checked += 1
+    assert checked >= 300
+
+
+def test_cap_counts_the_cardinality_repairs_kept(tmp_path):
+    # three disjoint copies of one chain conflict, each with 5 minimal
+    # deletion sets and one smallest, {S(a)}: 125 S-repairs, one C-repair
+    text = "".join(
+        f"S(a{i}). R(a{i},b{i}). R(a{i},c{i}). S(b{i}). S(c{i}).\n" for i in range(3)
+    )
+    facts, dc = tmp_path / "three.facts", tmp_path / "chain.dlq"
+    facts.write_text(text, encoding="utf-8")
+    dc.write_text(":- S(X), R(X,Y), S(Y).\n", encoding="utf-8")
+    d, sigma = parse_instance(text), constraint_set(dc.read_text())
+    assert len(repairs(d, sigma, "s")) == 125
+    with pytest.raises(CapExceededError):
+        repairs(d, sigma, "s", cap=10)
+    (only,) = repairs(d, sigma, "c", cap=10)
+    assert {str(f) for f in only.removed} == {"S(a0)", "S(a1)", "S(a2)"}
+    argv = ["repairs", "-i", str(facts), "-c", str(dc), "--max-enum", "10", "--json"]
+    code, out, err = execute(argv + ["--semantics", "c"])
+    assert code == 0 and err == "" and out.count('"removed"') == 1
+    code, out, _ = execute(argv + ["--semantics", "s"])
+    assert code == 3 and out == ""
+
+
+def test_cap_counts_the_product_of_the_components():
+    # three disjoint two-fact conflicts: 8 repairs under either semantics
+    d = parse_instance("A(1,a). A(1,b). A(2,a). A(2,b). A(3,a). A(3,b).")
+    sigma = constraint_set(":- A(X,Y), A(X,Z), Y != Z.\n")
+    for semantics in ("s", "c"):
+        assert len(repairs(d, sigma, semantics, cap=8)) == 8
+        with pytest.raises(CapExceededError):
+            repairs(d, sigma, semantics, cap=7)
 
 
 def test_repairs_via_causes_union_example():
