@@ -23,8 +23,8 @@ from fractions import Fraction
 from .errors import SemanticError
 from .hitting import (
     endogenous_support_sets,
-    enumerate_minimal_hitting_sets,
     forced_minima,
+    minimal_hitting_sets_containing,
     minimum_hitting_set_containing,
 )
 from .queries import UnionQuery, _maximal_deletion
@@ -63,11 +63,11 @@ def contingency_sets(
     """All subset-minimal contingency sets for ``t``.
 
     These are exactly ``H - {t}`` for the minimal hitting sets ``H`` of the
-    endogenous support family that contain ``t``; enumeration is capped.
+    endogenous support family that contain ``t``; only those are built,
+    and the cap counts them.
     """
     t = _require_endogenous(d, t)
-    solution = enumerate_minimal_hitting_sets(endogenous_support_sets(d, q), cap)
-    return _contingencies(solution.sets, t)
+    return _contingencies(minimal_hitting_sets_containing(endogenous_support_sets(d, q), t, cap), t)
 
 
 def _contingencies(transversal, t: Fact) -> tuple[frozenset[Fact], ...]:

@@ -29,6 +29,7 @@ component's sets or by the product kept) or an oracle input above its bound.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import hashlib
 import itertools
@@ -279,12 +280,17 @@ def _cmd_repairs(args, inputs: _Inputs) -> str:
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
-    # every repair holds d's unchanged fact objects, which d keeps alive,
-    # so they are found by identity and only nulled facts are formatted
-    rows = {id(f): (fact_key(f), format_fact(f)) for f in d.facts}
+    # d's rows are sorted once; a repair changes only the facts whose ids
+    # its diff names, so the originals' rows are skipped (a key ends in
+    # the id) and their nulled versions' rows inserted in order
+    rows = sorted((fact_key(f), format_fact(f)) for f in d.facts)
     entries = []
     for r in preferences.null_repairs(d, sigma, args.max_enum):
-        facts = sorted(rows.get(id(f)) or (fact_key(f), format_fact(f)) for f in r.result.facts)
+        changed = {c.fact_id for c in r.diff}
+        facts = [row for row in rows if row[0][2] not in changed]
+        for f in r.result.facts:
+            if f.fact_id in changed:
+                bisect.insort(facts, (fact_key(f), format_fact(f)))
         diff = sorted(str(c) for c in r.diff)
         entries.append({"facts": [name for _, name in facts], "diff": diff})
     entries.sort(key=lambda entry: entry["diff"])

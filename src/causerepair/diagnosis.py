@@ -21,7 +21,12 @@ from itertools import combinations
 
 from .causality import _require_endogenous
 from .errors import SemanticError
-from .hitting import endogenous_part, enumerate_minimal_hitting_sets, support_sets
+from .hitting import (
+    endogenous_part,
+    enumerate_minimal_hitting_sets,
+    minimal_hitting_sets_containing,
+    support_sets,
+)
 from .queries import ConjunctiveQuery, UnionQuery, Var
 from .relational import Fact, Instance, format_constant
 from .repairs import SUBSET, Repair, _pick
@@ -75,8 +80,7 @@ def diagnoses(
         found = enumerate_minimal_hitting_sets(m.conflicts, cap, keep=keep).sets
     else:
         target = _require_endogenous(m.instance, containing)
-        everything = enumerate_minimal_hitting_sets(m.conflicts, cap).sets
-        found = keep([s for s in everything if target in s])
+        found = minimal_hitting_sets_containing(m.conflicts, target, cap, keep)
     return tuple(map(Diagnosis, found))
 
 

@@ -36,7 +36,10 @@ A family's minimal hitting sets are the product of its connected
 components' ones (``_components``), and so are the smallest of them, or
 any other choice made per component (``keep``).  Enumeration searches
 each component with no bound, caps the sets each yields and the kept
-product's size, and sorts the product as lists of vertex indexes.
+product's size, and sorts the product as lists of vertex indexes.  The
+sets that hold a given vertex (``minimal_hitting_sets_containing``) are
+those of its component that hold it times the other components' sets,
+so the cap counts that product, not the whole transversal.
 Minima take two more steps before the split, valid for the minimum size
 but not for enumeration, since they lose minimal sets (``_least``): drop
 every edge that contains another, and drop every vertex whose edges
@@ -285,6 +288,27 @@ def enumerate_minimal_hitting_sets(
         raise CapExceededError(cap)
     sets = sorted([v.bit_length() - 1 for v in _bits(sum(c))] for c in product(*kept))
     return HittingSolution(tuple(frozenset([vertices[i] for i in s]) for s in sets))
+
+
+def minimal_hitting_sets_containing(
+    edges: Iterable[frozenset], t, cap: int | None = None, keep=list
+) -> tuple[frozenset, ...]:
+    """The subset-minimal hitting sets that hold ``t``, with ``keep``
+    applied to each component's list: in ``t``'s component to the sets
+    that hold ``t``, elsewhere to all; none when ``t`` lies on no edge.
+    The cap counts each component's sets and the kept product."""
+    edges = tuple(edges)
+    witness = next((e for e in edges if t in e), None)
+    if witness is None:
+        return ()
+
+    def keep_t(sets):
+        # every set of t's component meets t's edge, no other set does
+        if sets and sets[0] & witness:
+            sets = [s for s in sets if t in s]
+        return keep(sets)
+
+    return enumerate_minimal_hitting_sets(edges, cap, keep=keep_t).sets
 
 
 def _least(masks: list[int], most: int | None = None) -> int | None:

@@ -24,10 +24,22 @@ is the reserved null value.  Integers are ASCII digits with an optional
 leading ``-``; any other digit that is not part of an identifier is an
 unexpected character.
 
-All four grammars (with ``--atoms`` fact lists) share one scanner: a
-single regular expression that skips blanks and comments and yields
-``(kind, text, offset)`` tokens.  Line and column are worked out from
-the offset only when an error is reported.
+Instance files are read one item at a time, each a directive or a whole
+fact, by one regular expression (``_ITEM``) anchored where the previous
+item ended.  It accepts plain facts only: names that start with an ASCII
+letter or underscore, integers of ASCII digits, blanks between tokens,
+and no comment inside.  At the first item it does not accept, or at a
+fact whose tuple id the grammar rejects (``_tuple_id``), the token
+grammar takes over for the rest of the text, with the tag and the facts
+read so far.
+
+The token grammar is the one definition of all four grammars (with
+``--atoms`` fact lists): a scanner, one regular expression that skips
+blanks and comments and yields ``(kind, text, offset)`` tokens, and a
+recursive-descent parser over them.  Offsets are absolute, so an error
+found after the hand-over has the line and column, and the wording, of
+one found by the grammar alone; line and column are worked out from the
+offset only when an error is reported.
 
 The parsers check grammar only: an instance file's facts meet the
 instance invariants (``relational.violations``) once all are read, and a
@@ -71,15 +83,36 @@ _TOKEN = re.compile(
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
+# One instance-file item, anchored at the end of the previous one: the
+# blanks and comments before it, then a directive, a plain fact or the
+# end of the text.  A comment matches only up to the end of its line,
+# and the blanks one at a time, so a failed match backs off in linear
+# time; no group matching then tells the end of the text.
+_BLANKS = r"[ \t\r\n]*"
+_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+_CONSTANT = rf"(?:[a-z_]\w*|-?[0-9]+|{_STRING})"
+_ITEM = re.compile(
+    r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
+    r"(?:@(endogenous|exogenous)(?!\w)"
+    rf"|([A-Za-z_]\w*){_BLANKS}\({_BLANKS}"
+    rf"(?:(-?[0-9]+){_BLANKS};{_BLANKS})?"
+    rf"((?:{_CONSTANT}(?:{_BLANKS},{_BLANKS}{_CONSTANT})*)?){_BLANKS}\){_BLANKS}\."
+    r"|\Z)",
+    re.DOTALL,
+)
+# The constants of a fact the item pattern has accepted.
+_ARGUMENT = re.compile(rf"{_STRING}|[^ \t\r\n,]+", re.DOTALL)
+
 
 def _position(source: str, offset: int) -> tuple[int, int]:
     """Line and column (both from 1) of an offset into ``source``."""
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
+def _tokenize(source: str, start: int = 0) -> list[tuple[str, str, int]]:
+    """The tokens of ``source`` from offset ``start`` on, ending in EOF."""
     tokens = []
-    for m in _TOKEN.finditer(source):
+    for m in _TOKEN.finditer(source, start):
         kind = m.lastgroup
         offset = m.start(kind)
         text = m[kind]
@@ -103,10 +136,22 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _tuple_id(text: str) -> int:
+    """The value of a tuple id's digits; ids are positive, and their
+    digits few enough for ``int`` to convert."""
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() converts
+        raise SemanticError(f"tuple id of {len(text.lstrip('-'))} digits is too long") from None
+    if value <= 0:
+        raise SemanticError(f"tuple ids must be positive, got {value}")
+    return value
+
+
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, start: int = 0):
         self.source = source
-        self.tokens = _tokenize(source)
+        self.tokens = _tokenize(source, start)
         self.pos = 0
 
     @property
@@ -170,9 +215,7 @@ class _Parser:
         tokens, pos = self.tokens, self.pos
         if tokens[pos][0] == "INT" and tokens[pos + 1][0] == ";":
             self.pos += 2
-            fact_id = int(tokens[pos][1])
-            if fact_id <= 0:
-                raise SemanticError(f"tuple ids must be positive, got {fact_id}")
+            fact_id = _tuple_id(tokens[pos][1])
         args = []
         if not self.accept(")"):
             args.append(self.constant())
@@ -188,15 +231,37 @@ class _Parser:
 
 def parse_instance(source: str) -> Instance:
     """Parse an instance file; a grammar error is reported before the
-    first broken instance invariant (``relational.violations``)."""
-    parser = _Parser(source)
-    tokens, fact_literal, expect = parser.tokens, parser.fact_literal, parser.expect
+    first broken instance invariant (``relational.violations``).
+
+    Plain items are read one per match of ``_ITEM``; from the first
+    other item on, the token grammar reads the rest, so every error it
+    reports has the position and wording of a grammar-only parse."""
     tag = ENDOGENOUS
     facts: list[Fact] = []
+    match, pos = _ITEM.match, 0
+    while m := match(source, pos):
+        directive, name, fact_id, args = m.groups()
+        if name is not None:
+            if fact_id is not None:
+                try:
+                    fact_id = _tuple_id(fact_id)
+                except SemanticError:
+                    break  # reported by the grammar, after any scanner error
+            constants = _ARGUMENT.findall(args)
+            if '"' in args:
+                constants = [_ESCAPE.sub(r"\1", a[1:-1]) if a[0] == '"' else a for a in constants]
+            facts.append(Fact(name, tuple(constants), tag, fact_id))
+        elif directive is not None:
+            tag = ENDOGENOUS if directive == "endogenous" else EXOGENOUS
+        else:
+            return _checked_instance(facts)
+        pos = m.end()
+    parser = _Parser(source, pos)
+    tokens, fact_literal, expect = parser.tokens, parser.fact_literal, parser.expect
     while True:
         tok = tokens[parser.pos]
         if tok[0] == "EOF":
-            break
+            return _checked_instance(facts)
         if tok[0] == "DIRECTIVE":
             parser.pos += 1
             if tok[1] == "endogenous":
@@ -208,6 +273,9 @@ def parse_instance(source: str) -> Instance:
             continue
         facts.append(fact_literal(tag))
         expect(".")
+
+
+def _checked_instance(facts: list[Fact]) -> Instance:
     for problem in violations(facts):
         raise SemanticError(problem)
     return Instance(frozenset(facts))

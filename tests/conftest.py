@@ -11,7 +11,7 @@ from causerepair.parsing import (
     single_query,
 )
 from causerepair.queries import Atom, ConjunctiveQuery, UnionQuery, Var
-from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance
+from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,3 +83,14 @@ def random_boolean_query(rng: random.Random) -> UnionQuery:
             inequalities = ((Var(left), Var(right)),)
         disjuncts.append(ConjunctiveQuery(tuple(atoms), inequalities, ()))
     return UnionQuery(tuple(disjuncts))
+
+
+def seeded_chain(n: int, domain: int) -> Instance:
+    """The benchmark's chain generator at seed 0: ``n`` draws of
+    ``R(a_j,a_k)`` and ``S(a_m)`` over ``domain`` constants."""
+    rng = random.Random(0)
+    facts = set()
+    for _ in range(n):
+        j, k, m = (rng.randrange(domain) for _ in range(3))
+        facts |= {fact("R", f"a{j}", f"a{k}"), fact("S", f"a{m}")}
+    return Instance(frozenset(facts))

@@ -6,7 +6,9 @@ import pytest
 from causerepair import cli
 from causerepair.cli import execute
 
-from conftest import DATA
+from causerepair.relational import serialize_instance
+
+from conftest import DATA, seeded_chain
 
 
 @pytest.fixture(autouse=True)
@@ -328,3 +330,28 @@ def test_priority_naming_an_absent_tuple_id_is_rejected(id_files):
 def test_fact_without_id_names_the_first_tuple(id_files):
     assert _on_constraints(id_files, "cqa", "--atoms", "T(c)")[:2] == (0, "true\n")
     assert _on_query(id_files, "responsibility", "--tuple", "R(a,b)")[:2] == (0, "1/2\n")
+
+
+def test_tuple_id_beyond_int_parsing_is_a_semantic_error(id_files, tmp_path):
+    huge = "9" * 5000
+    inst = tmp_path / "huge.facts"
+    inst.write_text(f"S(a). R({huge};a).\n")
+    code, out, err = execute(["causes", "-i", str(inst), "-q", id_files["q.dlq"]])
+    assert (code, out, err) == (2, "", "error: tuple id of 5000 digits is too long\n")
+    code, out, err = _on_query(id_files, "responsibility", "--tuple", f"R({huge};a)")
+    assert (code, out, err) == (2, "", "error: tuple id of 5000 digits is too long\n")
+
+
+def test_smallest_diagnoses_through_a_fact_fit_the_default_cap(tmp_path):
+    # chain n=50 has 447,795 minimal diagnoses; only those through the
+    # fact are built, so the default cap of 100,000 is not reached
+    inst, dlq = tmp_path / "chain50.facts", tmp_path / "chain.dlq"
+    inst.write_text(serialize_instance(seeded_chain(50, 50)))
+    dlq.write_text("q :- S(X), R(X,Y), S(Y).\n")
+    argv = ["diagnose", "-i", str(inst), "-q", str(dlq), "--kind", "c"]
+    code, out, err = execute(argv + ["--containing", "R(a0,a39)", "--json"])
+    assert code == 0 and err == ""
+    found = json.loads(out)["result"]["diagnoses"]
+    assert len(found) == 33 and all("R(a0,a39)" in names for names in found)
+    code, _, err = execute(argv[:-2] + ["--containing", "R(a0,a39)"])  # kind s
+    assert code == 3 and "cap" in err

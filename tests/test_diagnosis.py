@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from causerepair.causality import responsibility
+import random
+
+from causerepair.causality import _contingencies, contingency_sets, responsibility
 from causerepair.diagnosis import (
     Diagnosis,
     DiagnosisProblem,
@@ -11,13 +13,21 @@ from causerepair.diagnosis import (
     render_theory,
     repairs_from_diagnoses,
 )
-from causerepair.errors import SemanticError
-from causerepair.parsing import parse_fact, parse_instance
+from causerepair.errors import CapExceededError, SemanticError
+from causerepair.hitting import endogenous_support_sets, enumerate_minimal_hitting_sets
+from causerepair.parsing import parse_fact, parse_instance, single_query
 from causerepair.queries import violation_view
 from causerepair.relational import Instance
-from causerepair.repairs import repairs
+from causerepair.repairs import _smallest, repairs
 
-from conftest import load_constraints, load_instance, load_query
+from conftest import (
+    load_constraints,
+    load_instance,
+    load_query,
+    random_boolean_query,
+    random_instance,
+    seeded_chain,
+)
 
 
 def _sets(diags):
@@ -85,6 +95,41 @@ def test_diagnoses_containing_and_kinds(chain_instance, chain_query):
     assert responsibility(chain_instance, chain_query, t) == Fraction(1, 2)
     global_smallest = diagnoses(m, "c")
     assert _sets(global_smallest) == {frozenset({"S(a3)"})}
+
+
+def test_diagnoses_containing_build_only_the_sets_through_it():
+    # chain n=50 has 447,795 minimal diagnoses, above the default cap, but
+    # the smallest through R(a0,a39) are a product of few sets per component
+    d = seeded_chain(50, 50)
+    m = build_problem(d, single_query("q :- S(X), R(X,Y), S(Y)."))
+    t = d.find("R", ("a0", "a39"))
+    found = diagnoses(m, "c", containing=t)
+    # here the smallest through t are as small as any diagnosis
+    assert found == tuple(x for x in diagnoses(m, "c") if t in x.abnormal)
+    assert len(found) == 33
+    with pytest.raises(CapExceededError):  # the kept product is counted
+        diagnoses(m, "s", containing=t)
+
+
+def test_sets_containing_a_fact_equal_the_filtered_enumeration_randomized():
+    # the reference enumerates every minimal hitting set, then filters
+    rng = random.Random(12)
+    compared = nonempty = 0
+    for _ in range(600):
+        d, q = random_instance(rng), random_boolean_query(rng)
+        if not endogenous_support_sets(d, q):
+            continue
+        m = build_problem(d, q)
+        everything = enumerate_minimal_hitting_sets(m.conflicts).sets
+        for t in d.endogenous:
+            through = [s for s in everything if t in s]
+            assert [x.abnormal for x in diagnoses(m, "s", t)] == through
+            assert [x.abnormal for x in diagnoses(m, "c", t)] == _smallest(through)
+            # the conflicts are the endogenous support sets
+            assert contingency_sets(d, q, t) == _contingencies(everything, t)
+            compared += 1
+            nonempty += bool(through)
+    assert compared > 400 and nonempty > 150
 
 
 def test_diagnoses_containing_rejects_exogenous():

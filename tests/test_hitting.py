@@ -17,6 +17,7 @@ from causerepair.hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
+    minimal_hitting_sets_containing,
     minimal_sets,
     minimum_hitting_set_containing,
     support_sets,
@@ -26,6 +27,7 @@ from causerepair.parsing import parse_instance, parse_program, single_query
 from causerepair.preferences import AttrChange, attr_key
 from causerepair.queries import violation_view
 from causerepair.relational import Fact, Instance, fact, fact_key
+from causerepair.repairs import _smallest
 
 from conftest import (
     load_constraints,
@@ -33,6 +35,7 @@ from conftest import (
     load_query,
     random_boolean_query,
     random_instance,
+    seeded_chain,
 )
 
 
@@ -298,6 +301,21 @@ def test_split_reduced_search_agrees_with_oracle_on_block_families():
             checked += 1
 
 
+def test_sets_containing_a_vertex_are_the_filtered_enumeration_on_block_families():
+    # several components, dominated vertices, now and then an empty edge
+    rng = random.Random(8)
+    shapes = set()
+    for _ in range(200):
+        edges = _block_family(rng)
+        everything = enumerate_minimal_hitting_sets(edges).sets
+        for t in sorted({v for e in edges for v in e}, key=fact_key) + [fact("S", "absent")]:
+            through = [s for s in everything if t in s]
+            assert minimal_hitting_sets_containing(edges, t) == tuple(through)
+            assert minimal_hitting_sets_containing(edges, t, keep=_smallest) == tuple(_smallest(through))
+            shapes.add((bool(through), len(hitting._components(hitting._table(edges)[1]))))
+    assert {(True, 2), (True, 4), (False, 2), (False, 4)} <= shapes
+
+
 def _nodes(call):
     """The result of ``call()`` and the number of search nodes it opened:
     each open node is one run of the generator ``branches``."""
@@ -317,16 +335,6 @@ def _nodes(call):
     return result, len(frames)
 
 
-def _chain_instance(n, domain):
-    # n seeded draws of R(a_j,a_k) and S(a_m) over ``domain`` constants
-    rng = random.Random(0)
-    facts = set()
-    for _ in range(n):
-        j, k, m = (rng.randrange(domain) for _ in range(3))
-        facts |= {fact("R", f"a{j}", f"a{k}"), fact("S", f"a{m}")}
-    return Instance(frozenset(facts))
-
-
 def _keyed_instance(values, conflicts, keys=50):
     # one A(k,v) per key, but ``values`` of them for ``conflicts`` keys
     rng = random.Random(0)
@@ -340,10 +348,10 @@ def _keyed_instance(values, conflicts, keys=50):
 
 @pytest.mark.parametrize("instance, query, edges, causes, value, most", [
     # sparse chains: dropping dominated vertices leaves small components
-    (_chain_instance(60, 60), "q :- S(X), R(X,Y), S(Y).", 32, 52, 18, 1_000),
-    (_chain_instance(134, 134), "q :- S(X), R(X,Y), S(Y).", 55, 49, 26, 5_000),
+    (seeded_chain(60, 60), "q :- S(X), R(X,Y), S(Y).", 32, 52, 18, 1_000),
+    (seeded_chain(134, 134), "q :- S(X), R(X,Y), S(Y).", 55, 49, 26, 5_000),
     # a dense chain keeps components of up to 69 edges: the packing bound
-    (_chain_instance(100, 40), "q :- S(X), R(X,Y), S(Y).", 77, 34, 20, 15_000),
+    (seeded_chain(100, 40), "q :- S(X), R(X,Y), S(Y).", 77, 34, 20, 15_000),
     # twelve key groups of four, each a K4 that needs three deletions
     (_keyed_instance(4, 12), "q :- A(X,Y), A(X,Z), Y != Z.", 72, 48, 36, 600),
 ], ids=["chain-60", "chain-134", "dense-chain-100", "keyed-4x12"])

@@ -21,6 +21,7 @@ from causerepair.relational import (
     delta,
     fact,
     serialize_instance,
+    violations,
 )
 
 from conftest import load_instance
@@ -331,6 +332,149 @@ def test_scanner_agrees_with_the_old_lexer():
         assert _scanned(source) == expected, source
         compared += 1
     assert compared > 1000 and failed > 250  # both outcomes are exercised
+
+
+def grammar_only(source: str) -> set:
+    """An instance file read by the token grammar alone, from offset 0:
+    the reference for ``parse_instance``, which reads plain items with one
+    pattern and hands the rest over to that grammar."""
+    parser = parsing._Parser(source)
+    tag, facts = ENDOGENOUS, []
+    while not parser.at_end():
+        tok = parser.current
+        if tok[0] == "DIRECTIVE":
+            parser.advance()
+            if tok[1] not in (ENDOGENOUS, EXOGENOUS):
+                raise parser.error(tok, f"unknown directive @{tok[1]}")
+            tag = tok[1]
+            continue
+        facts.append(parser.fact_literal(tag))
+        parser.expect(".")
+    for problem in violations(facts):
+        raise SemanticError(problem)
+    return {(f, f.tag) for f in facts}
+
+
+_PRED_ARITY = (("R", 2), ("S", 1), ("A", 2), ("_p", 1), ("Ré", 1), ("Q", 0))
+_PLAIN_CONSTANTS = ("a", "b_1", "x9", "_", "0", "-3", "42", "007", "null")
+_QUOTED = (r'"a\"b"', r'"back\\slash"', '"a,b"', '"x)"', '"50%"', '"é"', '""', r'"\q"')
+_ODD_CONSTANTS = ("é", "aé", "a²", "²", "X", "Aa", "1a", "-", "--1")
+_IDS = tuple(map(str, range(1, 30))) + ("007", "0", "-3", "-0")
+
+
+def _blank(rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.6:
+        return ""
+    if roll < 0.95:
+        return rng.choice((" ", "  ", "\t", "\n", "\r\n"))
+    return rng.choice((" % inside\n", "%\n", "% R(a).\n"))  # a comment inside a fact
+
+
+def _random_fact_text(rng: random.Random) -> str:
+    pred, arity = rng.choice(_PRED_ARITY)
+    if rng.random() < 0.05:
+        arity = rng.randint(0, 3)  # an arity conflict, most of the time
+    args = []
+    for _ in range(arity):
+        roll = rng.random()
+        pool = _PLAIN_CONSTANTS if roll < 0.75 else _QUOTED if roll < 0.95 else _ODD_CONSTANTS
+        args.append(rng.choice(pool))
+    parts = [pred, "("]
+    if rng.random() < 0.4:
+        parts += [rng.choice(_IDS), _blank(rng), ";"]
+    for i, a in enumerate(args):
+        parts += [_blank(rng), a, _blank(rng)] + ([","] if i < len(args) - 1 else [])
+    parts += [")", _blank(rng), "."]
+    return "".join(parts)
+
+
+def _garbled(rng: random.Random, text: str) -> str:
+    cut = rng.randrange(len(text) + 1)
+    if rng.random() < 0.5:
+        return text[:cut]  # truncated
+    return text[:cut] + rng.choice('.,;()"@%$X1 é') + text[cut:]
+
+
+def _random_instance_text(rng: random.Random) -> str:
+    items = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.75:
+            items.append(_random_fact_text(rng))
+        elif roll < 0.87:
+            items.append(rng.choice(("@endogenous", "@exogenous", "@exogenous\n")))
+        elif roll < 0.90:
+            items.append(rng.choice(("@other", "@endogenousX", "@", "@é")))
+        else:
+            items.append("% between " + rng.choice(("facts", "R(a).", '"', "")) + "\n")
+    if items and rng.random() < 0.2:
+        i = rng.randrange(len(items))
+        items[i] = _garbled(rng, items[i])
+    return "".join(item + rng.choice(("", " ", "\n", "\n\n", "  % after\n")) for item in items)
+
+
+def test_instance_fast_path_agrees_with_the_grammar(monkeypatch):
+    rng = random.Random(20261019)
+    handed_over = []  # offsets the grammar took over at
+    tokenize = parsing._tokenize
+    monkeypatch.setattr(
+        parsing, "_tokenize", lambda source, start=0: handed_over.append(start) or tokenize(source, start)
+    )
+    parsed = failed = 0
+    for _ in range(2500):
+        source = _random_instance_text(rng)
+        try:
+            expected = grammar_only(source)
+        except (ParseError, SemanticError) as exc:
+            with pytest.raises(type(exc)) as err:
+                parse_instance(source)
+            assert str(err.value) == str(exc), source
+            failed += 1
+            continue
+        assert {(f, f.tag) for f in parse_instance(source).facts} == expected, source
+        parsed += 1
+    assert parsed > 1000 and failed > 1000  # both outcomes are exercised
+    # the grammar took over mid-text, after items the pattern read
+    assert sum(start > 0 for start in handed_over) > 500
+
+
+def _plain_instance_text(rng: random.Random) -> str:
+    """The shapes the benchmark writes: chain facts, keyed facts with
+    tuple ids, one per line, plus directives, blanks and comments."""
+    lines = ["% generated", "@endogenous"]
+    for i in range(1, 200):
+        c = f"c{i // 50}_"  # no atom in two sections
+        j, k = rng.randrange(50), rng.randrange(50)
+        lines.append(rng.choice((f"R({c}{j},{c}{k}).", f"S({c}{j}).", f"A({i};k{c}{j},v{k}).")))
+        if i % 50 == 0:
+            lines.append(rng.choice(("@exogenous", "@endogenous", "", "  % a comment")))
+    lines.append('T( 700 ; "a,b" , -3 , x ) .  T(800;"say \\"hi\\"",0,y).')
+    return "\n".join(lines) + "\n"
+
+
+def test_plain_instances_never_reach_the_token_grammar(monkeypatch):
+    def refuse(source, start=0):
+        raise AssertionError(f"the token grammar was called at offset {start}")
+
+    monkeypatch.setattr(parsing, "_tokenize", refuse)
+    rng = random.Random(3)
+    for _ in range(5):
+        d = parse_instance(_plain_instance_text(rng))
+        assert len(d) > 100
+    assert ("T", ("a,b", "-3", "x")) in parse_instance(_plain_instance_text(rng)).by_atom
+    with pytest.raises(AssertionError, match="offset 7$"):  # the end of the item before
+        parse_instance("R(a,b).\n\nR(a %\n,b).")
+
+
+def test_tuple_id_beyond_int_parsing_is_a_semantic_error():
+    huge = "9" * 5000
+    for source in (f"R({huge};a).", f"S(b). R(-{huge};a).", f"S(b).\n%\nR( {huge} ; a )."):
+        with pytest.raises(SemanticError, match=r"^tuple id of 5000 digits is too long$"):
+            parse_instance(source)
+    with pytest.raises(SemanticError, match=r"^tuple id of 5000 digits is too long$"):
+        parsing.parse_fact(f"R({huge};a)")
+    assert parse_instance(f"R({'0' * 4000}7;a).") == parse_instance("R(7;a).")
 
 
 # ---------------------------------------------------------------------------
