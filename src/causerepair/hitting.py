@@ -388,16 +388,16 @@ def minimum_hitting_set_containing(
     return other is not None and _forced_rest(own, bit, budget - 2 - other) is not None
 
 
-def forced_minima(edges: Iterable[frozenset]) -> dict:
+def forced_minima(edges: Iterable[frozenset], key=fact_key) -> dict:
     """``minimum_hitting_set_containing(edges, t)`` for every vertex ``t``
-    of the family, in ``fact_key`` order.
+    of the family, in ``key`` order.
 
     Each component's minimum is found once: ``t``'s size is 1, plus the
     forced rest within its own component, plus the other components'
     minima.  Within the component the size is at least its minimum,
     which lets the search over witness edges stop early.
     """
-    vertices, masks = _table(edges)
+    vertices, masks = _table(edges, key)
     parts = _components(masks)
     minima = [_least(group) for _, group in parts]
     if None in minima:

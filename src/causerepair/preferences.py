@@ -20,7 +20,9 @@ Three refinements of plain deletion repairs live here:
   instead of deleting tuples.  A violation witness dies exactly when one
   of its constrained positions (a join variable, an inequality variable,
   or a constant match) is nulled, so minimal change sets are once more
-  minimal hitting sets, over attribute positions instead of facts.
+  minimal hitting sets, over attribute positions instead of facts.  Null
+  causes read each position's least change set off that family
+  directly, without enumerating the repairs.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .hitting import (
     antichain,
     endogenous_part,
     enumerate_minimal_hitting_sets,
+    forced_minima,
     support_sets,
 )
 from .queries import (
@@ -300,29 +303,43 @@ def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrCh
     """For every violation witness, the positions whose nulling destroys it."""
     kill = []
     for dc in sigma:
-        cq = dc.body
-        constrained = _constrained_positions(cq)
-        for used, _ in iter_matches(d.facts, cq):
-            positions = set()
-            for atom_index, f in enumerate(used):
-                for i in constrained[atom_index]:
-                    positions.add(AttrChange(f.pred, f.fact_id, i + 1))
-            kill.append(frozenset(positions))
+        constrained = _constrained_positions(dc.body)
+        for used, _ in iter_matches(d.facts, dc.body):
+            kill.append(frozenset(
+                AttrChange(f.pred, f.fact_id, i + 1)
+                for f, positions in zip(used, constrained) for i in positions
+            ))
     return kill
 
 
-def _apply_changes(d: Instance, changes: frozenset[AttrChange]) -> Instance:
-    """``d`` with the changed positions nulled; set algebra over the few
-    changed facts keeps the stored hashes of all the others."""
-    by_id: dict[int, set[int]] = {}
-    for c in changes:
-        by_id.setdefault(c.fact_id, set()).add(c.position - 1)
-    old = [f for f in d.facts if f.fact_id in by_id]
-    new = [
-        f.with_args(tuple(NULL if i in by_id[f.fact_id] else a for i, a in enumerate(f.args)))
-        for f in old
-    ]
-    return Instance(d.facts.difference(old).union(new))
+def _change_applier(d: Instance):
+    """A function from a change set to ``d`` with those positions nulled.
+    ``d``'s facts are looked up by tuple id once, here; set algebra over
+    the few changed facts keeps the stored hashes of all the others."""
+    holding: dict[int, list[Fact]] = {}
+    for f in d.facts:
+        holding.setdefault(f.fact_id, []).append(f)
+
+    def apply(changes: frozenset[AttrChange]) -> Instance:
+        nulled: dict[Fact, set[int]] = {}
+        for c in changes:
+            for f in holding.get(c.fact_id, ()):
+                nulled.setdefault(f, set()).add(c.position - 1)
+        return Instance(d.facts.difference(nulled).union(
+            f.with_args(tuple(NULL if i in at else a for i, a in enumerate(f.args)))
+            for f, at in nulled.items()
+        ))
+
+    return apply
+
+
+def _kill_family(d: Instance, sigma: DenialConstraintSet) -> tuple[frozenset[AttrChange], ...]:
+    """The subset-minimal kill sets, in ``attr_key`` order; every fact
+    needs a tuple id so changes can be reported as ``R[id;pos]``."""
+    for f in d.facts:
+        if f.fact_id is None:
+            raise SemanticError(f"{f} has no tuple id; null-based mode needs ids")
+    return antichain(_kill_sets(d, sigma), key=attr_key)
 
 
 def null_repairs(
@@ -330,53 +347,31 @@ def null_repairs(
 ) -> tuple[NullRepair, ...]:
     """Consistency restoration by nulling a subset-minimal set of positions.
 
-    Facts are never deleted; every fact needs a tuple id so changes can be
-    reported as ``R[id;pos]`` strings.  Some constraints (e.g. a single
-    atom with no joins) cannot be repaired this way, in which case the
-    family is empty.
+    Facts are never deleted.  Some constraints (e.g. a single atom with
+    no joins) cannot be repaired this way, in which case the family is
+    empty.
     """
-    for f in d.facts:
-        if f.fact_id is None:
-            raise SemanticError(f"{f} has no tuple id; null-based mode needs ids")
-    edges = antichain(_kill_sets(d, sigma), key=attr_key)
-    solution = enumerate_minimal_hitting_sets(edges, cap, key=attr_key)
-    return tuple(NullRepair(_apply_changes(d, s), s) for s in solution.sets)
+    solution = enumerate_minimal_hitting_sets(_kill_family(d, sigma), cap, key=attr_key)
+    apply = _change_applier(d)
+    return tuple(NullRepair(apply(s), s) for s in solution.sets)
 
 
-def null_causes(
-    d: Instance,
-    q: UnionQuery,
-    cap: int | None = None,
-    dedupe_ids: bool = False,
-) -> tuple[
+def null_causes(d: Instance, q: UnionQuery) -> tuple[
     tuple[tuple[AttrChange, Fraction], ...], tuple[tuple[Fact, Fraction], ...]
 ]:
     """Attribute-level and tuple-level causes under null-based repairs.
 
-    A position is a cause when some repair nulls it; a tuple is a cause
-    when one of its positions is.  Responsibilities are inverses of the
-    smallest change set involved.  With ``dedupe_ids`` the tuple-level
-    minimum counts repeated ids in a change set once, which can only raise
-    the responsibility; by default plain change-set size is used.
+    A position is a cause when some null repair nulls it, and its
+    responsibility is the inverse of the smallest such repair's change
+    set: the least subset-minimal hitting set of the kill sets that holds
+    it (``forced_minima``), so no repair is enumerated.  A tuple is a
+    cause when one of its positions is, with the greatest responsibility
+    among them.
     """
-    reps = null_repairs(d, dc_of_query(q), cap)
-    attr_best: dict[AttrChange, int] = {}
-    tuple_best: dict[int, int] = {}
-    for r in reps:
-        size = len(r.diff)
-        ids = {c.fact_id for c in r.diff}
-        tuple_size = len(ids) if dedupe_ids else size
-        for c in r.diff:
-            if c not in attr_best or size < attr_best[c]:
-                attr_best[c] = size
-            if c.fact_id not in tuple_best or tuple_size < tuple_best[c.fact_id]:
-                tuple_best[c.fact_id] = tuple_size
+    sizes = forced_minima(_kill_family(d, dc_of_query(q)), key=attr_key)
+    attr = tuple((c, Fraction(1, n)) for c, n in sizes.items() if n is not None)
+    tuple_best: dict[int, Fraction] = {}
+    for c, rho in attr:
+        tuple_best[c.fact_id] = max(rho, tuple_best.get(c.fact_id, rho))
     by_id = {f.fact_id: f for f in d.facts}
-    attr = tuple(
-        (c, Fraction(1, attr_best[c])) for c in sorted(attr_best, key=attr_key)
-    )
-    tuples = tuple(
-        (by_id[i], Fraction(1, tuple_best[i]))
-        for i in sorted(tuple_best)
-    )
-    return attr, tuples
+    return attr, tuple((by_id[i], tuple_best[i]) for i in sorted(tuple_best))

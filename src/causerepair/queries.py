@@ -199,16 +199,12 @@ def _hash_index(positions: tuple[int, ...], relation: list[Fact]) -> dict[tuple,
     return out
 
 
-def _walk(cq: ConjunctiveQuery, relations: dict, indexes: list, depth: int,
+def _step_extensions(cq: ConjunctiveQuery, relations: dict, indexes: list, depth: int,
           binding: dict, used: list):
-    """Extend ``binding`` through the join steps from ``depth`` on.  A
+    """``binding`` extended through join step ``depth`` by each fact in
+    turn, the fact recorded in ``used`` while its extension is out.  A
     module-level generator, so the indexes it fills form no reference cycle."""
-    steps = cq.join_order
-    if depth == len(steps):
-        if _inequalities_hold(cq, binding):
-            yield tuple(used), binding
-        return
-    step = steps[depth]
+    step = cq.join_order[depth]
     key = tuple([binding[t.name] if isinstance(t, Var) else t for t in step.key_terms])
     if NULL in key:
         return  # joins never pass through null; the constant null matches nothing
@@ -217,10 +213,9 @@ def _walk(cq: ConjunctiveQuery, relations: dict, indexes: list, depth: int,
         index = indexes[depth] = _hash_index(step.key_positions, relations[step.relation])
     for f in index.get(key, ()):
         extended = _extend(binding, step.rest, f.args)
-        if extended is None:
-            continue
-        used[step.atom] = f
-        yield from _walk(cq, relations, indexes, depth + 1, extended, used)
+        if extended is not None:
+            used[step.atom] = f
+            yield extended
 
 
 def iter_matches(
@@ -234,9 +229,20 @@ def iter_matches(
         relation = relations.get((f.pred, len(f.args)))
         if relation is not None:
             relation.append(f)
-    if all(relations.values()):  # an atom without candidate facts matches nothing
-        n = len(cq.atoms)
-        yield from _walk(cq, relations, [None] * n, 0, {}, [None] * n)
+    if not all(relations.values()):
+        return  # an atom without candidate facts matches nothing
+    # depth first on a stack of the open join steps, not by recursion: a
+    # body may have thousands of atoms
+    indexes, used = [None] * len(cq.atoms), [None] * len(cq.atoms)
+    stack = [iter(({},))]  # stack[i]: the bindings through the first i steps
+    while stack:
+        binding = next(stack[-1], None)
+        if binding is None:
+            stack.pop()
+        elif len(stack) <= len(cq.join_order):
+            stack.append(_step_extensions(cq, relations, indexes, len(stack) - 1, binding, used))
+        elif _inequalities_hold(cq, binding):
+            yield tuple(used), binding
 
 
 def witnesses(facts: Iterable[Fact], cq: ConjunctiveQuery) -> set[frozenset[Fact]]:

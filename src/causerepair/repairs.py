@@ -25,6 +25,7 @@ from .errors import SemanticError
 from .hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
+    minimal_hitting_sets_containing,
     minimum_hitting_set_containing,
     support_sets,
 )
@@ -32,7 +33,6 @@ from .queries import (
     DenialConstraintSet,
     UnionQuery,
     _maximal_deletion,
-    dc_of_query,
     violation_view,
 )
 from .relational import Fact, Instance, set_key
@@ -100,22 +100,20 @@ def causes_via_repairs(
 ) -> tuple[tuple[frozenset[Fact], ...], tuple[frozenset[Fact], ...]]:
     """Deletion-set families for repairs that drop ``t`` endogenously.
 
-    Returns the deletion sets within the endogenous facts that hold ``t``:
-    all of them, and those of them that are smallest among the endogenous
-    deletion sets.  ``t`` is an actual cause iff the first family is
-    non-empty, a most responsible cause iff the second is, and its
-    responsibility is the inverse of the smallest member of the first.
+    The deletion sets within the endogenous facts are the minimal hitting
+    sets of the endogenous support sets.  Returns those that hold ``t``,
+    smallest first (the cap counts these and those of ``t``'s component),
+    and those of them whose size is the least of all.  ``t`` is an actual
+    cause iff the first family is non-empty, a most responsible cause iff
+    the second is, and its responsibility is the inverse of the smallest
+    member of the first.
     """
     resolved = _require_endogenous(d, t)
-    edges = support_sets(d, violation_view(dc_of_query(q)))
-
-    def dropping_t(keep):
-        endogenous = lambda parts: keep([p for p in parts if p <= d.endogenous])
-        found = enumerate_minimal_hitting_sets(edges, cap, keep=endogenous).sets
-        picked = [s for s in found if resolved in s]
-        return tuple(sorted(picked, key=lambda s: (len(s), set_key(s))))
-
-    return dropping_t(list), dropping_t(_smallest)
+    edges = endogenous_support_sets(d, q)
+    through = minimal_hitting_sets_containing(edges, resolved, cap)
+    through = tuple(sorted(through, key=lambda s: (len(s), set_key(s))))
+    least = minimum_hitting_set_containing(edges)
+    return through, tuple(s for s in through if len(s) == least)
 
 
 def repair_responsibility(diff_s: tuple[frozenset[Fact], ...]) -> Fraction:

@@ -94,3 +94,16 @@ def seeded_chain(n: int, domain: int) -> Instance:
         j, k, m = (rng.randrange(domain) for _ in range(3))
         facts |= {fact("R", f"a{j}", f"a{k}"), fact("S", f"a{m}")}
     return Instance(frozenset(facts))
+
+
+def seeded_keyed(shape, n_keys: int) -> Instance:
+    """The benchmark's keyed generator at seed 0, with tuple ids: one
+    ``A(k,v)`` fact per key, and as many values as ``shape`` gives for
+    each of ``len(shape)`` sampled keys."""
+    rng = random.Random(0)
+    conflicted = dict(zip(rng.sample(range(n_keys), len(shape)), shape))
+    facts = []
+    for k in range(n_keys):
+        for v in rng.sample(range(1000), conflicted.get(k, 1)):
+            facts.append(fact("A", f"k{k}", f"v{v}", fact_id=len(facts) + 1))
+    return Instance(frozenset(facts))

@@ -355,3 +355,17 @@ def test_smallest_diagnoses_through_a_fact_fit_the_default_cap(tmp_path):
     assert len(found) == 33 and all("R(a0,a39)" in names for names in found)
     code, _, err = execute(argv[:-2] + ["--containing", "R(a0,a39)"])  # kind s
     assert code == 3 and "cap" in err
+
+
+def test_query_body_deeper_than_the_recursion_limit(tmp_path):
+    # the join walks its steps with its own stack: one step per atom
+    body = ", ".join(f"R(X{i},X{i + 1})" for i in range(1500))
+    (tmp_path / "q.dlq").write_text(f"q :- {body}.\n", encoding="utf-8")
+    (tmp_path / "c.dlq").write_text(f":- {body}.\n", encoding="utf-8")
+    (tmp_path / "d.facts").write_text("R(a,b). R(b,a). R(c,c).\n", encoding="utf-8")
+    code, out, err = execute(["causes", "-i", str(tmp_path / "d.facts"), "-q", str(tmp_path / "q.dlq")])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["R(a,b)  1/2", "R(b,a)  1/2", "R(c,c)  1/2"]
+    code, out, err = execute(["repairs", "-i", str(tmp_path / "d.facts"), "-c", str(tmp_path / "c.dlq")])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2

@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function and class is referenced from elsewhere.
+"""Every name a package module imports is used in that module, every
+module-level private function and class is referenced from elsewhere, and
+every parameter of every function is read in its body (``self`` and
+``cls`` excepted: an override keeps its signature).
 
 A stdlib ``ast`` check standing in for a linter.  ``__init__`` exists to
 re-export, so it is exempt from the import check.  String annotations
@@ -78,3 +80,23 @@ def test_every_private_definition_is_referenced(path):
         if not any(node.name in names for _, other, names in uses if other is not node)
     ]
     assert orphans == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{name}:{node.lineno} {p.arg}"
+                for p in params if p.arg not in read | {"self", "cls"}
+            ]
+    assert unread == []

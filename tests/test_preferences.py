@@ -22,8 +22,9 @@ from causerepair.parsing import (
 from causerepair.preferences import (
     AttrChange,
     CausalPriorityRelation,
-    _apply_changes,
+    _change_applier,
     _kill_sets,
+    attr_key,
     check_preference_contingency,
     endogenous_encoding,
     endogenous_repairs,
@@ -45,6 +46,7 @@ from conftest import (
     load_query,
     random_boolean_query,
     random_instance,
+    seeded_keyed,
 )
 
 
@@ -394,11 +396,12 @@ def test_null_repairs_fixture_with_brute_force_certification():
     positions = [
         AttrChange(f.pred, f.fact_id, i + 1) for f in d16 for i in range(f.arity)
     ]
+    apply = _change_applier(d16)
     consistent_sets = [
         frozenset(combo)
         for size in range(len(positions) + 1)
         for combo in combinations(positions, size)
-        if is_consistent(_apply_changes(d16, frozenset(combo)), sigma)
+        if is_consistent(apply(frozenset(combo)), sigma)
     ]
     minimal = {
         s for s in consistent_sets if not any(t < s for t in consistent_sets)
@@ -407,7 +410,7 @@ def test_null_repairs_fixture_with_brute_force_certification():
 
 
 def _rebuilt_with_changes(d, changes):
-    """``_apply_changes`` as it was: every fact of ``d`` rebuilt into a new set."""
+    """Nulling as it was: every fact of ``d`` rebuilt into a new set."""
     by_id = {}
     for c in changes:
         by_id.setdefault(c.fact_id, set()).add(c.position - 1)
@@ -430,13 +433,15 @@ def test_apply_changes_equals_full_rebuild_randomized():
             pred, arity = rng.choice([("R", 2), ("S", 1), ("T", 3)])
             args = tuple(rng.choice(["a", "b", NULL]) for _ in range(arity))
             tag = EXOGENOUS if rng.random() < 0.3 else ENDOGENOUS
-            facts.append(Fact(pred, args, tag, i))
+            # outside the parser facts may share an id; a change names the
+            # id, so it nulls the position in each of them
+            facts.append(Fact(pred, args, tag, i if rng.random() < 0.8 else rng.randint(1, i)))
         d = Instance(frozenset(facts))
         changes = frozenset(
             AttrChange(f.pred, f.fact_id, rng.randint(1, f.arity))
             for f in rng.choices(facts, k=rng.randint(0, 4))
         )
-        got, want = _apply_changes(d, changes), _rebuilt_with_changes(d, changes)
+        got, want = _change_applier(d)(changes), _rebuilt_with_changes(d, changes)
         assert got == want
         assert {(f, f.tag) for f in got.facts} == {(f, f.tag) for f in want.facts}
 
@@ -501,18 +506,84 @@ def test_null_attr_responsibility_never_exceeds_tuple_responsibility():
         assert rho <= tuple_map[change.fact_id]
 
 
-def test_null_causes_id_multiplicity_option():
-    # both attributes of one tuple nulled in a single repair: with id
-    # deduplication the tuple-level responsibility can only grow
-    d = parse_instance("R(1;a,a). S(2;a).")
-    _, sigma = parse_program(":- R(X,Y), S(X), S(Y).\n")
-    q = violation_view(sigma)
-    _, plain = null_causes(d, q)
-    _, deduped = null_causes(d, q, dedupe_ids=True)
-    plain_map = {t.fact_id: rho for t, rho in plain}
-    deduped_map = {t.fact_id: rho for t, rho in deduped}
-    for i, rho in plain_map.items():
-        assert deduped_map[i] >= rho
+def _null_causes_by_enumeration(d, q):
+    """``null_causes`` as it was: every null repair enumerated, and the
+    smallest change set kept per position and per tuple."""
+    attr_best, tuple_best = {}, {}
+    for r in null_repairs(d, dc_of_query(q)):
+        size = len(r.diff)
+        for c in r.diff:
+            attr_best[c] = min(size, attr_best.get(c, size))
+            tuple_best[c.fact_id] = min(size, tuple_best.get(c.fact_id, size))
+    by_id = {f.fact_id: f for f in d.facts}
+    attr = tuple((c, Fraction(1, attr_best[c])) for c in sorted(attr_best, key=attr_key))
+    return attr, tuple((by_id[i], Fraction(1, tuple_best[i])) for i in sorted(tuple_best))
+
+
+NULL_QUERIES = (
+    "q :- S(X), R(X,Y), S(Y).\n",
+    # kill sets nest: each S(X),R(X,Y) image's lies inside a chain image's
+    "q :- S(X), R(X,Y).\nq :- S(X), R(X,Y), S(Y).\n",
+    "q :- R(X,a), S(X).\nq :- R(X,Y), R(Y,X), X != Y.\n",
+)
+
+
+def _chain_with_ids(rng):
+    atoms = set()
+    for _ in range(rng.randint(1, 5)):
+        atoms.add(("R", (rng.choice("abc"), rng.choice("abc"))))
+        atoms.add(("S", (rng.choice("abc"),)))
+    return Instance(frozenset(
+        Fact(pred, args, fact_id=i) for i, (pred, args) in enumerate(sorted(atoms), 1)
+    ))
+
+
+def _keyed_with_ids(rng):
+    atoms = {("A", (f"k{rng.randrange(3)}", f"v{rng.randrange(4)}")) for _ in range(rng.randint(1, 7))}
+    return Instance(frozenset(
+        Fact(pred, args, fact_id=i) for i, (pred, args) in enumerate(sorted(atoms), 1)
+    ))
+
+
+def test_null_causes_equal_the_enumerated_repairs_randomized():
+    rng = random.Random(29)
+    key_query = single_query("q :- A(X,Y), A(X,Z), Y != Z.\n")
+    queries = [single_query(text) for text in NULL_QUERIES]
+    caused = 0
+    for _ in range(150):
+        cases = [(_keyed_with_ids(rng), key_query)]
+        cases += [(_chain_with_ids(rng), q) for q in queries]
+        for d, q in cases:
+            got = null_causes(d, q)
+            assert got == _null_causes_by_enumeration(d, q)
+            caused += bool(got[0])
+    assert caused > 300
+
+
+def test_null_causes_keyed_scaling_reference():
+    # 30 disjoint key conflicts with 4^30 null repairs: each nulls one of
+    # the four positions of every conflict, so each position and tuple
+    # there has responsibility 1/30 and nothing else is a cause
+    d = seeded_keyed((2,) * 30, 50)
+    attr, tuples = null_causes(d, single_query("q :- A(X,Y), A(X,Z), Y != Z.\n"))
+    conflicting = {f for f in d.facts if sum(g.args[0] == f.args[0] for g in d.facts) == 2}
+    assert len(conflicting) == 60
+    assert {rho for _, rho in attr} == {rho for _, rho in tuples} == {Fraction(1, 30)}
+    assert {t for t, _ in tuples} == conflicting
+    assert len(attr) == 4 * 30
+
+
+def test_null_causes_unrepairable_single_atom_constraint():
+    d = parse_instance("P(1;a). S(2;b).")
+    assert null_causes(d, single_query("q :- P(X).\n")) == ((), ())
+    mixed = single_query("q :- P(X).\nq :- S(X), P(X).\n")
+    assert null_causes(d, mixed) == ((), ())
+
+
+def test_null_causes_require_ids():
+    d = parse_instance("S(a3). R(3;a3,a3).")
+    with pytest.raises(SemanticError, match="no tuple id"):
+        null_causes(d, load_query("ex1.dlq"))
 
 
 def test_kill_sets_follow_query_atom_order():

@@ -20,7 +20,7 @@ from causerepair.repairs import (
     repairs,
     repairs_via_causes,
 )
-from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance
+from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, set_key
 
 from conftest import (
     load_constraints,
@@ -135,26 +135,64 @@ def test_causes_via_repairs_minimum_deleting_an_exogenous_fact():
     assert diff_s == diff_c
 
 
+def _deletion_sets_through(d, q, t):
+    """``causes_via_repairs`` as it was: every minimal deletion set
+    enumerated, and those within the endogenous facts that hold ``t`` kept."""
+    found = hitting.enumerate_minimal_hitting_sets(hitting.support_sets(d, q)).sets
+    endogenous = [s for s in found if s <= d.endogenous]
+    least = min(map(len, endogenous), default=0)
+    through = sorted((s for s in endogenous if t in s), key=lambda s: (len(s), set_key(s)))
+    return tuple(through), tuple(s for s in through if len(s) == least)
+
+
+def _chain_atoms(rng):
+    atoms = set()
+    for _ in range(rng.randint(2, 6)):
+        atoms.add(("R", (rng.choice("abcd"), rng.choice("abcd"))))
+        atoms.add(("S", (rng.choice("abcd"),)))
+    return atoms
+
+
+def _keyed_atoms(rng):
+    return {("A", (rng.choice("kmn"), rng.choice("abcd"))) for _ in range(rng.randint(3, 12))}
+
+
 def test_causes_via_repairs_agree_with_causes_randomized():
-    rng = random.Random(733)
-    q = single_query(CHAIN_QUERY)
-    checked = 0
-    for _ in range(80):
-        facts = set()
-        for _ in range(rng.randint(2, 6)):
-            facts.add(("R", (rng.choice("abcd"), rng.choice("abcd"))))
-            facts.add(("S", (rng.choice("abcd"),)))
-        d = Instance(frozenset(
-            Fact(pred, args, EXOGENOUS if rng.random() < 0.3 else ENDOGENOUS)
-            for pred, args in sorted(facts)
-        ))
-        top, _ = most_responsible_causes(d, q)
-        for t in d.endogenous:
-            diff_s, diff_c = causes_via_repairs(d, q, t)
-            assert bool(diff_c) == (t in top)
-            assert repair_responsibility(diff_s) == responsibility(d, q, t)
-            checked += 1
-    assert checked >= 300
+    cases = [
+        (CHAIN_QUERY, _chain_atoms),
+        (CHAIN_QUERY + "q :- R(X,Y), R(Y,X), X != Y.\n", _chain_atoms),
+        ("q :- A(X,Y), A(X,Z), Y != Z.\n", _keyed_atoms),
+    ]
+    for query, atoms in cases:
+        rng = random.Random(733)
+        q = single_query(query)
+        checked = 0
+        for _ in range(80):
+            d = Instance(frozenset(
+                Fact(pred, args, EXOGENOUS if rng.random() < 0.3 else ENDOGENOUS)
+                for pred, args in sorted(atoms(rng))
+            ))
+            top, _ = most_responsible_causes(d, q)
+            for t in d.endogenous:
+                diff_s, diff_c = causes_via_repairs(d, q, t)
+                assert (diff_s, diff_c) == _deletion_sets_through(d, q, t)
+                assert bool(diff_c) == (t in top)
+                assert repair_responsibility(diff_s) == responsibility(d, q, t)
+                checked += 1
+        assert checked >= 300, query
+
+
+def test_causes_via_repairs_cap_counts_the_sets_through_t():
+    # two key groups of three values: 3 x 3 = 9 repairs, 2 x 3 = 6 of them
+    # delete A(k,a)
+    d = parse_instance("A(k,a). A(k,b). A(k,c). A(m,a). A(m,b). A(m,c).")
+    q = single_query("q :- A(X,Y), A(X,Z), Y != Z.\n")
+    t = parse_fact("A(k,a)")
+    diff_s, diff_c = causes_via_repairs(d, q, t, cap=6)
+    assert len(diff_s) == len(diff_c) == 6
+    assert all(len(s) == 4 and t in s for s in diff_s)
+    with pytest.raises(CapExceededError):
+        causes_via_repairs(d, q, t, cap=5)
 
 
 def test_cap_counts_the_cardinality_repairs_kept(tmp_path):
