@@ -280,19 +280,39 @@ def _cmd_repairs(args, inputs: _Inputs) -> str:
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
-    # d's rows are sorted once; a repair changes only the facts whose ids
-    # its diff names, so the originals' rows are skipped (a key ends in
-    # the id) and their nulled versions' rows inserted in order
-    rows = sorted((fact_key(f), format_fact(f)) for f in d.facts)
+    # a repair changes only the facts whose ids its diff names: their
+    # names are cut out of d's sorted names and their nulled versions'
+    # names inserted where their keys sort, as in _repairs_report
+    names, position = _named(d)
+    keys = [fact_key(f) for f in d.sorted_facts]
+    by_id = {f.fact_id: f for f in d.facts}
+    edits = {}  # (id, mask of nulled positions) -> the insertion and the cut
     entries = []
     for r in preferences.null_repairs(d, sigma, args.max_enum):
-        changed = {c.fact_id for c in r.diff}
-        facts = [row for row in rows if row[0][2] not in changed]
-        for f in r.result.facts:
-            if f.fact_id in changed:
-                bisect.insort(facts, (fact_key(f), format_fact(f)))
+        masks: dict[int, int] = {}
+        for c in r.diff:
+            masks[c.fact_id] = masks.get(c.fact_id, 0) | 1 << (c.position - 1)
+        events = []
+        for edit in masks.items():
+            pair = edits.get(edit)
+            if pair is None:
+                f = by_id[edit[0]]
+                new = preferences._nulled(f, {p for p in range(len(f.args)) if edit[1] >> p & 1})
+                key = fact_key(new)
+                pair = edits[edit] = ((bisect.bisect(keys, key), 0, key, format_fact(new)),
+                                      (position[f], 1))
+            events += pair
+        facts, start = [], 0
+        for event in sorted(events):  # at one point, insertions before the cut
+            facts += names[start:event[0]]
+            if event[1]:
+                start = event[0] + 1
+            else:
+                facts.append(event[3])
+                start = event[0]
+        facts += names[start:]
         diff = sorted(str(c) for c in r.diff)
-        entries.append({"facts": [name for _, name in facts], "diff": diff})
+        entries.append({"facts": facts, "diff": diff})
     entries.sort(key=lambda entry: entry["diff"])
     lines = (
         "repair: {%s}  diff {%s}" % (", ".join(e["facts"]), ", ".join(e["diff"]))

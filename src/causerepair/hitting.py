@@ -69,7 +69,7 @@ from math import prod
 from typing import Iterable
 
 from .errors import CapExceededError, SemanticError
-from .queries import UnionQuery, witnesses
+from .queries import UnionQuery, _Index, witnesses
 from .relational import Fact, Instance, fact_key, set_key
 
 DEFAULT_CAP = 100_000
@@ -107,8 +107,9 @@ def support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact], ...]:
     if not q.is_boolean:
         raise SemanticError("support sets are defined for boolean queries")
     images: set[frozenset[Fact]] = set()
+    index = _Index(d.facts)
     for cq in q.disjuncts:
-        images |= witnesses(d.facts, cq)
+        images |= witnesses(index, cq)
     return antichain(images)
 
 

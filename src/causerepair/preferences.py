@@ -47,6 +47,7 @@ from .queries import (
     DenialConstraintSet,
     UnionQuery,
     Var,
+    _Index,
     dc_of_query,
     iter_matches,
     violation_view,
@@ -301,10 +302,10 @@ def _constrained_positions(cq: ConjunctiveQuery) -> list[set[int]]:
 
 def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrChange]]:
     """For every violation witness, the positions whose nulling destroys it."""
-    kill = []
+    kill, index = [], _Index(d.facts)
     for dc in sigma:
         constrained = _constrained_positions(dc.body)
-        for used, _ in iter_matches(d.facts, dc.body):
+        for used, _ in iter_matches(index, dc.body):
             kill.append(frozenset(
                 AttrChange(f.pred, f.fact_id, i + 1)
                 for f, positions in zip(used, constrained) for i in positions
@@ -325,12 +326,14 @@ def _change_applier(d: Instance):
         for c in changes:
             for f in holding.get(c.fact_id, ()):
                 nulled.setdefault(f, set()).add(c.position - 1)
-        return Instance(d.facts.difference(nulled).union(
-            f.with_args(tuple(NULL if i in at else a for i, a in enumerate(f.args)))
-            for f, at in nulled.items()
-        ))
+        return Instance(d.facts.difference(nulled).union(_nulled(f, at) for f, at in nulled.items()))
 
     return apply
+
+
+def _nulled(f: Fact, positions) -> Fact:
+    """``f`` with null at the (0-based) ``positions``."""
+    return f.with_args(tuple(NULL if i in positions else a for i, a in enumerate(f.args)))
 
 
 def _kill_family(d: Instance, sigma: DenialConstraintSet) -> tuple[frozenset[AttrChange], ...]:

@@ -11,19 +11,35 @@ inequality with a null operand evaluates to false.  A variable occurring
 exactly once may still bind null, so a fact with null attributes keeps
 witnessing patterns that do not constrain those positions.
 
-Evaluation is an indexed nested-loop join.  Each conjunctive query fixes
-its join order once (``ConjunctiveQuery.join_order``): next comes the atom
-with the most positions bound by constants or by earlier atoms, ties in
-query order.  Each call groups the facts by predicate and arity, and each
-join step looks its candidates up in a hash index on its bound positions,
-built on the step's first lookup.  A lookup through a null value finds
+Evaluation is an indexed nested-loop join.  The facts are grouped by
+predicate and arity once per collection (``_Index``), and each join step
+looks its candidates up in a hash index on its bound positions, built on
+the first lookup and kept in the same object, so several joins over one
+instance share every index.  A lookup through a null value finds
 nothing, which is the null rule above, unchanged.
+
+The join order puts next the atom with the most positions bound by
+constants or by earlier atoms, ties in query order
+(``ConjunctiveQuery.join_order``).  Orders are built one step at a time
+from one start state per body (bound counts, a heap of the raised ones,
+and each variable's atoms), at a logarithmic cost per raised count, and
+a walk builds only the steps it reaches; built steps are kept on the
+query for the next walk.
+
+A walk may be seeded with a fact ``t`` and an atom ``i``: atom ``i`` is
+its first step and ``t`` its only candidate, and the atoms before ``i``
+may not take ``t``.  A match through ``t`` is then walked once, from its
+first atom that maps to ``t``, over the seeds at every atom (the rule of
+``hitting._search``, which keeps a vertex out of its later siblings'
+subtrees).  Seeded walks find the witnesses through one fact without
+joining the rest of the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SemanticError
@@ -65,25 +81,37 @@ class ConjunctiveQuery:
     @cached_property
     def join_order(self) -> tuple["_JoinStep", ...]:
         """The atoms in evaluation order: most bound positions first, ties
-        in query order.  Computed once per query, not per evaluation."""
-        bound: set[str] = set()
+        in query order.  Built once per query, like every seeded order."""
+        order = self._order(None)
+        while len(order.steps) < len(self.atoms):
+            order.grow()
+        return tuple(order.steps)
 
-        def is_bound(t) -> bool:
-            return not isinstance(t, Var) or t.name in bound
+    @cached_property
+    def _start(self) -> "_Start":
+        """What every join order of the body starts from."""
+        occurs: dict[str, list[int]] = {}
+        for i, atom in enumerate(self.atoms):
+            for t in atom.terms:
+                if isinstance(t, Var):
+                    occurs.setdefault(t.name, []).append(i)
+        counts = tuple(sum(not isinstance(t, Var) for t in a.terms) for a in self.atoms)
+        return _Start(
+            counts,
+            tuple(sorted(range(len(counts)), key=counts.__getitem__, reverse=True)),  # stable
+            occurs,
+            frozenset((a.pred, len(a.terms)) for a in self.atoms),
+            {},
+        )
 
-        remaining = list(range(len(self.atoms)))
-        steps = []
-        while remaining:
-            best = max(remaining, key=lambda i: sum(map(is_bound, self.atoms[i].terms)))
-            remaining.remove(best)
-            atom = self.atoms[best]
-            key = tuple(p for p, t in enumerate(atom.terms) if is_bound(t))
-            steps.append(_JoinStep(
-                best, (atom.pred, len(atom.terms)), key, tuple(atom.terms[p] for p in key),
-                tuple((p, t) for p, t in enumerate(atom.terms) if p not in key),
-            ))
-            bound.update(t.name for t in atom.terms if isinstance(t, Var))
-        return tuple(steps)
+    def _order(self, first: int | None) -> "_Order":
+        """The join order that starts at atom ``first`` (None: the plain
+        order), as far as walks have needed it so far."""
+        orders = self._start.orders
+        order = orders.get(first)
+        if order is None:
+            order = orders[first] = _Order(self, first)
+        return order
 
     def safety_violations(self) -> list[str]:
         """Variables used in inequalities or the head but not in any atom."""
@@ -188,6 +216,70 @@ class _JoinStep(NamedTuple):
     rest: tuple  # (position, term) at the others: first and repeated occurrences
 
 
+class _Start(NamedTuple):
+    counts: tuple[int, ...]  # per atom, its positions bound by constants
+    ranked: tuple[int, ...]  # the atoms by those counts, most first, ties in query order
+    occurs: dict  # variable -> the atom of each of its occurrences
+    relations: frozenset  # the (predicate, arity) pairs of the atoms
+    orders: dict  # first atom (None: none) -> the order as built so far
+
+
+class _Order:
+    """A join order built one step at a time from the body's start state.
+
+    Atoms whose bound count a step has raised sit in a heap; the others
+    keep their place in ``ranked``.  The next step is the better of the
+    two heads, so the order is the one ``max(remaining, ...)`` would pick,
+    at a logarithmic cost per raised count instead of a scan of every
+    remaining atom."""
+
+    __slots__ = ("atoms", "start", "steps", "taken", "bound", "raised", "heap", "ranked_at")
+
+    def __init__(self, cq: ConjunctiveQuery, first: int | None):
+        self.atoms, self.start = cq.atoms, cq._start
+        self.steps: list[_JoinStep] = []
+        self.taken: set[int] = set()
+        self.bound: set[str] = set()
+        self.raised: dict[int, int] = {}  # atom -> its bound count, once raised
+        self.heap: list[tuple[int, int]] = []  # (-count, atom), stale entries included
+        self.ranked_at = 0
+        if first is not None:
+            self._take(first)
+
+    def grow(self) -> _JoinStep:
+        """Append the next step, and return it."""
+        heap, raised, taken = self.heap, self.raised, self.taken
+        while heap and (heap[0][1] in taken or -heap[0][0] != raised[heap[0][1]]):
+            heappop(heap)
+        ranked, i = self.start.ranked, self.ranked_at
+        while i < len(ranked) and (ranked[i] in taken or ranked[i] in raised):
+            i += 1
+        self.ranked_at = i
+        best = (-self.start.counts[ranked[i]], ranked[i]) if i < len(ranked) else heap[0]
+        if heap and heap[0] < best:
+            best = heap[0]
+        return self._take(best[1])
+
+    def _take(self, i: int) -> _JoinStep:
+        atom, bound = self.atoms[i], self.bound
+        key = tuple(p for p, t in enumerate(atom.terms) if not isinstance(t, Var) or t.name in bound)
+        step = _JoinStep(
+            i, (atom.pred, len(atom.terms)), key, tuple(atom.terms[p] for p in key),
+            tuple((p, t) for p, t in enumerate(atom.terms) if p not in key),
+        )
+        self.steps.append(step)
+        self.taken.add(i)
+        counts, raised, taken = self.start.counts, self.raised, self.taken
+        for t in atom.terms:
+            if isinstance(t, Var) and t.name not in bound:
+                bound.add(t.name)
+                for other in self.start.occurs[t.name]:
+                    if other not in taken:
+                        raised[other] = count = raised.get(other, counts[other]) + 1
+                        heappush(self.heap, (-count, other))
+        return step
+
+
 def _hash_index(positions: tuple[int, ...], relation: list[Fact]) -> dict[tuple, list[Fact]]:
     """The relation's facts by their values at ``positions``."""
     if not positions:
@@ -199,53 +291,108 @@ def _hash_index(positions: tuple[int, ...], relation: list[Fact]) -> dict[tuple,
     return out
 
 
-def _step_extensions(cq: ConjunctiveQuery, relations: dict, indexes: list, depth: int,
-          binding: dict, used: list):
+class _Index:
+    """One collection of facts, grouped by predicate and arity, with a hash
+    index per (relation, bound positions) built on its first lookup.
+    Every join over the same facts can share it."""
+
+    __slots__ = ("relations", "tables")
+
+    def __init__(self, facts: Iterable[Fact]):
+        relations: dict[tuple[str, int], list[Fact]] = {}
+        for f in facts:
+            relation = relations.get((f.pred, len(f.args)))
+            if relation is None:
+                relations[f.pred, len(f.args)] = [f]
+            else:
+                relation.append(f)
+        self.relations = relations
+        self.tables: dict[tuple, dict[tuple, list[Fact]]] = {}
+
+    def table(self, step: _JoinStep) -> dict[tuple, list[Fact]]:
+        table = self.tables.get((step.relation, step.key_positions))
+        if table is None:
+            table = _hash_index(step.key_positions, self.relations[step.relation])
+            self.tables[step.relation, step.key_positions] = table
+        return table
+
+
+def _index_of(facts: "Instance | Iterable[Fact] | _Index") -> _Index:
+    if isinstance(facts, _Index):
+        return facts
+    return _Index(facts.facts if isinstance(facts, Instance) else facts)
+
+
+def _step_extensions(index: _Index, order: _Order, tables: list, depth: int,
+          binding: dict, used: list, seed):
     """``binding`` extended through join step ``depth`` by each fact in
     turn, the fact recorded in ``used`` while its extension is out.  A
-    module-level generator, so the indexes it fills form no reference cycle."""
-    step = cq.join_order[depth]
+    module-level generator, so the tables it caches form no reference cycle."""
+    steps = order.steps
+    step = steps[depth] if depth < len(steps) else order.grow()
     key = tuple([binding[t.name] if isinstance(t, Var) else t for t in step.key_terms])
     if NULL in key:
         return  # joins never pass through null; the constant null matches nothing
-    index = indexes[depth]
-    if index is None:
-        index = indexes[depth] = _hash_index(step.key_positions, relations[step.relation])
-    for f in index.get(key, ()):
+    table = tables[depth]
+    if table is None:
+        table = tables[depth] = index.table(step)
+    candidates = table.get(key, ())
+    if seed is not None and step.atom < seed[1]:
+        # an earlier atom may not take the seed: matches through it there
+        # are walked from that atom
+        candidates = [f for f in candidates if f != seed[0]]
+    for f in candidates:
         extended = _extend(binding, step.rest, f.args)
         if extended is not None:
             used[step.atom] = f
             yield extended
 
 
+def _seed_binding(step: _JoinStep, t: Fact) -> dict | None:
+    """The binding that maps the first step of a seeded order to ``t``;
+    None if it fails.  No variable is bound before that step, so its key
+    holds constants only."""
+    if (t.pred, len(t.args)) != step.relation or NULL in step.key_terms:
+        return None
+    if tuple([t.args[p] for p in step.key_positions]) != step.key_terms:
+        return None
+    return _extend({}, step.rest, t.args)
+
+
 def iter_matches(
-    facts: Iterable[Fact], cq: ConjunctiveQuery
+    facts: "Iterable[Fact] | _Index", cq: ConjunctiveQuery, seed: tuple[Fact, int] | None = None
 ) -> Iterator[tuple[tuple[Fact, ...], dict]]:
     """Yield (facts-per-atom, binding) for every satisfying assignment.
 
-    The facts come in query atom order, whatever the join order."""
-    relations: dict[tuple[str, int], list[Fact]] = {s.relation: [] for s in cq.join_order}
-    for f in facts:
-        relation = relations.get((f.pred, len(f.args)))
-        if relation is not None:
-            relation.append(f)
-    if not all(relations.values()):
+    The facts come in query atom order, whatever the join order.  With a
+    seed ``(t, i)``, only the assignments that map atom ``i`` to ``t`` and
+    no earlier atom to ``t``: over every ``i``, each assignment through
+    ``t`` comes once."""
+    index = _index_of(facts)
+    if not index.relations.keys() >= cq._start.relations:
         return  # an atom without candidate facts matches nothing
+    order = cq._order(None if seed is None else seed[1])
     # depth first on a stack of the open join steps, not by recursion: a
     # body may have thousands of atoms
-    indexes, used = [None] * len(cq.atoms), [None] * len(cq.atoms)
+    tables, used = [None] * len(cq.atoms), [None] * len(cq.atoms)
     stack = [iter(({},))]  # stack[i]: the bindings through the first i steps
+    if seed is not None:
+        binding = _seed_binding(order.steps[0], seed[0])
+        if binding is None:
+            return
+        used[seed[1]] = seed[0]
+        stack = [iter(()), iter((binding,))]  # step 0, the seed's, is taken
     while stack:
         binding = next(stack[-1], None)
         if binding is None:
             stack.pop()
-        elif len(stack) <= len(cq.join_order):
-            stack.append(_step_extensions(cq, relations, indexes, len(stack) - 1, binding, used))
+        elif len(stack) <= len(cq.atoms):
+            stack.append(_step_extensions(index, order, tables, len(stack) - 1, binding, used, seed))
         elif _inequalities_hold(cq, binding):
             yield tuple(used), binding
 
 
-def witnesses(facts: Iterable[Fact], cq: ConjunctiveQuery) -> set[frozenset[Fact]]:
+def witnesses(facts: "Iterable[Fact] | _Index", cq: ConjunctiveQuery) -> set[frozenset[Fact]]:
     """All homomorphic images of the query's atoms, as fact sets."""
     return {frozenset(used) for used, _ in iter_matches(facts, cq)}
 
@@ -253,17 +400,17 @@ def witnesses(facts: Iterable[Fact], cq: ConjunctiveQuery) -> set[frozenset[Fact
 def eval_boolean(d: "Instance | Iterable[Fact]", q: UnionQuery) -> bool:
     if not q.is_boolean:
         raise SemanticError("boolean evaluation needs a query without free variables")
-    facts = d.facts if isinstance(d, Instance) else d
+    index = _index_of(d)
     return any(
-        next(iter_matches(facts, cq), None) is not None for cq in q.disjuncts
+        next(iter_matches(index, cq), None) is not None for cq in q.disjuncts
     )
 
 
 def eval_answers(d: "Instance | Iterable[Fact]", q: UnionQuery) -> frozenset[tuple[str, ...]]:
-    facts = d.facts if isinstance(d, Instance) else d
+    index = _index_of(d)
     answers = set()
     for cq in q.disjuncts:
-        for _, binding in iter_matches(facts, cq):
+        for _, binding in iter_matches(index, cq):
             answers.add(tuple(binding[v] for v in cq.free_vars))
     return frozenset(answers)
 

@@ -10,7 +10,13 @@ The bridges run in both directions: deletion sets of repairs avoiding a
 fact recover that fact's causal status and responsibility, and repairs can
 be reassembled from causes paired with their minimal contingency sets.
 Consistent-answer checks use the cause-based criterion directly, with no
-repair enumeration.
+repair enumeration.  Under subset semantics an atom is in every repair
+iff it lies on no minimal violation (no edge of the conflict hypergraph;
+Chomicki and Marcinkowski, Inf. Comput. 2005).  A minimal violation
+through ``t`` is a witness through ``t`` from which no single fact can be
+dropped with the violation view still true, so the check walks the
+witnesses through the asked atoms only (seeded joins, ``queries``) and
+decides each one with at most one boolean evaluation per fact of it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ from .hitting import (
 from .queries import (
     DenialConstraintSet,
     UnionQuery,
+    _Index,
     _maximal_deletion,
+    eval_boolean,
+    iter_matches,
     violation_view,
 )
 from .relational import Fact, Instance, set_key
@@ -159,6 +168,11 @@ def consistent_answer(
     Uses the cause-side criterion: under subset semantics an atom is in
     every repair iff it is not an actual cause for the violation view;
     under cardinality semantics, iff it is not a most responsible cause.
+    An atom absent from ``d`` is in no repair, and answers false before any
+    join.  Under subset semantics an atom is a cause iff some witness
+    through it is minimal: no single fact can be dropped from it with the
+    view still true on the rest.  Only the witnesses through the asked
+    atoms are walked, on one shared index, never the whole support family.
     """
     if d.exogenous:
         raise SemanticError("consistent answers assume all facts endogenous")
@@ -167,12 +181,30 @@ def consistent_answer(
         if a.pred not in d.schema:
             raise SemanticError(f"predicate {a.pred} is not in the schema")
     view = violation_view(sigma)
-    if _pick(semantics) is list:
-        excluded = causality.actual_causes(d, view)
-    else:
+    resolved = [d.find(a.pred, a.args, a.fact_id) for a in atoms]
+    if _pick(semantics) is not list:
         excluded, _ = causality.most_responsible_causes(d, view)
-    for a in atoms:
-        resolved = d.find(a.pred, a.args, a.fact_id)
-        if resolved is None or resolved in excluded:
-            return False
-    return True
+        return not any(t is None or t in excluded for t in resolved)
+    if any(t is None for t in resolved):
+        return False
+    index, verdicts = _Index(d.facts), {}
+    return not any(_on_minimal_violation(index, view, t, verdicts) for t in resolved)
+
+
+def _on_minimal_violation(index: _Index, view: UnionQuery, t: Fact, verdicts: dict) -> bool:
+    """Whether some witness through ``t``, of any disjunct, is a minimal
+    support set of ``view``: no single fact can be dropped from it with
+    the view still true on the rest (truth is monotone).  ``verdicts``
+    keeps each image's answer across calls."""
+    for cq in view.disjuncts:
+        for i in range(len(cq.atoms)):
+            for used, _ in iter_matches(index, cq, (t, i)):
+                image = frozenset(used)
+                minimal = verdicts.get(image)
+                if minimal is None:
+                    minimal = verdicts[image] = not any(
+                        eval_boolean(image - {f}, view) for f in image
+                    )
+                if minimal:
+                    return True
+    return False

@@ -10,8 +10,15 @@ from causerepair.parsing import (
     parse_instance,
     single_query,
 )
-from causerepair.queries import Atom, ConjunctiveQuery, UnionQuery, Var
-from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact
+from causerepair.queries import (
+    Atom,
+    ConjunctiveQuery,
+    DenialConstraint,
+    DenialConstraintSet,
+    UnionQuery,
+    Var,
+)
+from causerepair.relational import ENDOGENOUS, EXOGENOUS, NULL, Fact, Instance, fact
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,3 +114,78 @@ def seeded_keyed(shape, n_keys: int) -> Instance:
         for v in rng.sample(range(1000), conflicted.get(k, 1)):
             facts.append(fact("A", f"k{k}", f"v{v}", fact_id=len(facts) + 1))
     return Instance(frozenset(facts))
+
+
+# ---------------------------------------------------------------------------
+# Random inputs for the subset-CQA suites
+
+_CQA_PREDS = (("S", 1), ("P", 1), ("R", 2))
+_CQA_CONSTANTS = ("a", "b", "c")
+_CHAIN_BODY = ConjunctiveQuery((
+    Atom("S", (Var("X"),)), Atom("R", (Var("X"), Var("Y"))), Atom("S", (Var("Y"),)),
+))
+_S_BODY = ConjunctiveQuery((Atom("S", (Var("X"),)),))
+
+
+def _cqa_body(rng: random.Random) -> ConjunctiveQuery:
+    """One to three atoms over few predicates (so self-joins are common),
+    with constants (null among them) and inequalities."""
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        pred, arity = rng.choice(_CQA_PREDS)
+        terms = tuple(
+            Var(rng.choice("XYZ")) if rng.random() < 0.7 else rng.choice(_CQA_CONSTANTS + (NULL,))
+            for _ in range(arity)
+        )
+        atoms.append(Atom(pred, terms))
+    variables = sorted({t.name for a in atoms for t in a.terms if isinstance(t, Var)})
+    inequalities = ()
+    if variables and rng.random() < 0.4:
+        left = rng.choice(variables)
+        right = rng.choice([Var(v) for v in variables if v != left] + list(_CQA_CONSTANTS))
+        inequalities = ((Var(left), right),)
+    return ConjunctiveQuery(tuple(atoms), inequalities)
+
+
+def seeded_cqa(seed, max_facts: int = 10):
+    """An all-endogenous instance, a denial constraint set and lists of
+    ground atoms to ask about, drawn from ``seed``.
+
+    Facts hold ``a``, ``b``, ``c`` and null, and an atom may come twice,
+    under two tuple ids or with and without one.  Constraint bodies have
+    constants, inequalities and self-joins; a quarter of the sets are the
+    chain constraint beside ``:- S(X).``, whose images nest, so some
+    witnesses through an atom are not minimal.  A list holds one to three
+    atoms: facts of the instance, with or without their ids, atoms that
+    may be absent, and facts under an id they do not carry."""
+    rng = random.Random(seed)
+    facts: set[Fact] = set()
+    n = rng.randint(1, max_facts)
+    while len(facts) < n:
+        pred, arity = rng.choice(_CQA_PREDS)
+        args = tuple(rng.choice(_CQA_CONSTANTS + (NULL,)) for _ in range(arity))
+        ids = rng.choice([(None,), (None,), (len(facts) + 1,), (len(facts) + 1, len(facts) + 2)])
+        facts.update(Fact(pred, args, fact_id=i) for i in ids[:n - len(facts)])
+    if rng.random() < 0.25:
+        bodies = [_CHAIN_BODY, _S_BODY] + [_cqa_body(rng) for _ in range(rng.randint(0, 1))]
+    else:
+        bodies = [_cqa_body(rng) for _ in range(rng.randint(1, 2))]
+    sigma = DenialConstraintSet(tuple(DenialConstraint(b) for b in bodies))
+    present = sorted(facts, key=lambda f: (f.pred, f.args, f.fact_id or 0))
+    lists = []
+    for _ in range(3):
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            f = rng.choice(present)
+            kind = rng.random()
+            if kind < 0.5:
+                atoms.append(f)
+            elif kind < 0.7:
+                atoms.append(Fact(f.pred, f.args))
+            elif kind < 0.9:
+                g = rng.choice(present)  # of a predicate in the schema
+                atoms.append(Fact(g.pred, tuple(rng.choice(_CQA_CONSTANTS) for _ in g.args)))
+            else:
+                atoms.append(Fact(f.pred, f.args, fact_id=99))
+        lists.append(atoms)
+    return Instance(frozenset(facts)), sigma, lists

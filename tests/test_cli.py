@@ -369,3 +369,20 @@ def test_query_body_deeper_than_the_recursion_limit(tmp_path):
     code, out, err = execute(["repairs", "-i", str(tmp_path / "d.facts"), "-c", str(tmp_path / "c.dlq")])
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 2
+
+
+def test_long_chain_constraint_over_a_cycle(tmp_path):
+    # every walk seeded at atom i >= 3 stops where atom i - 3 would take the
+    # asked fact again; those from atoms 0-2 walk all 1,500 steps
+    body = ", ".join(f"R(X{i},X{i + 1})" for i in range(1500))
+    (tmp_path / "c.dlq").write_text(f":- {body}.\n", encoding="utf-8")
+    (tmp_path / "d.facts").write_text("R(a,b). R(b,c). R(c,a).\n", encoding="utf-8")
+    files = ["-i", str(tmp_path / "d.facts"), "-c", str(tmp_path / "c.dlq")]
+    for atoms in ("R(a,b)", "R(c,a);R(b,c)"):
+        assert execute(["cqa", *files, "--atoms", atoms, "--semantics", "s"]) == (0, "false\n", "")
+    assert execute(["cqa", *files, "--atoms", "R(b,a)", "--semantics", "s"]) == (0, "false\n", "")
+    assert execute(["repairs", *files, "--semantics", "s"]) == (0, (
+        "repair: keep {R(b,c), R(c,a)}  remove {R(a,b)}\n"
+        "repair: keep {R(a,b), R(c,a)}  remove {R(b,c)}\n"
+        "repair: keep {R(a,b), R(b,c)}  remove {R(c,a)}\n"
+    ), "")

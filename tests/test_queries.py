@@ -333,3 +333,120 @@ def test_matches_come_in_query_atom_order():
 ])
 def test_null_lookups_at_every_join_step(query, instance, expected):
     assert eval_boolean(parse_instance(instance), single_query(query + "\n")) is expected
+
+
+# ---------------------------------------------------------------------------
+# Join orders built step by step against the quadratic rule
+
+
+def max_rule_order(cq, first=None):
+    """The old rule, rescanning every remaining atom per step: the atom
+    with the most bound positions next, ties in query order (``first``, if
+    given, goes first).  The reference for ``join_order`` and seeded
+    orders: (atom, key positions) per step, and how many steps broke a tie."""
+    bound: set[str] = set()
+
+    def is_bound(t) -> bool:
+        return not isinstance(t, Var) or t.name in bound
+
+    remaining = list(range(len(cq.atoms)))
+    steps, ties = [], 0
+    while remaining:
+        counts = [sum(map(is_bound, cq.atoms[i].terms)) for i in remaining]
+        ties += counts.count(max(counts)) > 1
+        if first is not None and not steps:
+            best = first
+        else:
+            best = max(remaining, key=lambda i: sum(map(is_bound, cq.atoms[i].terms)))
+        remaining.remove(best)
+        terms = cq.atoms[best].terms
+        steps.append((best, tuple(p for p, t in enumerate(terms) if is_bound(t))))
+        bound.update(t.name for t in terms if isinstance(t, Var))
+    return steps, ties
+
+
+def _random_order_body(rng: random.Random) -> ConjunctiveQuery:
+    """Up to 12 atoms of arity 0-4 over few variables and constants, so
+    repeated variables and ties in the bound counts are common."""
+    atoms = []
+    for _ in range(rng.randint(1, 12)):
+        terms = tuple(
+            Var(rng.choice("UVWXYZ"[:rng.randint(1, 6)])) if rng.random() < 0.7 else rng.choice("ab")
+            for _ in range(rng.randint(0, 4))
+        )
+        atoms.append(Atom(rng.choice("PQR"), terms))
+    return ConjunctiveQuery(tuple(atoms))
+
+
+def _full(order):
+    while len(order.steps) < len(order.atoms):
+        order.grow()
+    return [(s.atom, s.key_positions) for s in order.steps]
+
+
+def test_join_orders_agree_with_the_max_rule():
+    rng = random.Random(1507)
+    ties = repeated = constants = 0
+    for _ in range(5000):
+        cq = _random_order_body(rng)
+        expected, tied = max_rule_order(cq)
+        assert [(s.atom, s.key_positions) for s in cq.join_order] == expected, str(cq)
+        first = rng.randrange(len(cq.atoms))
+        assert _full(cq._order(first)) == max_rule_order(cq, first)[0], (str(cq), first)
+        ties += tied > 0
+        repeated += any(len(set(a.terms)) < len(a.terms) for a in cq.atoms)
+        constants += any(not isinstance(t, Var) for a in cq.atoms for t in a.terms)
+    assert min(ties, repeated, constants) > 1000  # the comparison is not vacuous
+
+
+def test_join_order_steps_carry_the_unbound_terms():
+    (cq,) = single_query("q :- R(X,X,a), S(X,Y), R(Y,Z,Z).\n").disjuncts
+    assert [tuple(s) for s in cq.join_order] == [
+        (0, ("R", 3), (2,), ("a",), ((0, Var("X")), (1, Var("X")))),
+        (1, ("S", 2), (0,), (Var("X"),), ((1, Var("Y")),)),
+        (2, ("R", 3), (0,), (Var("Y"),), ((1, Var("Z")), (2, Var("Z")))),
+    ]
+
+
+def test_long_bodies_order_in_linear_time():
+    n = 20000
+    cq = ConjunctiveQuery(tuple(Atom("R", (Var(f"X{i}"), Var(f"X{i + 1}"))) for i in range(n)))
+    order = [s.atom for s in cq.join_order]  # quadratic: 2 * 10^8 term checks
+    assert order == list(range(n))
+
+
+# ---------------------------------------------------------------------------
+# Seeded walks
+
+
+def test_seeded_walks_find_each_match_through_a_fact_once():
+    rng = random.Random(20150701)
+    through = 0
+    for _ in range(600):
+        d = _random_join_instance(rng)
+        cq = _random_join_query(rng)
+        matches = list(nested_loop_matches(d.facts, cq))
+        for t in d.sorted_facts:
+            expected = _canonical(m for m in matches if t in m[0])
+            seeded = [m for i in range(len(cq.atoms)) for m in iter_matches(d.facts, cq, (t, i))]
+            assert _canonical(seeded) == expected, (str(d), str(cq), str(t))
+            through += bool(expected)
+    assert through > 500
+
+
+def test_seeded_walks_share_one_index_and_build_the_steps_they_reach():
+    n = 1500
+    cq = ConjunctiveQuery(tuple(Atom("R", (Var(f"X{i}"), Var(f"X{i + 1}"))) for i in range(n)))
+    d = parse_instance("R(a,b). R(b,c). R(c,a).")
+    index = queries._Index(d.facts)
+    t = fact("R", "a", "b")
+    # from atom 900, atom 897 would take t again, which only walks from
+    # atom 0, 1 or 2 may do
+    assert list(iter_matches(index, cq, (t, 900))) == []
+    assert [s.atom for s in cq._order(900).steps] == [900, 899, 898, 897]
+    ((used, _),) = iter_matches(index, cq, (t, 0))
+    assert used[:4] == (t, fact("R", "b", "c"), fact("R", "c", "a"), t)
+    assert len(cq._order(0).steps) == n
+    # one table per bound position, whatever the steps and walks using it
+    assert set(index.tables) == {(("R", 2), (0,)), (("R", 2), (1,))}
+    assert list(iter_matches(index, cq, (fact("S", "a"), 0))) == []

@@ -1,17 +1,20 @@
+import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from causerepair import hitting
-from causerepair.causality import most_responsible_causes, responsibility
+from causerepair import hitting, queries
+from causerepair.causality import actual_causes, most_responsible_causes, responsibility
 from causerepair.cli import execute
 from causerepair.errors import CapExceededError, SemanticError
+from causerepair.hitting import support_sets
 from causerepair.oracle import oracle_repairs
 from causerepair.parsing import constraint_set, parse_fact, parse_instance, single_query
-from causerepair.queries import dc_of_query
+from causerepair.queries import dc_of_query, iter_matches, violation_view
 from causerepair.repairs import (
     causes_via_repairs,
     consistent_answer,
@@ -20,7 +23,7 @@ from causerepair.repairs import (
     repairs,
     repairs_via_causes,
 )
-from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, set_key
+from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact, fact_key, set_key
 
 from conftest import (
     load_constraints,
@@ -28,6 +31,9 @@ from conftest import (
     load_query,
     random_boolean_query,
     random_instance,
+    seeded_chain,
+    seeded_cqa,
+    seeded_keyed,
 )
 
 
@@ -351,3 +357,95 @@ def test_consistent_answer_agrees_with_repair_scan():
         for f in d:
             definitional = all(f in r.kept.facts for r in reps)
             assert consistent_answer(d, sigma, [f], semantics) == definitional
+
+
+# ---------------------------------------------------------------------------
+# Subset CQA from the minimal violations through the asked atoms
+
+
+def actual_causes_answer(d, sigma, atoms) -> bool:
+    """The whole-family criterion: no asked atom is absent or an actual
+    cause for the violation view.  The reference for ``consistent_answer``
+    under subset semantics."""
+    excluded = actual_causes(d, violation_view(sigma))
+    resolved = [d.find(a.pred, a.args, a.fact_id) for a in atoms]
+    return all(t is not None and t not in excluded for t in resolved)
+
+
+def test_subset_cqa_agrees_with_the_actual_causes_randomized():
+    answers, nested = Counter(), 0
+    for seed in range(1500):
+        d, sigma, lists = seeded_cqa(seed, max_facts=14)
+        for atoms in lists:
+            expected = actual_causes_answer(d, sigma, atoms)
+            assert consistent_answer(d, sigma, atoms, "s") is expected, (str(d), str(sigma), atoms)
+            answers[expected] += 1
+        family = support_sets(d, violation_view(sigma))
+        nested += any(e not in family for e in _images(d, sigma))
+    assert min(answers.values()) > 1500
+    assert nested > 100  # some witnesses are not minimal support sets
+
+
+def _images(d, sigma):
+    return {frozenset(used) for dc in sigma for used, _ in iter_matches(d.facts, dc.body)}
+
+
+def test_subset_cqa_agrees_with_oracle_randomized():
+    answers = Counter()
+    for seed in range(400):
+        d, sigma, lists = seeded_cqa(seed, max_facts=8)
+        kept = oracle_repairs(d, sigma, "s")
+        for atoms in lists:
+            resolved = [d.find(a.pred, a.args, a.fact_id) for a in atoms]
+            expected = all(t is not None and all(t in r for r in kept) for t in resolved)
+            assert consistent_answer(d, sigma, atoms, "s") is expected, (str(d), str(sigma), atoms)
+            answers[expected] += 1
+    assert min(answers.values()) > 400
+
+
+def _cqa_shaped(tmp_path):
+    """About a thousand facts shaped like the cqa-large benchmark: chain
+    facts and a keyed ``A`` with some two-valued keys."""
+    chain = seeded_chain(300, 600)
+    keyed = seeded_keyed((2,) * 40, 400)
+    d = Instance(chain.facts | keyed.facts)
+    (tmp_path / "d.facts").write_text(str(d))
+    (tmp_path / "dc.dlq").write_text(_CQA_DCS)
+    return d
+
+
+_CQA_DCS = ":- S(X), R(X,Y), S(Y).\n:- A(X,Y), A(X,Z), Y != Z.\n"
+
+
+def test_subset_cqa_walks_only_through_the_asked_atoms(tmp_path, monkeypatch):
+    d = _cqa_shaped(tmp_path)
+    assert 900 < len(d) < 1100
+    for name, fn in [("support_sets", hitting.support_sets), ("witnesses", queries.witnesses)]:
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name} was called")
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("causerepair") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, refuse)
+    calls = 0
+    extend = queries._extend
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    monkeypatch.setattr(queries, "_extend", counting)
+    conflicting = sorted(set().union(*_images(d, constraint_set(_CQA_DCS))), key=fact_key)
+    calm = sorted(d.facts - set(conflicting), key=fact_key)
+    asked = conflicting[::25] + calm[::50] + [fact("A", "k400", "v0"), fact("S", "zz")]
+    answers = Counter()
+    for t in asked:
+        calls = 0
+        code, out, err = execute(["cqa", "-i", str(tmp_path / "d.facts"), "-c", str(tmp_path / "dc.dlq"),
+                                  "--atoms", str(t), "--semantics", "s", "--json"])
+        assert code == 0, err
+        verdict = json.loads(out)["result"]["consistent"]
+        assert verdict is (t in calm), t
+        assert calls <= (50 if t in d.facts else 0), (t, calls)
+        answers[verdict] += 1
+    assert answers[True] >= 10 and answers[False] >= 10
