@@ -116,12 +116,6 @@ def _json(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _digest(path: str) -> dict:
-    with open(path, "rb") as handle:
-        payload = handle.read()
-    return {"path": path, "sha256": hashlib.sha256(payload).hexdigest()}
-
-
 class _Inputs:
     """Lazily parsed input files, remembering digests for the report."""
 
@@ -130,12 +124,16 @@ class _Inputs:
         self.digests: dict[str, dict] = {}
 
     def _read(self, role: str, path: str) -> str:
-        self.digests[role] = _digest(path)
+        """The file's text, read once: the digest covers the bytes parsed.
+        Line ends are translated as text mode does."""
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        self.digests[role] = {"path": path, "sha256": hashlib.sha256(payload).hexdigest()}
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return handle.read()
+            text = payload.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+        return text.replace("\r\n", "\n").replace("\r", "\n")
 
     def instance(self):
         return parse_instance(self._read("instance", self.args.instance))

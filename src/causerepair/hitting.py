@@ -107,7 +107,7 @@ def support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact], ...]:
     if not q.is_boolean:
         raise SemanticError("support sets are defined for boolean queries")
     images: set[frozenset[Fact]] = set()
-    index = _Index(d.facts)
+    index = _Index(d)
     for cq in q.disjuncts:
         images |= witnesses(index, cq)
     return antichain(images)

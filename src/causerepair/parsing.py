@@ -28,7 +28,10 @@ Instance files are read one item at a time, each a directive or a whole
 fact, by one regular expression (``_ITEM``) anchored where the previous
 item ended.  It accepts plain facts only: names that start with an ASCII
 letter or underscore, integers of ASCII digits, blanks between tokens,
-and no comment inside.  At the first item it does not accept, or at a
+and no comment inside.  A plain argument list (bare constants with no
+blanks, then the closing parenthesis) has a group of its own and is split
+on its commas; any other list is read by a second pattern (``_ARGUMENT``)
+that unescapes strings.  At the first item it does not accept, or at a
 fact whose tuple id the grammar rejects (``_tuple_id``), the token
 grammar takes over for the rest of the text, with the tag and the facts
 read so far.
@@ -85,18 +88,21 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 # One instance-file item, anchored at the end of the previous one: the
 # blanks and comments before it, then a directive, a plain fact or the
-# end of the text.  A comment matches only up to the end of its line,
-# and the blanks one at a time, so a failed match backs off in linear
-# time; no group matching then tells the end of the text.
+# end of the text.  Each repetition of the comment loop starts at a ``%``
+# and a comment matches only up to the end of its line, so a failed match
+# backs off in linear time; no group matching then tells the end of the
+# text.  The plain argument list is tried before any other list.
 _BLANKS = r"[ \t\r\n]*"
 _STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
-_CONSTANT = rf"(?:[a-z_]\w*|-?[0-9]+|{_STRING})"
+_BARE = r"(?:[a-z_]\w*|-?[0-9]+)"
+_CONSTANT = rf"(?:{_BARE}|{_STRING})"
 _ITEM = re.compile(
-    r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
+    rf"{_BLANKS}(?:%[^\n]*(?![^\n]){_BLANKS})*"
     r"(?:@(endogenous|exogenous)(?!\w)"
     rf"|([A-Za-z_]\w*){_BLANKS}\({_BLANKS}"
     rf"(?:(-?[0-9]+){_BLANKS};{_BLANKS})?"
-    rf"((?:{_CONSTANT}(?:{_BLANKS},{_BLANKS}{_CONSTANT})*)?){_BLANKS}\){_BLANKS}\."
+    rf"(?:({_BARE}(?:,{_BARE})*)\)"
+    rf"|((?:{_CONSTANT}(?:{_BLANKS},{_BLANKS}{_CONSTANT})*)?){_BLANKS}\)){_BLANKS}\."
     r"|\Z)",
     re.DOTALL,
 )
@@ -240,16 +246,19 @@ def parse_instance(source: str) -> Instance:
     facts: list[Fact] = []
     match, pos = _ITEM.match, 0
     while m := match(source, pos):
-        directive, name, fact_id, args = m.groups()
+        directive, name, fact_id, plain, args = m.groups()
         if name is not None:
             if fact_id is not None:
                 try:
                     fact_id = _tuple_id(fact_id)
                 except SemanticError:
                     break  # reported by the grammar, after any scanner error
-            constants = _ARGUMENT.findall(args)
-            if '"' in args:
-                constants = [_ESCAPE.sub(r"\1", a[1:-1]) if a[0] == '"' else a for a in constants]
+            if plain is not None:
+                constants = plain.split(",")
+            else:
+                constants = _ARGUMENT.findall(args)
+                if '"' in args:
+                    constants = [_ESCAPE.sub(r"\1", a[1:-1]) if a[0] == '"' else a for a in constants]
             facts.append(Fact(name, tuple(constants), tag, fact_id))
         elif directive is not None:
             tag = ENDOGENOUS if directive == "endogenous" else EXOGENOUS

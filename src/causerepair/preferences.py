@@ -302,7 +302,7 @@ def _constrained_positions(cq: ConjunctiveQuery) -> list[set[int]]:
 
 def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrChange]]:
     """For every violation witness, the positions whose nulling destroys it."""
-    kill, index = [], _Index(d.facts)
+    kill, index = [], _Index(d)
     for dc in sigma:
         constrained = _constrained_positions(dc.body)
         for used, _ in iter_matches(index, dc.body):

@@ -12,7 +12,8 @@ exactly once may still bind null, so a fact with null attributes keeps
 witnessing patterns that do not constrain those positions.
 
 Evaluation is an indexed nested-loop join.  The facts are grouped by
-predicate and arity once per collection (``_Index``), and each join step
+predicate and arity once per collection (``_Index``; an instance's
+grouping is ``Instance.relations``, made once), and each join step
 looks its candidates up in a hash index on its bound positions, built on
 the first lookup and kept in the same object, so several joins over one
 instance share every index.  A lookup through a null value finds
@@ -43,7 +44,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SemanticError
-from .relational import NULL, Fact, Instance, is_null
+from .relational import NULL, Fact, Instance, group_relations, is_null
 
 
 @dataclass(frozen=True)
@@ -298,15 +299,8 @@ class _Index:
 
     __slots__ = ("relations", "tables")
 
-    def __init__(self, facts: Iterable[Fact]):
-        relations: dict[tuple[str, int], list[Fact]] = {}
-        for f in facts:
-            relation = relations.get((f.pred, len(f.args)))
-            if relation is None:
-                relations[f.pred, len(f.args)] = [f]
-            else:
-                relation.append(f)
-        self.relations = relations
+    def __init__(self, facts: "Instance | Iterable[Fact]"):
+        self.relations = facts.relations if isinstance(facts, Instance) else group_relations(facts)
         self.tables: dict[tuple, dict[tuple, list[Fact]]] = {}
 
     def table(self, step: _JoinStep) -> dict[tuple, list[Fact]]:
@@ -318,9 +312,7 @@ class _Index:
 
 
 def _index_of(facts: "Instance | Iterable[Fact] | _Index") -> _Index:
-    if isinstance(facts, _Index):
-        return facts
-    return _Index(facts.facts if isinstance(facts, Instance) else facts)
+    return facts if isinstance(facts, _Index) else _Index(facts)
 
 
 def _step_extensions(index: _Index, order: _Order, tables: list, depth: int,

@@ -9,6 +9,14 @@ atom and, when it carries one, by its tuple id (``Instance.find`` and
 ``Instance.resolve``); without an id it names the atom's first fact in
 canonical order.
 
+A ``Fact`` is a slotted class that hashes its identity once, when it is
+built; its hash is that of ``(pred, args, fact_id)``.  It is immutable by
+convention: no code assigns a field after ``__init__``, which an AST
+check in ``tests/test_imports.py`` enforces.  Copies and pickles rebuild
+the fact, so the hash is computed again in the process that loads it.
+``Instance.relations`` groups an instance's facts by predicate and arity
+once; ``schema``, typed lookups and every join over the instance read it.
+
 The invariants are stated once, in ``violations``: one arity per
 predicate, one tag per atom (whatever its tuple ids), and one fact per
 tuple id.  ``parse_instance`` rejects the first violation and
@@ -23,7 +31,7 @@ which is enforced by the query evaluator, not by string equality here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -48,14 +56,31 @@ def format_constant(value: str) -> str:
     return f'"{escaped}"'
 
 
-@dataclass(frozen=True)
 class Fact:
-    """A ground atom, e.g. ``R(a4,a3)`` or, with a tuple id, ``R(2;a3,a3)``."""
+    """A ground atom, e.g. ``R(a4,a3)`` or, with a tuple id, ``R(2;a3,a3)``.
+    Immutable by convention; the tag never takes part in identity."""
 
-    pred: str
-    args: tuple[str, ...]
-    tag: str = field(default=ENDOGENOUS, compare=False)
-    fact_id: int | None = None
+    __slots__ = ("pred", "args", "tag", "fact_id", "_hash")
+
+    def __init__(self, pred: str, args: tuple[str, ...], tag: str = ENDOGENOUS,
+                 fact_id: int | None = None):
+        self.pred = pred
+        self.args = args
+        self.tag = tag
+        self.fact_id = fact_id
+        self._hash = hash((pred, args, fact_id))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Fact:
+            return NotImplemented
+        return self.pred == other.pred and self.args == other.args and self.fact_id == other.fact_id
+
+    def __reduce__(self):
+        # rebuilt, not restored: string hashes differ between processes
+        return (Fact, (self.pred, self.args, self.tag, self.fact_id))
 
     @property
     def arity(self) -> int:
@@ -120,15 +145,24 @@ class Instance:
         return frozenset(f for f in self.facts if f.tag == EXOGENOUS)
 
     @cached_property
+    def relations(self) -> dict[tuple[str, int], list[Fact]]:
+        """(Predicate, arity) -> the facts of that relation."""
+        return group_relations(self.facts)
+
+    @cached_property
     def schema(self) -> dict[str, int]:
         """Predicate name -> arity; on conflicts, that of the predicate's
         first fact in canonical order (the one with the least arguments)."""
-        least: dict[str, tuple[str, ...]] = {}
-        for f in self.facts:
-            seen = least.setdefault(f.pred, f.args)
-            if f.args < seen:
-                least[f.pred] = f.args
-        return {pred: len(args) for pred, args in least.items()}
+        out: dict[str, int] = {}
+        clashes = []
+        for pred, arity in self.relations:
+            if out.setdefault(pred, arity) != arity:
+                clashes.append(pred)
+        for pred in clashes:
+            out[pred] = len(min(
+                f.args for (other, _), group in self.relations.items() if other == pred for f in group
+            ))
+        return out
 
     @cached_property
     def by_atom(self) -> dict[tuple[str, tuple[str, ...]], Fact]:
@@ -146,7 +180,7 @@ class Instance:
         if found is None or fact_id is None or found.fact_id == fact_id:
             return found
         probe = Fact(pred, args, fact_id=fact_id)
-        return next((f for f in self.facts if f == probe), None)
+        return next((f for f in self.relations[pred, len(args)] if f == probe), None)
 
     def resolve(self, f: Fact) -> Fact:
         """The instance's fact that ``f`` names; absent is an error."""
@@ -169,6 +203,18 @@ class Instance:
 
     def __str__(self) -> str:
         return serialize_instance(self)
+
+
+def group_relations(facts: Iterable[Fact]) -> dict[tuple[str, int], list[Fact]]:
+    """The facts by (predicate, arity), each relation in iteration order."""
+    relations: dict[tuple[str, int], list[Fact]] = {}
+    for f in facts:
+        relation = relations.get((f.pred, len(f.args)))
+        if relation is None:
+            relations[f.pred, len(f.args)] = [f]
+        else:
+            relation.append(f)
+    return relations
 
 
 def delta(d: Instance, d_prime: Instance) -> frozenset[Fact]:

@@ -187,7 +187,7 @@ def consistent_answer(
         return not any(t is None or t in excluded for t in resolved)
     if any(t is None for t in resolved):
         return False
-    index, verdicts = _Index(d.facts), {}
+    index, verdicts = _Index(d), {}
     return not any(_on_minimal_violation(index, view, t, verdicts) for t in resolved)
 
 

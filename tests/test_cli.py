@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -49,6 +50,44 @@ def test_non_utf8_input_is_usage_error(tmp_path):
     inst.write_bytes("S(caf\u00e9).\n".encode("latin-1"))
     code, out, err = execute(["causes", "-i", str(inst), "-q", "ex1.dlq"])
     assert code == 1 and out == "" and "latin1.facts" in err
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (b"S(caf\xe9).\n", "invalid continuation byte"),
+    (b"S(a).\n\xff", "invalid start byte"),
+    (b"S(a).\n\xe2\x82", "unexpected end of data"),
+])
+def test_non_utf8_input_names_the_file_and_the_reason(tmp_path, payload, reason):
+    inst = tmp_path / "bad.facts"
+    inst.write_bytes(payload)
+    code, out, err = execute(["causes", "-i", str(inst), "-q", "ex1.dlq"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {inst} is not UTF-8 text: {reason}\n"
+
+
+def test_line_ends_are_translated_and_the_digest_covers_the_bytes_read(tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda path, *a, **k: opened.append(path) or open(path, *a, **k),
+                        raising=False)
+    texts = {
+        "ex1.facts": (DATA / "ex1.facts").read_text(),
+        "broken.facts": "S(a3).\n% a comment\nR(a3,\n  a4) R(b).\n",  # line 4, column 7
+    }
+    for name, text in texts.items():
+        runs = []
+        for i, newline in enumerate(("\n", "\r\n", "\r")):
+            inst = tmp_path / f"{i}-{name}"
+            inst.write_bytes(text.replace("\n", newline).encode())
+            code, out, err = execute(["causes", "-i", str(inst), "-q", "ex1.dlq", "--json"])
+            assert opened.count(str(inst)) == 1  # one read: the digest is of the bytes parsed
+            runs.append((code, err.replace(str(inst), "<file>")))
+            if code == 0:
+                report = json.loads(out)
+                digest = report["inputs"]["instance"]["sha256"]
+                assert digest == hashlib.sha256(inst.read_bytes()).hexdigest()
+                runs[-1] += (report["result"],)
+        assert runs[1:] == runs[:1] * 2, name
+    assert runs[0][:2] == (1, "error: line 4, column 7: expected '.', found 'R'\n")
 
 
 def test_non_ascii_digit_is_usage_error(tmp_path):

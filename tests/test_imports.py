@@ -1,7 +1,9 @@
 """Every name a package module imports is used in that module, every
-module-level private function and class is referenced from elsewhere, and
+module-level private function and class is referenced from elsewhere,
 every parameter of every function is read in its body (``self`` and
-``cls`` excepted: an override keeps its signature).
+``cls`` excepted: an override keeps its signature), and no field of a
+``Fact`` is assigned outside ``Fact.__init__`` (a fact hashes once, so
+it is immutable by convention).
 
 A stdlib ``ast`` check standing in for a linter.  ``__init__`` exists to
 re-export, so it is exempt from the import check.  String annotations
@@ -100,3 +102,62 @@ def test_every_parameter_is_read(path):
                 for p in params if p.arg not in read | {"self", "cls"}
             ]
     assert unread == []
+
+
+# The fields of ``relational.Fact`` and where they may be assigned: its
+# own ``__init__``, and the one other class with a field of the same name.
+FACT_FIELDS = {"pred", "args", "tag", "fact_id", "_hash"}
+FIELD_OWNERS = {("relational.py", "Fact.__init__"), ("cli.py", "_Inputs.__init__")}
+
+
+def _field_assignments(name: str, source: str) -> list[str]:
+    """Each assignment, deletion or ``setattr`` of a ``Fact`` field name in
+    ``source`` outside the functions allowed to make it."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        attrs = [
+            t.attr for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Attribute) and isinstance(t.ctx, (ast.Store, ast.Del))
+        ]
+        if isinstance(node, ast.Call) and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) in ("setattr", "__setattr__", "delattr"):
+                attrs.append(node.args[1].value)
+        found.extend(
+            f"{name}:{node.lineno} {attr}" for attr in attrs
+            if attr in FACT_FIELDS and (name, scope) not in FIELD_OWNERS
+        )
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_fact_field_is_assigned_after_construction(path):
+    assert _field_assignments(path.name, path.read_text()) == []
+
+
+def test_the_fact_field_lint_catches_a_planted_assignment():
+    source = (PACKAGE / "relational.py").read_text()
+    assert _field_assignments("relational.py", source) == []
+    planted = [
+        "def retag(f):\n    f.tag = 'exogenous'\n",
+        "def rename(f):\n    f.pred, x = 'R', 1\n",
+        "def bump(f):\n    f.args += ('a',)\n",
+        "def forge(f):\n    object.__setattr__(f, '_hash', 0)\n",
+        "def forget(f):\n    del f.fact_id\n",
+        "class Fact:\n    def with_args(self, args):\n        self.args = args\n",
+    ]
+    for extra in planted:
+        assert len(_field_assignments("relational.py", source + extra)) == 1, extra
+    assert len(_field_assignments("cli.py", planted[0])) == 1  # only ``_Inputs.__init__`` is exempt there

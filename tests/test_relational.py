@@ -1,9 +1,13 @@
+import copy
 import json
 import os
+import pickle
 import random
+import re
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ import causerepair
 from causerepair import parsing
 from causerepair.errors import ParseError, SemanticError
 from causerepair.parsing import parse_instance
+from causerepair.queries import Atom
 from causerepair.relational import (
     ENDOGENOUS,
     EXOGENOUS,
@@ -85,6 +90,49 @@ def test_parse_errors():
 def test_fact_identity_ignores_tag():
     assert fact("R", "a", tag=ENDOGENOUS) == fact("R", "a", tag=EXOGENOUS)
     assert fact("R", "a") != fact("R", "a", fact_id=1)
+
+
+@pytest.mark.parametrize("f", [
+    fact("R", "a4", "a3"),
+    fact("R", "a", 'say "hi"', tag=EXOGENOUS, fact_id=2),
+    Fact("P", (), EXOGENOUS),
+    Fact("S", ("null",), fact_id=7),
+], ids=str)
+def test_fact_contract(f):
+    identity = (f.pred, f.args, f.fact_id)
+    assert hash(f) == hash(identity)  # the frozen dataclass's value: sets keep their order
+    other_tag = EXOGENOUS if f.tag == ENDOGENOUS else ENDOGENOUS
+    assert f == Fact(f.pred, f.args, other_tag, f.fact_id)
+    assert not f != Fact(f.pred, f.args, other_tag, f.fact_id)
+    assert f != Fact(f.pred, f.args + ("x",), f.tag, f.fact_id)
+    assert f != Fact(f.pred, f.args, f.tag, 99)
+    assert f != identity and f != (f.pred, f.args) and f != Atom(f.pred, f.args)
+    assert identity != f and Atom(f.pred, f.args) != f
+    assert f.__eq__(identity) is NotImplemented
+    assert f.with_args(("b",)) == Fact(f.pred, ("b",), f.tag, f.fact_id)
+    assert f.with_args(("b",)).tag == f.tag
+    for again in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert again == f and hash(again) == hash(identity) and again.tag == f.tag
+        assert {again} == {f} and str(again) == str(f)
+    assert fact(f.pred, *f.args, tag=f.tag, fact_id=f.fact_id) == f
+
+
+def test_fact_text_forms():
+    assert str(fact("R", "a4", "a3")) == "R(a4,a3)"
+    assert repr(fact("R", "a4", "a3")) == "Fact[R(a4,a3)]"
+    assert str(Fact("R", ("a", 'say "hi"'), fact_id=2)) == 'R(2;a,"say \\"hi\\"")'
+    assert repr(Fact("P", (), EXOGENOUS)) == "Fact[P()]"
+
+
+def test_fact_pickles_across_processes():
+    # string hashes differ between processes: the hash is computed again
+    code = "import pickle, sys; from causerepair.relational import fact; " \
+           "sys.stdout.buffer.write(pickle.dumps({fact('R', 'a', 'b', fact_id=3)}))"
+    env = dict(os.environ, PYTHONHASHSEED="5", PYTHONPATH=str(Path(causerepair.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    (f,) = loaded = pickle.loads(out.stdout)
+    assert fact("R", "a", "b", fact_id=3) in loaded and hash(f) == hash(("R", ("a", "b"), 3))
 
 
 def test_delta_examples():
@@ -422,8 +470,12 @@ def test_instance_fast_path_agrees_with_the_grammar(monkeypatch):
         parsing, "_tokenize", lambda source, start=0: handed_over.append(start) or tokenize(source, start)
     )
     parsed = failed = 0
-    for _ in range(2500):
-        source = _random_instance_text(rng)
+    # the two argument groups of ``_ITEM``: a plain list, and one with blanks
+    fixed = ["R(a,b).S(1;x).A(-3,_y9)", "R( a , b ).S(1; x ,-3).R(a,b ).", "R(a,b) .S(\"q\",b)."]
+    assert [parsing._ITEM.match(text).group(4, 5) for text in fixed] == [
+        ("a,b", None), (None, "a , b"), ("a,b", None)
+    ]
+    for source in fixed + [_random_instance_text(rng) for _ in range(2500)]:
         try:
             expected = grammar_only(source)
         except (ParseError, SemanticError) as exc:
@@ -465,6 +517,19 @@ def test_plain_instances_never_reach_the_token_grammar(monkeypatch):
     assert ("T", ("a,b", "-3", "x")) in parse_instance(_plain_instance_text(rng)).by_atom
     with pytest.raises(AssertionError, match="offset 7$"):  # the end of the item before
         parse_instance("R(a,b).\n\nR(a %\n,b).")
+
+
+@pytest.mark.parametrize("source, message", [
+    (" " * 200_000 + "$", "unexpected character '$'"),
+    ("% a comment\n" * 50_000 + "$", "unexpected character '$'"),
+    ("R(" + "a," * 100_000, "expected a constant, found 'end of input'"),
+    ("R(" + "a," * 100_000 + " ", "expected a constant, found 'end of input'"),
+], ids=["blanks", "comments", "open-list", "open-list-blank"])
+def test_instance_scan_backs_off_in_linear_time(source, message):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_instance(source)
+    assert time.perf_counter() - start < 5
 
 
 def test_tuple_id_beyond_int_parsing_is_a_semantic_error():
@@ -546,14 +611,27 @@ def _sorted_by_atom(d: Instance) -> dict:
     return out
 
 
-def compare_lookups(count: int = 500) -> dict:
-    """Check the one-pass ``schema``, ``by_atom`` and ``find`` against
-    the sorted definitions on seeded instances; count what was covered."""
+def _scanned_relations(d: Instance) -> dict:
+    """``Instance.relations`` as a scan of every fact per relation."""
+    keys = dict.fromkeys((f.pred, f.arity) for f in d.facts)
+    return {key: [f for f in d.facts if (f.pred, f.arity) == key] for key in keys}
+
+
+def compare_lookups(count: int = 800) -> dict:
+    """Check the grouped ``relations`` and ``schema`` and the one-pass
+    ``by_atom`` and ``find`` against the sorted definitions on seeded
+    instances; count what was covered."""
     rng = random.Random(20261018)
-    covered = {"repeated_atom": 0, "tag_clash": 0, "arity_clash": 0}
+    covered = {"repeated_atom": 0, "tag_clash": 0, "arity_clash": 0, "longer_first": 0}
     for _ in range(count):
         d = _random_clashing_instance(rng)
+        relations = _scanned_relations(d)
+        assert list(d.relations.items()) == list(relations.items()), d
         assert d.schema == _sorted_schema(d), d
+        least = {}
+        for pred, arity in relations:  # a clash whose first fact is not the shortest
+            least[pred] = min(least.get(pred, arity), arity)
+        covered["longer_first"] += any(d.schema[p] > arity for p, arity in least.items())
         expected = _sorted_by_atom(d)
         assert d.by_atom.keys() == expected.keys(), d
         assert all(d.by_atom[atom] is f for atom, f in expected.items()), d
@@ -586,6 +664,25 @@ def test_one_pass_lookups_match_the_sorted_definitions():
     first, second = _compare_lookups_in_process("1"), _compare_lookups_in_process("2")
     assert first == second
     assert min(first.values()) > 50, first
+
+
+def test_typed_lookup_matches_a_scan_of_every_fact():
+    rng = random.Random(11)
+    typed = 0
+    for _ in range(1500):
+        d = _random_clashing_instance(rng)
+        first = _sorted_by_atom(d)
+        for pred, args in [*first, ("R", ("a",)), ("P", ())]:
+            for fact_id in (None, 1, 2, 3, 4, 9):
+                if fact_id is None:
+                    expected = first.get((pred, args))
+                else:
+                    expected = next(
+                        (f for f in d.facts if f.atom == (pred, args) and f.fact_id == fact_id), None
+                    )
+                    typed += expected is not None and expected is not first[pred, args]
+                assert d.find(pred, args, fact_id) is expected, (d, pred, args, fact_id)
+    assert typed > 500  # ids other than the atom's first are looked up
 
 
 def test_tuple_id_names_one_fact():
