@@ -30,8 +30,6 @@ from .hitting import (
 from .queries import UnionQuery, _maximal_deletion
 from .relational import Fact, Instance, set_key
 
-Responsibility = Fraction
-
 ZERO = Fraction(0)
 
 
@@ -104,15 +102,15 @@ def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
     budgeted mode with ``k`` as the parameter: the search never adds more
     than ``k - 2`` facts beyond ``t``, so a responsibility at or below
     ``v`` is never computed exactly; facts that are absent or exogenous
-    simply fail the membership test.
+    fail before any join.
     """
     v = Fraction(v)
     if v < 0 or (v > 0 and v.numerator != 1):
         raise SemanticError(f"threshold must be 0 or 1/k, got {v}")
-    edges = endogenous_support_sets(d, q)
     resolved = d.find(t.pred, t.args, t.fact_id)
     if resolved is None or not resolved.is_endogenous:
         return False
+    edges = endogenous_support_sets(d, q)
     if v == 0:
         return any(resolved in edge for edge in edges)
     return minimum_hitting_set_containing(edges, resolved, budget=v.denominator)

@@ -1,29 +1,40 @@
 """Command-line front end.
 
-One subcommand per engine capability, each reading instance (``-i``),
-query (``-q``), and constraint (``-c``) files and emitting either plain
-text or, with ``--json``, a canonical report: fixed key order, facts in
-canonical order, responsibilities as exact ``{num, den}`` pairs.  Repeated
-runs on identical inputs produce byte-identical output.
+One subcommand per engine capability, each reading an instance (``-i``)
+and either a query (``-q``) or a constraint set (``-c``), and emitting
+either plain text or, with ``--json``, a canonical report: fixed key
+order, facts in canonical order, responsibilities as exact ``{num, den}``
+pairs.  Repeated runs on identical inputs produce byte-identical output.
+
+Each subparser names its handler and ``execute`` parses the instance,
+then the query or the constraints, and hands both to it: an instance
+error comes before a program error, and both before any other.  The
+report's ``command`` is the subcommand (``oracle.causes`` and so on).
 
 The report is written by ``_json``, which joins each container's members
 in one pass and is byte-identical to ``json.dumps(report, indent=2,
 sort_keys=True)``; text lines are built only when no ``--json`` is given.
 Each fact of the instance is formatted once per invocation, and every
 set of its facts is named by the facts' positions in canonical order.
+A repair's facts are the instance's sorted names spliced once
+(``_spliced``): the deleted or nulled originals cut out, and the nulled
+versions, read off the engine's result, put in where their keys sort.
 
 The front end checks syntax only; the engines check meaning.  A typed
 fact (``--tuple``, ``--gamma``, ``--containing``, ``--atoms``, a priority
 file) names the instance's fact with its atom and, if it has one, its
 tuple id; an absent one is an error, except that ``rdp`` and ``cqa``
 answer false.  ``--threshold`` is read as a fraction, and ``rdp_decide``
-alone requires 0 or 1/k.  The ``oracle`` subcommands have handlers of
-their own, apart from the engines they check.
+alone requires 0 or 1/k.  ``--max-enum`` caps the enumerations of
+``repairs``, ``diagnose`` and ``preferred-causes`` and exists on those
+three only.  The ``oracle`` subcommands have handlers of their own,
+apart from the engines they check.
 
 Exit codes: 0 success (including negative decisions), 1 usage or parse
-errors (a negative ``--max-enum`` and an input file that is not UTF-8
-text included), 2 semantic errors, 3 an enumeration cap exceeded (by one
-component's sets or by the product kept) or an oracle input above its bound.
+errors (a negative ``--max-enum``, ``--max-enum`` on a subcommand that
+does not enumerate, and an input file that is not UTF-8 text included),
+2 semantic errors, 3 an enumeration cap exceeded (by one component's
+sets or by the product kept) or an oracle input above its bound.
 """
 
 from __future__ import annotations
@@ -75,12 +86,6 @@ def _enumeration_cap(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
-
-
-def _fraction_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _fraction_json(value: Fraction) -> dict:
@@ -148,10 +153,10 @@ class _Inputs:
         return parse_priorities(self._read("priority", self.args.priority))
 
 
-def _render(args, command: str, inputs: _Inputs, result: dict, text_lines):
+def _render(args, inputs: _Inputs, result: dict, text_lines):
     if args.json:
         report = {
-            "command": command,
+            "command": args.command,
             "argv": list(args.raw_argv),
             "inputs": {k: inputs.digests[k] for k in sorted(inputs.digests)},
             "result": result,
@@ -172,65 +177,65 @@ def _cause_listing(pairs, none_found: str) -> tuple[dict, list[str]]:
             for t, rho in ordered
         ]
     }
-    lines = [f"{format_fact(t)}  {_fraction_text(rho)}" for t, rho in ordered]
+    lines = [f"{format_fact(t)}  {rho!s}" for t, rho in ordered]
     return result, lines or [none_found]
 
 
-def _repairs_report(args, inputs: _Inputs, command: str, d, removed_sets) -> str:
-    """The report of deletion repairs of ``d``, one entry per removed set:
-    the kept names are the runs of ``d``'s names between the removed
-    positions, so both lists come out in canonical order."""
+def _spliced(names: list[str], cuts: list[int], inserted=()) -> list[str]:
+    """``names`` without the sorted positions ``cuts``, and with the name
+    of each inserted (position, key, name) before ``names[position]``:
+    inserted names in key order, and before a cut at the same position."""
+    kept, start = [], 0
+    for i in cuts:
+        kept += names[start:i]
+        start = i + 1
+    kept += names[start:]
+    for position, _, name in sorted(inserted, reverse=True):
+        kept.insert(position - bisect.bisect_left(cuts, position), name)
+    return kept
+
+
+def _repairs_report(args, inputs: _Inputs, d, removed_sets) -> str:
+    """The report of deletion repairs of ``d``, one entry per removed set,
+    both lists in canonical order."""
     names, position = _named(d)
     entries = []
     for removed in removed_sets:
         cuts = sorted(position[f] for f in removed)
-        kept, start = [], 0
-        for i in cuts:
-            kept += names[start:i]
-            start = i + 1
-        kept += names[start:]
-        entries.append({"kept": kept, "removed": [names[i] for i in cuts]})
+        entries.append({"kept": _spliced(names, cuts), "removed": [names[i] for i in cuts]})
     lines = (
         "repair: keep {%s}  remove {%s}" % (", ".join(e["kept"]), ", ".join(e["removed"]))
         for e in entries
     )
     result = {"semantics": args.semantics, "repairs": entries}
-    return _render(args, command, inputs, result, lines)
+    return _render(args, inputs, result, lines)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 
-def _cmd_causes(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    q = inputs.query()
+def _cmd_causes(args, inputs: _Inputs, d, q) -> str:
     result, lines = _cause_listing(causality.responsibilities(d, q).items(), "no causes")
-    return _render(args, "causes", inputs, result, lines)
+    return _render(args, inputs, result, lines)
 
 
-def _cmd_responsibility(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    q = inputs.query()
+def _cmd_responsibility(args, inputs: _Inputs, d, q) -> str:
     t = parse_fact(args.tuple)
     rho = causality.responsibility(d, q, t)
     result = {"fact": format_fact(t), "responsibility": _fraction_json(rho)}
-    return _render(args, "responsibility", inputs, result, [_fraction_text(rho)])
+    return _render(args, inputs, result, [str(rho)])
 
 
-def _cmd_mrc(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    q = inputs.query()
+def _cmd_mrc(args, inputs: _Inputs, d, q) -> str:
     top, value = causality.most_responsible_causes(d, q)
     names = _sorted_facts(top)
     result = {"causes": names, "responsibility": _fraction_json(value)}
-    lines = [f"{name}  {_fraction_text(value)}" for name in names] or ["no causes"]
-    return _render(args, "mrc", inputs, result, lines)
+    lines = [f"{name}  {value!s}" for name in names] or ["no causes"]
+    return _render(args, inputs, result, lines)
 
 
-def _cmd_check_contingency(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    q = inputs.query()
+def _cmd_check_contingency(args, inputs: _Inputs, d, q) -> str:
     t = parse_fact(args.tuple)
     gamma = frozenset(parse_fact_list(args.gamma))
     verdict = causality.check_minimal_contingency(d, q, t, gamma)
@@ -239,12 +244,10 @@ def _cmd_check_contingency(args, inputs: _Inputs) -> str:
         "contingency": _sorted_facts(gamma),
         "minimal_contingency": verdict,
     }
-    return _render(args, "check-contingency", inputs, result, [str(verdict).lower()])
+    return _render(args, inputs, result, [str(verdict).lower()])
 
 
-def _cmd_rdp(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    q = inputs.query()
+def _cmd_rdp(args, inputs: _Inputs, d, q) -> str:
     t = parse_fact(args.tuple)
     try:
         threshold = Fraction(args.threshold)
@@ -253,15 +256,13 @@ def _cmd_rdp(args, inputs: _Inputs) -> str:
     verdict = causality.rdp_decide(d, q, t, threshold)
     result = {
         "fact": format_fact(t),
-        "threshold": _fraction_text(threshold),
+        "threshold": str(threshold),
         "exceeds": verdict,
     }
-    return _render(args, "rdp", inputs, result, [str(verdict).lower()])
+    return _render(args, inputs, result, [str(verdict).lower()])
 
 
-def _cmd_repairs(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    sigma = inputs.constraints()
+def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
     semantics = args.semantics
     if semantics == "null":
         return _null_repairs_report(args, inputs, d, sigma)
@@ -274,55 +275,37 @@ def _cmd_repairs(args, inputs: _Inputs) -> str:
         reps = preferences.endogenous_repairs(d, sigma, args.max_enum)
     else:
         reps = _compute_repairs(d, sigma, semantics, args.max_enum)
-    return _repairs_report(args, inputs, "repairs", d, [r.removed for r in reps])
+    return _repairs_report(args, inputs, d, [r.removed for r in reps])
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
-    # a repair changes only the facts whose ids its diff names: their
-    # names are cut out of d's sorted names and their nulled versions'
-    # names inserted where their keys sort, as in _repairs_report
+    # a repair's nulled facts are those of its result not in d, and their
+    # originals those of d not in its result (one fact per tuple id)
     names, position = _named(d)
     keys = [fact_key(f) for f in d.sorted_facts]
-    by_id = {f.fact_id: f for f in d.facts}
-    edits = {}  # (id, mask of nulled positions) -> the insertion and the cut
+    inserts = {}  # nulled fact -> (its position among d's keys, its key, its name)
     entries = []
     for r in preferences.null_repairs(d, sigma, args.max_enum):
-        masks: dict[int, int] = {}
-        for c in r.diff:
-            masks[c.fact_id] = masks.get(c.fact_id, 0) | 1 << (c.position - 1)
-        events = []
-        for edit in masks.items():
-            pair = edits.get(edit)
-            if pair is None:
-                f = by_id[edit[0]]
-                new = preferences._nulled(f, {p for p in range(len(f.args)) if edit[1] >> p & 1})
-                key = fact_key(new)
-                pair = edits[edit] = ((bisect.bisect(keys, key), 0, key, format_fact(new)),
-                                      (position[f], 1))
-            events += pair
-        facts, start = [], 0
-        for event in sorted(events):  # at one point, insertions before the cut
-            facts += names[start:event[0]]
-            if event[1]:
-                start = event[0] + 1
-            else:
-                facts.append(event[3])
-                start = event[0]
-        facts += names[start:]
+        nulled = []
+        for f in r.result.facts - d.facts:
+            insert = inserts.get(f)
+            if insert is None:
+                key = fact_key(f)
+                insert = inserts[f] = (bisect.bisect(keys, key), key, format_fact(f))
+            nulled.append(insert)
+        cuts = sorted(position[f] for f in d.facts - r.result.facts)
         diff = sorted(str(c) for c in r.diff)
-        entries.append({"facts": facts, "diff": diff})
+        entries.append({"facts": _spliced(names, cuts, nulled), "diff": diff})
     entries.sort(key=lambda entry: entry["diff"])
     lines = (
         "repair: {%s}  diff {%s}" % (", ".join(e["facts"]), ", ".join(e["diff"]))
         for e in entries
     )
     result = {"semantics": "null", "repairs": entries}
-    return _render(args, "repairs", inputs, result, lines)
+    return _render(args, inputs, result, lines)
 
 
-def _cmd_cqa(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    sigma = inputs.constraints()
+def _cmd_cqa(args, inputs: _Inputs, d, sigma) -> str:
     atoms = parse_fact_list(args.atoms)
     if not atoms:
         raise SemanticError("--atoms names no ground atoms")
@@ -332,12 +315,10 @@ def _cmd_cqa(args, inputs: _Inputs) -> str:
         "semantics": args.semantics,
         "consistent": verdict,
     }
-    return _render(args, "cqa", inputs, result, [str(verdict).lower()])
+    return _render(args, inputs, result, [str(verdict).lower()])
 
 
-def _cmd_diagnose(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    q = inputs.query()
+def _cmd_diagnose(args, inputs: _Inputs, d, q) -> str:
     problem = diagnosis.build_problem(d, q)
     containing = parse_fact(args.containing) if args.containing else None
     found = diagnosis.diagnoses(problem, args.kind, containing, args.max_enum)
@@ -352,36 +333,30 @@ def _cmd_diagnose(args, inputs: _Inputs) -> str:
         ("diagnosis: {%s}" % ", ".join(names) for names in diagnoses),
         result.get("theory", ()),
     )
-    return _render(args, "diagnose", inputs, result, lines)
+    return _render(args, inputs, result, lines)
 
 
-def _cmd_preferred_causes(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    q = inputs.query()
+def _cmd_preferred_causes(args, inputs: _Inputs, d, q) -> str:
     pc = preferences.validate_causal_priority(d, q, inputs.priorities())
     pairs = preferences.preferred_causes(d, q, pc, args.max_enum)
     result, lines = _cause_listing(pairs, "no preferred causes")
-    return _render(args, "preferred-causes", inputs, result, lines)
+    return _render(args, inputs, result, lines)
 
 
 # ---------------------------------------------------------------------------
 # The brute-force oracle, kept apart from the engines it checks
 
 
-def _cmd_oracle_causes(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    q = inputs.query()
+def _cmd_oracle_causes(args, inputs: _Inputs, d, q) -> str:
     scored = oracle.oracle_causes_and_responsibility(d, q).items()
     result, lines = _cause_listing([(t, rho) for t, rho in scored if rho > 0], "no causes")
-    return _render(args, "oracle.causes", inputs, result, lines)
+    return _render(args, inputs, result, lines)
 
 
-def _cmd_oracle_repairs(args, inputs: _Inputs) -> str:
-    d = inputs.instance()
-    sigma = inputs.constraints()
+def _cmd_oracle_repairs(args, inputs: _Inputs, d, sigma) -> str:
     kept_sets = oracle.oracle_repairs(d, sigma, args.semantics)
     removed_sets = sorted((d.facts - kept for kept in kept_sets), key=set_key)
-    return _repairs_report(args, inputs, "oracle.repairs", d, removed_sets)
+    return _repairs_report(args, inputs, d, removed_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -394,53 +369,57 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="causerepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, query=False, constraints=False):
+    def common(p, run, query=False, enumerates=False):
+        """The instance, the query (or else the constraints) and the
+        handler; ``--max-enum`` where the handler enumerates."""
+        p.set_defaults(run=run)
         p.add_argument("-i", "--instance", required=True)
         if query:
             p.add_argument("-q", "--query", required=True)
-        if constraints:
+        else:
             p.add_argument("-c", "--constraints", required=True)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--max-enum", type=_enumeration_cap, default=None)
+        if enumerates:
+            p.add_argument("--max-enum", type=_enumeration_cap, default=None)
 
     p = sub.add_parser("causes", help="actual causes with responsibilities")
-    common(p, query=True)
+    common(p, _cmd_causes, query=True)
 
     p = sub.add_parser("responsibility", help="responsibility of one fact")
-    common(p, query=True)
+    common(p, _cmd_responsibility, query=True)
     p.add_argument("--tuple", required=True)
 
     p = sub.add_parser("mrc", help="most responsible causes")
-    common(p, query=True)
+    common(p, _cmd_mrc, query=True)
 
     p = sub.add_parser("check-contingency", help="minimal contingency test")
-    common(p, query=True)
+    common(p, _cmd_check_contingency, query=True)
     p.add_argument("--tuple", required=True)
     p.add_argument("--gamma", default="")
 
     p = sub.add_parser("rdp", help="responsibility threshold decision")
-    common(p, query=True)
+    common(p, _cmd_rdp, query=True)
     p.add_argument("--tuple", required=True)
     p.add_argument("--threshold", required=True)
 
     p = sub.add_parser("repairs", help="repairs under a chosen semantics")
-    common(p, constraints=True)
+    common(p, _cmd_repairs, enumerates=True)
     p.add_argument("--semantics", default="s", choices=["s", "c", "go", "endo", "null"])
     p.add_argument("--priority")
 
     p = sub.add_parser("cqa", help="consistent answers for ground atoms")
-    common(p, constraints=True)
+    common(p, _cmd_cqa)
     p.add_argument("--atoms", required=True)
     p.add_argument("--semantics", default="s", choices=["s", "c"])
 
     p = sub.add_parser("diagnose", help="conflicts and minimal diagnoses")
-    common(p, query=True)
+    common(p, _cmd_diagnose, query=True, enumerates=True)
     p.add_argument("--kind", default="s", choices=["s", "c"])
     p.add_argument("--containing")
     p.add_argument("--emit-theory", action="store_true")
 
     p = sub.add_parser("preferred-causes", help="causes under a causal priority")
-    common(p, query=True)
+    common(p, _cmd_preferred_causes, query=True, enumerates=True)
     p.add_argument("--priority", required=True)
 
     p = sub.add_parser("oracle", help="brute-force reference results")
@@ -448,32 +427,19 @@ def _build_parser() -> _Parser:
     # a subcommand's defaults overwrite the outer "oracle" command name
     p = oracle_sub.add_parser("causes")
     p.set_defaults(command="oracle.causes")
-    common(p, query=True)
+    common(p, _cmd_oracle_causes, query=True)
     p = oracle_sub.add_parser("repairs")
     p.set_defaults(command="oracle.repairs")
-    common(p, constraints=True)
+    common(p, _cmd_oracle_repairs)
     p.add_argument("--semantics", default="s", choices=["s", "c", "endo"])
 
     return parser
 
 
-_DISPATCH = {
-    "causes": _cmd_causes,
-    "responsibility": _cmd_responsibility,
-    "mrc": _cmd_mrc,
-    "check-contingency": _cmd_check_contingency,
-    "rdp": _cmd_rdp,
-    "repairs": _cmd_repairs,
-    "cqa": _cmd_cqa,
-    "diagnose": _cmd_diagnose,
-    "preferred-causes": _cmd_preferred_causes,
-    "oracle.causes": _cmd_oracle_causes,
-    "oracle.repairs": _cmd_oracle_repairs,
-}
-
-
 def execute(argv: list[str]) -> tuple[int, str, str]:
-    """Run one invocation; returns (exit code, stdout text, stderr text)."""
+    """Run one invocation; returns (exit code, stdout text, stderr text).
+    The instance is parsed first, then the query or the constraints, and
+    both are handed to the subcommand's handler."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -482,7 +448,9 @@ def execute(argv: list[str]) -> tuple[int, str, str]:
     args.raw_argv = list(argv)
     inputs = _Inputs(args)
     try:
-        return 0, _DISPATCH[args.command](args, inputs), ""
+        d = inputs.instance()
+        program = inputs.query() if "query" in args else inputs.constraints()
+        return 0, args.run(args, inputs, d, program), ""
     except (ParseError, OSError) as exc:
         return USAGE_ERROR, "", f"error: {exc}\n"
     except SemanticError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, SemanticError
 from .queries import DenialConstraintSet, UnionQuery, eval_boolean, violation_view
 from .relational import Fact, Instance, fact_key
 
@@ -73,8 +73,10 @@ def oracle_repairs(
 
     Semantics 's' keeps the maximal consistent subsets, 'c' the maximum-
     cardinality ones, and 'endo' the subsets preserving every exogenous
-    fact that are maximal among those.
+    fact that are maximal among those; any other is a ``SemanticError``.
     """
+    if semantics not in ("s", "c", "endo"):
+        raise SemanticError(f"unknown repair semantics {semantics!r}")
     facts = sorted(d.facts, key=fact_key)
     if len(facts) > bound:
         raise BoundExceededError(f"{len(facts)} facts exceed bound {bound}")

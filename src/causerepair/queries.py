@@ -22,10 +22,10 @@ nothing, which is the null rule above, unchanged.
 The join order puts next the atom with the most positions bound by
 constants or by earlier atoms, ties in query order
 (``ConjunctiveQuery.join_order``).  Orders are built one step at a time
-from one start state per body (bound counts, a heap of the raised ones,
-and each variable's atoms), at a logarithmic cost per raised count, and
-a walk builds only the steps it reaches; built steps are kept on the
-query for the next walk.
+from one start state per body (bound counts, one heap of every atom by
+count, and each variable's atoms), at a logarithmic cost per raised
+count, and a walk builds only the steps it reaches; built steps are kept
+on the query for the next walk.
 
 A walk may be seeded with a fact ``t`` and an atom ``i``: atom ``i`` is
 its first step and ``t`` its only candidate, and the atoms before ``i``
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SemanticError
@@ -97,13 +97,10 @@ class ConjunctiveQuery:
                 if isinstance(t, Var):
                     occurs.setdefault(t.name, []).append(i)
         counts = tuple(sum(not isinstance(t, Var) for t in a.terms) for a in self.atoms)
-        return _Start(
-            counts,
-            tuple(sorted(range(len(counts)), key=counts.__getitem__, reverse=True)),  # stable
-            occurs,
-            frozenset((a.pred, len(a.terms)) for a in self.atoms),
-            {},
-        )
+        heap = [(-count, i) for i, count in enumerate(counts)]
+        heapify(heap)
+        relations = frozenset((a.pred, len(a.terms)) for a in self.atoms)
+        return _Start(counts, heap, occurs, relations, {})
 
     def _order(self, first: int | None) -> "_Order":
         """The join order that starts at atom ``first`` (None: the plain
@@ -219,7 +216,7 @@ class _JoinStep(NamedTuple):
 
 class _Start(NamedTuple):
     counts: tuple[int, ...]  # per atom, its positions bound by constants
-    ranked: tuple[int, ...]  # the atoms by those counts, most first, ties in query order
+    heap: list  # (-count, atom) of every atom, heapified: most first, ties in query order
     occurs: dict  # variable -> the atom of each of its occurrences
     relations: frozenset  # the (predicate, arity) pairs of the atoms
     orders: dict  # first atom (None: none) -> the order as built so far
@@ -228,38 +225,29 @@ class _Start(NamedTuple):
 class _Order:
     """A join order built one step at a time from the body's start state.
 
-    Atoms whose bound count a step has raised sit in a heap; the others
-    keep their place in ``ranked``.  The next step is the better of the
-    two heads, so the order is the one ``max(remaining, ...)`` would pick,
-    at a logarithmic cost per raised count instead of a scan of every
-    remaining atom."""
+    One heap holds every atom by its bound count, copied from the start
+    state; a raised count is pushed anew, and the entries of taken atoms
+    (count None) and stale counts are dropped when they come up.  So the
+    order is the one ``max(remaining, ...)`` would pick, at a logarithmic
+    cost per raised count instead of a scan of every remaining atom."""
 
-    __slots__ = ("atoms", "start", "steps", "taken", "bound", "raised", "heap", "ranked_at")
+    __slots__ = ("atoms", "start", "steps", "bound", "counts", "heap")
 
     def __init__(self, cq: ConjunctiveQuery, first: int | None):
         self.atoms, self.start = cq.atoms, cq._start
         self.steps: list[_JoinStep] = []
-        self.taken: set[int] = set()
         self.bound: set[str] = set()
-        self.raised: dict[int, int] = {}  # atom -> its bound count, once raised
-        self.heap: list[tuple[int, int]] = []  # (-count, atom), stale entries included
-        self.ranked_at = 0
+        self.counts: list = list(self.start.counts)  # per atom, its bound count so far
+        self.heap = self.start.heap.copy()  # (-count, atom), stale entries included
         if first is not None:
             self._take(first)
 
     def grow(self) -> _JoinStep:
         """Append the next step, and return it."""
-        heap, raised, taken = self.heap, self.raised, self.taken
-        while heap and (heap[0][1] in taken or -heap[0][0] != raised[heap[0][1]]):
-            heappop(heap)
-        ranked, i = self.start.ranked, self.ranked_at
-        while i < len(ranked) and (ranked[i] in taken or ranked[i] in raised):
-            i += 1
-        self.ranked_at = i
-        best = (-self.start.counts[ranked[i]], ranked[i]) if i < len(ranked) else heap[0]
-        if heap and heap[0] < best:
-            best = heap[0]
-        return self._take(best[1])
+        while True:
+            count, i = heappop(self.heap)
+            if -count == self.counts[i]:
+                return self._take(i)
 
     def _take(self, i: int) -> _JoinStep:
         atom, bound = self.atoms[i], self.bound
@@ -269,15 +257,15 @@ class _Order:
             tuple((p, t) for p, t in enumerate(atom.terms) if p not in key),
         )
         self.steps.append(step)
-        self.taken.add(i)
-        counts, raised, taken = self.start.counts, self.raised, self.taken
+        counts = self.counts
+        counts[i] = None
         for t in atom.terms:
             if isinstance(t, Var) and t.name not in bound:
                 bound.add(t.name)
                 for other in self.start.occurs[t.name]:
-                    if other not in taken:
-                        raised[other] = count = raised.get(other, counts[other]) + 1
-                        heappush(self.heap, (-count, other))
+                    if counts[other] is not None:
+                        counts[other] += 1
+                        heappush(self.heap, (-counts[other], other))
         return step
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from causerepair import hitting
 from causerepair.causality import (
     actual_causes,
     check_minimal_contingency,
@@ -142,6 +143,21 @@ def test_rdp_decide_thresholds(chain_instance, chain_query):
 
 def test_rdp_decide_needs_true_query(chain_query):
     assert rdp_decide(parse_instance("S(a9)."), chain_query, parse_fact("S(a9)"), Fraction(0)) is False
+
+
+def test_rdp_decide_answers_absent_and_exogenous_tuples_before_any_join(chain_query, monkeypatch):
+    def no_join(*args):
+        raise AssertionError("joined")
+
+    monkeypatch.setattr(hitting, "support_sets", no_join)
+    d = load_instance("ex13.facts")
+    for t in ("S(a9)", "S(a2)", "R(a3,a3)"):  # absent, exogenous, exogenous
+        for v in (Fraction(0), Fraction(1, 2)):
+            assert rdp_decide(d, chain_query, parse_fact(t), v) is False
+    with pytest.raises(AssertionError, match="joined"):  # an endogenous tuple joins
+        rdp_decide(d, chain_query, parse_fact("S(a3)"), Fraction(0))
+    with pytest.raises(SemanticError):  # the threshold is still checked first
+        rdp_decide(d, chain_query, parse_fact("S(a9)"), Fraction(2, 3))
 
 
 def test_rdp_decide_rejects_bad_threshold(chain_instance, chain_query):

@@ -1,13 +1,14 @@
+import bisect
 import hashlib
 import json
 import random
 
 import pytest
 
-from causerepair import cli
+from causerepair import cli, preferences
 from causerepair.cli import execute
-
-from causerepair.relational import serialize_instance
+from causerepair.parsing import constraint_set, parse_instance
+from causerepair.relational import fact_key, format_fact, serialize_instance
 
 from conftest import DATA, seeded_chain
 
@@ -309,6 +310,99 @@ def test_each_fact_is_formatted_once(tmp_path, monkeypatch, command, listed, cou
     assert code == 0, err
     assert len(json.loads(out)["result"][listed]) == count
     assert calls <= size + nulled
+
+
+# Constants that sort on both sides of ``null``, so a nulled fact often
+# sorts right next to its own original
+_NEAR_NULL = ("a", "nulk", "nullx", "num")
+_KEYED_PROGRAMS = (
+    ":- A(X,Y), A(X,Z), Y != Z.\n",
+    ":- A(X,Y), A(X,Z), Y != Z.\n:- A(X,Y), B(Y).\n",
+)
+
+
+def _random_keyed_text(rng) -> str:
+    """A(id;key,value) and B(id;value) facts with distinct tuple ids drawn
+    up to 30, so ids 2 and 10 may name the same atom and sort differently
+    as keys and as names."""
+    ids = rng.sample(range(1, 31), rng.randint(3, 8))
+    facts = [
+        f"A({i};{rng.choice(_NEAR_NULL)},{rng.choice(_NEAR_NULL)})." if rng.random() < 0.8
+        else f"B({i};{rng.choice(_NEAR_NULL)})."
+        for i in ids
+    ]
+    return " ".join(facts) + "\n"
+
+
+def test_repair_reports_equal_a_plain_rebuild(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(1601)
+    nulled_beside_original = out_of_name_order = 0
+    for _ in range(150):
+        text, program = _random_keyed_text(rng), rng.choice(_KEYED_PROGRAMS)
+        (tmp_path / "d.facts").write_text(text)
+        (tmp_path / "c.dlq").write_text(program)
+        d, sigma = parse_instance(text), constraint_set(program)
+        names = [format_fact(f) for f in d.sorted_facts]
+        by_name = dict(zip(names, d.sorted_facts))
+        keys = [fact_key(f) for f in d.sorted_facts]
+        position = {f.fact_id: i for i, f in enumerate(d.sorted_facts)}
+        out_of_name_order += names != sorted(names)
+        for semantics in ("s", "c"):
+            code, out, err = execute(["repairs", "-i", "d.facts", "-c", "c.dlq",
+                                      "--semantics", semantics, "--json"])
+            assert code == 0, err
+            for entry in json.loads(out)["result"]["repairs"]:
+                kept = d.without(by_name[n] for n in entry["removed"])
+                assert entry["kept"] == [format_fact(f) for f in kept.sorted_facts], text
+        code, out, err = execute(["repairs", "-i", "d.facts", "-c", "c.dlq",
+                                  "--semantics", "null", "--json"])
+        assert code == 0, err
+        by_diff = {tuple(sorted(str(c) for c in r.diff)): r for r in preferences.null_repairs(d, sigma)}
+        entries = json.loads(out)["result"]["repairs"]
+        assert len(entries) == len(by_diff)
+        for entry in entries:
+            rebuilt = by_diff[tuple(entry["diff"])].result.sorted_facts
+            assert entry["facts"] == [format_fact(f) for f in rebuilt], text
+            nulled_beside_original += any(  # no fact of d sorts between the two
+                bisect.bisect(keys, fact_key(f)) - position[f.fact_id] in (0, 1)
+                for f in set(rebuilt) - d.facts
+            )
+    assert min(nulled_beside_original, out_of_name_order) > 20  # the comparison is not vacuous
+
+
+# ---------------------------------------------------------------------------
+# --max-enum is offered where it is read
+
+_ENUMERATING = [
+    ["repairs", "-i", "ex1.facts", "-c", "ex2.dlq"],
+    ["diagnose", "-i", "ex1.facts", "-q", "ex1.dlq"],
+    ["preferred-causes", "-i", "ex14.facts", "-q", "ex15.dlq", "--priority", "ex15.prio"],
+]
+_NOT_ENUMERATING = [
+    ["causes", "-i", "ex1.facts", "-q", "ex1.dlq"],
+    ["responsibility", "-i", "ex1.facts", "-q", "ex1.dlq", "--tuple", "S(a3)"],
+    ["mrc", "-i", "ex1.facts", "-q", "ex1.dlq"],
+    ["check-contingency", "-i", "ex1.facts", "-q", "ex1.dlq", "--tuple", "S(a3)"],
+    ["rdp", "-i", "ex1.facts", "-q", "ex1.dlq", "--tuple", "S(a3)", "--threshold", "0"],
+    ["cqa", "-i", "ex1.facts", "-c", "ex2.dlq", "--atoms", "S(a3)"],
+    ["oracle", "causes", "-i", "ex1.facts", "-q", "ex1.dlq"],
+    ["oracle", "repairs", "-i", "ex1.facts", "-c", "ex2.dlq"],
+]
+
+
+@pytest.mark.parametrize("argv", _ENUMERATING, ids=lambda argv: argv[0])
+def test_enumerating_subcommands_read_the_cap(argv):
+    assert execute(argv)[0] == 0
+    code, out, err = execute(argv + ["--max-enum", "0"])
+    assert code == 3 and out == "" and "cap" in err
+
+
+@pytest.mark.parametrize("argv", _NOT_ENUMERATING, ids=lambda argv: ".".join(a for a in argv[:2] if a[0] != "-"))
+def test_other_subcommands_reject_the_cap(argv):
+    assert execute(argv)[0] == 0
+    code, out, err = execute(argv + ["--max-enum", "0"])
+    assert code == 1 and out == "" and err.startswith("usage error:") and "--max-enum" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, every
 module-level private function and class is referenced from elsewhere,
 every parameter of every function is read in its body (``self`` and
-``cls`` excepted: an override keeps its signature), and no field of a
+``cls`` excepted: an override keeps its signature), no field of a
 ``Fact`` is assigned outside ``Fact.__init__`` (a fact hashes once, so
-it is immutable by convention).
+it is immutable by convention), and the command-line front end uses
+only the engines' public names.
 
 A stdlib ``ast`` check standing in for a linter.  ``__init__`` exists to
 re-export, so it is exempt from the import check.  String annotations
@@ -161,3 +162,38 @@ def test_the_fact_field_lint_catches_a_planted_assignment():
     for extra in planted:
         assert len(_field_assignments("relational.py", source + extra)) == 1, extra
     assert len(_field_assignments("cli.py", planted[0])) == 1  # only ``_Inputs.__init__`` is exempt there
+
+
+def _private_engine_names(source: str) -> list[str]:
+    """Each ``_name`` that ``source`` imports from another package module,
+    or reads as an attribute of a package module it imports."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for a in node.names:
+                if node.module is None:
+                    modules.add(a.asname or a.name)
+                if a.name.startswith("_"):
+                    found.append(f"{node.lineno} {node.module or '.'}.{a.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.append(f"{node.lineno} {node.value.id}.{node.attr}")
+    return found
+
+
+def test_the_front_end_uses_only_public_engine_names():
+    assert _private_engine_names((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_public_name_lint_catches_a_planted_use():
+    planted = [
+        "from . import preferences\npreferences._nulled(f, ())\n",
+        "from .preferences import _nulled\n",
+        "from . import queries as q\nq._Index(d)\n",
+    ]
+    for source in planted:
+        assert len(_private_engine_names(source)) == 1, source
+    allowed = "from .repairs import repairs as _compute_repairs\nfrom . import cli\n_x._y\n"
+    assert _private_engine_names(allowed) == []

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from causerepair import hitting, queries
+from causerepair import hitting, oracle, queries
 from causerepair.causality import actual_causes, most_responsible_causes, responsibility
 from causerepair.cli import execute
 from causerepair.errors import CapExceededError, SemanticError
@@ -311,6 +311,18 @@ def test_repair_engines_agree_with_oracle_randomized():
             assert {
                 s.facts for s in subsets if is_repair(d, sigma, s, semantics)
             } == expected
+
+
+@pytest.mark.parametrize("semantics", ["go", "null", "zz", ""])
+def test_oracle_repairs_rejects_other_semantics(semantics, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(oracle, "eval_boolean", no_scan)
+    wide = parse_instance(" ".join(f"S(a{i})." for i in range(16)))  # above the bound
+    for d in (load_instance("ex1.facts"), wide):
+        with pytest.raises(SemanticError, match="unknown repair semantics"):
+            oracle_repairs(d, load_constraints("ex2.dlq"), semantics)
 
 
 def test_repairs_via_causes_rejects_exogenous():
