@@ -18,7 +18,7 @@ Each fact of the instance is formatted once per invocation, and every
 set of its facts is named by the facts' positions in canonical order.
 A repair's facts are the instance's sorted names spliced once
 (``_spliced``): the deleted or nulled originals cut out, and the nulled
-versions, read off the engine's result, put in where their keys sort.
+versions, named by the engine's null repair, put in where their keys sort.
 
 The front end checks syntax only; the engines check meaning.  A typed
 fact (``--tuple``, ``--gamma``, ``--containing``, ``--atoms``, a priority
@@ -27,14 +27,16 @@ tuple id; an absent one is an error, except that ``rdp`` and ``cqa``
 answer false.  ``--threshold`` is read as a fraction, and ``rdp_decide``
 alone requires 0 or 1/k.  ``--max-enum`` caps the enumerations of
 ``repairs``, ``diagnose`` and ``preferred-causes`` and exists on those
-three only.  The ``oracle`` subcommands have handlers of their own,
-apart from the engines they check.
+three only; ``repairs`` requires ``--priority`` under ``--semantics go``
+and rejects it under any other.  The ``oracle`` subcommands have
+handlers of their own, apart from the engines they check.
 
 Exit codes: 0 success (including negative decisions), 1 usage or parse
 errors (a negative ``--max-enum``, ``--max-enum`` on a subcommand that
 does not enumerate, and an input file that is not UTF-8 text included),
-2 semantic errors, 3 an enumeration cap exceeded (by one component's
-sets or by the product kept) or an oracle input above its bound.
+2 semantic errors (``--priority`` without ``--semantics go`` included),
+3 an enumeration cap exceeded (by one component's sets or by the product
+kept) or an oracle input above its bound.
 """
 
 from __future__ import annotations
@@ -264,6 +266,8 @@ def _cmd_rdp(args, inputs: _Inputs, d, q) -> str:
 
 def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
     semantics = args.semantics
+    if args.priority and semantics != "go":
+        raise SemanticError("--priority applies to --semantics go only")
     if semantics == "null":
         return _null_repairs_report(args, inputs, d, sigma)
     if semantics == "go":
@@ -279,21 +283,19 @@ def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
-    # a repair's nulled facts are those of its result not in d, and their
-    # originals those of d not in its result (one fact per tuple id)
     names, position = _named(d)
     keys = [fact_key(f) for f in d.sorted_facts]
     inserts = {}  # nulled fact -> (its position among d's keys, its key, its name)
     entries = []
     for r in preferences.null_repairs(d, sigma, args.max_enum):
         nulled = []
-        for f in r.result.facts - d.facts:
+        for f in r.nulled:
             insert = inserts.get(f)
             if insert is None:
                 key = fact_key(f)
                 insert = inserts[f] = (bisect.bisect(keys, key), key, format_fact(f))
             nulled.append(insert)
-        cuts = sorted(position[f] for f in d.facts - r.result.facts)
+        cuts = sorted(position[f] for f in r.originals)
         diff = sorted(str(c) for c in r.diff)
         entries.append({"facts": _spliced(names, cuts, nulled), "diff": diff})
     entries.sort(key=lambda entry: entry["diff"])

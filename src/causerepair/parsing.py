@@ -45,8 +45,9 @@ one found by the grammar alone; line and column are worked out from the
 offset only when an error is reported.
 
 The parsers check grammar only: an instance file's facts meet the
-instance invariants (``relational.violations``) once all are read, and a
-typed fact is checked when an instance resolves it.
+instance invariants once all are read, in the pass that groups and keys
+them (``relational.checked_instance``), and a typed fact is checked when
+an instance resolves it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .queries import (
     UnionQuery,
     Var,
 )
-from .relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, violations
+from .relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, checked_instance
 
 # Token kinds are the group names, except that a mark (PUNCT) is its own
 # kind, as in ``accept(",")``.  Order matters: a mark before a
@@ -237,7 +238,7 @@ class _Parser:
 
 def parse_instance(source: str) -> Instance:
     """Parse an instance file; a grammar error is reported before the
-    first broken instance invariant (``relational.violations``).
+    first broken instance invariant (``relational.checked_instance``).
 
     Plain items are read one per match of ``_ITEM``; from the first
     other item on, the token grammar reads the rest, so every error it
@@ -263,14 +264,14 @@ def parse_instance(source: str) -> Instance:
         elif directive is not None:
             tag = ENDOGENOUS if directive == "endogenous" else EXOGENOUS
         else:
-            return _checked_instance(facts)
+            return checked_instance(facts)
         pos = m.end()
     parser = _Parser(source, pos)
     tokens, fact_literal, expect = parser.tokens, parser.fact_literal, parser.expect
     while True:
         tok = tokens[parser.pos]
         if tok[0] == "EOF":
-            return _checked_instance(facts)
+            return checked_instance(facts)
         if tok[0] == "DIRECTIVE":
             parser.pos += 1
             if tok[1] == "endogenous":
@@ -282,12 +283,6 @@ def parse_instance(source: str) -> Instance:
             continue
         facts.append(fact_literal(tag))
         expect(".")
-
-
-def _checked_instance(facts: list[Fact]) -> Instance:
-    for problem in violations(facts):
-        raise SemanticError(problem)
-    return Instance(frozenset(facts))
 
 
 # ---------------------------------------------------------------------------

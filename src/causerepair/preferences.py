@@ -94,8 +94,12 @@ def attr_key(c: AttrChange) -> tuple:
 
 @dataclass(frozen=True)
 class NullRepair:
+    """``nulled``/``originals``: the facts only in ``result``/the instance."""
+
     result: Instance
     diff: frozenset[AttrChange]
+    nulled: frozenset[Fact]
+    originals: frozenset[Fact]
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +318,22 @@ def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrCh
 
 
 def _change_applier(d: Instance):
-    """A function from a change set to ``d`` with those positions nulled.
-    ``d``'s facts are looked up by tuple id once, here; set algebra over
-    the few changed facts keeps the stored hashes of all the others."""
+    """A function from a change set to the null repair of ``d`` that
+    nulls those positions.  ``d``'s facts are looked up by tuple id once,
+    here; set algebra over the few changed facts keeps the stored hashes
+    of all the others and names the changed ones without a scan."""
     holding: dict[int, list[Fact]] = {}
     for f in d.facts:
         holding.setdefault(f.fact_id, []).append(f)
 
-    def apply(changes: frozenset[AttrChange]) -> Instance:
-        nulled: dict[Fact, set[int]] = {}
+    def apply(changes: frozenset[AttrChange]) -> NullRepair:
+        positions: dict[Fact, set[int]] = {}
         for c in changes:
             for f in holding.get(c.fact_id, ()):
-                nulled.setdefault(f, set()).add(c.position - 1)
-        return Instance(d.facts.difference(nulled).union(_nulled(f, at) for f, at in nulled.items()))
+                positions.setdefault(f, set()).add(c.position - 1)
+        nulled = frozenset(_nulled(f, at) for f, at in positions.items())
+        result = Instance(d.facts.difference(positions).union(nulled))
+        return NullRepair(result, changes, nulled - d.facts, frozenset(positions).difference(nulled))
 
     return apply
 
@@ -355,8 +362,7 @@ def null_repairs(
     empty.
     """
     solution = enumerate_minimal_hitting_sets(_kill_family(d, sigma), cap, key=attr_key)
-    apply = _change_applier(d)
-    return tuple(NullRepair(apply(s), s) for s in solution.sets)
+    return tuple(map(_change_applier(d), solution.sets))
 
 
 def null_causes(d: Instance, q: UnionQuery) -> tuple[

@@ -13,11 +13,11 @@ witnessing patterns that do not constrain those positions.
 
 Evaluation is an indexed nested-loop join.  The facts are grouped by
 predicate and arity once per collection (``_Index``; an instance's
-grouping is ``Instance.relations``, made once), and each join step
-looks its candidates up in a hash index on its bound positions, built on
-the first lookup and kept in the same object, so several joins over one
-instance share every index.  A lookup through a null value finds
-nothing, which is the null rule above, unchanged.
+grouping is ``Instance.relations``, which a parsed instance has from its
+parse), and each join step looks its candidates up in a hash index on
+its bound positions, built on the first lookup and kept in the same
+object, so several joins over one instance share every index.  A lookup
+through a null value finds nothing, which is the null rule above.
 
 The join order puts next the atom with the most positions bound by
 constants or by earlier atoms, ties in query order
@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SemanticError
@@ -273,17 +274,24 @@ def _hash_index(positions: tuple[int, ...], relation: list[Fact]) -> dict[tuple,
     """The relation's facts by their values at ``positions``."""
     if not positions:
         return {(): relation}
+    p = positions[0]
+    keys = ([(f.args[p],) for f in relation] if len(positions) == 1
+            else map(itemgetter(*positions), [f.args for f in relation]))
     out: dict[tuple, list[Fact]] = {}
-    for f in relation:
-        args = f.args
-        out.setdefault(tuple([args[p] for p in positions]), []).append(f)
+    for key, f in zip(keys, relation):
+        facts = out.get(key)
+        if facts is None:
+            out[key] = [f]
+        else:
+            facts.append(f)
     return out
 
 
 class _Index:
-    """One collection of facts, grouped by predicate and arity, with a hash
-    index per (relation, bound positions) built on its first lookup.
-    Every join over the same facts can share it."""
+    """One collection of facts, grouped by predicate and arity (an
+    instance's ``relations``), with a hash index per (relation, bound
+    positions) built on its first lookup, keyed by a one-tuple or an
+    ``itemgetter``.  Every join over the same facts can share it."""
 
     __slots__ = ("relations", "tables")
 

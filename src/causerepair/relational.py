@@ -15,13 +15,17 @@ convention: no code assigns a field after ``__init__``, which an AST
 check in ``tests/test_imports.py`` enforces.  Copies and pickles rebuild
 the fact, so the hash is computed again in the process that loads it.
 ``Instance.relations`` groups an instance's facts by predicate and arity
-once; ``schema``, typed lookups and every join over the instance read it.
+once, each relation in iteration order; typed lookups and every join
+over the instance read it.
 
-The invariants are stated once, in ``violations``: one arity per
-predicate, one tag per atom (whatever its tuple ids), and one fact per
-tuple id.  ``parse_instance`` rejects the first violation and
-``check_wellformed`` lists them all.  ``Instance`` itself does not check,
-since deletions build instances on hot paths.
+The invariants are stated in ``violations``: one arity per predicate,
+one tag per atom (whatever its tuple ids), and one fact per tuple id.
+``check_wellformed`` lists them all.  ``parse_instance`` builds its
+instance with ``checked_instance``, whose one pass checks them, groups
+the facts in file order (whatever the string hashing), keys the atoms
+and names the first problem in file order.  Other instances make these
+lookups on first use.  ``Instance`` itself does not check, since
+deletions build instances on hot paths.
 
 Constants are plain strings.  The reserved token ``null`` denotes the
 distinguished null value; it never joins with anything (including itself),
@@ -153,26 +157,12 @@ class Instance:
     def schema(self) -> dict[str, int]:
         """Predicate name -> arity; on conflicts, that of the predicate's
         first fact in canonical order (the one with the least arguments)."""
-        out: dict[str, int] = {}
-        clashes = []
-        for pred, arity in self.relations:
-            if out.setdefault(pred, arity) != arity:
-                clashes.append(pred)
-        for pred in clashes:
-            out[pred] = len(min(
-                f.args for (other, _), group in self.relations.items() if other == pred for f in group
-            ))
-        return out
+        return {f.pred: f.arity for f in reversed(self.sorted_facts)}
 
     @cached_property
     def by_atom(self) -> dict[tuple[str, tuple[str, ...]], Fact]:
-        """Atom -> its first fact in canonical order, found in one pass."""
-        out: dict[tuple[str, tuple[str, ...]], Fact] = {}
-        for f in self.facts:
-            first = out.setdefault((f.pred, f.args), f)
-            if first is not f and fact_key(f) < fact_key(first):
-                out[f.pred, f.args] = f
-        return out
+        """Atom -> its first fact in canonical order."""
+        return {f.atom: f for f in reversed(self.sorted_facts)}
 
     def find(self, pred: str, args: tuple[str, ...], fact_id: int | None = None) -> Fact | None:
         """The instance's fact with the given atom and, if given, tuple id."""
@@ -253,6 +243,49 @@ def violations(facts: Iterable[Fact]) -> Iterator[str]:
             other = ids.setdefault(fact_id, f)
             if other != f:
                 yield f"id {fact_id} used by both {other} and {f}"
+
+
+def checked_instance(facts: list[Fact]) -> Instance:
+    """The instance of ``facts``, repeats dropped, made in the one pass
+    that checks them: its ``relations`` (in the order of ``facts``),
+    ``by_atom``, ``schema`` and, if all are endogenous, ``exogenous`` come
+    with it.  It raises the first problem ``violations`` finds in ``facts``."""
+    relations: dict[tuple[str, int], list[Fact]] = {}
+    schema, by_atom, ids = {}, {}, {}
+    all_endogenous, pred_of, arity, relation = True, None, -1, []
+    for f in facts:
+        pred, args, fact_id = f.pred, f.args, f.fact_id
+        first = by_atom.setdefault((pred, args), f)
+        if first is not f:  # the atom again: a repeat, or under another id
+            if first.tag != f.tag:
+                break
+            if fact_id is None and first.fact_id is None:
+                continue
+            if fact_key(f) < fact_key(first):
+                by_atom[pred, args] = f
+        if fact_id is not None:
+            other = ids.setdefault(fact_id, f)
+            if other is not f:
+                if other != f:
+                    break
+                continue  # a repeat
+        if pred != pred_of or len(args) != arity:  # files list a relation's facts together
+            pred_of, arity = pred, len(args)
+            relation = relations.get((pred, arity))
+            if relation is None:
+                if schema.setdefault(pred, arity) != arity:
+                    break
+                relation = relations[pred, arity] = []
+        relation.append(f)
+        if all_endogenous and f.tag != ENDOGENOUS:
+            all_endogenous = False
+    else:
+        d = Instance(frozenset(facts))  # a cached property reads vars(d) first
+        vars(d).update(relations=relations, by_atom=by_atom, schema=schema)
+        if all_endogenous:
+            vars(d).update(endogenous=d.facts, exogenous=frozenset())
+        return d
+    raise SemanticError(next(violations(facts)))
 
 
 def check_wellformed(d: Instance) -> list[str]:

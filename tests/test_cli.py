@@ -173,6 +173,18 @@ def test_repairs_go_requires_priority():
     assert code == 2 and "priority" in err
 
 
+@pytest.mark.parametrize("priority", ["ex14a.prio", "nonexistent.prio"])
+@pytest.mark.parametrize("semantics", ["s", "c", "endo", "null"])
+def test_repairs_priority_requires_go(semantics, priority):
+    # rejected before the file is read, so a missing one is no exit 1
+    code, out, err = execute(
+        ["repairs", "-i", "ex14.facts", "-c", "ex14.dlq", "--semantics", semantics,
+         "--priority", priority, "--json"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --priority applies to --semantics go only\n"
+
+
 def test_diagnose_with_containing_and_theory():
     code, out, _ = execute(
         [

@@ -401,7 +401,7 @@ def test_null_repairs_fixture_with_brute_force_certification():
         frozenset(combo)
         for size in range(len(positions) + 1)
         for combo in combinations(positions, size)
-        if is_consistent(apply(frozenset(combo)), sigma)
+        if is_consistent(apply(frozenset(combo)).result, sigma)
     ]
     minimal = {
         s for s in consistent_sets if not any(t < s for t in consistent_sets)
@@ -427,6 +427,7 @@ def _rebuilt_with_changes(d, changes):
 
 def test_apply_changes_equals_full_rebuild_randomized():
     rng = random.Random(17)
+    unchanged = changed = 0
     for _ in range(300):
         facts = []
         for i in range(1, rng.randint(1, 12) + 1):
@@ -441,9 +442,17 @@ def test_apply_changes_equals_full_rebuild_randomized():
             AttrChange(f.pred, f.fact_id, rng.randint(1, f.arity))
             for f in rng.choices(facts, k=rng.randint(0, 4))
         )
-        got, want = _change_applier(d)(changes), _rebuilt_with_changes(d, changes)
-        assert got == want
+        repair, want = _change_applier(d)(changes), _rebuilt_with_changes(d, changes)
+        got = repair.result
+        assert got == want and repair.diff == changes
         assert {(f, f.tag) for f in got.facts} == {(f, f.tag) for f in want.facts}
+        # the changed facts are named without a scan, as the scans name them
+        assert repair.nulled == want.facts - d.facts
+        assert repair.originals == d.facts - want.facts
+        unchanged += any(f.fact_id == c.fact_id and f.args[c.position - 1:c.position] == (NULL,)
+                         for c in changes for f in d.facts)
+        changed += bool(repair.nulled)
+    assert min(unchanged, changed) > 30  # some positions were null already
 
 
 def test_null_repair_published_diff_values():

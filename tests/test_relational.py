@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import os
@@ -25,6 +26,7 @@ from causerepair.relational import (
     check_wellformed,
     delta,
     fact,
+    fact_key,
     serialize_instance,
     violations,
 )
@@ -618,9 +620,9 @@ def _scanned_relations(d: Instance) -> dict:
 
 
 def compare_lookups(count: int = 800) -> dict:
-    """Check the grouped ``relations`` and ``schema`` and the one-pass
-    ``by_atom`` and ``find`` against the sorted definitions on seeded
-    instances; count what was covered."""
+    """Check the grouped ``relations``, ``schema``, ``by_atom`` and
+    ``find`` of instances built from seeded facts (not parsed) against
+    the sorted definitions; count what was covered."""
     rng = random.Random(20261018)
     covered = {"repeated_atom": 0, "tag_clash": 0, "arity_clash": 0, "longer_first": 0}
     for _ in range(count):
@@ -647,10 +649,11 @@ def compare_lookups(count: int = 800) -> dict:
     return covered
 
 
-def _compare_lookups_in_process(hash_seed: str) -> dict:
+def _in_process(check: str, hash_seed: str) -> dict:
+    """What ``check`` of this module returns in a process of its own."""
     paths = [str(Path(causerepair.__file__).parent.parent), str(Path(__file__).parent)]
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(paths))
-    code = "import json, test_relational; print(json.dumps(test_relational.compare_lookups()))"
+    code = f"import json, test_relational; print(json.dumps(test_relational.{check}()))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
@@ -661,7 +664,7 @@ def _compare_lookups_in_process(hash_seed: str) -> dict:
 def test_one_pass_lookups_match_the_sorted_definitions():
     # frozenset iteration order follows string hashing, so the first
     # fact in canonical order must win in every process
-    first, second = _compare_lookups_in_process("1"), _compare_lookups_in_process("2")
+    first, second = _in_process("compare_lookups", "1"), _in_process("compare_lookups", "2")
     assert first == second
     assert min(first.values()) > 50, first
 
@@ -696,19 +699,119 @@ def test_tuple_id_names_one_fact():
             d.resolve(absent)
 
 
+def _file_text(facts) -> str:
+    return "".join(f"@{f.tag}\n{f}.\n" for f in facts)
+
+
 def test_parse_raises_what_check_wellformed_reports():
     rng = random.Random(7)
     planted = set()
     for _ in range(500):
         d = _random_clashing_instance(rng)
-        text = "".join(f"@{f.tag}\n{f}.\n" for f in d.sorted_facts)
         problems = check_wellformed(d)
-        if not problems:
-            again = parse_instance(text)
-            assert {(f, f.tag) for f in again.facts} == {(f, f.tag) for f in d.facts}
-            continue
-        with pytest.raises(SemanticError) as err:
-            parse_instance(text)
-        assert str(err.value) == problems[0], text
-        planted.add(problems[0].split()[0])
+        shuffled = list(d.sorted_facts)
+        rng.shuffle(shuffled)
+        # the sorted file names check_wellformed's first problem; any file
+        # names the first problem in its own order
+        for facts, first in ((d.sorted_facts, problems[:1]), (shuffled, list(violations(shuffled))[:1])):
+            text = _file_text(facts)
+            if not problems:
+                again = parse_instance(text)
+                assert {(f, f.tag) for f in again.facts} == {(f, f.tag) for f in d.facts}
+                continue
+            with pytest.raises(SemanticError) as err:
+                parse_instance(text)
+            assert [str(err.value)] == first, text
+            planted.add(first[0].split()[0])
     assert planted == {"predicate", "atom", "id"}
+
+
+# ---------------------------------------------------------------------------
+# A parsed instance is checked, grouped and keyed in one pass
+
+
+def test_parse_drops_repeats_by_identity():
+    d = parse_instance("R(2;a). R(1;a). R(2;a).")
+    assert sorted(map(str, d.facts)) == ["R(1;a)", "R(2;a)"]
+    assert [str(f) for f in d.relations["R", 1]] == ["R(2;a)", "R(1;a)"]
+    assert str(d.by_atom["R", ("a",)]) == "R(1;a)"
+    assert str(d.find("R", ("a",), 2)) == "R(2;a)"
+    d = parse_instance("R(a). R(1;a). R(a). R(1;a). S(b). S(b).")
+    assert [str(f) for f in d.relations["R", 1]] == ["R(a)", "R(1;a)"]
+    assert [str(f) for f in d.relations["S", 1]] == ["S(b)"]
+    assert str(d.by_atom["R", ("a",)]) == "R(a)" and len(d) == 3
+    with pytest.raises(SemanticError, match=r"^atom R\(a\) is both endogenous and exogenous$"):
+        parse_instance("R(a). @exogenous R(a).")  # a repeat under the other tag
+
+
+def _random_file_facts(rng: random.Random) -> list[Fact]:
+    """Facts in the order a file might list them: few atoms, some under
+    several ids, facts repeated, and now and then an atom under the other
+    tag, a predicate under another arity or an id on two facts."""
+    facts, tags, arities = [], {}, {}
+    for _ in range(rng.randint(1, 14)):
+        if facts and rng.random() < 0.3:
+            f = rng.choice(facts)
+        else:
+            pred = rng.choice("PRS")
+            arity = arities.setdefault(pred, rng.randint(0, 2))
+            if rng.random() < 0.03:
+                arity = (arity + 1) % 3
+            args = tuple(rng.choice("abz") for _ in range(arity))
+            f = Fact(pred, args, fact_id=rng.choice((None, None, *range(1, 13))))
+        tag = tags.setdefault(f.atom, rng.choice((ENDOGENOUS, EXOGENOUS, ENDOGENOUS)))
+        if rng.random() < 0.03:
+            tag = EXOGENOUS if tag == ENDOGENOUS else ENDOGENOUS
+        facts.append(Fact(f.pred, f.args, tag, f.fact_id))
+    return facts
+
+
+def compare_parsed(count: int = 1500) -> dict:
+    """Parse seeded files and check each instance's one-pass lookups
+    against their definitions over its facts, its relations against the
+    file's order, and its error against the first problem in that order;
+    count what was covered."""
+    rng = random.Random(20261019)
+    covered = dict.fromkeys(
+        ("valid", "repeat", "repeat_behind_first", "exogenous", "atom", "predicate", "id"), 0
+    )
+    for _ in range(count):
+        listed = _random_file_facts(rng)
+        text = _file_text(listed)
+        problems = list(violations(listed))
+        if problems:
+            with pytest.raises(SemanticError) as err:
+                parse_instance(text)
+            assert str(err.value) == problems[0], text
+            covered[problems[0].split()[0]] += 1
+            continue
+        d = parse_instance(text)
+        assert {(f, f.tag) for f in d.facts} == {(f, f.tag) for f in listed}, text
+        assert {"relations", "by_atom", "schema"} <= vars(d).keys()  # made by the parse
+        plain = Instance(d.facts)  # the same facts, every lookup made on demand
+        assert {k: collections.Counter(v) for k, v in d.relations.items()} == {
+            k: collections.Counter(v) for k, v in plain.relations.items()
+        }, text
+        once = list(dict.fromkeys(listed))  # each fact at its first line
+        for key, relation in d.relations.items():
+            assert relation == [f for f in once if (f.pred, f.arity) == key], text
+            assert all(f in d for f in relation)
+        assert d.by_atom.keys() == plain.by_atom.keys(), text
+        assert all(d.by_atom[atom] is f for atom, f in plain.by_atom.items()), text
+        assert d.schema == plain.schema == _sorted_schema(d), text
+        assert d.exogenous == plain.exogenous and d.endogenous == plain.endogenous, text
+        covered["valid"] += 1
+        covered["exogenous"] += bool(d.exogenous)
+        covered["repeat"] += len(once) < len(listed)
+        covered["repeat_behind_first"] += any(  # as in R(2;a). R(1;a). R(2;a).
+            f in listed[:i] and any(g.atom == f.atom and fact_key(g) < fact_key(f) for g in listed[:i])
+            for i, f in enumerate(listed)
+        )
+    return covered
+
+
+def test_parsed_lookups_match_their_definitions():
+    # the file order, not string hashing, orders each relation
+    first, second = _in_process("compare_parsed", "1"), _in_process("compare_parsed", "2")
+    assert first == second
+    assert min(first.values()) > 40, first

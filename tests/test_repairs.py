@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from causerepair import hitting, oracle, queries
+from causerepair import hitting, oracle, queries, relational
 from causerepair.causality import actual_causes, most_responsible_causes, responsibility
 from causerepair.cli import execute
 from causerepair.errors import CapExceededError, SemanticError
@@ -461,3 +461,43 @@ def test_subset_cqa_walks_only_through_the_asked_atoms(tmp_path, monkeypatch):
         assert calls <= (50 if t in d.facts else 0), (t, calls)
         answers[verdict] += 1
     assert answers[True] >= 10 and answers[False] >= 10
+
+
+class _Refused:
+    """A stand-in for a cached property of ``Instance``: reading it raises,
+    unless the instance already holds the value."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        raise AssertionError(f"Instance.{self.name} was made after the parse")
+
+
+def test_subset_cqa_makes_no_whole_instance_pass(tmp_path, monkeypatch):
+    d = _cqa_shaped(tmp_path)
+    conflicting = sorted(set().union(*_images(d, constraint_set(_CQA_DCS))), key=fact_key)
+    calm = sorted(d.facts - set(conflicting), key=fact_key)
+    asked = conflicting[::40] + calm[::80] + [fact("A", "k400", "v0")]
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("causerepair"):
+            if getattr(module, "violations", None) is relational.violations:
+                def refuse(facts):
+                    raise AssertionError("the facts were checked again")
+                monkeypatch.setattr(module, "violations", refuse)
+            group = getattr(module, "group_relations", None)
+            if group is relational.group_relations:
+                def few_only(facts, group=group):  # loose facts, as eval_boolean groups
+                    facts = list(facts)
+                    assert len(facts) <= 10, "a whole instance was grouped again"
+                    return group(facts)
+                monkeypatch.setattr(module, "group_relations", few_only)
+    for name in ("relations", "by_atom", "schema", "exogenous"):
+        monkeypatch.setattr(Instance, name, _Refused(name))
+    sigma = constraint_set(_CQA_DCS)
+    parsed = parse_instance((tmp_path / "d.facts").read_text())
+    for t in asked:
+        assert consistent_answer(parsed, sigma, [t]) is (t in calm), t
+    code, out, err = execute(["cqa", "-i", str(tmp_path / "d.facts"), "-c", str(tmp_path / "dc.dlq"),
+                              "--atoms", f"{calm[0]}; {calm[-1]}", "--semantics", "s", "--json"])
+    assert code == 0 and json.loads(out)["result"]["consistent"] is True, err
