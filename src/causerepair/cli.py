@@ -325,7 +325,9 @@ def _cmd_diagnose(args, inputs: _Inputs, d, q) -> str:
     containing = parse_fact(args.containing) if args.containing else None
     found = diagnosis.diagnoses(problem, args.kind, containing, args.max_enum)
     names, position = _named(d)
-    conflicts = [[names[i] for i in sorted(position[f] for f in e)] for e in problem.conflicts]
+    # the empty conflict of an unexplainable observation is not listed
+    conflicts = [[names[i] for i in sorted(position[f] for f in e)]
+                 for e in problem.conflicts if e]
     diagnoses = [[names[i] for i in sorted(position[f] for f in x.abnormal)] for x in found]
     result = {"kind": args.kind, "conflicts": conflicts, "diagnoses": diagnoses}
     if args.emit_theory:

@@ -22,10 +22,9 @@ from itertools import combinations
 from .causality import _require_endogenous
 from .errors import SemanticError
 from .hitting import (
-    endogenous_part,
+    endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     minimal_hitting_sets_containing,
-    support_sets,
 )
 from .queries import ConjunctiveQuery, UnionQuery, Var
 from .relational import Fact, Instance, format_constant
@@ -34,13 +33,19 @@ from .repairs import SUBSET, Repair, _pick
 
 @dataclass(frozen=True)
 class DiagnosisProblem:
+    """An observation ``query`` on ``instance`` and its conflict family,
+    the endogenous support sets (``hitting.endogenous_support_sets``)."""
+
     instance: Instance
     query: UnionQuery
     conflicts: tuple[frozenset[Fact], ...]
-    # Set when some support set is purely exogenous: the observation then
-    # stays derivable no matter which endogenous facts turn abnormal, so
-    # no diagnosis exists even though the conflict family is empty.
-    unexplainable: bool = False
+
+    @property
+    def unexplainable(self) -> bool:
+        """Whether some support set is purely exogenous: its conflict is
+        empty, and the observation stays derivable whichever endogenous
+        facts turn abnormal, so no diagnosis exists."""
+        return frozenset() in self.conflicts
 
 
 @dataclass(frozen=True)
@@ -52,12 +57,9 @@ def build_problem(d: Instance, q: UnionQuery) -> DiagnosisProblem:
     """Set up the diagnosis problem for the observation that ``q`` holds."""
     if not q.is_boolean:
         raise SemanticError("diagnosis problems are built from boolean queries")
-    family = support_sets(d, q)
-    if not family:
+    conflicts = endogenous_support_sets(d, q)
+    if not conflicts:
         raise SemanticError("the query is false: there is nothing to explain")
-    conflicts = endogenous_part(family, d.endogenous)
-    if frozenset() in conflicts:
-        return DiagnosisProblem(d, q, (), unexplainable=True)
     return DiagnosisProblem(d, q, conflicts)
 
 
@@ -74,8 +76,6 @@ def diagnoses(
     given, matching the responsibility correspondence).
     """
     keep = _pick(kind)
-    if m.unexplainable:
-        return ()
     if containing is None:
         found = enumerate_minimal_hitting_sets(m.conflicts, cap, keep=keep).sets
     else:
@@ -101,98 +101,76 @@ def repairs_from_diagnoses(
 # Theory rendering
 
 
-def _fresh_vars(arity: int) -> list[str]:
-    return [f"x{i}" for i in range(1, arity + 1)]
-
-
 def _head(pred: str, variables: list[str]) -> str:
     return f"{pred}({','.join(variables)})" if variables else pred
 
 
-def _completion(pred: str, arity: int, rows: list[tuple[str, ...]]) -> str:
-    variables = _fresh_vars(arity)
-    if rows:
-        clauses = []
-        for row in rows:
-            eqs = [f"{v} = {format_constant(c)}" for v, c in zip(variables, row)]
-            clauses.append("(" + " & ".join(eqs) + ")" if len(eqs) > 1 else eqs[0])
-        body = " | ".join(clauses)
-    else:
-        body = "false"
-    return f"forall {' '.join(variables)} ({_head(pred, variables)} <-> {body})"
+def _quantified(quantifier: str, variables: list[str], body: str) -> str:
+    """``body`` in parentheses, under ``quantifier`` over ``variables`` if any."""
+    return f"{quantifier} {' '.join(variables)} ({body})" if variables else f"({body})"
+
+
+def _completion(pred: str, variables: list[str], rows: list[tuple[str, ...]]) -> str:
+    clauses = []
+    for row in rows:
+        eqs = [f"{v} = {format_constant(c)}" for v, c in zip(variables, row)]
+        conjunction = " & ".join(eqs) or "true"  # a nullary fact's row is empty
+        clauses.append(f"({conjunction})" if len(eqs) > 1 else conjunction)
+    body = " | ".join(clauses) or "false"
+    return _quantified("forall", variables, f"{_head(pred, variables)} <-> {body}")
 
 
 def _term_text(t) -> str:
     return t.name if isinstance(t, Var) else format_constant(t)
 
 
+def _literals(cq: ConjunctiveQuery, prefix: str) -> list[str]:
+    """The query's atoms as text, each predicate behind ``prefix``, then
+    its inequalities."""
+    atoms = [_head(prefix + a.pred, list(map(_term_text, a.terms))) for a in cq.atoms]
+    return atoms + [f"~({_term_text(l)} = {_term_text(r)})" for l, r in cq.inequalities]
+
+
 def _disjunctive_rule(cq: ConjunctiveQuery) -> str:
-    variables = sorted(cq.variables())
-    body_parts = [
-        f"{a.pred}({','.join(_term_text(t) for t in a.terms)})" for a in cq.atoms
-    ]
-    body_parts.extend(
-        f"~({_term_text(l)} = {_term_text(r)})" for l, r in cq.inequalities
-    )
-    head_parts = [
-        f"Ab_{a.pred}({','.join(_term_text(t) for t in a.terms)})" for a in cq.atoms
-    ]
-    quantifier = f"forall {' '.join(variables)} " if variables else ""
-    return f"{quantifier}({' & '.join(body_parts)} -> {' | '.join(head_parts)})"
+    abnormal = _literals(cq, "Ab_")[:len(cq.atoms)]  # the atoms, not the inequalities
+    body = f"{' & '.join(_literals(cq, ''))} -> {' | '.join(abnormal)}"
+    return _quantified("forall", sorted(cq.variables()), body)
 
 
 def _observation(q: UnionQuery) -> str:
-    parts = []
-    for cq in q.disjuncts:
-        variables = sorted(cq.variables())
-        conj = [
-            f"{a.pred}({','.join(_term_text(t) for t in a.terms)})" for a in cq.atoms
-        ]
-        conj.extend(f"~({_term_text(l)} = {_term_text(r)})" for l, r in cq.inequalities)
-        inner = " & ".join(conj)
-        parts.append(
-            f"exists {' '.join(variables)} ({inner})" if variables else f"({inner})"
-        )
-    return " | ".join(parts)
+    return " | ".join(
+        _quantified("exists", sorted(cq.variables()), " & ".join(_literals(cq, "")))
+        for cq in q.disjuncts
+    )
 
 
 def render_theory(m: DiagnosisProblem) -> str:
     """The first-order theory of the problem, one sentence per line.
 
     Connectives are rendered in ASCII (``forall``, ``exists``, ``->``,
-    ``<->``, ``&``, ``|``, ``~``, ``=``, and the constant ``false``), in a
-    stable order: completions, unique names, the qualified constraints,
-    the inclusion axioms, the observation, then the defaults.
+    ``<->``, ``&``, ``|``, ``~``, ``=``, and the constants ``true`` and
+    ``false``), in a stable order: completions, unique names, the
+    qualified constraints, the inclusion axioms, the observation, then
+    the defaults.
     """
     d = m.instance
     schema = dict(d.schema)
     for cq in m.query.disjuncts:
         for a in cq.atoms:
             schema.setdefault(a.pred, len(a.terms))
-    lines = []
+    completions, inclusions, defaults = [], [], []
     for pred in sorted(schema):
-        arity = schema[pred]
-        rows = sorted(f.args for f in d.facts if f.pred == pred)
-        lines.append(_completion(pred, arity, rows))
-        endo_rows = sorted(f.args for f in d.endogenous if f.pred == pred)
-        lines.append(_completion(f"End_{pred}", arity, endo_rows))
+        variables = [f"x{i}" for i in range(1, schema[pred] + 1)]
+        ab, end = _head(f"Ab_{pred}", variables), _head(f"End_{pred}", variables)
+        for name, facts in ((pred, d.facts), (f"End_{pred}", d.endogenous)):
+            rows = sorted(f.args for f in facts if f.pred == pred)
+            completions.append(_completion(name, variables, rows))
+        inclusions.append(_quantified("forall", variables, f"{ab} -> {end}"))
+        inclusions.append(_quantified("forall", variables, f"{end} -> {_head(pred, variables)}"))
+        defaults.append(_quantified("forall", variables, f"{ab} -> false"))
     constants = sorted({c for f in d.facts for c in f.args})
-    for a, b in combinations(constants, 2):
-        lines.append(f"~({format_constant(a)} = {format_constant(b)})")
-    for cq in m.query.disjuncts:
-        lines.append(_disjunctive_rule(cq))
-    for pred in sorted(schema):
-        variables = _fresh_vars(schema[pred])
-        quant = f"forall {' '.join(variables)} " if variables else ""
-        lines.append(
-            f"{quant}({_head(f'Ab_{pred}', variables)} -> {_head(f'End_{pred}', variables)})"
-        )
-        lines.append(
-            f"{quant}({_head(f'End_{pred}', variables)} -> {_head(pred, variables)})"
-        )
-    lines.append(_observation(m.query))
-    for pred in sorted(schema):
-        variables = _fresh_vars(schema[pred])
-        quant = f"forall {' '.join(variables)} " if variables else ""
-        lines.append(f"{quant}({_head(f'Ab_{pred}', variables)} -> false)")
+    unique_names = [f"~({format_constant(a)} = {format_constant(b)})"
+                    for a, b in combinations(constants, 2)]
+    rules = [_disjunctive_rule(cq) for cq in m.query.disjuncts]
+    lines = completions + unique_names + rules + inclusions + [_observation(m.query)] + defaults
     return "\n".join(lines) + "\n"

@@ -10,8 +10,9 @@ A family is a plain tuple of frozensets, an antichain in canonical order
 (``antichain``).  ``support_sets`` builds the one for a query;
 ``endogenous_part`` restricts it to the endogenous facts, where an edge
 with no endogenous fact turns into the empty edge, which nothing hits.
-Each entry point builds its family once and hands it to the solvers by
-value.
+That restriction (``endogenous_support_sets``) is the one conflict
+family of causes, diagnoses and endogenous repairs.  Each entry point
+builds its family once and hands it to the solvers by value.
 
 Each entry point translates its family once into a mask table
 (``_table``): the vertices in ``key`` order, and each edge an ``int``
@@ -126,17 +127,15 @@ def endogenous_part(
 
 
 def endogenous_support_sets(d: Instance, q: UnionQuery) -> tuple[frozenset[Fact], ...]:
-    """Endogenous restrictions of the support sets, as seen by causes.
-
-    If any support set is witnessed entirely by exogenous facts, the query
-    cannot be falsified through endogenous deletions at all, so the family
-    collapses to the empty one (no causes, no contingencies).
+    """Endogenous restrictions of the support sets: the conflicts of
+    causes, diagnoses and endogenous repairs.  Empty exactly when ``q`` is
+    false; ``(∅,)``, which no set hits, when some support set is all
+    exogenous, since no endogenous deletion then falsifies ``q``.
     """
     family = support_sets(d, q)
     if not d.exogenous:
         return family  # the restriction is the identity
-    part = endogenous_part(family, d.endogenous)
-    return () if frozenset() in part else part
+    return endogenous_part(family, d.endogenous)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Iterable
 from .errors import SemanticError
 from .hitting import (
     antichain,
-    endogenous_part,
+    endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
     support_sets,
@@ -229,7 +229,7 @@ def endogenous_repairs(
     witness made purely of exogenous facts means no endogenous repair
     exists, unlike plain subset repairs which always do.
     """
-    edges = endogenous_part(support_sets(d, violation_view(sigma)), d.endogenous)
+    edges = endogenous_support_sets(d, violation_view(sigma))
     solution = enumerate_minimal_hitting_sets(edges, cap)
     return tuple(Repair(d.without(s), s) for s in solution.sets)
 
@@ -319,17 +319,17 @@ def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrCh
 
 def _change_applier(d: Instance):
     """A function from a change set to the null repair of ``d`` that
-    nulls those positions.  ``d``'s facts are looked up by tuple id once,
-    here; set algebra over the few changed facts keeps the stored hashes
-    of all the others and names the changed ones without a scan."""
-    holding: dict[int, list[Fact]] = {}
+    nulls those positions.  ``d``'s facts are keyed by predicate and tuple
+    id once, here; set algebra over the few changed facts keeps the stored
+    hashes of all the others and names the changed ones without a scan."""
+    holding: dict[tuple[str, int], list[Fact]] = {}
     for f in d.facts:
-        holding.setdefault(f.fact_id, []).append(f)
+        holding.setdefault((f.pred, f.fact_id), []).append(f)
 
     def apply(changes: frozenset[AttrChange]) -> NullRepair:
         positions: dict[Fact, set[int]] = {}
         for c in changes:
-            for f in holding.get(c.fact_id, ()):
+            for f in holding.get((c.pred, c.fact_id), ()):
                 positions.setdefault(f, set()).add(c.position - 1)
         nulled = frozenset(_nulled(f, at) for f, at in positions.items())
         result = Instance(d.facts.difference(positions).union(nulled))
@@ -379,8 +379,8 @@ def null_causes(d: Instance, q: UnionQuery) -> tuple[
     """
     sizes = forced_minima(_kill_family(d, dc_of_query(q)), key=attr_key)
     attr = tuple((c, Fraction(1, n)) for c, n in sizes.items() if n is not None)
-    tuple_best: dict[int, Fraction] = {}
+    tuple_best: dict[tuple[int, str], Fraction] = {}  # by tuple id, then predicate
     for c, rho in attr:
-        tuple_best[c.fact_id] = max(rho, tuple_best.get(c.fact_id, rho))
-    by_id = {f.fact_id: f for f in d.facts}
-    return attr, tuple((by_id[i], tuple_best[i]) for i in sorted(tuple_best))
+        tuple_best[c.fact_id, c.pred] = max(rho, tuple_best.get((c.fact_id, c.pred), rho))
+    by_key = {(f.fact_id, f.pred): f for f in d.facts}
+    return attr, tuple((by_key[key], tuple_best[key]) for key in sorted(tuple_best))

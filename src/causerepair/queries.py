@@ -20,20 +20,22 @@ object, so several joins over one instance share every index.  A lookup
 through a null value finds nothing, which is the null rule above.
 
 The join order puts next the atom with the most positions bound by
-constants or by earlier atoms, ties in query order
-(``ConjunctiveQuery.join_order``).  Orders are built one step at a time
-from one start state per body (bound counts, one heap of every atom by
-count, and each variable's atoms), at a logarithmic cost per raised
-count, and a walk builds only the steps it reaches; built steps are kept
-on the query for the next walk.
+constants or by earlier atoms, ties in query order.  One generator
+(``_steps``) yields an order's steps from one start state per body
+(bound counts, one heap of every atom by count, and each variable's
+atoms), at a logarithmic cost per raised count.  An order is the list of
+the steps built so far and that generator, kept on the query per first
+atom; a walk builds only the steps it reaches (``_step``), and the next
+walk finds them built.
 
 A walk may be seeded with a fact ``t`` and an atom ``i``: atom ``i`` is
-its first step and ``t`` its only candidate, and the atoms before ``i``
-may not take ``t``.  A match through ``t`` is then walked once, from its
-first atom that maps to ``t``, over the seeds at every atom (the rule of
-``hitting._search``, which keeps a vertex out of its later siblings'
-subtrees).  Seeded walks find the witnesses through one fact without
-joining the rest of the instance.
+its first step and ``t`` that step's only candidate, checked against the
+step's relation and constant key like any table's facts, and the atoms
+before ``i`` may not take ``t``.  A match through ``t`` is then walked
+once, from its first atom that maps to ``t``, over the seeds at every
+atom (the rule of ``hitting._search``, which keeps a vertex out of its
+later siblings' subtrees).  Seeded walks find the witnesses through one
+fact without joining the rest of the instance.
 """
 
 from __future__ import annotations
@@ -81,15 +83,6 @@ class ConjunctiveQuery:
         return {t.name for a in self.atoms for t in a.terms if isinstance(t, Var)}
 
     @cached_property
-    def join_order(self) -> tuple["_JoinStep", ...]:
-        """The atoms in evaluation order: most bound positions first, ties
-        in query order.  Built once per query, like every seeded order."""
-        order = self._order(None)
-        while len(order.steps) < len(self.atoms):
-            order.grow()
-        return tuple(order.steps)
-
-    @cached_property
     def _start(self) -> "_Start":
         """What every join order of the body starts from."""
         occurs: dict[str, list[int]] = {}
@@ -103,13 +96,13 @@ class ConjunctiveQuery:
         relations = frozenset((a.pred, len(a.terms)) for a in self.atoms)
         return _Start(counts, heap, occurs, relations, {})
 
-    def _order(self, first: int | None) -> "_Order":
+    def _order(self, first: int | None) -> "tuple[list[_JoinStep], Iterator[_JoinStep]]":
         """The join order that starts at atom ``first`` (None: the plain
-        order), as far as walks have needed it so far."""
+        order): the steps walks have needed so far, and their generator."""
         orders = self._start.orders
         order = orders.get(first)
         if order is None:
-            order = orders[first] = _Order(self, first)
+            order = orders[first] = ([], _steps(self.atoms, self._start, first))
         return order
 
     def safety_violations(self) -> list[str]:
@@ -223,51 +216,47 @@ class _Start(NamedTuple):
     orders: dict  # first atom (None: none) -> the order as built so far
 
 
-class _Order:
-    """A join order built one step at a time from the body's start state.
+def _steps(atoms: tuple[Atom, ...], start: _Start, first: int | None) -> Iterator[_JoinStep]:
+    """The steps of the join order that starts at atom ``first`` (None:
+    the plain order), one at a time.
 
     One heap holds every atom by its bound count, copied from the start
     state; a raised count is pushed anew, and the entries of taken atoms
     (count None) and stale counts are dropped when they come up.  So the
     order is the one ``max(remaining, ...)`` would pick, at a logarithmic
     cost per raised count instead of a scan of every remaining atom."""
-
-    __slots__ = ("atoms", "start", "steps", "bound", "counts", "heap")
-
-    def __init__(self, cq: ConjunctiveQuery, first: int | None):
-        self.atoms, self.start = cq.atoms, cq._start
-        self.steps: list[_JoinStep] = []
-        self.bound: set[str] = set()
-        self.counts: list = list(self.start.counts)  # per atom, its bound count so far
-        self.heap = self.start.heap.copy()  # (-count, atom), stale entries included
-        if first is not None:
-            self._take(first)
-
-    def grow(self) -> _JoinStep:
-        """Append the next step, and return it."""
-        while True:
-            count, i = heappop(self.heap)
-            if -count == self.counts[i]:
-                return self._take(i)
-
-    def _take(self, i: int) -> _JoinStep:
-        atom, bound = self.atoms[i], self.bound
+    bound: set[str] = set()
+    counts: list = list(start.counts)  # per atom, its bound count so far
+    heap = start.heap.copy()  # (-count, atom), stale entries included
+    i = first
+    for _ in atoms:
+        while i is None:
+            count, i = heappop(heap)
+            if -count != counts[i]:
+                i = None
+        atom = atoms[i]
         key = tuple(p for p, t in enumerate(atom.terms) if not isinstance(t, Var) or t.name in bound)
-        step = _JoinStep(
+        yield _JoinStep(
             i, (atom.pred, len(atom.terms)), key, tuple(atom.terms[p] for p in key),
             tuple((p, t) for p, t in enumerate(atom.terms) if p not in key),
         )
-        self.steps.append(step)
-        counts = self.counts
         counts[i] = None
         for t in atom.terms:
             if isinstance(t, Var) and t.name not in bound:
                 bound.add(t.name)
-                for other in self.start.occurs[t.name]:
+                for other in start.occurs[t.name]:
                     if counts[other] is not None:
                         counts[other] += 1
-                        heappush(self.heap, (-counts[other], other))
-        return step
+                        heappush(heap, (-counts[other], other))
+        i = None
+
+
+def _step(order: tuple[list[_JoinStep], Iterator[_JoinStep]], depth: int) -> _JoinStep:
+    """Step ``depth`` of a join order, built when a walk first reaches it."""
+    steps, rest = order
+    if depth == len(steps):
+        steps.append(next(rest))
+    return steps[depth]
 
 
 def _hash_index(positions: tuple[int, ...], relation: list[Fact]) -> dict[tuple, list[Fact]]:
@@ -311,40 +300,35 @@ def _index_of(facts: "Instance | Iterable[Fact] | _Index") -> _Index:
     return facts if isinstance(facts, _Index) else _Index(facts)
 
 
-def _step_extensions(index: _Index, order: _Order, tables: list, depth: int,
+def _step_extensions(index: _Index, order: tuple, tables: list, depth: int,
           binding: dict, used: list, seed):
     """``binding`` extended through join step ``depth`` by each fact in
     turn, the fact recorded in ``used`` while its extension is out.  A
     module-level generator, so the tables it caches form no reference cycle."""
-    steps = order.steps
-    step = steps[depth] if depth < len(steps) else order.grow()
+    step = _step(order, depth)
     key = tuple([binding[t.name] if isinstance(t, Var) else t for t in step.key_terms])
     if NULL in key:
         return  # joins never pass through null; the constant null matches nothing
-    table = tables[depth]
-    if table is None:
-        table = tables[depth] = index.table(step)
-    candidates = table.get(key, ())
-    if seed is not None and step.atom < seed[1]:
-        # an earlier atom may not take the seed: matches through it there
-        # are walked from that atom
-        candidates = [f for f in candidates if f != seed[0]]
+    if seed is not None and step.atom == seed[1]:
+        # the seed's own step, the first: no table, the seed its only candidate
+        t = seed[0]
+        fits = ((t.pred, len(t.args)) == step.relation
+                and tuple([t.args[p] for p in step.key_positions]) == key)
+        candidates = (t,) if fits else ()
+    else:
+        table = tables[depth]
+        if table is None:
+            table = tables[depth] = index.table(step)
+        candidates = table.get(key, ())
+        if seed is not None and step.atom < seed[1]:
+            # an earlier atom may not take the seed: matches through it
+            # there are walked from that atom
+            candidates = [f for f in candidates if f != seed[0]]
     for f in candidates:
         extended = _extend(binding, step.rest, f.args)
         if extended is not None:
             used[step.atom] = f
             yield extended
-
-
-def _seed_binding(step: _JoinStep, t: Fact) -> dict | None:
-    """The binding that maps the first step of a seeded order to ``t``;
-    None if it fails.  No variable is bound before that step, so its key
-    holds constants only."""
-    if (t.pred, len(t.args)) != step.relation or NULL in step.key_terms:
-        return None
-    if tuple([t.args[p] for p in step.key_positions]) != step.key_terms:
-        return None
-    return _extend({}, step.rest, t.args)
 
 
 def iter_matches(
@@ -364,12 +348,6 @@ def iter_matches(
     # body may have thousands of atoms
     tables, used = [None] * len(cq.atoms), [None] * len(cq.atoms)
     stack = [iter(({},))]  # stack[i]: the bindings through the first i steps
-    if seed is not None:
-        binding = _seed_binding(order.steps[0], seed[0])
-        if binding is None:
-            return
-        used[seed[1]] = seed[0]
-        stack = [iter(()), iter((binding,))]  # step 0, the seed's, is taken
     while stack:
         binding = next(stack[-1], None)
         if binding is None:

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from causerepair.parsing import (
     constraint_set,
@@ -189,3 +190,45 @@ def seeded_cqa(seed, max_facts: int = 10):
                 atoms.append(Fact(f.pred, f.args, fact_id=99))
         lists.append(atoms)
     return Instance(frozenset(facts)), sigma, lists
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies for the join suites
+
+# R at two arities; null is an ordinary constant of the domain
+_HYP_RELATIONS = (("P", 1), ("R", 1), ("R", 2), ("S", 2))
+_HYP_CONSTANTS = ("a", "b", NULL)
+
+
+@st.composite
+def _facts(draw) -> Fact:
+    pred, arity = draw(st.sampled_from(_HYP_RELATIONS))
+    args = tuple(draw(st.sampled_from(_HYP_CONSTANTS)) for _ in range(arity))
+    tag = draw(st.sampled_from((ENDOGENOUS, EXOGENOUS)))
+    return Fact(pred, args, tag, draw(st.none() | st.integers(1, 3)))
+
+
+def small_instances(max_facts: int = 10):
+    """Instances built in code, as no parser would accept them: tuple ids
+    on some facts (shared between facts), null among the constants, both
+    tags, and ``R`` at arities 1 and 2."""
+    return st.lists(_facts(), max_size=max_facts).map(lambda facts: Instance(frozenset(facts)))
+
+
+@st.composite
+def conjunctive_queries(draw, max_atoms: int = 3) -> ConjunctiveQuery:
+    """Bodies over the relations of ``small_instances``: constants (null
+    among them), variables repeated within and across atoms, and
+    inequalities between variables or against a constant."""
+    terms = st.sampled_from("XYZ").map(Var) | st.sampled_from(_HYP_CONSTANTS)
+    atoms = []
+    for _ in range(draw(st.integers(1, max_atoms))):
+        pred, arity = draw(st.sampled_from(_HYP_RELATIONS))
+        atoms.append(Atom(pred, tuple(draw(terms) for _ in range(arity))))
+    variables = sorted({t.name for a in atoms for t in a.terms if isinstance(t, Var)})
+    inequalities = ()
+    if variables:
+        left = st.sampled_from(variables).map(Var)
+        right = left | st.sampled_from(_HYP_CONSTANTS)
+        inequalities = tuple(draw(st.lists(st.tuples(left, right), max_size=2)))
+    return ConjunctiveQuery(tuple(atoms), inequalities)

@@ -201,6 +201,27 @@ def test_diagnose_with_containing_and_theory():
     assert any("Ab_S" in line for line in json.loads(out)["result"]["theory"])
 
 
+def test_unexplainable_observation_lists_no_empty_conflict(tmp_path):
+    # the witness {S(a3), R(a3,a3)} is all exogenous: its conflict is empty
+    inst = tmp_path / "unexplainable.facts"
+    inst.write_text("@exogenous S(a3). R(a3,a3). @endogenous S(a9).\n")
+
+    def run(*argv):
+        return execute([*argv, "-i", str(inst), "-q", "ex1.dlq"])
+
+    assert run("diagnose") == (0, "", "")
+    code, out, _ = run("diagnose", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"conflicts": [], "diagnoses": [], "kind": "s"}
+    assert run("causes") == (0, "no causes\n", "")
+    assert run("responsibility", "--tuple", "S(a9)") == (0, "0\n", "")
+    assert run("rdp", "--tuple", "S(a9)", "--threshold", "0") == (0, "false\n", "")
+    assert run("rdp", "--tuple", "S(a9)", "--threshold", "1/2") == (0, "false\n", "")
+    # an exogenous fact is refused as on any other diagnosis problem
+    assert run("diagnose", "--containing", "S(a3)") == (
+        2, "", "error: S(a3) is exogenous; only endogenous facts can be causes\n")
+
+
 def test_oracle_subcommands_mirror_engines():
     code, engine_out, _ = execute(["causes", "-i", "ex1.facts", "-q", "ex1.dlq"])
     code2, oracle_out, _ = execute(["oracle", "causes", "-i", "ex1.facts", "-q", "ex1.dlq"])

@@ -210,6 +210,15 @@ def test_rendered_theory_empty_instance():
     assert "forall x1 x2 (R(x1,x2) <-> false)" in lines
 
 
+def test_rendered_theory_nullary_predicates():
+    query = single_query("q :- P(), S(X), Q().\n")
+    m = DiagnosisProblem(parse_instance("P(). S(a3)."), query, ())
+    lines = render_theory(m).splitlines()
+    assert {"(P <-> true)", "(End_P <-> true)", "(Q <-> false)", "(Ab_P -> End_P)"} <= set(lines)
+    assert "forall X (P & S(X) & Q -> Ab_P | Ab_S(X) | Ab_Q)" in lines
+    assert "exists X (P & S(X) & Q)" in lines
+
+
 def test_rendered_theory_is_deterministic():
     d = load_instance("ex12.facts")
     m = build_problem(d, load_query("ex1.dlq"))

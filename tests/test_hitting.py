@@ -97,9 +97,10 @@ def test_all_endogenous_family_is_minimized_once(monkeypatch):
 def test_fully_exogenous_support_collapses_family():
     d = parse_instance("@exogenous\nP(a). Q(a,b).\n@endogenous\nP(b).")
     view = violation_view(load_constraints("ex4.dlq"))
-    # the witness {P(a),Q(a,b)} has no endogenous part: nothing is a cause
-    assert len(endogenous_support_sets(d, view)) == 0
-    # the plain restriction keeps the unhittable empty edge instead
+    # the witness {P(a),Q(a,b)} has no endogenous part: its empty edge
+    # absorbs every other, and nothing hits it, so nothing is a cause
+    assert endogenous_support_sets(d, view) == (frozenset(),)
+    # which is the plain restriction
     assert endogenous_part(support_sets(d, view), d.endogenous) == (frozenset(),)
     assert enumerate_minimal_hitting_sets((frozenset(),)).sets == ()
 

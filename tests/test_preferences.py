@@ -413,10 +413,10 @@ def _rebuilt_with_changes(d, changes):
     """Nulling as it was: every fact of ``d`` rebuilt into a new set."""
     by_id = {}
     for c in changes:
-        by_id.setdefault(c.fact_id, set()).add(c.position - 1)
+        by_id.setdefault((c.pred, c.fact_id), set()).add(c.position - 1)
     updated = []
     for f in d.facts:
-        hit = by_id.get(f.fact_id)
+        hit = by_id.get((f.pred, f.fact_id))
         if hit:
             args = tuple(NULL if i in hit else a for i, a in enumerate(f.args))
             updated.append(f.with_args(args))
@@ -435,7 +435,8 @@ def test_apply_changes_equals_full_rebuild_randomized():
             args = tuple(rng.choice(["a", "b", NULL]) for _ in range(arity))
             tag = EXOGENOUS if rng.random() < 0.3 else ENDOGENOUS
             # outside the parser facts may share an id; a change names the
-            # id, so it nulls the position in each of them
+            # predicate and the id, so it nulls the position in each fact
+            # of that predicate with that id
             facts.append(Fact(pred, args, tag, i if rng.random() < 0.8 else rng.randint(1, i)))
         d = Instance(frozenset(facts))
         changes = frozenset(
@@ -453,6 +454,19 @@ def test_apply_changes_equals_full_rebuild_randomized():
                          for c in changes for f in d.facts)
         changed += bool(repair.nulled)
     assert min(unchanged, changed) > 30  # some positions were null already
+
+
+def test_changes_and_tuple_causes_go_by_predicate_and_id():
+    # outside the parser two predicates may share a tuple id: a change to
+    # R[1;2] leaves S(1;...) alone, and each is a tuple-level cause
+    r, s = Fact("R", ("a", "b"), fact_id=1), Fact("S", ("b", "d"), fact_id=1)
+    d = Instance(frozenset({r, s}))
+    repair = _change_applier(d)(frozenset({AttrChange("R", 1, 2)}))
+    assert repair.result.facts == {Fact("R", ("a", NULL), fact_id=1), s}
+    assert (repair.nulled, repair.originals) == ({Fact("R", ("a", NULL), fact_id=1)}, {r})
+    attr, tuples = null_causes(d, single_query("q :- R(X,Y), S(Y,Z).\n"))
+    assert [(str(c), rho) for c, rho in attr] == [("R[1;2]", 1), ("S[1;1]", 1)]
+    assert tuples == ((r, Fraction(1)), (s, Fraction(1)))
 
 
 def test_null_repair_published_diff_values():

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from causerepair import queries
 from causerepair.errors import ParseError, SemanticError
@@ -22,7 +23,15 @@ from causerepair.queries import (
 )
 from causerepair.relational import NULL, Fact, Instance, fact, fact_key
 
-from conftest import load_constraints, load_instance, load_query, random_boolean_query, random_instance
+from conftest import (
+    conjunctive_queries,
+    load_constraints,
+    load_instance,
+    load_query,
+    random_boolean_query,
+    random_instance,
+    small_instances,
+)
 
 
 def test_parse_boolean_query():
@@ -318,7 +327,7 @@ def test_join_work_is_linear_on_a_chain_instance(monkeypatch):
 
 def test_matches_come_in_query_atom_order():
     (cq,) = single_query("q :- R(X,Y), S(a).\n").disjuncts
-    assert [step.atom for step in cq.join_order] == [1, 0]  # S(a) is bound first
+    assert [step.atom for step in _join_order(cq)] == [1, 0]  # S(a) is bound first
     d = parse_instance("R(b,c). S(a).")
     ((used, binding),) = iter_matches(d.facts, cq)
     assert used == (fact("R", "b", "c"), fact("S", "a"))
@@ -342,7 +351,7 @@ def test_null_lookups_at_every_join_step(query, instance, expected):
 def max_rule_order(cq, first=None):
     """The old rule, rescanning every remaining atom per step: the atom
     with the most bound positions next, ties in query order (``first``, if
-    given, goes first).  The reference for ``join_order`` and seeded
+    given, goes first).  The reference for plain and seeded join
     orders: (atom, key positions) per step, and how many steps broke a tie."""
     bound: set[str] = set()
 
@@ -378,10 +387,11 @@ def _random_order_body(rng: random.Random) -> ConjunctiveQuery:
     return ConjunctiveQuery(tuple(atoms))
 
 
-def _full(order):
-    while len(order.steps) < len(order.atoms):
-        order.grow()
-    return [(s.atom, s.key_positions) for s in order.steps]
+def _join_order(cq, first=None):
+    """Every step of the join order that starts at ``first`` (None: the
+    plain order), each built as a walk builds it."""
+    order = cq._order(first)
+    return [queries._step(order, depth) for depth in range(len(cq.atoms))]
 
 
 def test_join_orders_agree_with_the_max_rule():
@@ -390,9 +400,10 @@ def test_join_orders_agree_with_the_max_rule():
     for _ in range(5000):
         cq = _random_order_body(rng)
         expected, tied = max_rule_order(cq)
-        assert [(s.atom, s.key_positions) for s in cq.join_order] == expected, str(cq)
+        assert [(s.atom, s.key_positions) for s in _join_order(cq)] == expected, str(cq)
         first = rng.randrange(len(cq.atoms))
-        assert _full(cq._order(first)) == max_rule_order(cq, first)[0], (str(cq), first)
+        seeded = [(s.atom, s.key_positions) for s in _join_order(cq, first)]
+        assert seeded == max_rule_order(cq, first)[0], (str(cq), first)
         ties += tied > 0
         repeated += any(len(set(a.terms)) < len(a.terms) for a in cq.atoms)
         constants += any(not isinstance(t, Var) for a in cq.atoms for t in a.terms)
@@ -401,7 +412,7 @@ def test_join_orders_agree_with_the_max_rule():
 
 def test_join_order_steps_carry_the_unbound_terms():
     (cq,) = single_query("q :- R(X,X,a), S(X,Y), R(Y,Z,Z).\n").disjuncts
-    assert [tuple(s) for s in cq.join_order] == [
+    assert [tuple(s) for s in _join_order(cq)] == [
         (0, ("R", 3), (2,), ("a",), ((0, Var("X")), (1, Var("X")))),
         (1, ("S", 2), (0,), (Var("X"),), ((1, Var("Y")),)),
         (2, ("R", 3), (0,), (Var("Y"),), ((1, Var("Z")), (2, Var("Z")))),
@@ -411,7 +422,7 @@ def test_join_order_steps_carry_the_unbound_terms():
 def test_long_bodies_order_in_linear_time():
     n = 20000
     cq = ConjunctiveQuery(tuple(Atom("R", (Var(f"X{i}"), Var(f"X{i + 1}"))) for i in range(n)))
-    order = [s.atom for s in cq.join_order]  # quadratic: 2 * 10^8 term checks
+    order = [s.atom for s in _join_order(cq)]  # quadratic: 2 * 10^8 term checks
     assert order == list(range(n))
 
 
@@ -434,6 +445,32 @@ def test_seeded_walks_find_each_match_through_a_fact_once():
     assert through > 500
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_instances(), conjunctive_queries())
+def test_each_seed_walks_the_matches_that_first_map_to_it(d, cq):
+    matches = list(nested_loop_matches(d.facts, cq))
+    for t in d.sorted_facts:
+        for i in range(len(cq.atoms)):
+            expected = _canonical(m for m in matches if m[0][i] == t and t not in m[0][:i])
+            assert _canonical(iter_matches(d.facts, cq, (t, i))) == expected, (str(d), str(cq), str(t), i)
+
+
+@pytest.mark.parametrize("body, seed", [
+    ("R(X,a), S(X,Y)", fact("S", "a", "a")),  # another relation
+    ("R(X,a), S(X,Y)", fact("R", "a")),  # another arity
+    ("R(X,a), S(X,Y)", fact("R", "a", "b")),  # another constant
+    ("R(X,null), S(X,Y)", fact("R", "a", NULL)),  # the constant null matches nothing
+    ("R(X,X), S(X,Y)", fact("R", "a", "b")),  # a repeated variable
+])
+def test_a_seed_that_does_not_fit_its_atom_walks_nothing(body, seed):
+    (cq,) = single_query(f"q :- {body}.\n").disjuncts
+    facts = [fact("R", "a"), fact("R", "a", "a"), fact("R", "a", "b"), fact("R", "a", NULL),
+             fact("S", "a", "a"), fact("S", "a", "b")]
+    index = queries._Index(facts)
+    assert list(iter_matches(index, cq, (seed, 0))) == []
+    assert index.tables == {}  # the seed's step builds no table, and no later step runs
+
+
 def test_seeded_walks_share_one_index_and_build_the_steps_they_reach():
     n = 1500
     cq = ConjunctiveQuery(tuple(Atom("R", (Var(f"X{i}"), Var(f"X{i + 1}"))) for i in range(n)))
@@ -443,10 +480,10 @@ def test_seeded_walks_share_one_index_and_build_the_steps_they_reach():
     # from atom 900, atom 897 would take t again, which only walks from
     # atom 0, 1 or 2 may do
     assert list(iter_matches(index, cq, (t, 900))) == []
-    assert [s.atom for s in cq._order(900).steps] == [900, 899, 898, 897]
+    assert [s.atom for s in cq._order(900)[0]] == [900, 899, 898, 897]
     ((used, _),) = iter_matches(index, cq, (t, 0))
     assert used[:4] == (t, fact("R", "b", "c"), fact("R", "c", "a"), t)
-    assert len(cq._order(0).steps) == n
+    assert len(cq._order(0)[0]) == n
     # one table per bound position, whatever the steps and walks using it
     assert set(index.tables) == {(("R", 2), (0,)), (("R", 2), (1,))}
     assert list(iter_matches(index, cq, (fact("S", "a"), 0))) == []
