@@ -43,7 +43,6 @@ from .hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
-    minimal_hitting_sets_containing,
     minimum_hitting_set_containing,
     support_sets,
 )

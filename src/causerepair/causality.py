@@ -23,8 +23,8 @@ from fractions import Fraction
 from .errors import SemanticError
 from .hitting import (
     endogenous_support_sets,
+    enumerate_minimal_hitting_sets,
     forced_minima,
-    minimal_hitting_sets_containing,
     minimum_hitting_set_containing,
 )
 from .queries import UnionQuery, _maximal_deletion
@@ -62,10 +62,13 @@ def contingency_sets(
 
     These are exactly ``H - {t}`` for the minimal hitting sets ``H`` of the
     endogenous support family that contain ``t``; only those are built,
-    and the cap counts them.
+    and the cap counts them.  A fact on no edge has none, and no search.
     """
     t = _require_endogenous(d, t)
-    return _contingencies(minimal_hitting_sets_containing(endogenous_support_sets(d, q), t, cap), t)
+    edges = endogenous_support_sets(d, q)
+    if not any(t in e for e in edges):
+        return ()
+    return _contingencies(enumerate_minimal_hitting_sets(edges, cap).containing(t).sets, t)
 
 
 def _contingencies(transversal, t: Fact) -> tuple[frozenset[Fact], ...]:

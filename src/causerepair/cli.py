@@ -35,8 +35,9 @@ Exit codes: 0 success (including negative decisions), 1 usage or parse
 errors (a negative ``--max-enum``, ``--max-enum`` on a subcommand that
 does not enumerate, and an input file that is not UTF-8 text included),
 2 semantic errors (``--priority`` without ``--semantics go`` included),
-3 an enumeration cap exceeded (by one component's sets or by the product
-kept) or an oracle input above its bound.
+3 an enumeration cap exceeded or an oracle input above its bound.  The
+cap counts each conflict component's minimal sets and the product that
+``repairs`` or ``diagnose`` lists; ``preferred-causes`` builds no product.
 """
 
 from __future__ import annotations

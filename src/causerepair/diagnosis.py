@@ -21,11 +21,7 @@ from itertools import combinations
 
 from .causality import _require_endogenous
 from .errors import SemanticError
-from .hitting import (
-    endogenous_support_sets,
-    enumerate_minimal_hitting_sets,
-    minimal_hitting_sets_containing,
-)
+from .hitting import endogenous_support_sets, enumerate_minimal_hitting_sets
 from .queries import ConjunctiveQuery, UnionQuery, Var
 from .relational import Fact, Instance, format_constant
 from .repairs import SUBSET, Repair, _pick
@@ -73,15 +69,18 @@ def diagnoses(
 
     Kind 's' returns all subset-minimal diagnoses; kind 'c' the minimum-
     cardinality ones (within the restricted family when ``containing`` is
-    given, matching the responsibility correspondence).
+    given, matching the responsibility correspondence); none, with no
+    search, when ``containing`` lies on no conflict.
     """
     keep = _pick(kind)
-    if containing is None:
-        found = enumerate_minimal_hitting_sets(m.conflicts, cap, keep=keep).sets
-    else:
-        target = _require_endogenous(m.instance, containing)
-        found = minimal_hitting_sets_containing(m.conflicts, target, cap, keep)
-    return tuple(map(Diagnosis, found))
+    if containing is not None:
+        containing = _require_endogenous(m.instance, containing)
+        if not any(containing in e for e in m.conflicts):
+            return ()
+    solution = enumerate_minimal_hitting_sets(m.conflicts, cap)
+    if containing is not None:
+        solution = solution.containing(containing)
+    return tuple(map(Diagnosis, solution.kept(keep).sets))
 
 
 def repairs_from_diagnoses(

@@ -26,8 +26,9 @@ class SemanticError(CauseRepairError):
 
 
 class CapExceededError(CauseRepairError):
-    """An enumeration would exceed the configured cap: in one component of
-    its family, or in the product of the sets kept per component."""
+    """An enumeration would exceed the configured cap: in the minimal sets
+    of one component of its family, or in the product of the sets kept
+    per component, counted before that product is built."""
 
     def __init__(self, cap, message=None):
         super().__init__(message or f"enumeration cap of {cap} exceeded")

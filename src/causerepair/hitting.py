@@ -35,12 +35,12 @@ family holding one has no hitting set; no family need be an antichain.
 
 A family's minimal hitting sets are the product of its connected
 components' ones (``_components``), and so are the smallest of them, or
-any other choice made per component (``keep``).  Enumeration searches
-each component with no bound, caps the sets each yields and the kept
-product's size, and sorts the product as lists of vertex indexes.  The
-sets that hold a given vertex (``minimal_hitting_sets_containing``) are
-those of its component that hold it times the other components' sets,
-so the cap counts that product, not the whole transversal.
+any other choice made per component (``HittingSolution.kept``).
+Enumeration searches each component with no bound, caps the sets each
+yields, and keeps them per component.  The sets that hold a given vertex
+are those of its component that hold it times the other components' sets
+(``containing``).  Only ``sets`` builds the product, sorted as lists of
+vertex indexes, after capping its size: the cap counts what was kept.
 Minima take two more steps before the split, valid for the minimum size
 but not for enumeration, since they lose minimal sets (``_least``): drop
 every edge that contains another, and drop every vertex whose edges
@@ -64,7 +64,7 @@ across every vertex of the family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 from typing import Iterable
@@ -89,11 +89,6 @@ def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
 def antichain(sets: Iterable[frozenset], key=fact_key) -> tuple[frozenset, ...]:
     """The subset-minimal members of a family, in canonical order."""
     return tuple(sorted(minimal_sets(sets), key=lambda s: set_key(s, key)))
-
-
-@dataclass(frozen=True)
-class HittingSolution:
-    sets: tuple[frozenset, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +258,51 @@ def _search(masks: list[int], found, most: int | None = None) -> None:
             bound = len(masks)  # a minimal set needs one edge per member
 
 
+@dataclass(frozen=True)
+class HittingSolution:
+    """A family's subset-minimal hitting sets per connected component,
+    each with its mask over ``vertices``; an empty edge's component has
+    none, and a family with no edge has no component."""
+
+    vertices: list
+    parts: tuple[dict[frozenset, int], ...]
+    cap: int
+
+    def kept(self, choice) -> HittingSolution:
+        """``choice`` applied to each component's list of sets."""
+        parts = tuple({s: part[s] for s in choice(list(part))} for part in self.parts)
+        return replace(self, parts=parts)
+
+    def containing(self, t) -> HittingSolution:
+        """The sets that hold ``t``: in ``t``'s component those that hold
+        it, elsewhere all; none when no set holds ``t``."""
+        through = [{s: mask for s, mask in part.items() if t in s} for part in self.parts]
+        if not any(through):
+            return replace(self, parts=({},))
+        return replace(self, parts=tuple(own or part for own, part in zip(through, self.parts)))
+
+    @property
+    def sets(self) -> tuple[frozenset, ...]:
+        """The product of the components' sets, in canonical order under
+        the key; ``CapExceededError`` once it has more than ``cap``."""
+        if prod(map(len, self.parts)) > self.cap:
+            raise CapExceededError(self.cap)
+        masks = product(*(part.values() for part in self.parts))
+        sets = sorted([v.bit_length() - 1 for v in _bits(sum(c))] for c in masks)
+        return tuple(frozenset([self.vertices[i] for i in s]) for s in sets)
+
+
 def enumerate_minimal_hitting_sets(
-    edges: Iterable[frozenset], cap: int | None = None, key=fact_key, keep=list
+    edges: Iterable[frozenset], cap: int | None = None, key=fact_key
 ) -> HittingSolution:
-    """The product, in canonical order under ``key``, of ``keep`` applied
-    to each connected component's list of subset-minimal hitting sets
-    (all by default).  Exponential families exist even for one fixed
-    constraint: ``CapExceededError`` is raised once a component yields
-    more than ``cap`` sets or the kept lists' sizes multiply to more."""
+    """Each connected component's subset-minimal hitting sets, with the
+    vertices in ``key`` order.  Exponential families exist even for one
+    fixed constraint: ``CapExceededError`` is raised once a component
+    yields more than ``cap`` sets, and by ``sets`` once the product has
+    more."""
     cap = DEFAULT_CAP if cap is None else cap
     vertices, masks = _table(edges, key)
-    kept: list[list[int]] = []
+    parts = []
     for _, group in _components(masks):
         found: dict[frozenset, int] = {}  # each set found -> its mask
 
@@ -283,32 +312,8 @@ def enumerate_minimal_hitting_sets(
                 raise CapExceededError(cap)
 
         _search(group, add)
-        kept.append([found[s] for s in keep(list(found))])
-    if prod(map(len, kept)) > cap:
-        raise CapExceededError(cap)
-    sets = sorted([v.bit_length() - 1 for v in _bits(sum(c))] for c in product(*kept))
-    return HittingSolution(tuple(frozenset([vertices[i] for i in s]) for s in sets))
-
-
-def minimal_hitting_sets_containing(
-    edges: Iterable[frozenset], t, cap: int | None = None, keep=list
-) -> tuple[frozenset, ...]:
-    """The subset-minimal hitting sets that hold ``t``, with ``keep``
-    applied to each component's list: in ``t``'s component to the sets
-    that hold ``t``, elsewhere to all; none when ``t`` lies on no edge.
-    The cap counts each component's sets and the kept product."""
-    edges = tuple(edges)
-    witness = next((e for e in edges if t in e), None)
-    if witness is None:
-        return ()
-
-    def keep_t(sets):
-        # every set of t's component meets t's edge, no other set does
-        if sets and sets[0] & witness:
-            sets = [s for s in sets if t in s]
-        return keep(sets)
-
-    return enumerate_minimal_hitting_sets(edges, cap, keep=keep_t).sets
+        parts.append(found)
+    return HittingSolution(vertices, tuple(parts), cap)
 
 
 def _least(masks: list[int], most: int | None = None) -> int | None:
@@ -373,19 +378,18 @@ def minimum_hitting_set_containing(
     vertices, masks = _table(edges)
     if t is None:
         return _least(masks)
-    try:
+    most = None if budget is None else budget - 2  # the vertices beyond t
+    size = None
+    if t in vertices:  # else t lies on no edge
         bit = 1 << vertices.index(t)
-    except ValueError:  # t lies on no edge
-        return None if budget is None else False
-    own: list[int] = []
-    others: list[int] = []
-    for part, group in _components(masks):
-        (own if part & bit else others).extend(group)
-    if budget is None:
-        other, rest = _least(others), _forced_rest(own, bit)
-        return None if other is None or rest is None else 1 + rest + other
-    other = _least(others, budget - 2)
-    return other is not None and _forced_rest(own, bit, budget - 2 - other) is not None
+        own, others = [], []
+        for part, group in _components(masks):
+            (own if part & bit else others).extend(group)
+        other = _least(others, most)
+        if other is not None:
+            rest = _forced_rest(own, bit, None if most is None else most - other)
+            size = None if rest is None else 1 + rest + other
+    return size if budget is None else size is not None
 
 
 def forced_minima(edges: Iterable[frozenset], key=fact_key) -> dict:

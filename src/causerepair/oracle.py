@@ -6,8 +6,8 @@ no hitting-set code, no minimization tricks.  That evaluation is the
 indexed join of ``queries.iter_matches``, itself checked against a plain
 nested-loop evaluator in ``tests/test_queries.py``.  Each scan first tabulates
 the query on every relevant subset (pure repeated evaluation, nothing
-clever), then reads the definitions off the table.  Bounds guard against
-accidental exponential blowups and are configuration, not constants.
+clever), then reads the definitions off the table.  The bounds guard
+against accidental exponential blowups.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .errors import BoundExceededError, SemanticError
 from .queries import DenialConstraintSet, UnionQuery, eval_boolean, violation_view
 from .relational import Fact, Instance, fact_key
 
-DEFAULT_BOUND = 14
+BOUND = 14  # facts scanned by the instance oracles
+HITTING_BOUND = 20  # vertices scanned by ``oracle_hitting``
 
 
 def _deletion_truth_table(d: Instance, q: UnionQuery, deletable) -> dict:
@@ -32,9 +33,7 @@ def _deletion_truth_table(d: Instance, q: UnionQuery, deletable) -> dict:
     return table
 
 
-def oracle_causes_and_responsibility(
-    d: Instance, q: UnionQuery, bound: int = DEFAULT_BOUND
-) -> dict[Fact, Fraction]:
+def oracle_causes_and_responsibility(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
     """Responsibility of every endogenous fact, by scanning contingency sets.
 
     For each fact the candidate contingency sets are scanned smallest
@@ -42,8 +41,8 @@ def oracle_causes_and_responsibility(
     additional removal of the fact falsifies it settles the value.
     """
     endo = sorted(d.endogenous, key=fact_key)
-    if len(endo) > bound:
-        raise BoundExceededError(f"{len(endo)} endogenous facts exceed bound {bound}")
+    if len(endo) > BOUND:
+        raise BoundExceededError(f"{len(endo)} endogenous facts exceed bound {BOUND}")
     truth = _deletion_truth_table(d, q, endo)
     out: dict[Fact, Fraction] = {}
     for t in endo:
@@ -64,30 +63,21 @@ def oracle_causes_and_responsibility(
 
 
 def oracle_repairs(
-    d: Instance,
-    sigma: DenialConstraintSet,
-    semantics: str = "s",
-    bound: int = DEFAULT_BOUND,
+    d: Instance, sigma: DenialConstraintSet, semantics: str = "s"
 ) -> tuple[frozenset[Fact], ...]:
     """Repairs by filtering all subsets for consistency and maximality.
 
     Semantics 's' keeps the maximal consistent subsets, 'c' the maximum-
     cardinality ones, and 'endo' the subsets preserving every exogenous
-    fact that are maximal among those; any other is a ``SemanticError``.
+    fact that are maximal among those.  Any other semantics, or an empty
+    constraint set, is a ``SemanticError``.
     """
     if semantics not in ("s", "c", "endo"):
         raise SemanticError(f"unknown repair semantics {semantics!r}")
     facts = sorted(d.facts, key=fact_key)
-    if len(facts) > bound:
-        raise BoundExceededError(f"{len(facts)} facts exceed bound {bound}")
-    if sigma.constraints:
-        violated = _deletion_truth_table(d, violation_view(sigma), facts)
-    else:
-        violated = {
-            frozenset(c): False
-            for size in range(len(facts) + 1)
-            for c in combinations(facts, size)
-        }
+    if len(facts) > BOUND:
+        raise BoundExceededError(f"{len(facts)} facts exceed bound {BOUND}")
+    violated = _deletion_truth_table(d, violation_view(sigma), facts)
     required = d.exogenous if semantics == "endo" else frozenset()
     consistent: list[frozenset[Fact]] = []
     for removed, bad in violated.items():
@@ -108,9 +98,7 @@ def oracle_repairs(
     return tuple(sorted(chosen, key=lambda s: sorted(fact_key(f) for f in s)))
 
 
-def oracle_hitting(
-    universe, edges, bound: int = 20
-) -> tuple[tuple[frozenset, ...], int | None, dict]:
+def oracle_hitting(universe, edges) -> tuple[tuple[frozenset, ...], int | None, dict]:
     """Exhaustive transversal scan of a family of edges over a universe.
 
     Returns the minimal hitting sets, the global minimum size (None when
@@ -118,8 +106,8 @@ def oracle_hitting(
     minimal hitting set containing it (None when there is none).
     """
     universe = sorted(universe, key=fact_key)
-    if len(universe) > bound:
-        raise BoundExceededError(f"universe of {len(universe)} exceeds bound {bound}")
+    if len(universe) > HITTING_BOUND:
+        raise BoundExceededError(f"universe of {len(universe)} exceeds bound {HITTING_BOUND}")
     edges = list(edges)
 
     def hits(subset: frozenset) -> bool:

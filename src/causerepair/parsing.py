@@ -87,6 +87,9 @@ _TOKEN = re.compile(
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
+# Each section directive of an instance file, and the tag it sets.
+_DIRECTIVES = {"endogenous": ENDOGENOUS, "exogenous": EXOGENOUS}
+
 # One instance-file item, anchored at the end of the previous one: the
 # blanks and comments before it, then a directive, a plain fact or the
 # end of the text.  Each repetition of the comment loop starts at a ``%``
@@ -99,7 +102,7 @@ _BARE = r"(?:[a-z_]\w*|-?[0-9]+)"
 _CONSTANT = rf"(?:{_BARE}|{_STRING})"
 _ITEM = re.compile(
     rf"{_BLANKS}(?:%[^\n]*(?![^\n]){_BLANKS})*"
-    r"(?:@(endogenous|exogenous)(?!\w)"
+    rf"(?:@({'|'.join(_DIRECTIVES)})(?!\w)"
     rf"|([A-Za-z_]\w*){_BLANKS}\({_BLANKS}"
     rf"(?:(-?[0-9]+){_BLANKS};{_BLANKS})?"
     rf"(?:({_BARE}(?:,{_BARE})*)\)"
@@ -207,6 +210,17 @@ class _Parser:
             return Var(self.advance()[1])
         return self.constant()
 
+    def listed(self, item, empty: bool = True) -> tuple:
+        """Comma-separated ``item``s up to and including the closing
+        parenthesis; none only where ``empty`` allows."""
+        if empty and self.accept(")"):
+            return ()
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.expect(")")
+        return tuple(items)
+
     def predicate_name(self) -> str:
         """Predicate names may start upper- or lowercase; the following
         parenthesis is what identifies them."""
@@ -223,13 +237,7 @@ class _Parser:
         if tokens[pos][0] == "INT" and tokens[pos + 1][0] == ";":
             self.pos += 2
             fact_id = _tuple_id(tokens[pos][1])
-        args = []
-        if not self.accept(")"):
-            args.append(self.constant())
-            while self.accept(","):
-                args.append(self.constant())
-            self.expect(")")
-        return Fact(name, tuple(args), default_tag, fact_id)
+        return Fact(name, self.listed(self.constant), default_tag, fact_id)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +270,7 @@ def parse_instance(source: str) -> Instance:
                     constants = [_ESCAPE.sub(r"\1", a[1:-1]) if a[0] == '"' else a for a in constants]
             facts.append(Fact(name, tuple(constants), tag, fact_id))
         elif directive is not None:
-            tag = ENDOGENOUS if directive == "endogenous" else EXOGENOUS
+            tag = _DIRECTIVES[directive]
         else:
             return checked_instance(facts)
         pos = m.end()
@@ -274,11 +282,8 @@ def parse_instance(source: str) -> Instance:
             return checked_instance(facts)
         if tok[0] == "DIRECTIVE":
             parser.pos += 1
-            if tok[1] == "endogenous":
-                tag = ENDOGENOUS
-            elif tok[1] == "exogenous":
-                tag = EXOGENOUS
-            else:
+            tag = _DIRECTIVES.get(tok[1])
+            if tag is None:
                 raise parser.error(tok, f"unknown directive @{tok[1]}")
             continue
         facts.append(fact_literal(tag))
@@ -300,11 +305,7 @@ def parse_program(source: str) -> tuple[dict[str, UnionQuery], DenialConstraintS
         if parser.current[0] in ("IDENT", "VARIDENT"):
             head_name = parser.advance()[1]
             if parser.accept("("):
-                names = [parser.expect("VARIDENT")[1]]
-                while parser.accept(","):
-                    names.append(parser.expect("VARIDENT")[1])
-                parser.expect(")")
-                head_vars = tuple(names)
+                head_vars = parser.listed(lambda: parser.expect("VARIDENT")[1], empty=False)
         parser.expect(":-")
         cq = _parse_body(parser, head_vars)
         parser.expect(".")
@@ -331,13 +332,7 @@ def _parse_body(parser: _Parser, head_vars: tuple[str, ...]) -> ConjunctiveQuery
         if is_atom:
             name = parser.advance()[1]
             parser.expect("(")
-            terms = []
-            if not parser.accept(")"):
-                terms.append(parser.term())
-                while parser.accept(","):
-                    terms.append(parser.term())
-                parser.expect(")")
-            atoms.append(Atom(name, tuple(terms)))
+            atoms.append(Atom(name, parser.listed(parser.term)))
         else:
             left = parser.term()
             parser.expect("!=")

@@ -6,7 +6,7 @@ Three refinements of plain deletion repairs live here:
   facts rules out any subset repair that some other consistent
   sub-instance improves tuple-by-tuple.  Preferred causes invert a
   priority on jointly-contributing facts into a repair priority and read
-  causes off the surviving repairs.
+  causes off each conflict component's unimproved deletion sets.
 
 * Endogenous repairs delete endogenous facts only.  They are computed
   directly from the endogenous restrictions of the violation witnesses,
@@ -32,6 +32,7 @@ from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
+from .causality import _require_endogenous
 from .errors import SemanticError
 from .hitting import (
     antichain,
@@ -64,6 +65,18 @@ class PriorityRelation:
 
     def prefers(self, t: Fact, weaker: Fact) -> bool:
         return (t, weaker) in self.pairs
+
+    def improves(self, candidate: frozenset, over: frozenset) -> bool:
+        """Whether deleting ``candidate`` globally improves on deleting
+        ``over``: a higher-priority tuple gained outweighs each lost."""
+        if candidate == over:
+            return False
+        lost, gained = candidate - over, over - candidate
+        return all(any(self.prefers(g, t) for g in gained) for t in lost)
+
+    def unimproved(self, deletions: list) -> list:
+        """The deletion sets that no other of them globally improves."""
+        return [p for p in deletions if not any(self.improves(o, p) for o in deletions)]
 
 
 @dataclass(frozen=True)
@@ -145,15 +158,6 @@ def validate_causal_priority(
 # Global-optimal repairs and preferred causes
 
 
-def _improves(candidate: frozenset, over: frozenset, priority: PriorityRelation) -> bool:
-    """Whether the repair deleting ``candidate`` globally improves the one
-    deleting ``over``: a higher-priority tuple gained outweighs each lost."""
-    if candidate == over:
-        return False
-    lost, gained = candidate - over, over - candidate
-    return all(any(priority.prefers(g, t) for g in gained) for t in lost)
-
-
 def global_optimal_repairs(
     d: Instance,
     sigma: DenialConstraintSet,
@@ -168,13 +172,19 @@ def global_optimal_repairs(
     iff its part in some component has one among that component's minimal
     deletion sets, each of which extends to a subset repair.
     """
-
-    def unimproved(parts):
-        return [p for p in parts if not any(_improves(o, p, priority) for o in parts)]
-
     edges = support_sets(d, violation_view(sigma))
-    deletions = enumerate_minimal_hitting_sets(edges, cap, keep=unimproved).sets
+    deletions = enumerate_minimal_hitting_sets(edges, cap).kept(priority.unimproved).sets
     return tuple(Repair(d.without(s), s) for s in deletions)
+
+
+def _preferred_parts(d: Instance, q: UnionQuery, pc: CausalPriorityRelation, cap) -> list:
+    """Per conflict component of ``q``'s constraints, the endogenous parts
+    of the global-optimal deletion sets under the inverted priority
+    (preferring a cause is preferring to delete it); an endogenous
+    global-optimal deletion set joins one part from each."""
+    edges = support_sets(d, violation_view(dc_of_query(q)))
+    solution = enumerate_minimal_hitting_sets(edges, cap).kept(pc.inverted().unimproved)
+    return [[s for s in part if s <= d.endogenous] for part in solution.parts]
 
 
 def preferred_causes(
@@ -185,16 +195,19 @@ def preferred_causes(
 ) -> tuple[tuple[Fact, Fraction], ...]:
     """Causes surviving the priority, with their restricted responsibilities.
 
-    The causal priority is inverted into a repair priority (preferring a
-    fact as a cause means preferring to delete it), global-optimal repairs
-    are computed against the query's constraints, and a fact is a
-    preferred cause when some such repair removes it within an endogenous
-    deletion set.  Responsibilities minimize over those deletion sets only.
+    A fact is a preferred cause when some endogenous global-optimal
+    deletion set removes it, and its responsibility minimizes over those
+    sets only: its component's smallest part holding it plus every other
+    component's smallest part.  No deletion set is built.
     """
-    go = global_optimal_repairs(d, dc_of_query(q), pc.inverted(), cap)
-    endogenous = [r.removed for r in go if r.removed <= d.endogenous]
+    parts = _preferred_parts(d, q, pc, cap)
+    if not all(parts):
+        return ()  # no global-optimal deletion set is endogenous
+    least = [min(map(len, part)) for part in parts]
+    total = sum(least)
     # the smallest set holding a fact is the last to name it
-    scores = {t: len(s) for s in sorted(endogenous, key=len, reverse=True) for t in s}
+    scores = {t: total - own + len(s) for part, own in zip(parts, least)
+              for s in sorted(part, key=len, reverse=True) for t in s}
     return tuple((t, Fraction(1, scores[t])) for t in sorted(scores, key=fact_key))
 
 
@@ -208,12 +221,23 @@ def check_preference_contingency(
 ) -> bool:
     """Membership test for preference-restricted minimal contingency sets.
 
-    Checked exhaustively against the global-optimal repairs; unlike the
-    unrestricted variant there is no polynomial shortcut here.
+    ``{t} ∪ gamma`` must be an endogenous global-optimal deletion set:
+    each component holds exactly one of its parts inside it, and those
+    parts join to all of it.  Unlike the unrestricted variant there is no
+    polynomial shortcut here.
     """
-    target = {d.resolve(t), *(d.resolve(g) for g in gamma)}
-    go = global_optimal_repairs(d, dc_of_query(q), pc.inverted(), cap)
-    return any(r.removed == target and r.removed <= d.endogenous for r in go)
+    t = _require_endogenous(d, t)
+    gamma = frozenset(_require_endogenous(d, g) for g in gamma)
+    if t in gamma:
+        raise SemanticError(f"{t} cannot belong to its own contingency set")
+    target = gamma | {t}
+    joined = set()
+    for part in _preferred_parts(d, q, pc, cap):
+        inside = [s for s in part if s <= target]
+        if len(inside) != 1:
+            return False
+        joined |= inside[0]
+    return joined == target
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +308,13 @@ def _constrained_positions(cq: ConjunctiveQuery) -> list[set[int]]:
     than one occurrence (a join), or a variable tested by an inequality;
     nulling any such position kills the match, nulling others does not.
     """
-    counts: dict[str, int] = {}
-    for atom in cq.atoms:
-        for term in atom.terms:
-            if isinstance(term, Var):
-                counts[term.name] = counts.get(term.name, 0) + 1
-    tested = {
-        t.name for pair in cq.inequalities for t in pair if isinstance(t, Var)
-    }
-    out = []
-    for atom in cq.atoms:
-        positions = set()
-        for i, term in enumerate(atom.terms):
-            if not isinstance(term, Var):
-                positions.add(i)
-            elif counts[term.name] > 1 or term.name in tested:
-                positions.add(i)
-        out.append(positions)
-    return out
+    occurs = cq._start.occurs  # each variable's occurrences
+    tested = {t.name for pair in cq.inequalities for t in pair if isinstance(t, Var)}
+    return [
+        {i for i, term in enumerate(atom.terms)
+         if not isinstance(term, Var) or len(occurs[term.name]) > 1 or term.name in tested}
+        for atom in cq.atoms
+    ]
 
 
 def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrChange]]:

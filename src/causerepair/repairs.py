@@ -31,7 +31,6 @@ from .errors import SemanticError
 from .hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
-    minimal_hitting_sets_containing,
     minimum_hitting_set_containing,
     support_sets,
 )
@@ -80,7 +79,7 @@ def repairs(
 ) -> tuple[Repair, ...]:
     """All repairs under subset ('s') or cardinality ('c') semantics."""
     edges = support_sets(d, violation_view(sigma))
-    deletions = enumerate_minimal_hitting_sets(edges, cap, keep=_pick(semantics)).sets
+    deletions = enumerate_minimal_hitting_sets(edges, cap).kept(_pick(semantics)).sets
     return tuple(Repair(d.without(s), s) for s in deletions)
 
 
@@ -111,18 +110,16 @@ def causes_via_repairs(
 
     The deletion sets within the endogenous facts are the minimal hitting
     sets of the endogenous support sets.  Returns those that hold ``t``,
-    smallest first (the cap counts these and those of ``t``'s component),
-    and those of them whose size is the least of all.  ``t`` is an actual
-    cause iff the first family is non-empty, a most responsible cause iff
-    the second is, and its responsibility is the inverse of the smallest
-    member of the first.
+    smallest first (the cap counts these and each component's sets),
+    and those of them whose size is the least of all: the smallest of
+    every component.  ``t`` is an actual cause iff the first family is
+    non-empty, a most responsible cause iff the second is, and its
+    responsibility is the inverse of the smallest member of the first.
     """
     resolved = _require_endogenous(d, t)
-    edges = endogenous_support_sets(d, q)
-    through = minimal_hitting_sets_containing(edges, resolved, cap)
-    through = tuple(sorted(through, key=lambda s: (len(s), set_key(s))))
-    least = minimum_hitting_set_containing(edges)
-    return through, tuple(s for s in through if len(s) == least)
+    solution = enumerate_minimal_hitting_sets(endogenous_support_sets(d, q), cap)
+    through = solution.containing(resolved).sets  # in set_key order
+    return tuple(sorted(through, key=len)), solution.kept(_smallest).containing(resolved).sets
 
 
 def repair_responsibility(diff_s: tuple[frozenset[Fact], ...]) -> Fraction:
@@ -150,7 +147,7 @@ def repairs_via_causes(
     if d.exogenous:
         raise SemanticError("repairs-from-causes requires all facts endogenous")
     edges = endogenous_support_sets(d, violation_view(sigma))
-    transversal = enumerate_minimal_hitting_sets(edges, cap, keep=_pick(semantics)).sets
+    transversal = enumerate_minimal_hitting_sets(edges, cap).kept(_pick(semantics)).sets
     causes = {f for edge in edges for f in edge}
     assembled = {gamma | {t} for t in causes for gamma in _contingencies(transversal, t)}
     removed_sets = sorted(assembled, key=set_key) if edges else [frozenset()]

@@ -19,7 +19,7 @@ from causerepair.queries import (
     UnionQuery,
     Var,
 )
-from causerepair.relational import ENDOGENOUS, EXOGENOUS, NULL, Fact, Instance, fact
+from causerepair.relational import ENDOGENOUS, EXOGENOUS, NULL, Fact, Instance, fact, fact_key
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,6 +115,23 @@ def seeded_keyed(shape, n_keys: int) -> Instance:
         for v in rng.sample(range(1000), conflicted.get(k, 1)):
             facts.append(fact("A", f"k{k}", f"v{v}", fact_id=len(facts) + 1))
     return Instance(frozenset(facts))
+
+
+def keyed_preferences(k: int):
+    """The benchmark's keyed instance with ``k`` two-valued conflicts over
+    ``max(50, 2k)`` keys, its conflict groups in the generator's order,
+    the causal priority pairs of the first fact over the second in every
+    other group, and the preferred causes in canonical order: each
+    preferred group's first fact and both facts of every other group.
+    Every global-optimal deletion set takes one fact per group, so each
+    cause has responsibility 1/k."""
+    d = seeded_keyed((2,) * k, max(50, 2 * k))
+    by_key = {}
+    for f in sorted(d.facts, key=lambda f: f.fact_id):
+        by_key.setdefault(f.args[0], []).append(f)
+    groups = [g for g in by_key.values() if len(g) == 2]
+    causes = [f for i, g in enumerate(groups) for f in (g if i % 2 else g[:1])]
+    return d, groups, [tuple(g) for g in groups[::2]], sorted(causes, key=fact_key)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from causerepair.cli import execute
 from causerepair.parsing import constraint_set, parse_instance
 from causerepair.relational import fact_key, format_fact, serialize_instance
 
-from conftest import DATA, seeded_chain
+from conftest import DATA, keyed_preferences, seeded_chain
 
 
 @pytest.fixture(autouse=True)
@@ -521,6 +521,25 @@ def test_smallest_diagnoses_through_a_fact_fit_the_default_cap(tmp_path):
     assert len(found) == 33 and all("R(a0,a39)" in names for names in found)
     code, _, err = execute(argv[:-2] + ["--containing", "R(a0,a39)"])  # kind s
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("k", [40, 200])
+def test_preferred_causes_read_per_component_on_keyed_instances(tmp_path, k):
+    # 2^(k/2) global-optimal repairs, far above the default cap; no
+    # preferred cause needs them built
+    d, _, pairs, causes = keyed_preferences(k)
+    inst, dlq, prio = tmp_path / "keyed.facts", tmp_path / "key.dlq", tmp_path / "keyed.prio"
+    inst.write_text(serialize_instance(d))
+    dlq.write_text("q :- A(X,Y), A(X,Z), Y != Z.\n")
+    prio.write_text("".join(f"{format_fact(a)} > {format_fact(b)}.\n" for a, b in pairs))
+    argv = ["preferred-causes", "-i", str(inst), "-q", str(dlq), "--priority", str(prio)]
+    code, out, err = execute(argv + ["--json"])
+    assert code == 0 and err == ""
+    listed = json.loads(out)["result"]["causes"]
+    one_in_k = {"num": 1, "den": k}
+    assert listed == [{"fact": format_fact(t), "responsibility": one_in_k} for t in causes]
+    code, out, err = execute(argv)
+    assert code == 0 and out == "".join(f"{format_fact(t)}  1/{k}\n" for t in causes)
 
 
 def test_query_body_deeper_than_the_recursion_limit(tmp_path):

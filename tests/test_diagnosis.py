@@ -1,10 +1,12 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-import random
-
+from causerepair import hitting
 from causerepair.causality import _contingencies, contingency_sets, responsibility
+from causerepair.cli import execute
 from causerepair.diagnosis import (
     Diagnosis,
     DiagnosisProblem,
@@ -21,6 +23,7 @@ from causerepair.relational import Instance
 from causerepair.repairs import _smallest, repairs
 
 from conftest import (
+    data_path,
     load_constraints,
     load_instance,
     load_query,
@@ -130,6 +133,22 @@ def test_sets_containing_a_fact_equal_the_filtered_enumeration_randomized():
             compared += 1
             nonempty += bool(through)
     assert compared > 400 and nonempty > 150
+
+
+def test_a_fact_on_no_edge_is_answered_before_any_search(monkeypatch):
+    # R(a2,a1) joins no S(a1): it lies on no support set of the chain query
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(hitting, "_search", no_search)
+    d, q = load_instance("ex1.facts"), load_query("ex1.dlq")
+    t = parse_fact("R(a2,a1)")
+    assert contingency_sets(d, q, t) == ()
+    for kind in ("s", "c"):
+        assert diagnoses(build_problem(d, q), kind, containing=t) == ()
+    argv = ["diagnose", "-i", str(data_path("ex1.facts")), "-q", str(data_path("ex1.dlq"))]
+    code, out, err = execute(argv + ["--containing", "R(a2,a1)", "--json"])
+    assert code == 0 and err == "" and json.loads(out)["result"]["diagnoses"] == []
 
 
 def test_diagnoses_containing_rejects_exogenous():

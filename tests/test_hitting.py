@@ -17,7 +17,6 @@ from causerepair.hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
-    minimal_hitting_sets_containing,
     minimal_sets,
     minimum_hitting_set_containing,
     support_sets,
@@ -308,11 +307,12 @@ def test_sets_containing_a_vertex_are_the_filtered_enumeration_on_block_families
     shapes = set()
     for _ in range(200):
         edges = _block_family(rng)
-        everything = enumerate_minimal_hitting_sets(edges).sets
+        solution = enumerate_minimal_hitting_sets(edges)
+        everything = solution.sets
         for t in sorted({v for e in edges for v in e}, key=fact_key) + [fact("S", "absent")]:
             through = [s for s in everything if t in s]
-            assert minimal_hitting_sets_containing(edges, t) == tuple(through)
-            assert minimal_hitting_sets_containing(edges, t, keep=_smallest) == tuple(_smallest(through))
+            assert solution.containing(t).sets == tuple(through)
+            assert solution.containing(t).kept(_smallest).sets == tuple(_smallest(through))
             shapes.add((bool(through), len(hitting._components(hitting._table(edges)[1]))))
     assert {(True, 2), (True, 4), (False, 2), (False, 4)} <= shapes
 

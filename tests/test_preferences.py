@@ -41,6 +41,7 @@ from causerepair.repairs import repairs
 
 from conftest import (
     data_path,
+    keyed_preferences,
     load_constraints,
     load_instance,
     load_query,
@@ -293,6 +294,49 @@ def test_check_preference_contingency_empty_priority_matches_unrestricted():
                 ) == check_minimal_contingency(d, q, t, gamma)
                 rounds += 1
     assert rounds > 50
+
+
+KEY_QUERY = "q :- A(X,Y), A(X,Z), Y != Z.\n"
+
+
+def test_check_preference_contingency_refuses_what_the_plain_check_refuses():
+    d = parse_instance("A(k,a). A(k,b). A(j,c). A(j,d).")
+    q = single_query(KEY_QUERY)
+    pc = CausalPriorityRelation(frozenset())
+    t = parse_fact("A(k,a)")
+    gamma = frozenset({t, parse_fact("A(j,c)")})
+    with pytest.raises(SemanticError, match="cannot belong to its own contingency set"):
+        check_minimal_contingency(d, q, t, gamma)
+    with pytest.raises(SemanticError, match="cannot belong to its own contingency set"):
+        check_preference_contingency(d, q, pc, t, gamma)
+    d = parse_instance("@exogenous A(k,a). @endogenous A(k,b). A(j,c). A(j,d).")
+    gamma = frozenset({parse_fact("A(j,c)")})
+    with pytest.raises(SemanticError, match="is exogenous"):
+        check_minimal_contingency(d, q, t, gamma)
+    with pytest.raises(SemanticError, match="is exogenous"):
+        check_preference_contingency(d, q, pc, t, gamma)
+
+
+@pytest.mark.parametrize("k", [10, 20, 40, 200])
+def test_preferred_causes_keyed_scaling_reference(k):
+    # from 2x40 on there are more global-optimal repairs than the default cap
+    d, _, pairs, causes = keyed_preferences(k)
+    q = single_query(KEY_QUERY)
+    pc = validate_causal_priority(d, q, pairs)
+    assert list(preferred_causes(d, q, pc)) == [(t, Fraction(1, k)) for t in causes]
+
+
+def test_check_preference_contingency_keyed_2x40():
+    d, groups, pairs, _ = keyed_preferences(40)
+    q = single_query(KEY_QUERY)
+    pc = validate_causal_priority(d, q, pairs)
+    member = [g[0] if i % 2 == 0 else g[1] for i, g in enumerate(groups)]
+    t, gamma = member[0], frozenset(member[1:])
+    assert check_preference_contingency(d, q, pc, t, gamma) is True
+    # deleting a preferred group's second fact instead is improved upon
+    swapped = gamma - {groups[2][0]} | {groups[2][1]}
+    assert check_preference_contingency(d, q, pc, t, swapped) is False
+    assert check_preference_contingency(d, q, pc, t, gamma - {groups[1][1]}) is False
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from causerepair.cli import execute
 from causerepair.errors import CapExceededError, SemanticError
 from causerepair.hitting import support_sets
 from causerepair.oracle import oracle_repairs
+from causerepair.preferences import endogenous_repairs
 from causerepair.parsing import constraint_set, parse_fact, parse_instance, single_query
 from causerepair.queries import dc_of_query, iter_matches, violation_view
 from causerepair.repairs import (
@@ -323,6 +324,13 @@ def test_oracle_repairs_rejects_other_semantics(semantics, monkeypatch):
     for d in (load_instance("ex1.facts"), wide):
         with pytest.raises(SemanticError, match="unknown repair semantics"):
             oracle_repairs(d, load_constraints("ex2.dlq"), semantics)
+
+
+def test_oracle_and_engines_refuse_an_empty_constraint_set():
+    d, empty = load_instance("ex1.facts"), queries.DenialConstraintSet(())
+    for run in (oracle_repairs, repairs, endogenous_repairs):
+        with pytest.raises(SemanticError, match="violation view of an empty constraint set"):
+            run(d, empty)
 
 
 def test_repairs_via_causes_rejects_exogenous():
