@@ -8,11 +8,12 @@ set fixes the responsibility ``1/(1+|gamma|)``; non-causes get 0.
 Everything here runs through the hitting-set view: causes are the facts
 on some edge of the endogenous support family, minimal contingency sets
 are minimal hitting sets with ``t`` stripped out, and responsibility
-questions become minimum-hitting-set questions, answered by the bounded
-branching solver rather than by enumeration.  ``responsibilities``
-(behind ``most_responsible_causes`` and the cardinality-repair CQA
-check) asks for every cause at once, so each component of the family is
-solved once and its minimum shared (``hitting.forced_minima``).
+questions become minimum-hitting-set questions, answered from the
+family's kernel and a bounded branching search of what is left, never by
+enumeration.  ``responsibilities`` (behind ``most_responsible_causes``
+and the cardinality-repair CQA check) asks for every cause at once, so
+each component's minimum is found once and shared, and each minimal set
+found bounds the other causes on it (``hitting.forced_minima``).
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def responsibilities(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
     One support family serves all causes; facts that are not causes are
     left out (their responsibility is 0).  Each connected component's
     minimum hitting set is found once; a cause's contingency size is
-    then the best rest family within its own component plus the other
-    components' minima, with no search repeated per cause.
+    then its least forced rest within its own component plus the other
+    components' minima, with bounds shared between the causes.
     """
     sizes = forced_minima(endogenous_support_sets(d, q))
     return {t: Fraction(1, size) for t, size in sizes.items()}

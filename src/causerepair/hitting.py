@@ -41,13 +41,17 @@ yields, and keeps them per component.  The sets that hold a given vertex
 are those of its component that hold it times the other components' sets
 (``containing``).  Only ``sets`` builds the product, sorted as lists of
 vertex indexes, after capping its size: the cap counts what was kept.
-Minima take two more steps before the split, valid for the minimum size
-but not for enumeration, since they lose minimal sets (``_least``): drop
-every edge that contains another, and drop every vertex whose edges
-another vertex also lies on (the d-Hitting-Set kernel's first rules; on
-the chain query every ``R(x,y)`` goes and the family becomes a graph).
-Each component is searched by branch and bound, the bound lowered below
-every set found, and the minimum is the sum over the components.
+Minima are read off a kernel (``_reduced``), valid for the minimum size
+but not for enumeration, since it loses minimal sets: a one-vertex edge
+takes its vertex and every edge through it goes (Abu-Khzam's unit-edge
+rule), an edge that contains another goes, and a vertex goes when another
+vertex lies on every edge it lies on (Weihe's two domination rules).  On
+the chain query every ``R(x,y)`` goes and the family becomes a graph,
+which most often reduces to nothing.  Only what is left is split into
+components and searched by branch and bound, the bound lowered below
+every set found; the minimum is the taken vertices plus the components'
+minima, and the taken vertices joined with the sets found are one
+minimum hitting set (``_least``).
 
 When an element ``t`` is forced, the relevant quantity is the minimum
 size of an *irredundant* hitting set containing ``t`` (one in which some
@@ -57,9 +61,13 @@ makes ``t`` redundant, and irredundance is what deletion semantics needs:
 a deletion set whose every member matters.  Only ``t``'s own component
 changes: choose a witness edge for ``t``, forbid that edge's other
 vertices, and take the plain minimum of the component's ``t``-free
-edges; the witness edges share one bound.  The other components add
-their own minima, which ``forced_minima`` computes once and shares
-across every vertex of the family.
+edges (its forced rest); the witness edges share one bound.  A least
+forced rest joined with ``t`` is a minimal hitting set, and so is a
+minimum hitting set, so ``forced_minima``, which answers every vertex at once,
+settles the members of a component's minimum set at its minimum, starts
+each other vertex's search below the smallest such set through it, and
+answers twins, vertices on the same edges, once.  The other components
+add their own minima, found once for the whole family.
 """
 
 from __future__ import annotations
@@ -171,35 +179,42 @@ def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
     return list(parts.values())
 
 
-def _reduced(masks: list[int]) -> list[int]:
-    """A family with the same minimum hitting-set size as the nonempty
-    edges given: no edge contains another, and no vertex lies only on
-    edges that another vertex lies on too (of two such twins the first
-    stays).  Any minimum hitting set can swap a dropped vertex for one
-    that stays, but minimal hitting sets are lost, so this serves minima
-    only."""
+def _reduced(masks: list[int]) -> tuple[int, list[int]] | None:
+    """The kernel of a family for its minimum hitting-set size: the mask
+    of the vertices it takes, and the edges left; ``None`` when an edge is
+    empty.  A one-vertex edge takes its vertex, and every edge through
+    that vertex goes; an edge that contains another goes; and a vertex
+    goes when another vertex lies on every edge it lies on (of two such
+    twins the first stays).  The taken vertices joined with a minimum
+    hitting set of the edges left are a minimum hitting set of the family,
+    but minimal hitting sets are lost, so this serves minima only."""
+    taken = 0
     while True:
         kept: list[int] = []
         lowest: dict[int, list[int]] = {}  # vertex -> kept edges it is lowest on
-        for e in sorted(set(masks), key=int.bit_count):
-            if not any(k & e == k for v in _bits(e) for k in lowest.get(v, ())):
+        for e in sorted(set(masks), key=int.bit_count):  # units come first
+            if e & taken:
+                continue
+            if not e & (e - 1):  # no vertex or one
+                if not e:
+                    return None
+                taken |= e
+            elif not any(k & e == k for v in _bits(e) for k in lowest.get(v, ())):
                 kept.append(e)
                 lowest.setdefault(e & -e, []).append(e)
-        on: dict[int, int] = {}  # vertex -> mask of the edges it lies on
         common: dict[int, int] = {}  # vertex -> the vertices on all its edges
-        for i, e in enumerate(kept):
+        for e in kept:
             for v in _bits(e):
-                on[v] = on.get(v, 0) | 1 << i
                 common[v] = common.get(v, e) & e
         dropped = 0
         for v, others in common.items():
             others &= ~v
             # an earlier vertex there dominates v or is its twin; a later
-            # one dominates it only if it lies on more edges
-            if others & (v - 1) or any(on[u] != on[v] for u in _bits(others)):
+            # one dominates it only if v is not on all of its edges
+            if others & (v - 1) or any(not common[u] & v for u in _bits(others)):
                 dropped |= v
         if not dropped:
-            return kept
+            return taken, kept
         masks = [e & ~dropped for e in kept]
 
 
@@ -317,42 +332,50 @@ def enumerate_minimal_hitting_sets(
 
 
 def _least(masks: list[int], most: int | None = None) -> int | None:
-    """The size of a minimum hitting set of the edge masks, if it has at
+    """The mask of a minimum hitting set of the edge masks, if it has at
     most ``most`` members; ``None`` otherwise, as when an edge is empty.
-    The reduced family splits into components, solved one by one, each
-    within what the earlier ones left of ``most``."""
-    total = 0
+    Only the kernel is searched (``_reduced``), after its taken vertices
+    are checked against ``most``: its components one by one, each within
+    what the taken vertices and the earlier components left of ``most``."""
+    kernel = _reduced(masks)
+    if kernel is None:
+        return None
+    chosen, edges = kernel
+    if most is not None and chosen.bit_count() > most:
+        return None
     best = None
 
-    def found(chosen):
+    def found(mask):
         nonlocal best
-        best = chosen.bit_count()
-        return best - 1
+        best = mask
+        return mask.bit_count() - 1
 
-    for _, edges in _components(_reduced(masks)):
+    for _, group in _components(edges):
         best = None
-        _search(edges, found, None if most is None else most - total)
+        _search(group, found, None if most is None else most - chosen.bit_count())
         if best is None:
             return None
-        total += best
-    return total
+        chosen |= best
+    return chosen
 
 
 def _forced_rest(edges: list[int], t: int, most: int | None = None, floor: int = 0):
-    """The least size, if at most ``most``, of a hitting set of the edges
-    without ``t`` that avoids the other vertices of one of ``t``'s witness
-    edges; ``None`` otherwise.  The witness edges share one bound, and
-    the search stops once a size reaches ``floor``, a known lower bound."""
+    """A least hitting set, as a mask, of the edges without ``t`` that
+    avoids the other vertices of one of ``t``'s witness edges, if it has
+    at most ``most`` members; ``None`` otherwise.  The witness edges share
+    one bound, and the search stops once a size reaches ``floor``, a known
+    lower bound."""
     rest = [e for e in edges if not e & t]
     best = None
     for w in edges:
         if w & t:
-            limit = most if best is None else best - 1
-            if limit is not None and limit < floor:
+            if best is not None:
+                most = best.bit_count() - 1
+            if most is not None and most < floor:
                 break
-            size = _least([e & ~w for e in rest], limit)
-            if size is not None:
-                best = size
+            found = _least([e & ~w for e in rest], most)
+            if found is not None:
+                best = found
     return best
 
 
@@ -377,7 +400,8 @@ def minimum_hitting_set_containing(
     """
     vertices, masks = _table(edges)
     if t is None:
-        return _least(masks)
+        least = _least(masks)
+        return None if least is None else least.bit_count()
     most = None if budget is None else budget - 2  # the vertices beyond t
     size = None
     if t in vertices:  # else t lies on no edge
@@ -387,8 +411,9 @@ def minimum_hitting_set_containing(
             (own if part & bit else others).extend(group)
         other = _least(others, most)
         if other is not None:
+            other = other.bit_count()
             rest = _forced_rest(own, bit, None if most is None else most - other)
-            size = None if rest is None else 1 + rest + other
+            size = None if rest is None else 1 + rest.bit_count() + other
     return size if budget is None else size is not None
 
 
@@ -398,18 +423,38 @@ def forced_minima(edges: Iterable[frozenset], key=fact_key) -> dict:
 
     Each component's minimum is found once: ``t``'s size is 1, plus the
     forced rest within its own component, plus the other components'
-    minima.  Within the component the size is at least its minimum,
-    which lets the search over witness edges stop early.
+    minima.  Within the component the size is at least its minimum ``m``,
+    which lets the search over witness edges stop early, and a minimal
+    hitting set through ``t`` bounds it from above, which starts that
+    search lower.  The minimum set found settles each of its members at
+    ``m``; each forced rest found, joined with its ``t``, is a minimal
+    hitting set that bounds each of its members; and twins, vertices on
+    the same edges, share one answer.
     """
     vertices, masks = _table(edges, key)
     parts = _components(masks)
     minima = [_least(group) for _, group in parts]
     if None in minima:
         return dict.fromkeys(vertices)
-    total = sum(minima)
+    total = sum(least.bit_count() for least in minima)
     sizes = {}
     for (part, group), least in zip(parts, minima):
+        m = least.bit_count()
+        on: dict[int, int] = {}  # vertex -> mask of the edges it lies on
+        for i, e in enumerate(group):
+            for v in _bits(e):
+                on[v] = on.get(v, 0) | 1 << i
+        upper = dict.fromkeys(_bits(least), m)  # vertex -> a minimal set's size through it
+        within: dict[int, int | None] = {}  # the edges a vertex lies on -> its size here
         for t in _bits(part):
-            rest = _forced_rest(group, t, floor=least - 1)
-            sizes[t] = None if rest is None else 1 + rest + total - least
+            if on[t] not in within:
+                bound = upper.get(t)
+                most = None if bound is None else bound - 2  # a strictly smaller rest
+                if bound != m and (rest := _forced_rest(group, t, most, floor=m - 1)) is not None:
+                    bound = 1 + rest.bit_count()
+                    for u in _bits(rest | t):
+                        upper[u] = min(bound, upper.get(u, bound))
+                within[on[t]] = bound
+            size = within[on[t]]
+            sizes[t] = None if size is None else size + total - m
     return {v: sizes[1 << i] for i, v in enumerate(vertices)}

@@ -1,9 +1,11 @@
-"""Shared fixture loading and the randomized instance generator."""
+"""Shared fixture loading, the randomized instance generators and the
+one ``hypothesis`` profile of the tier-1 suite."""
 
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from causerepair.parsing import (
@@ -22,6 +24,11 @@ from causerepair.queries import (
 from causerepair.relational import ENDOGENOUS, EXOGENOUS, NULL, Fact, Instance, fact, fact_key
 
 DATA = Path(__file__).parent / "data"
+
+# every hypothesis test draws the same examples in every run, keeps no
+# example database and has no deadline; each sets its own max_examples
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def data_path(name: str) -> Path:
@@ -249,3 +256,30 @@ def conjunctive_queries(draw, max_atoms: int = 3) -> ConjunctiveQuery:
         right = left | st.sampled_from(_HYP_CONSTANTS)
         inequalities = tuple(draw(st.lists(st.tuples(left, right), max_size=2)))
     return ConjunctiveQuery(tuple(atoms), inequalities)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies for the hitting suites
+
+
+@st.composite
+def mask_families(draw, blocks: int = 3, width: int = 4):
+    """Edge masks over up to ``blocks`` vertex-disjoint blocks of
+    ``width`` vertices (bit ``block * width + i``), so a family splits
+    into several components.  A block may start with the cycle through
+    its vertices, which no reduction rule shrinks; its other edges hold
+    one to three of its vertices, mostly two, so unit edges, nested and
+    repeated edges and twins are common.  Now and then a family also
+    holds the empty edge."""
+    edges = []
+    for block in range(draw(st.integers(1, blocks))):
+        bit = [1 << (block * width + i) for i in range(width)]
+        if draw(st.booleans()):
+            edges += [bit[i] | bit[i - 1] for i in range(width)]
+        for _ in range(draw(st.integers(0, 6))):
+            size = draw(st.sampled_from((2, 3, 2, 1)))
+            vertices = st.lists(st.sampled_from(bit), min_size=size, max_size=size, unique=True)
+            edges.append(sum(draw(vertices)))
+    if draw(st.integers(0, 9)) == 5:
+        edges.insert(draw(st.integers(0, len(edges))), 0)
+    return edges

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import causerepair
 from causerepair import hitting
@@ -23,8 +24,8 @@ from causerepair.hitting import (
 )
 from causerepair.oracle import oracle_hitting
 from causerepair.parsing import parse_instance, parse_program, single_query
-from causerepair.preferences import AttrChange, attr_key
-from causerepair.queries import violation_view
+from causerepair.preferences import AttrChange, _kill_family, attr_key
+from causerepair.queries import dc_of_query, violation_view
 from causerepair.relational import Fact, Instance, fact, fact_key
 from causerepair.repairs import _smallest
 
@@ -32,9 +33,11 @@ from conftest import (
     load_constraints,
     load_instance,
     load_query,
+    mask_families,
     random_boolean_query,
     random_instance,
     seeded_chain,
+    seeded_keyed,
 )
 
 
@@ -317,6 +320,140 @@ def test_sets_containing_a_vertex_are_the_filtered_enumeration_on_block_families
     assert {(True, 2), (True, 4), (False, 2), (False, 4)} <= shapes
 
 
+def _by_rounds_reduced(masks):
+    """The reduction before the unit-edge rule, kept as the reference:
+    whole rounds of edge minimality and then vertex domination until
+    nothing drops; unit and empty edges stay in the family."""
+    while True:
+        kept = []
+        lowest = {}
+        for e in sorted(set(masks), key=int.bit_count):
+            if not any(k & e == k for v in hitting._bits(e) for k in lowest.get(v, ())):
+                kept.append(e)
+                lowest.setdefault(e & -e, []).append(e)
+        on, common = {}, {}
+        for i, e in enumerate(kept):
+            for v in hitting._bits(e):
+                on[v] = on.get(v, 0) | 1 << i
+                common[v] = common.get(v, e) & e
+        dropped = 0
+        for v, others in common.items():
+            others &= ~v
+            if others & (v - 1) or any(on[u] != on[v] for u in hitting._bits(others)):
+                dropped |= v
+        if not dropped:
+            return kept
+        masks = [e & ~dropped for e in kept]
+
+
+def _by_rounds_least(masks, most=None):
+    """The reference minimum size: every component of the reduced family
+    searched, its unit edges among them."""
+    total = 0
+    best = None
+
+    def found(chosen):
+        nonlocal best
+        best = chosen.bit_count()
+        return best - 1
+
+    for _, edges in hitting._components(_by_rounds_reduced(masks)):
+        best = None
+        hitting._search(edges, found, None if most is None else most - total)
+        if best is None:
+            return None
+        total += best
+    return total
+
+
+def _by_rounds_forced_minima(edges, key=fact_key):
+    """The reference ``forced_minima``: each vertex's forced rest searched
+    on its own, over every witness edge, with no bound shared."""
+    vertices, masks = hitting._table(edges, key)
+    parts = hitting._components(masks)
+    minima = [_by_rounds_least(group) for _, group in parts]
+    if None in minima:
+        return dict.fromkeys(vertices)
+    sizes = {}
+    for (part, group), least in zip(parts, minima):
+        for t in hitting._bits(part):
+            rest = [e for e in group if not e & t]
+            best = None
+            for w in group:
+                if w & t:
+                    limit = None if best is None else best - 1
+                    if limit is not None and limit < least - 1:
+                        break
+                    size = _by_rounds_least([e & ~w for e in rest], limit)
+                    if size is not None:
+                        best = size
+            sizes[t] = None if best is None else 1 + best + sum(minima) - least
+    return {v: sizes[1 << i] for i, v in enumerate(vertices)}
+
+
+_VERTEX = [fact("V", str(i)) for i in range(12)]
+
+
+@settings(max_examples=300)
+@given(mask_families())
+def test_kernel_and_forced_minima_agree_with_the_oracle(masks):
+    edges = [frozenset(_VERTEX[v.bit_length() - 1] for v in hitting._bits(e)) for e in masks]
+    universe = {v for e in edges for v in e}
+    _, least, per_element = oracle_hitting(universe, edges)
+    kernel, found = hitting._reduced(masks), hitting._least(masks)
+    assert (kernel is None) == (found is None) == (least is None) == (0 in masks)
+    if kernel is not None:
+        # the taken vertices lie on no edge left, and joined with a
+        # minimum of the edges left they hit the family at its minimum
+        taken, left = kernel
+        rest = hitting._least(left)
+        assert not taken & rest and not any(e & taken for e in left)
+        for chosen in (found, taken | rest):
+            assert all(e & chosen for e in masks)
+            assert chosen.bit_count() == least
+    assert minimum_hitting_set_containing(edges) == least
+    assert forced_minima(edges) == {u: per_element[u] for u in sorted(universe, key=fact_key)}
+    for u in universe:
+        # every budget up to two past the size, where the answer turns
+        size = per_element[u]
+        for k in range(-1, (size or 0) + 3):
+            assert minimum_hitting_set_containing(edges, u, budget=k) is (size is not None and size < k)
+
+
+def test_an_empty_family_fits_no_negative_budget():
+    assert hitting._least([], -1) is None
+    assert hitting._least([], 0) == 0
+    assert hitting._least([0b1, 0b10], 1) is None
+    assert hitting._least([0b1, 0b10], 2) == 0b11
+
+
+def test_unit_edges_over_the_budget_answer_before_any_search(monkeypatch):
+    # t's component is a star through a: with a forbidden, the b's are each
+    # alone on an edge.  Beside it sit an odd cycle, which only a search
+    # covers (three vertices), and three unit edges.  Through t the size is
+    # 1 + 3 + 3 + 3; below a budget of 5 the unit edges alone exceed it
+    t, a = fact("V", "t"), fact("V", "a")
+    star = [frozenset({t, a})] + [frozenset({a, fact("V", f"b{i}")}) for i in range(3)]
+    ring = [fact("V", f"x{i}") for i in range(5)]
+    cycle = [frozenset({ring[i], ring[(i + 1) % 5]}) for i in range(5)]
+    units = [frozenset({fact("V", f"c{i}")}) for i in range(3)]
+    edges = star + cycle + units
+    _, _, per_element = oracle_hitting({v for e in edges for v in e}, edges)
+    assert per_element[t] == minimum_hitting_set_containing(edges, t) == 10
+    for k in range(-1, 13):
+        assert minimum_hitting_set_containing(edges, t, budget=k) is (10 < k)
+
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(hitting, "_search", no_search)
+    for k in range(-1, 5):
+        assert minimum_hitting_set_containing(edges, t, budget=k) is False
+    # the star and the unit edges alone take no search at any budget
+    for k in range(-1, 9):
+        assert minimum_hitting_set_containing(star + units, t, budget=k) is (7 < k)
+
+
 def _nodes(call):
     """The result of ``call()`` and the number of search nodes it opened:
     each open node is one run of the generator ``branches``."""
@@ -348,14 +485,15 @@ def _keyed_instance(values, conflicts, keys=50):
 
 
 @pytest.mark.parametrize("instance, query, edges, causes, value, most", [
-    # sparse chains: dropping dominated vertices leaves small components
-    (seeded_chain(60, 60), "q :- S(X), R(X,Y), S(Y).", 32, 52, 18, 1_000),
-    (seeded_chain(134, 134), "q :- S(X), R(X,Y), S(Y).", 55, 49, 26, 5_000),
+    # sparse chains: the kernel takes every vertex, and nothing is searched
+    (seeded_chain(60, 60), "q :- S(X), R(X,Y), S(Y).", 32, 52, 18, 0),
+    (seeded_chain(134, 134), "q :- S(X), R(X,Y), S(Y).", 55, 49, 26, 0),
+    (seeded_chain(200, 200), "q :- S(X), R(X,Y), S(Y).", 97, 82, 42, 75),
     # a dense chain keeps components of up to 69 edges: the packing bound
-    (seeded_chain(100, 40), "q :- S(X), R(X,Y), S(Y).", 77, 34, 20, 15_000),
+    (seeded_chain(100, 40), "q :- S(X), R(X,Y), S(Y).", 77, 34, 20, 8_000),
     # twelve key groups of four, each a K4 that needs three deletions
-    (_keyed_instance(4, 12), "q :- A(X,Y), A(X,Z), Y != Z.", 72, 48, 36, 600),
-], ids=["chain-60", "chain-134", "dense-chain-100", "keyed-4x12"])
+    (_keyed_instance(4, 12), "q :- A(X,Y), A(X,Z), Y != Z.", 72, 48, 36, 120),
+], ids=["chain-60", "chain-134", "chain-200", "dense-chain-100", "keyed-4x12"])
 def test_most_responsible_causes_work_stays_bounded(instance, query, edges, causes, value, most):
     # a search over the whole family without reduction, split or bound
     # does not finish these in minutes; node counts are deterministic
@@ -363,7 +501,7 @@ def test_most_responsible_causes_work_stays_bounded(instance, query, edges, caus
     assert len(support_sets(instance, q)) == edges
     (top, rho), nodes = _nodes(lambda: most_responsible_causes(instance, q))
     assert (len(top), rho) == (causes, Fraction(1, value))
-    assert 0 < nodes <= most
+    assert nodes <= most
 
 
 _COUNT_SEARCH_NODES = """
@@ -385,10 +523,7 @@ def count(frame, event, arg):
         frames.add(frame)
 
 
-d = parse_instance(
-    "R(a0,a0). R(a0,a1). R(a2,a6). R(a4,a3). R(a5,a2). R(a5,a7). R(a6,a2). "
-    "R(a7,a5). S(a0). S(a1). S(a2). S(a4). S(a5). S(a6)."
-)
+d = parse_instance(sys.stdin.read())
 q = single_query("q :- S(X), R(X,Y), S(Y).")
 sys.setprofile(count)
 responsibilities(d, q)
@@ -397,21 +532,54 @@ print(len(frames))
 """
 
 
-def _search_nodes(hash_seed: str) -> int:
+def _search_nodes(hash_seed: str, facts: str) -> int:
     package_root = str(Path(causerepair.__file__).parent.parent)
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=package_root)
     out = subprocess.run(
-        [sys.executable, "-c", _COUNT_SEARCH_NODES],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, "-c", _COUNT_SEARCH_NODES], input=facts,
+        env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return int(out.stdout)
 
 
 def test_branching_order_ignores_string_hashing():
     # vertices are ordered by degree and fact key, edges canonically, so
-    # the search visits the same nodes in every process
-    first, second = _search_nodes("1"), _search_nodes("2")
+    # the search visits the same nodes in every process; the dense chain
+    # still branches after the kernel
+    facts = str(seeded_chain(100, 40))
+    first, second = _search_nodes("1", facts), _search_nodes("2", facts)
     assert first == second > 0
+
+
+_CHAIN = "q :- S(X), R(X,Y), S(Y)."
+_KEY = "q :- A(X,Y), A(X,Z), Y != Z."
+
+
+@pytest.mark.parametrize("instance, query, null", [
+    *((seeded_chain(n, n), _CHAIN, False) for n in (60, 80, 100, 134, 160, 200)),
+    (seeded_chain(100, 40), _CHAIN, False),
+    (_keyed_instance(4, 12), _KEY, False),
+    # the kill sets that null causes read their sizes from, under attr_key
+    *((seeded_keyed((2,) * k, max(50, 2 * k)), _KEY, True) for k in (1, 3, 8, 20)),
+], ids=[*(f"chain-{n}" for n in (60, 80, 100, 134, 160, 200)), "dense-chain-100", "keyed-4x12",
+        *(f"null-2x{k}" for k in (1, 3, 8, 20))])
+def test_forced_minima_equal_the_round_based_reduction(instance, query, null):
+    # beyond the oracle's bound: the kernel and the shared bounds give the
+    # sizes that whole reductions per vertex and witness edge give
+    q = single_query(query)
+    if null:
+        edges, key = _kill_family(instance, dc_of_query(q)), attr_key
+    else:
+        edges, key = endogenous_support_sets(instance, q), fact_key
+    _, masks = hitting._table(edges, key)
+    expected = _by_rounds_forced_minima(edges, key)
+    assert forced_minima(edges, key) == expected
+    least = hitting._least(masks)
+    assert least.bit_count() == _by_rounds_least(masks)
+    assert all(e & least for e in masks)
+    if not null:
+        for t in list(expected)[::7]:
+            assert minimum_hitting_set_containing(edges, t) == expected[t]
 
 
 def test_hitting_vertex_cover_duality():

@@ -445,7 +445,7 @@ def test_seeded_walks_find_each_match_through_a_fact_once():
     assert through > 500
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(small_instances(), conjunctive_queries())
 def test_each_seed_walks_the_matches_that_first_map_to_it(d, cq):
     matches = list(nested_loop_matches(d.facts, cq))

@@ -440,7 +440,10 @@ _CQA_DCS = ":- S(X), R(X,Y), S(Y).\n:- A(X,Y), A(X,Z), Y != Z.\n"
 def test_subset_cqa_walks_only_through_the_asked_atoms(tmp_path, monkeypatch):
     d = _cqa_shaped(tmp_path)
     assert 900 < len(d) < 1100
-    for name, fn in [("support_sets", hitting.support_sets), ("witnesses", queries.witnesses)]:
+    # no support family, no whole witness set and no hitting-set search
+    refused = [("support_sets", hitting.support_sets), ("witnesses", queries.witnesses),
+               ("_reduced", hitting._reduced), ("_search", hitting._search)]
+    for name, fn in refused:
         def refuse(*args, name=name):
             raise AssertionError(f"{name} was called")
         for module in list(sys.modules.values()):
