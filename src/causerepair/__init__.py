@@ -6,8 +6,10 @@ facts that actually cause the answer, their minimal contingency sets and
 exact rational responsibilities, the subset/cardinality repairs of the
 database under the matching denial constraints, and the equivalent
 consistency-based diagnoses; prioritized, endogenous-only, and null-based
-variants refine the picture.  A brute-force oracle mirrors every engine
-for cross-validation, and a CLI exposes the lot.
+variants refine the picture.  A brute-force oracle scans the definitions
+of causes and responsibility, of subset, cardinality and endogenous
+repairs, and of minimal hitting sets, for cross-validation (it has no
+global-optimal, null-based or preferred scans), and a CLI exposes the lot.
 """
 
 from .causality import (
@@ -27,7 +29,6 @@ from .diagnosis import (
     build_problem,
     diagnoses,
     render_theory,
-    repairs_from_diagnoses,
 )
 from .errors import (
     BoundExceededError,
@@ -58,7 +59,6 @@ from .preferences import (
     NullRepair,
     PriorityRelation,
     check_preference_contingency,
-    endogenous_encoding,
     endogenous_repairs,
     global_optimal_repairs,
     null_causes,
@@ -88,18 +88,15 @@ from .relational import (
     Fact,
     Instance,
     check_wellformed,
-    delta,
     fact,
     serialize_instance,
     violations,
 )
 from .repairs import (
     Repair,
-    causes_via_repairs,
     consistent_answer,
     is_repair,
     repairs,
-    repairs_via_causes,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

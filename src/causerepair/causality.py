@@ -63,20 +63,15 @@ def contingency_sets(
 
     These are exactly ``H - {t}`` for the minimal hitting sets ``H`` of the
     endogenous support family that contain ``t``; only those are built,
-    and the cap counts them.  A fact on no edge has none, and no search.
+    and the cap counts them.  They come smallest first.  A fact on no
+    edge has none, and no search.
     """
     t = _require_endogenous(d, t)
     edges = endogenous_support_sets(d, q)
     if not any(t in e for e in edges):
         return ()
-    return _contingencies(enumerate_minimal_hitting_sets(edges, cap).containing(t).sets, t)
-
-
-def _contingencies(transversal, t: Fact) -> tuple[frozenset[Fact], ...]:
-    """``t``'s minimal contingency sets read off the minimal hitting sets
-    of its family, smallest first."""
-    picked = [s - {t} for s in transversal if t in s]
-    return tuple(sorted(picked, key=lambda s: (len(s), set_key(s))))
+    through = enumerate_minimal_hitting_sets(edges, cap).containing(t).sets
+    return tuple(sorted((s - {t} for s in through), key=lambda s: (len(s), set_key(s))))
 
 
 def responsibility(d: Instance, q: UnionQuery, t: Fact) -> Fraction:

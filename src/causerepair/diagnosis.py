@@ -24,7 +24,7 @@ from .errors import SemanticError
 from .hitting import endogenous_support_sets, enumerate_minimal_hitting_sets
 from .queries import ConjunctiveQuery, UnionQuery, Var
 from .relational import Fact, Instance, format_constant
-from .repairs import SUBSET, Repair, _pick
+from .repairs import SUBSET, _pick
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,6 @@ def diagnoses(
     if containing is not None:
         solution = solution.containing(containing)
     return tuple(map(Diagnosis, solution.kept(keep).sets))
-
-
-def repairs_from_diagnoses(
-    m: DiagnosisProblem, kind: str = SUBSET, cap: int | None = None
-) -> tuple[Repair, ...]:
-    """Each minimal diagnosis, removed from the instance, is a repair
-    (in the canonical order of the diagnoses)."""
-    if m.instance.exogenous:
-        raise SemanticError("repairs from diagnoses assume all facts endogenous")
-    return tuple(
-        Repair(m.instance.without(diag.abnormal), diag.abnormal)
-        for diag in diagnoses(m, kind, cap=cap)
-    )
 
 
 # ---------------------------------------------------------------------------

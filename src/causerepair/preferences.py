@@ -9,12 +9,7 @@ Three refinements of plain deletion repairs live here:
   causes off each conflict component's unimproved deletion sets.
 
 * Endogenous repairs delete endogenous facts only.  They are computed
-  directly from the endogenous restrictions of the violation witnesses,
-  and ``endogenous_encoding`` exposes the equivalent formulation through
-  priorities: a guard fact is added to every constraint and exogenous
-  facts get priority over conflicting endogenous ones, after which the
-  global-optimal repairs are exactly the endogenous ones (plus the guard
-  deletion itself).
+  directly from the endogenous restrictions of the violation witnesses.
 
 * Null-based repairs replace attribute values by the non-joining null
   instead of deleting tuples.  A violation witness dies exactly when one
@@ -42,9 +37,7 @@ from .hitting import (
     support_sets,
 )
 from .queries import (
-    Atom,
     ConjunctiveQuery,
-    DenialConstraint,
     DenialConstraintSet,
     UnionQuery,
     Var,
@@ -53,7 +46,7 @@ from .queries import (
     iter_matches,
     violation_view,
 )
-from .relational import ENDOGENOUS, NULL, Fact, Instance, fact_key
+from .relational import NULL, Fact, Instance, fact_key
 from .repairs import Repair
 
 
@@ -167,10 +160,10 @@ def global_optimal_repairs(
     """Subset repairs without a global improvement.
 
     Each priority pair must lie inside one conflict edge, as
-    ``validate_priority`` and ``endogenous_encoding`` ensure, and so inside
-    one connected component of the conflicts: a repair has an improvement
-    iff its part in some component has one among that component's minimal
-    deletion sets, each of which extends to a subset repair.
+    ``validate_priority`` ensures, and so inside one connected component
+    of the conflicts: a repair has an improvement iff its part in some
+    component has one among that component's minimal deletion sets, each
+    of which extends to a subset repair.
     """
     edges = support_sets(d, violation_view(sigma))
     deletions = enumerate_minimal_hitting_sets(edges, cap).kept(priority.unimproved).sets
@@ -256,45 +249,6 @@ def endogenous_repairs(
     edges = endogenous_support_sets(d, violation_view(sigma))
     solution = enumerate_minimal_hitting_sets(edges, cap)
     return tuple(Repair(d.without(s), s) for s in solution.sets)
-
-
-def endogenous_encoding(
-    d: Instance, sigma: DenialConstraintSet
-) -> tuple[Instance, DenialConstraintSet, PriorityRelation]:
-    """Priority formulation of endogenous repairs.
-
-    Adds an endogenous guard fact, conjoins it to every constraint, and
-    prefers each exogenous fact over every conflicting endogenous one.
-    The global-optimal repairs of the transformed problem are then the
-    endogenous repairs (each still holding the guard) together with the
-    guard-only deletion.
-    """
-    guard_pred = "guard"
-    while guard_pred in d.schema:
-        guard_pred += "_"
-    guard = Fact(guard_pred, ("on",), ENDOGENOUS)
-    extended = Instance(d.facts | {guard})
-    guarded = DenialConstraintSet(
-        tuple(
-            DenialConstraint(
-                ConjunctiveQuery(
-                    (Atom(guard_pred, ("on",)),) + dc.body.atoms,
-                    dc.body.inequalities,
-                )
-            )
-            for dc in sigma
-        )
-    )
-    conflicts = support_sets(extended, violation_view(guarded))
-    pairs = set()
-    for c in conflicts:
-        for x in c:
-            if x.is_endogenous:
-                continue
-            for e in c:
-                if e.is_endogenous:
-                    pairs.add((x, e))
-    return extended, guarded, PriorityRelation(frozenset(pairs))
 
 
 # ---------------------------------------------------------------------------

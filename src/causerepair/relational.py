@@ -25,7 +25,12 @@ instance with ``checked_instance``, whose one pass checks them, groups
 the facts in file order (whatever the string hashing), keys the atoms
 and names the first problem in file order.  Other instances make these
 lookups on first use.  ``Instance`` itself does not check, since
-deletions build instances on hot paths.
+deletions build instances on hot paths, so ``check_wellformed`` is the
+one public check for an instance built in code; it stays although no
+engine calls it.  ``serialize_instance`` stays because ``Instance.__str__``
+renders through it.  An atom-level difference of two instances that
+ignores tuple ids has no engine that takes it, so it lives in the tests
+beside its asserts.
 
 Constants are plain strings.  The reserved token ``null`` denotes the
 distinguished null value; it never joins with anything (including itself),
@@ -205,25 +210,6 @@ def group_relations(facts: Iterable[Fact]) -> dict[tuple[str, int], list[Fact]]:
         else:
             relation.append(f)
     return relations
-
-
-def delta(d: Instance, d_prime: Instance) -> frozenset[Fact]:
-    """Symmetric difference of two instances, compared atom by atom.
-
-    Tags and tuple ids do not contribute to identity here.  The same atom
-    carrying different tags in the two instances is an error, since the
-    difference of a labelled set with itself would be ambiguous.
-    """
-    left = {f.atom: f for f in d.facts}
-    right = {f.atom: f for f in d_prime.facts}
-    for atom in left.keys() & right.keys():
-        if left[atom].tag != right[atom].tag:
-            raise SemanticError(
-                f"atom {format_fact(left[atom])} is {left[atom].tag} in one "
-                f"instance and {right[atom].tag} in the other"
-            )
-    diff_atoms = left.keys() ^ right.keys()
-    return frozenset(left.get(a) or right[a] for a in diff_atoms)
 
 
 def violations(facts: Iterable[Fact]) -> Iterator[str]:

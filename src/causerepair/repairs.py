@@ -1,4 +1,4 @@
-"""Repairs for denial constraints, and the cause/repair bridges.
+"""Repairs for denial constraints, and consistent answers.
 
 A repair keeps a maximal (subset semantics) or maximum-cardinality
 (cardinality semantics) consistent portion of the instance; for denial
@@ -6,9 +6,6 @@ constraints both arise purely by deletion, so deletion sets are hitting
 sets of the minimal violation witnesses and all enumeration goes through
 the one hitting-set engine.
 
-The bridges run in both directions: deletion sets of repairs avoiding a
-fact recover that fact's causal status and responsibility, and repairs can
-be reassembled from causes paired with their minimal contingency sets.
 Consistent-answer checks use the cause-based criterion directly, with no
 repair enumeration.  Under subset semantics an atom is in every repair
 iff it lies on no minimal violation (no edge of the conflict hypergraph;
@@ -22,14 +19,11 @@ decides each one with at most one boolean evaluation per fact of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from . import causality
-from .causality import _contingencies, _require_endogenous
 from .errors import SemanticError
 from .hitting import (
-    endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     minimum_hitting_set_containing,
     support_sets,
@@ -43,7 +37,7 @@ from .queries import (
     iter_matches,
     violation_view,
 )
-from .relational import Fact, Instance, set_key
+from .relational import Fact, Instance
 
 SUBSET = "s"
 CARDINALITY = "c"
@@ -101,57 +95,6 @@ def is_repair(
     if not _maximal_deletion(d, removed, view):
         return False
     return subset or len(removed) == minimum_hitting_set_containing(support_sets(d, view))
-
-
-def causes_via_repairs(
-    d: Instance, q: UnionQuery, t: Fact, cap: int | None = None
-) -> tuple[tuple[frozenset[Fact], ...], tuple[frozenset[Fact], ...]]:
-    """Deletion-set families for repairs that drop ``t`` endogenously.
-
-    The deletion sets within the endogenous facts are the minimal hitting
-    sets of the endogenous support sets.  Returns those that hold ``t``,
-    smallest first (the cap counts these and each component's sets),
-    and those of them whose size is the least of all: the smallest of
-    every component.  ``t`` is an actual cause iff the first family is
-    non-empty, a most responsible cause iff the second is, and its
-    responsibility is the inverse of the smallest member of the first.
-    """
-    resolved = _require_endogenous(d, t)
-    solution = enumerate_minimal_hitting_sets(endogenous_support_sets(d, q), cap)
-    through = solution.containing(resolved).sets  # in set_key order
-    return tuple(sorted(through, key=len)), solution.kept(_smallest).containing(resolved).sets
-
-
-def repair_responsibility(diff_s: tuple[frozenset[Fact], ...]) -> Fraction:
-    """Responsibility read off a subset-repair difference family."""
-    if not diff_s:
-        return Fraction(0)
-    return Fraction(1, min(len(s) for s in diff_s))
-
-
-def repairs_via_causes(
-    d: Instance,
-    sigma: DenialConstraintSet,
-    semantics: str = SUBSET,
-    cap: int | None = None,
-) -> tuple[Repair, ...]:
-    """Reassemble repairs from causes and their minimal contingency sets.
-
-    Requires a fully endogenous instance.  One support family and one
-    enumeration of its minimal hitting sets (under 'c', the smallest of
-    each component) serve every cause; distinct cause/contingency pairs
-    may collapse to one repair, so the result is deduplicated, and it
-    must coincide with ``repairs`` on the same inputs.  A consistent
-    instance has no causes and repairs to itself.
-    """
-    if d.exogenous:
-        raise SemanticError("repairs-from-causes requires all facts endogenous")
-    edges = endogenous_support_sets(d, violation_view(sigma))
-    transversal = enumerate_minimal_hitting_sets(edges, cap).kept(_pick(semantics)).sets
-    causes = {f for edge in edges for f in edge}
-    assembled = {gamma | {t} for t in causes for gamma in _contingencies(transversal, t)}
-    removed_sets = sorted(assembled, key=set_key) if edges else [frozenset()]
-    return tuple(Repair(d.without(s), s) for s in removed_sets)
 
 
 def consistent_answer(

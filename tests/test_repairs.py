@@ -16,14 +16,7 @@ from causerepair.oracle import oracle_repairs
 from causerepair.preferences import endogenous_repairs
 from causerepair.parsing import constraint_set, parse_fact, parse_instance, single_query
 from causerepair.queries import dc_of_query, iter_matches, violation_view
-from causerepair.repairs import (
-    causes_via_repairs,
-    consistent_answer,
-    is_repair,
-    repair_responsibility,
-    repairs,
-    repairs_via_causes,
-)
+from causerepair.repairs import consistent_answer, is_repair, repairs
 from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact, fact_key, set_key
 
 from conftest import (
@@ -36,6 +29,7 @@ from conftest import (
     seeded_cqa,
     seeded_keyed,
 )
+from test_propositions import causes_via_repairs, repair_responsibility, repairs_via_causes
 
 
 def _kept(reps):
@@ -265,7 +259,8 @@ def test_repairs_via_causes_consistent_instance():
 
 
 def _count_calls(monkeypatch, name):
-    """Count calls to a ``hitting`` function, wherever the package binds it."""
+    """Count calls to a ``hitting`` function, wherever the package binds it
+    (the references of ``test_propositions`` read it off ``hitting``)."""
     original = getattr(hitting, name)
     calls = []
 
