@@ -14,8 +14,10 @@ report's ``command`` is the subcommand (``oracle.causes`` and so on).
 The report is written by ``_json``, which joins each container's members
 in one pass and is byte-identical to ``json.dumps(report, indent=2,
 sort_keys=True)``; text lines are built only when no ``--json`` is given.
-Each fact of the instance is formatted once per invocation, and every
-set of its facts is named by the facts' positions in canonical order.
+Each fact of the instance is formatted once per invocation, and under
+``--json`` escaped once per report, as is each nulled fact and change;
+every set of its facts is named by the facts' positions in canonical
+order, in a list marked ``_Names`` that ``_json`` joins as it is.
 A repair's facts are the instance's sorted names spliced once
 (``_spliced``): the deleted or nulled originals cut out, and the nulled
 versions, named by the engine's null repair, put in where their keys sort.
@@ -99,27 +101,36 @@ def _sorted_facts(facts) -> list[str]:
     return [format_fact(f) for f in sorted(facts, key=fact_key)]
 
 
-def _named(d) -> tuple[list[str], dict]:
-    """The names of ``d``'s facts in canonical order, and each fact's
-    position there; a set of them is named by its sorted positions."""
+class _Names(list):
+    """Names as printed, escaped under ``--json``: ``_json`` joins them as they are."""
+
+
+def _named(d, escape: bool):
+    """The names of ``d``'s facts in canonical order, each fact's position
+    there (a set of them is named by its sorted positions), and ``name``,
+    which gives the names: escaped once per report when ``escape``."""
+    name = functools.cache(_encode_string) if escape else str
     facts = d.sorted_facts
-    return [format_fact(f) for f in facts], {f: i for i, f in enumerate(facts)}
+    return [name(format_fact(f)) for f in facts], {f: i for i, f in enumerate(facts)}, name
 
 
-def _json(value, indent: str = "\n") -> str:
+def _json(value, indent: str = "\n", keys: dict | None = None) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for str keys: each
-    dict and list (a tuple is a list) joined at once, strings escaped in C."""
+    dict and list (a tuple is a list) joined at once, strings escaped in C,
+    each dict key once per outermost call (``keys``), a ``_Names`` list
+    as it is."""
     if isinstance(value, str):
         return _encode_string(value)
-    inner = indent + "  "
+    inner, keys = indent + "  ", {} if keys is None else keys
     if isinstance(value, dict):
-        items = [_encode_string(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+        items = [(keys[k] if k in keys else keys.setdefault(k, _encode_string(k))) + ": "
+                 + _json(value[k], inner, keys) for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
         try:  # most lists hold names only, escaped without a call per name
-            items = list(map(_encode_string, value))
+            items = value if type(value) is _Names else list(map(_encode_string, value))
         except TypeError:
-            items = [_json(v, inner) for v in value]
+            items = [_json(v, inner, keys) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     return json.dumps(value)
 
@@ -188,7 +199,7 @@ def _spliced(names: list[str], cuts: list[int], inserted=()) -> list[str]:
     """``names`` without the sorted positions ``cuts``, and with the name
     of each inserted (position, key, name) before ``names[position]``:
     inserted names in key order, and before a cut at the same position."""
-    kept, start = [], 0
+    kept, start = _Names(), 0
     for i in cuts:
         kept += names[start:i]
         start = i + 1
@@ -201,11 +212,11 @@ def _spliced(names: list[str], cuts: list[int], inserted=()) -> list[str]:
 def _repairs_report(args, inputs: _Inputs, d, removed_sets) -> str:
     """The report of deletion repairs of ``d``, one entry per removed set,
     both lists in canonical order."""
-    names, position = _named(d)
+    names, position, _ = _named(d, args.json)
     entries = []
     for removed in removed_sets:
-        cuts = sorted(position[f] for f in removed)
-        entries.append({"kept": _spliced(names, cuts), "removed": [names[i] for i in cuts]})
+        cuts = sorted(map(position.__getitem__, removed))
+        entries.append({"kept": _spliced(names, cuts), "removed": _Names(map(names.__getitem__, cuts))})
     lines = (
         "repair: keep {%s}  remove {%s}" % (", ".join(e["kept"]), ", ".join(e["removed"]))
         for e in entries
@@ -284,22 +295,20 @@ def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
-    names, position = _named(d)
+    names, position, name = _named(d, args.json)
     keys = [fact_key(f) for f in d.sorted_facts]
-    inserts = {}  # nulled fact -> (its position among d's keys, its key, its name)
-    entries = []
+
+    @functools.cache
+    def insert(f):  # a nulled fact's position among d's keys, its key and its name
+        key = fact_key(f)
+        return bisect.bisect(keys, key), key, name(format_fact(f))
+
+    rows = []
     for r in preferences.null_repairs(d, sigma, args.max_enum):
-        nulled = []
-        for f in r.nulled:
-            insert = inserts.get(f)
-            if insert is None:
-                key = fact_key(f)
-                insert = inserts[f] = (bisect.bisect(keys, key), key, format_fact(f))
-            nulled.append(insert)
-        cuts = sorted(position[f] for f in r.originals)
-        diff = sorted(str(c) for c in r.diff)
-        entries.append({"facts": _spliced(names, cuts, nulled), "diff": diff})
-    entries.sort(key=lambda entry: entry["diff"])
+        cuts = sorted(map(position.__getitem__, r.originals))
+        rows.append((sorted(map(str, r.diff)), _spliced(names, cuts, map(insert, r.nulled))))
+    rows.sort(key=lambda row: row[0])  # by the changes as written, not as escaped
+    entries = [{"facts": facts, "diff": _Names(map(name, diff))} for diff, facts in rows]
     lines = (
         "repair: {%s}  diff {%s}" % (", ".join(e["facts"]), ", ".join(e["diff"]))
         for e in entries
@@ -325,11 +334,14 @@ def _cmd_diagnose(args, inputs: _Inputs, d, q) -> str:
     problem = diagnosis.build_problem(d, q)
     containing = parse_fact(args.containing) if args.containing else None
     found = diagnosis.diagnoses(problem, args.kind, containing, args.max_enum)
-    names, position = _named(d)
+    names, position, _ = _named(d, args.json)
+
+    def named(facts):
+        return _Names(map(names.__getitem__, sorted(map(position.__getitem__, facts))))
+
     # the empty conflict of an unexplainable observation is not listed
-    conflicts = [[names[i] for i in sorted(position[f] for f in e)]
-                 for e in problem.conflicts if e]
-    diagnoses = [[names[i] for i in sorted(position[f] for f in x.abnormal)] for x in found]
+    conflicts = [named(e) for e in problem.conflicts if e]
+    diagnoses = [named(x.abnormal) for x in found]
     result = {"kind": args.kind, "conflicts": conflicts, "diagnoses": diagnoses}
     if args.emit_theory:
         result["theory"] = diagnosis.render_theory(problem).splitlines()

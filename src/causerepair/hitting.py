@@ -39,8 +39,10 @@ any other choice made per component (``HittingSolution.kept``).
 Enumeration searches each component with no bound, caps the sets each
 yields, and keeps them per component.  The sets that hold a given vertex
 are those of its component that hold it times the other components' sets
-(``containing``).  Only ``sets`` builds the product, sorted as lists of
-vertex indexes, after capping its size: the cap counts what was kept.
+(``containing``).  Each set keeps its ascending vertex indexes.  Only
+``sets`` builds the product, capped first (the cap counts what was kept):
+a member is the union of one set per component, in the order of the
+sorted join of their index lists; a lone component needs no product.
 Minima are read off a kernel (``_reduced``), valid for the minimum size
 but not for enumeration, since it loses minimal sets: a one-vertex edge
 takes its vertex and every edge through it goes (Abu-Khzam's unit-edge
@@ -73,7 +75,7 @@ add their own minima, found once for the whole family.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, product
 from math import prod
 from typing import Iterable
 
@@ -276,11 +278,11 @@ def _search(masks: list[int], found, most: int | None = None) -> None:
 @dataclass(frozen=True)
 class HittingSolution:
     """A family's subset-minimal hitting sets per connected component,
-    each with its mask over ``vertices``; an empty edge's component has
-    none, and a family with no edge has no component."""
+    each with its indexes into ``vertices``, ascending; an empty edge's
+    component has none, and a family with no edge has no component."""
 
     vertices: list
-    parts: tuple[dict[frozenset, int], ...]
+    parts: tuple[dict[frozenset, list[int]], ...]
     cap: int
 
     def kept(self, choice) -> HittingSolution:
@@ -291,7 +293,7 @@ class HittingSolution:
     def containing(self, t) -> HittingSolution:
         """The sets that hold ``t``: in ``t``'s component those that hold
         it, elsewhere all; none when no set holds ``t``."""
-        through = [{s: mask for s, mask in part.items() if t in s} for part in self.parts]
+        through = [{s: i for s, i in part.items() if t in s} for part in self.parts]
         if not any(through):
             return replace(self, parts=({},))
         return replace(self, parts=tuple(own or part for own, part in zip(through, self.parts)))
@@ -299,12 +301,18 @@ class HittingSolution:
     @property
     def sets(self) -> tuple[frozenset, ...]:
         """The product of the components' sets, in canonical order under
-        the key; ``CapExceededError`` once it has more than ``cap``."""
+        the key: by their vertex indexes, ascending, compared as lists;
+        ``CapExceededError`` once it has more than ``cap``.  A lone
+        component's sets come as they are; otherwise a member is the union
+        of one set per component, its indexes the sorted join of theirs."""
         if prod(map(len, self.parts)) > self.cap:
             raise CapExceededError(self.cap)
-        masks = product(*(part.values() for part in self.parts))
-        sets = sorted([v.bit_length() - 1 for v in _bits(sum(c))] for c in masks)
-        return tuple(frozenset([self.vertices[i] for i in s]) for s in sets)
+        if len(self.parts) == 1:
+            return tuple(sorted(self.parts[0], key=self.parts[0].__getitem__))
+        keys = [sorted(chain(*c)) for c in product(*(part.values() for part in self.parts))]
+        members = list(product(*self.parts))
+        order = sorted(range(len(members)), key=keys.__getitem__)
+        return tuple(frozenset().union(*members[i]) for i in order)
 
 
 def enumerate_minimal_hitting_sets(
@@ -319,10 +327,11 @@ def enumerate_minimal_hitting_sets(
     vertices, masks = _table(edges, key)
     parts = []
     for _, group in _components(masks):
-        found: dict[frozenset, int] = {}  # each set found -> its mask
+        found: dict[frozenset, list[int]] = {}  # each set found -> its vertex indexes
 
         def add(chosen):
-            found[frozenset([vertices[v.bit_length() - 1] for v in _bits(chosen)])] = chosen
+            indexes = [v.bit_length() - 1 for v in _bits(chosen)]  # ascending
+            found[frozenset([vertices[i] for i in indexes])] = indexes
             if len(found) > cap:
                 raise CapExceededError(cap)
 

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from causerepair import cli, preferences
+from causerepair import cli, diagnosis, preferences
 from causerepair.cli import execute
-from causerepair.parsing import constraint_set, parse_instance
+from causerepair.parsing import constraint_set, parse_instance, parse_priorities, single_query
+from causerepair.repairs import repairs
 from causerepair.relational import fact_key, format_fact, serialize_instance
 
 from conftest import DATA, keyed_preferences, seeded_chain
@@ -294,11 +295,28 @@ def _random_json(rng, depth=0):
     return {_random_string(rng) if rng.random() < 0.3 else rng.choice("abAB_"): v for v in items}
 
 
+def _marked(value):
+    """``value`` with each list of strings escaped and marked as the
+    reports' name lists are."""
+    if isinstance(value, dict):
+        return {k: _marked(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        if all(isinstance(v, str) for v in value):
+            return cli._Names(map(cli._encode_string, value))
+        return [_marked(v) for v in value]
+    return value
+
+
 def test_report_writer_matches_json_dumps_randomized():
     rng = random.Random(11)
     fixed = [[], {}, (), [[]], {"a": {}}, ["x", ()], ("é", [1, {"k": None}]), "\U0001f600"]
+    marked = 0
     for value in fixed + [_random_json(rng) for _ in range(2000)]:
-        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True), value
+        expected = json.dumps(value, indent=2, sort_keys=True)
+        assert cli._json(value) == expected, value
+        assert cli._json(_marked(value)) == expected, value
+        marked += _marked(value) != value
+    assert marked > 200  # many values hold a marked list of escaped strings
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +361,31 @@ def test_each_fact_is_formatted_once(tmp_path, monkeypatch, command, listed, cou
     assert code == 0, err
     assert len(json.loads(out)["result"][listed]) == count
     assert calls <= size + nulled
+
+
+@pytest.mark.parametrize("command, conflicts", [
+    (["repairs", "-c", "key.dlq", "--semantics", "s"], 8),
+    # each of 4 conflicts nulled in 2 x 2 ways: 256 null repairs as well
+    (["repairs", "-c", "key.dlq", "--semantics", "null"], 4),
+    (["diagnose", "-q", "keyq.dlq"], 8),
+], ids=["s", "null", "diagnose"])
+def test_each_name_is_escaped_once_per_report(tmp_path, monkeypatch, command, conflicts):
+    size = _keyed_files(tmp_path, keys=8, conflicts=conflicts)
+    monkeypatch.chdir(tmp_path)
+    calls = 0
+    encode = cli._encode_string
+
+    def counting(text):
+        nonlocal calls
+        calls += 1
+        return encode(text)
+
+    monkeypatch.setattr(cli, "_encode_string", counting)
+    code, out, err = execute(command + ["-i", "keyed.facts", "--json"])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert len(result.get("repairs", result.get("diagnoses"))) == 256
+    assert calls <= 2 * size + 50
 
 
 # Constants that sort on both sides of ``null``, so a nulled fact often
@@ -402,6 +445,97 @@ def test_repair_reports_equal_a_plain_rebuild(tmp_path, monkeypatch):
                 for f in set(rebuilt) - d.facts
             )
     assert min(nulled_beside_original, out_of_name_order) > 20  # the comparison is not vacuous
+
+
+# Constants that need escaping in JSON, as written in a file: raw, "a\\b"
+# sorts first, escaped, "\u00e9" and "\u4e2d" do
+_ESCAPED = ('"x\\"y"', '"a\\\\b"', '"é"', '"中"', "z")
+
+
+def _escaped_files(tmp_path):
+    """Four keys with two values each and one with one, all drawn from
+    ``_ESCAPED``, with tuple ids counting down in canonical order; a key
+    constraint, its query, and a priority of the first two keys' first
+    facts over their second."""
+    facts, priority = [], []
+    for i, key in enumerate(_ESCAPED):
+        values = (_ESCAPED * 2)[i + 1:i + 3] if i < 4 else _ESCAPED[:1]
+        pair = [f"A({10 - 2 * i - j};{key},{value})" for j, value in enumerate(values)]
+        facts += pair
+        if i < 2:
+            priority.append(f"{pair[0]} > {pair[1]}.")
+    (tmp_path / "e.facts").write_text(". ".join(facts) + ".\n")
+    (tmp_path / "e.dlq").write_text(":- A(X,Y), A(X,Z), Y != Z.\n")
+    (tmp_path / "eq.dlq").write_text("q :- A(X,Y), A(X,Z), Y != Z.\n")
+    (tmp_path / "e.prio").write_text("\n".join(priority) + "\n")
+    return tmp_path
+
+
+def _names(facts):
+    return [format_fact(f) for f in sorted(facts, key=fact_key)]
+
+
+def _engine_result(files, argv):
+    """The report's result and text lines rebuilt from the engines' own
+    results, with plain lists of plain names."""
+    d = parse_instance((files / "e.facts").read_text())
+    if argv[0] == "diagnose":
+        problem = diagnosis.build_problem(d, single_query((files / "eq.dlq").read_text()))
+        conflicts = [_names(e) for e in problem.conflicts if e]
+        found = [_names(x.abnormal) for x in diagnosis.diagnoses(problem, argv[-1])]
+        lines = [f"conflict: {{{', '.join(c)}}}" for c in conflicts]
+        lines += [f"diagnosis: {{{', '.join(x)}}}" for x in found]
+        return {"kind": argv[-1], "conflicts": conflicts, "diagnoses": found}, lines
+    sigma, semantics = constraint_set((files / "e.dlq").read_text()), argv[-1]
+    if semantics == "null":
+        entries = sorted(
+            ({"facts": _names(r.result.facts), "diff": sorted(map(str, r.diff))}
+             for r in preferences.null_repairs(d, sigma)),
+            key=lambda e: e["diff"],
+        )
+        lines = [f"repair: {{{', '.join(e['facts'])}}}  diff {{{', '.join(e['diff'])}}}"
+                 for e in entries]
+        return {"semantics": semantics, "repairs": entries}, lines
+    if semantics == "go":
+        pairs = parse_priorities((files / "e.prio").read_text())
+        found = preferences.global_optimal_repairs(
+            d, sigma, preferences.validate_priority(d, sigma, pairs))
+    elif semantics == "endo":
+        found = preferences.endogenous_repairs(d, sigma)
+    else:
+        found = repairs(d, sigma, semantics)
+    entries = [{"kept": _names(r.kept.facts), "removed": _names(r.removed)} for r in found]
+    lines = [f"repair: keep {{{', '.join(e['kept'])}}}  remove {{{', '.join(e['removed'])}}}"
+             for e in entries]
+    return {"semantics": semantics, "repairs": entries}, lines
+
+
+@pytest.mark.parametrize("argv", [
+    *(["repairs", "-c", "e.dlq", "--priority", "e.prio", "--semantics", s]
+      if s == "go" else ["repairs", "-c", "e.dlq", "--semantics", s]
+      for s in ("s", "c", "endo", "null", "go")),
+    *(["diagnose", "-q", "eq.dlq", "--kind", k] for k in ("s", "c")),
+], ids=lambda argv: argv[0] + "-" + argv[-1])
+def test_reports_of_names_that_need_escaping(tmp_path, monkeypatch, argv):
+    files = _escaped_files(tmp_path)
+    monkeypatch.chdir(files)
+    d = parse_instance((files / "e.facts").read_text())
+    names = [format_fact(f) for f in d.sorted_facts]
+    # facts list in the order of their constants, not of their names,
+    # and the constants' raw and escaped orders differ
+    assert names != sorted(names) and names != sorted(names, key=json.dumps)
+    assert sorted(_ESCAPED) != sorted(_ESCAPED, key=json.dumps)
+    result, lines = _engine_result(files, argv)
+    assert len(result.get("repairs", result.get("diagnoses"))) > 1
+    code, out, err = execute(argv + ["-i", "e.facts", "--json"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps({**report, "result": result}, indent=2, sort_keys=True) + "\n"
+    code, text, err = execute(argv + ["-i", "e.facts"])
+    assert code == 0, err
+    assert text == "\n".join(lines) + "\n"
+    assert "\\u" not in text and "中" in text and "é" in text
 
 
 # ---------------------------------------------------------------------------

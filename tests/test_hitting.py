@@ -2,11 +2,15 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causerepair
 from causerepair import hitting
@@ -38,6 +42,7 @@ from conftest import (
     random_instance,
     seeded_chain,
     seeded_keyed,
+    small_instances,
 )
 
 
@@ -155,6 +160,62 @@ def test_hitting_sets_deeper_than_the_recursion_limit():
     assert enumerate_minimal_hitting_sets(edges).sets == (frozenset().union(*edges),)
     assert minimum_hitting_set_containing(edges) == n
     assert minimum_hitting_set_containing(edges, fact("V", "0")) == n
+
+
+def _sets_bit_by_bit(solution):
+    """``HittingSolution.sets`` built mask by mask, kept as the reference:
+    every product member's mask summed, its vertex indexes sorted, then a
+    frozenset per member."""
+    if prod(map(len, solution.parts)) > solution.cap:
+        raise CapExceededError(solution.cap)
+    bit = {v: 1 << i for i, v in enumerate(solution.vertices)}
+    masks = product(*([sum(bit[v] for v in s) for s in part] for part in solution.parts))
+    sets = sorted([v.bit_length() - 1 for v in hitting._bits(sum(c))] for c in masks)
+    return tuple(frozenset([solution.vertices[i] for i in s]) for s in sets)
+
+
+def _assert_sets_as_built_bit_by_bit(edges):
+    solution = enumerate_minimal_hitting_sets(edges)
+    everything = _sets_bit_by_bit(solution)
+    assert solution.sets == everything
+    assert solution.kept(_smallest).sets == _sets_bit_by_bit(solution.kept(_smallest))
+    for t in solution.vertices + [fact("S", "absent")]:
+        through = solution.containing(t)
+        assert through.sets == _sets_bit_by_bit(through)
+    # the cap counts the product before any member is built
+    n = len(everything)
+    assert replace(solution, cap=n).sets == everything
+    if n:  # else an empty edge's component has no set, and others may have some
+        assert enumerate_minimal_hitting_sets(edges, cap=n).sets == everything
+        with pytest.raises(CapExceededError):
+            replace(solution, cap=n - 1).sets
+        with pytest.raises(CapExceededError):
+            enumerate_minimal_hitting_sets(edges, cap=n - 1).sets
+
+
+@settings(max_examples=200)
+@given(mask_families())
+def test_sets_equal_the_bit_by_bit_product_on_block_families(masks):
+    # several components, now and then an empty edge
+    edges = [frozenset(_VERTEX[v.bit_length() - 1] for v in hitting._bits(e)) for e in masks]
+    _assert_sets_as_built_bit_by_bit(edges)
+
+
+@st.composite
+def _fact_families(draw):
+    """Edges over the facts of a small instance: tuple ids, shared ones
+    among them, so facts with one atom differ by their id alone."""
+    facts = sorted(draw(small_instances(8)).facts, key=fact_key)
+    if not facts:
+        return []
+    edge = st.lists(st.sampled_from(facts), min_size=1, max_size=3, unique=True)
+    return [frozenset(e) for e in draw(st.lists(edge, max_size=6))]
+
+
+@settings(max_examples=200)
+@given(_fact_families())
+def test_sets_equal_the_bit_by_bit_product_on_fact_families(edges):
+    _assert_sets_as_built_bit_by_bit(edges)
 
 
 def _set_key_order(sets, key):
