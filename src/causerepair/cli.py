@@ -11,9 +11,10 @@ then the query or the constraints, and hands both to it: an instance
 error comes before a program error, and both before any other.  The
 report's ``command`` is the subcommand (``oracle.causes`` and so on).
 
-The report is written by ``_json``, which joins each container's members
-in one pass and is byte-identical to ``json.dumps(report, indent=2,
-sort_keys=True)``; text lines are built only when no ``--json`` is given.
+The report is written by ``_json``, which appends its pieces to one list
+and joins the report, trailing newline included, once; it is
+byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``.  Text
+lines are built only when no ``--json`` is given, and joined once too.
 Each fact of the instance is formatted once per invocation, and under
 ``--json`` escaped once per report, as is each nulled fact and change;
 every set of its facts is named by the facts' positions in canonical
@@ -114,25 +115,34 @@ def _named(d, escape: bool):
     return [name(format_fact(f)) for f in facts], {f: i for i, f in enumerate(facts)}, name
 
 
-def _json(value, indent: str = "\n", keys: dict | None = None) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for str keys: each
-    dict and list (a tuple is a list) joined at once, strings escaped in C,
-    each dict key once per outermost call (``keys``), a ``_Names`` list
-    as it is."""
-    if isinstance(value, str):
-        return _encode_string(value)
-    inner, keys = indent + "  ", {} if keys is None else keys
-    if isinstance(value, dict):
-        items = [(keys[k] if k in keys else keys.setdefault(k, _encode_string(k))) + ": "
-                 + _json(value[k], inner, keys) for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        try:  # most lists hold names only, escaped without a call per name
-            items = value if type(value) is _Names else list(map(_encode_string, value))
-        except TypeError:
-            items = [_json(v, inner, keys) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    return json.dumps(value)
+def _json(value, end: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + end`` for str keys,
+    joined once from its pieces: strings escaped in C, each dict key once
+    per call, a ``_Names`` list as it is (a tuple is a list)."""
+    pieces, keys = [], {}
+
+    def write(value, indent):
+        inner = indent + "  "
+        if isinstance(value, dict) and value:
+            for opening, k in zip("{" + "," * len(value), sorted(value)):
+                pieces.extend((opening + inner, keys.get(k) or keys.setdefault(k, _encode_string(k) + ": ")))
+                write(value[k], inner)
+            pieces.append(indent + "}")
+        elif isinstance(value, (list, tuple)) and value:
+            try:  # most lists hold names only, escaped without a call per name
+                pieces.extend(("[" + inner, ("," + inner).join(
+                    value if type(value) is _Names else map(_encode_string, value))))
+            except TypeError:
+                for opening, v in zip("[" + "," * len(value), value):
+                    pieces.append(opening + inner)
+                    write(v, inner)
+            pieces.append(indent + "]")
+        else:  # a string, a number, true, false, null, [] or {}
+            pieces.append(_encode_string(value) if isinstance(value, str) else json.dumps(value))
+
+    write(value, "\n")
+    pieces.append(end)
+    return "".join(pieces)
 
 
 class _Inputs:
@@ -176,9 +186,8 @@ def _render(args, inputs: _Inputs, result: dict, text_lines):
             "result": result,
             "warnings": [],
         }
-        return _json(report) + "\n"
-    lines = list(text_lines)
-    return "\n".join(lines) + "\n" if lines else ""
+        return _json(report, "\n")
+    return "\n".join(itertools.chain(text_lines, ("",)))
 
 
 def _cause_listing(pairs, none_found: str) -> tuple[dict, list[str]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
@@ -98,14 +99,31 @@ def attr_key(c: AttrChange) -> tuple:
     return (c.pred, c.fact_id, c.position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullRepair:
-    """``nulled``/``originals``: the facts only in ``result``/the instance."""
+    """The null repair of ``source`` that nulls the positions ``diff``;
+    ``nulled``/``originals``: the facts only in ``result``/``source``.
+    ``result`` is built on first read: ``source`` less the ``changed``
+    facts, plus their nulled ``versions``.  Null repairs are equal when
+    their ``result``, ``diff``, ``nulled`` and ``originals`` are."""
 
-    result: Instance
     diff: frozenset[AttrChange]
     nulled: frozenset[Fact]
     originals: frozenset[Fact]
+    source: Instance
+    changed: frozenset[Fact]
+    versions: frozenset[Fact]
+
+    @cached_property
+    def result(self) -> Instance:
+        return Instance(self.source.facts.difference(self.changed).union(self.versions))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is NullRepair and all(
+            getattr(self, a) == getattr(other, a) for a in ("diff", "nulled", "originals", "result"))
+
+    def __hash__(self) -> int:
+        return hash(self.diff)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +185,7 @@ def global_optimal_repairs(
     """
     edges = support_sets(d, violation_view(sigma))
     deletions = enumerate_minimal_hitting_sets(edges, cap).kept(priority.unimproved).sets
-    return tuple(Repair(d.without(s), s) for s in deletions)
+    return tuple(Repair(d, s) for s in deletions)
 
 
 def _preferred_parts(d: Instance, q: UnionQuery, pc: CausalPriorityRelation, cap) -> list:
@@ -248,7 +266,7 @@ def endogenous_repairs(
     """
     edges = endogenous_support_sets(d, violation_view(sigma))
     solution = enumerate_minimal_hitting_sets(edges, cap)
-    return tuple(Repair(d.without(s), s) for s in solution.sets)
+    return tuple(Repair(d, s) for s in solution.sets)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +305,21 @@ def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrCh
 def _change_applier(d: Instance):
     """A function from a change set to the null repair of ``d`` that
     nulls those positions.  ``d``'s facts are keyed by predicate and tuple
-    id once, here; set algebra over the few changed facts keeps the stored
-    hashes of all the others and names the changed ones without a scan."""
+    id once, and each fact is nulled at each set of positions once, here;
+    set algebra over the few changed facts names them without a scan."""
     holding: dict[tuple[str, int], list[Fact]] = {}
     for f in d.facts:
         holding.setdefault((f.pred, f.fact_id), []).append(f)
+    version = cache(_nulled)
 
     def apply(changes: frozenset[AttrChange]) -> NullRepair:
         positions: dict[Fact, set[int]] = {}
         for c in changes:
             for f in holding.get((c.pred, c.fact_id), ()):
                 positions.setdefault(f, set()).add(c.position - 1)
-        nulled = frozenset(_nulled(f, at) for f, at in positions.items())
-        result = Instance(d.facts.difference(positions).union(nulled))
-        return NullRepair(result, changes, nulled - d.facts, frozenset(positions).difference(nulled))
+        changed = frozenset(positions)
+        versions = frozenset(version(f, frozenset(at)) for f, at in positions.items())
+        return NullRepair(changes, versions - d.facts, changed - versions, d, changed, versions)
 
     return apply
 

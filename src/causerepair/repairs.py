@@ -19,6 +19,7 @@ decides each one with at most one boolean evaluation per fact of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import causality
@@ -43,10 +44,23 @@ SUBSET = "s"
 CARDINALITY = "c"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Repair:
-    kept: Instance
+    """The repair of ``source`` that deletes ``removed``.  ``kept`` is built
+    on first read; repairs are equal when their ``kept`` and ``removed`` are."""
+
+    source: Instance
     removed: frozenset[Fact]
+
+    @cached_property
+    def kept(self) -> Instance:
+        return self.source.without(self.removed)
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Repair and self.removed == other.removed and self.kept == other.kept
+
+    def __hash__(self) -> int:
+        return hash(self.removed)
 
 
 def _smallest(sets: list) -> list:
@@ -74,7 +88,7 @@ def repairs(
     """All repairs under subset ('s') or cardinality ('c') semantics."""
     edges = support_sets(d, violation_view(sigma))
     deletions = enumerate_minimal_hitting_sets(edges, cap).kept(_pick(semantics)).sets
-    return tuple(Repair(d.without(s), s) for s in deletions)
+    return tuple(Repair(d, s) for s in deletions)
 
 
 def is_repair(

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from causerepair import cli, diagnosis, preferences
+from causerepair import cli, diagnosis, preferences, relational
 from causerepair.cli import execute
 from causerepair.parsing import constraint_set, parse_instance, parse_priorities, single_query
 from causerepair.repairs import repairs
@@ -363,14 +363,17 @@ def test_each_fact_is_formatted_once(tmp_path, monkeypatch, command, listed, cou
     assert calls <= size + nulled
 
 
-@pytest.mark.parametrize("command, conflicts", [
-    (["repairs", "-c", "key.dlq", "--semantics", "s"], 8),
+@pytest.mark.parametrize("command, conflicts, keys", [
+    (["repairs", "-c", "key.dlq", "--semantics", "s"], 8, 8),
     # each of 4 conflicts nulled in 2 x 2 ways: 256 null repairs as well
-    (["repairs", "-c", "key.dlq", "--semantics", "null"], 4),
-    (["diagnose", "-q", "keyq.dlq"], 8),
-], ids=["s", "null", "diagnose"])
-def test_each_name_is_escaped_once_per_report(tmp_path, monkeypatch, command, conflicts):
-    size = _keyed_files(tmp_path, keys=8, conflicts=conflicts)
+    (["repairs", "-c", "key.dlq", "--semantics", "null"], 4, 8),
+    (["diagnose", "-q", "keyq.dlq"], 8, 8),
+    # the benchmark's size: reports of over 128 KB
+    (["repairs", "-c", "key.dlq", "--semantics", "s"], 8, 50),
+    (["repairs", "-c", "key.dlq", "--semantics", "null"], 4, 50),
+], ids=["s", "null", "diagnose", "s-50-keys", "null-50-keys"])
+def test_each_name_is_escaped_once_per_report(tmp_path, monkeypatch, command, conflicts, keys):
+    size = _keyed_files(tmp_path, keys=keys, conflicts=conflicts)
     monkeypatch.chdir(tmp_path)
     calls = 0
     encode = cli._encode_string
@@ -383,9 +386,32 @@ def test_each_name_is_escaped_once_per_report(tmp_path, monkeypatch, command, co
     monkeypatch.setattr(cli, "_encode_string", counting)
     code, out, err = execute(command + ["-i", "keyed.facts", "--json"])
     assert code == 0, err
-    result = json.loads(out)["result"]
+    report = json.loads(out)
+    result = report["result"]
     assert len(result.get("repairs", result.get("diagnoses"))) == 256
     assert calls <= 2 * size + 50
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert keys < 50 or len(out) > 128 * 1024
+
+
+@pytest.mark.parametrize("semantics", ["s", "c", "endo"])
+def test_deletion_repairs_build_no_kept_instance(tmp_path, monkeypatch, semantics):
+    _keyed_files(tmp_path, keys=8, conflicts=8)
+    monkeypatch.chdir(tmp_path)
+    calls = 0
+    without = relational.Instance.without
+
+    def counting(d, removed):
+        nonlocal calls
+        calls += 1
+        return without(d, removed)
+
+    monkeypatch.setattr(relational.Instance, "without", counting)
+    code, out, err = execute(["repairs", "-c", "key.dlq", "--semantics", semantics,
+                              "-i", "keyed.facts", "--json"])
+    assert code == 0, err
+    assert len(json.loads(out)["result"]["repairs"]) == 256
+    assert calls == 0
 
 
 # Constants that sort on both sides of ``null``, so a nulled fact often

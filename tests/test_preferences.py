@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from causerepair import preferences
 from causerepair.causality import (
     actual_causes,
     check_minimal_contingency,
@@ -498,6 +499,23 @@ def test_apply_changes_equals_full_rebuild_randomized():
                          for c in changes for f in d.facts)
         changed += bool(repair.nulled)
     assert min(unchanged, changed) > 30  # some positions were null already
+
+
+def test_null_repairs_build_each_nulled_fact_once(monkeypatch):
+    # four two-fact key conflicts: each repair nulls one of the four
+    # positions of each pair, 4^4 repairs from 16 distinct nulled facts
+    d = parse_instance(" ".join(f"A({2 * k + v + 1};k{k},v{v})." for k in range(4) for v in range(2)))
+    builds = []
+    nulled = preferences._nulled
+
+    def counting(f, positions):
+        builds.append((f, frozenset(positions)))
+        return nulled(f, positions)
+
+    monkeypatch.setattr(preferences, "_nulled", counting)
+    found = null_repairs(d, constraint_set(":- A(X,Y), A(X,Z), Y != Z.\n"))
+    assert len(found) == 256 and all(len(r.nulled) == len(r.originals) == 4 for r in found)
+    assert len(builds) == len(set(builds)) == 16
 
 
 def test_changes_and_tuple_causes_go_by_predicate_and_id():

@@ -13,10 +13,16 @@ from causerepair.cli import execute
 from causerepair.errors import CapExceededError, SemanticError
 from causerepair.hitting import support_sets
 from causerepair.oracle import oracle_repairs
-from causerepair.preferences import endogenous_repairs
-from causerepair.parsing import constraint_set, parse_fact, parse_instance, single_query
+from causerepair.preferences import endogenous_repairs, global_optimal_repairs, validate_priority
+from causerepair.parsing import (
+    constraint_set,
+    parse_fact,
+    parse_instance,
+    parse_priorities,
+    single_query,
+)
 from causerepair.queries import dc_of_query, iter_matches, violation_view
-from causerepair.repairs import consistent_answer, is_repair, repairs
+from causerepair.repairs import Repair, consistent_answer, is_repair, repairs
 from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact, fact_key, set_key
 
 from conftest import (
@@ -60,6 +66,24 @@ def test_consistent_instance_repairs_to_itself():
     sigma = load_constraints("ex2.dlq")
     (only,) = repairs(d, sigma, "s")
     assert only.kept == d and only.removed == frozenset()
+
+
+def test_repairs_keep_their_instance_less_what_they_remove():
+    d = parse_instance("A(1;k,a). A(2;k,b). A(3;j,a). A(4;j,b). A(5;j,c). A(6;m,a).")
+    sigma = constraint_set(":- A(X,Y), A(X,Z), Y != Z.\n")
+    priority = validate_priority(d, sigma, parse_priorities("A(1;k,a) > A(2;k,b).\n"))
+    for found in (repairs(d, sigma, "s"), repairs(d, sigma, "c"), endogenous_repairs(d, sigma),
+                  global_optimal_repairs(d, sigma, priority)):
+        assert found
+        for r in found:
+            assert "kept" not in vars(r)  # built on first read only
+            assert r.kept == d.without(r.removed)
+    # equal kept instances and removed sets, whatever instance they came from
+    first, second = repairs(d, sigma, "s")[:2]
+    twin = Repair(d.without(first.removed), first.removed)
+    assert twin == first and hash(twin) == hash(first) and len({twin, first}) == 1
+    assert first != second and first != Repair(first.kept, frozenset())
+    assert first != Repair(Instance(d.facts | {fact("A", "n", "a")}), first.removed)
 
 
 def test_is_repair_examples(chain_instance):
