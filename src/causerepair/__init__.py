@@ -3,10 +3,11 @@
 Given a database split into endogenous and exogenous facts and a boolean
 query that is (perhaps unexpectedly) true, this package computes the
 facts that actually cause the answer, their minimal contingency sets and
-exact rational responsibilities, the subset/cardinality repairs of the
-database under the matching denial constraints, and the equivalent
-consistency-based diagnoses; prioritized, endogenous-only, and null-based
-variants refine the picture.  A brute-force oracle scans the definitions
+exact rational responsibilities, the deletion repairs of the database
+under the matching denial constraints (``repairs``: subset, cardinality,
+endogenous-only and global-optimal semantics), and the equivalent
+consistency-based diagnoses; preferred causes and null-based repairs
+refine the picture.  A brute-force oracle scans the definitions
 of causes and responsibility, of subset, cardinality and endogenous
 repairs, and of minimal hitting sets, for cross-validation (it has no
 global-optimal, null-based or preferred scans), and a CLI exposes the lot.
@@ -59,8 +60,6 @@ from .preferences import (
     NullRepair,
     PriorityRelation,
     check_preference_contingency,
-    endogenous_repairs,
-    global_optimal_repairs,
     null_causes,
     null_repairs,
     preferred_causes,

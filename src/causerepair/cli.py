@@ -30,9 +30,11 @@ tuple id; an absent one is an error, except that ``rdp`` and ``cqa``
 answer false.  ``--threshold`` is read as a fraction, and ``rdp_decide``
 alone requires 0 or 1/k.  ``--max-enum`` caps the enumerations of
 ``repairs``, ``diagnose`` and ``preferred-causes`` and exists on those
-three only; ``repairs`` requires ``--priority`` under ``--semantics go``
-and rejects it under any other.  The ``oracle`` subcommands have
-handlers of their own, apart from the engines they check.
+three only.  ``repairs`` hands every deletion semantics to the one
+engine, ``repairs.repairs``, which requires a priority under
+``--semantics go``; ``--priority`` under any other is rejected before
+its file is read.  The ``oracle`` subcommands have handlers of their
+own, apart from the engines they check.
 
 Exit codes: 0 success (including negative decisions), 1 usage or parse
 errors (a negative ``--max-enum``, ``--max-enum`` on a subcommand that
@@ -286,21 +288,15 @@ def _cmd_rdp(args, inputs: _Inputs, d, q) -> str:
 
 
 def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
-    semantics = args.semantics
-    if args.priority and semantics != "go":
+    if args.priority and args.semantics != "go":
         raise SemanticError("--priority applies to --semantics go only")
-    if semantics == "null":
+    if args.semantics == "null":
         return _null_repairs_report(args, inputs, d, sigma)
-    if semantics == "go":
-        if not args.priority:
-            raise SemanticError("global-optimal repairs need --priority")
+    priority = None
+    if args.priority:
         priority = preferences.validate_priority(d, sigma, inputs.priorities())
-        reps = preferences.global_optimal_repairs(d, sigma, priority, args.max_enum)
-    elif semantics == "endo":
-        reps = preferences.endogenous_repairs(d, sigma, args.max_enum)
-    else:
-        reps = _compute_repairs(d, sigma, semantics, args.max_enum)
-    return _repairs_report(args, inputs, d, [r.removed for r in reps])
+    found = _compute_repairs(d, sigma, args.semantics, args.max_enum, priority)
+    return _repairs_report(args, inputs, d, [r.removed for r in found])
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
@@ -312,10 +308,10 @@ def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
         key = fact_key(f)
         return bisect.bisect(keys, key), key, name(format_fact(f))
 
-    rows = []
+    rows, written = [], functools.cache(str)  # each change written once
     for r in preferences.null_repairs(d, sigma, args.max_enum):
         cuts = sorted(map(position.__getitem__, r.originals))
-        rows.append((sorted(map(str, r.diff)), _spliced(names, cuts, map(insert, r.nulled))))
+        rows.append((sorted(map(written, r.diff)), _spliced(names, cuts, map(insert, r.nulled))))
     rows.sort(key=lambda row: row[0])  # by the changes as written, not as escaped
     entries = [{"facts": facts, "diff": _Names(map(name, diff))} for diff, facts in rows]
     lines = (

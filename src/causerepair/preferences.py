@@ -1,15 +1,13 @@
-"""Prioritized, endogenous, and null-based repairs, with their causes.
+"""Priorities, preferred causes, and null-based repairs with their causes.
 
-Three refinements of plain deletion repairs live here:
+Deletion repairs of every semantics, global-optimal and endogenous ones
+included, come from ``repairs.repairs``; what lives here refines them:
 
-* Global-optimal repairs: a priority relation on mutually conflicting
-  facts rules out any subset repair that some other consistent
-  sub-instance improves tuple-by-tuple.  Preferred causes invert a
-  priority on jointly-contributing facts into a repair priority and read
-  causes off each conflict component's unimproved deletion sets.
-
-* Endogenous repairs delete endogenous facts only.  They are computed
-  directly from the endogenous restrictions of the violation witnesses.
+* Priorities: a repair priority relates mutually conflicting facts, and
+  its ``unimproved`` choice is what global-optimal repairs keep of each
+  conflict component.  Preferred causes invert a priority on
+  jointly-contributing facts into a repair priority and read causes off
+  each conflict component's unimproved deletion sets.
 
 * Null-based repairs replace attribute values by the non-joining null
   instead of deleting tuples.  A violation witness dies exactly when one
@@ -32,7 +30,6 @@ from .causality import _require_endogenous
 from .errors import SemanticError
 from .hitting import (
     antichain,
-    endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
     support_sets,
@@ -48,7 +45,6 @@ from .queries import (
     violation_view,
 )
 from .relational import NULL, Fact, Instance, fact_key
-from .repairs import Repair
 
 
 @dataclass(frozen=True)
@@ -166,26 +162,7 @@ def validate_causal_priority(
 
 
 # ---------------------------------------------------------------------------
-# Global-optimal repairs and preferred causes
-
-
-def global_optimal_repairs(
-    d: Instance,
-    sigma: DenialConstraintSet,
-    priority: PriorityRelation,
-    cap: int | None = None,
-) -> tuple[Repair, ...]:
-    """Subset repairs without a global improvement.
-
-    Each priority pair must lie inside one conflict edge, as
-    ``validate_priority`` ensures, and so inside one connected component
-    of the conflicts: a repair has an improvement iff its part in some
-    component has one among that component's minimal deletion sets, each
-    of which extends to a subset repair.
-    """
-    edges = support_sets(d, violation_view(sigma))
-    deletions = enumerate_minimal_hitting_sets(edges, cap).kept(priority.unimproved).sets
-    return tuple(Repair(d, s) for s in deletions)
+# Preferred causes
 
 
 def _preferred_parts(d: Instance, q: UnionQuery, pc: CausalPriorityRelation, cap) -> list:
@@ -193,8 +170,7 @@ def _preferred_parts(d: Instance, q: UnionQuery, pc: CausalPriorityRelation, cap
     of the global-optimal deletion sets under the inverted priority
     (preferring a cause is preferring to delete it); an endogenous
     global-optimal deletion set joins one part from each."""
-    edges = support_sets(d, violation_view(dc_of_query(q)))
-    solution = enumerate_minimal_hitting_sets(edges, cap).kept(pc.inverted().unimproved)
+    solution = enumerate_minimal_hitting_sets(support_sets(d, q), cap).kept(pc.inverted().unimproved)
     return [[s for s in part if s <= d.endogenous] for part in solution.parts]
 
 
@@ -249,24 +225,6 @@ def check_preference_contingency(
             return False
         joined |= inside[0]
     return joined == target
-
-
-# ---------------------------------------------------------------------------
-# Endogenous repairs
-
-
-def endogenous_repairs(
-    d: Instance, sigma: DenialConstraintSet, cap: int | None = None
-) -> tuple[Repair, ...]:
-    """Maximal consistent sub-instances that keep every exogenous fact.
-
-    Violation witnesses must each be hit inside the endogenous part; a
-    witness made purely of exogenous facts means no endogenous repair
-    exists, unlike plain subset repairs which always do.
-    """
-    edges = endogenous_support_sets(d, violation_view(sigma))
-    solution = enumerate_minimal_hitting_sets(edges, cap)
-    return tuple(Repair(d, s) for s in solution.sets)
 
 
 # ---------------------------------------------------------------------------

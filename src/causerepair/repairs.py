@@ -1,10 +1,12 @@
-"""Repairs for denial constraints, and consistent answers.
+"""Deletion repairs for denial constraints, and consistent answers.
 
-A repair keeps a maximal (subset semantics) or maximum-cardinality
-(cardinality semantics) consistent portion of the instance; for denial
-constraints both arise purely by deletion, so deletion sets are hitting
-sets of the minimal violation witnesses and all enumeration goes through
-the one hitting-set engine.
+Under denial constraints a repair deletes a minimal hitting set of one
+conflict family, and ``repairs`` names each deletion semantics by two
+choices: the family (the violation witnesses, or under 'endo' their
+endogenous parts) and what each conflict component keeps of its minimal
+hitting sets (all under 's' and 'endo', the smallest under 'c', those a
+priority leaves unimproved under 'go'; Staworko, Chomicki and
+Marcinkowski, AMAI 2012).  Null repairs live in ``preferences``.
 
 Consistent-answer checks use the cause-based criterion directly, with no
 repair enumeration.  Under subset semantics an atom is in every repair
@@ -25,6 +27,7 @@ from typing import Iterable
 from . import causality
 from .errors import SemanticError
 from .hitting import (
+    endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     minimum_hitting_set_containing,
     support_sets,
@@ -38,10 +41,13 @@ from .queries import (
     iter_matches,
     violation_view,
 )
+from .preferences import PriorityRelation
 from .relational import Fact, Instance
 
 SUBSET = "s"
 CARDINALITY = "c"
+ENDOGENOUS_ONLY = "endo"
+GLOBAL_OPTIMAL = "go"
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +90,30 @@ def repairs(
     sigma: DenialConstraintSet,
     semantics: str = SUBSET,
     cap: int | None = None,
+    priority: PriorityRelation | None = None,
 ) -> tuple[Repair, ...]:
-    """All repairs under subset ('s') or cardinality ('c') semantics."""
-    edges = support_sets(d, violation_view(sigma))
-    deletions = enumerate_minimal_hitting_sets(edges, cap).kept(_pick(semantics)).sets
+    """All repairs under subset ('s'), cardinality ('c'), endogenous
+    ('endo') or global-optimal ('go') semantics, the last under
+    ``priority`` (from ``preferences.validate_priority``).
+
+    An endogenous repair deletes endogenous facts only, so a violation
+    witness of exogenous facts alone leaves none; other semantics always
+    leave one.  Each pair of ``priority`` lies inside one conflict edge,
+    so a repair has a global improvement iff its part in some conflict
+    component has one among that component's minimal deletion sets, each
+    of which extends to a subset repair.
+    """
+    if semantics == GLOBAL_OPTIMAL:
+        if priority is None:
+            raise SemanticError("global-optimal repairs need a priority")
+        keep = priority.unimproved
+    elif priority is not None:
+        raise SemanticError("a priority applies to global-optimal repairs only")
+    else:
+        keep = list if semantics == ENDOGENOUS_ONLY else _pick(semantics)
+    family = endogenous_support_sets if semantics == ENDOGENOUS_ONLY else support_sets
+    edges = family(d, violation_view(sigma))
+    deletions = enumerate_minimal_hitting_sets(edges, cap).kept(keep).sets
     return tuple(Repair(d, s) for s in deletions)
 
 
@@ -101,14 +127,14 @@ def is_repair(
     semantics additionally compares the deletion count with the global
     minimum from the branching solver.
     """
-    subset = _pick(semantics) is list
+    _pick(semantics)  # 's' and 'c' only
     if not candidate.facts <= d.facts:
         raise SemanticError("candidate repair is not a sub-instance")
     view = violation_view(sigma)
     removed = d.facts - candidate.facts
     if not _maximal_deletion(d, removed, view):
         return False
-    return subset or len(removed) == minimum_hitting_set_containing(support_sets(d, view))
+    return semantics == SUBSET or len(removed) == minimum_hitting_set_containing(support_sets(d, view))
 
 
 def consistent_answer(
@@ -128,6 +154,7 @@ def consistent_answer(
     view still true on the rest.  Only the witnesses through the asked
     atoms are walked, on one shared index, never the whole support family.
     """
+    _pick(semantics)  # 's' and 'c' only
     if d.exogenous:
         raise SemanticError("consistent answers assume all facts endogenous")
     atoms = list(ground_atoms)
@@ -136,7 +163,7 @@ def consistent_answer(
             raise SemanticError(f"predicate {a.pred} is not in the schema")
     view = violation_view(sigma)
     resolved = [d.find(a.pred, a.args, a.fact_id) for a in atoms]
-    if _pick(semantics) is not list:
+    if semantics == CARDINALITY:
         excluded, _ = causality.most_responsible_causes(d, view)
         return not any(t is None or t in excluded for t in resolved)
     if any(t is None for t in resolved):

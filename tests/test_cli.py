@@ -11,7 +11,7 @@ from causerepair.parsing import constraint_set, parse_instance, parse_priorities
 from causerepair.repairs import repairs
 from causerepair.relational import fact_key, format_fact, serialize_instance
 
-from conftest import DATA, keyed_preferences, seeded_chain
+from conftest import DATA, keyed_preferences, seeded_chain, seeded_keyed
 
 
 @pytest.fixture(autouse=True)
@@ -394,6 +394,37 @@ def test_each_name_is_escaped_once_per_report(tmp_path, monkeypatch, command, co
     assert keys < 50 or len(out) > 128 * 1024
 
 
+def test_each_change_is_written_once_per_report(tmp_path, monkeypatch):
+    d, key = seeded_keyed((2,) * 4, 50), ":- A(X,Y), A(X,Z), Y != Z.\n"
+    (tmp_path / "keyed.facts").write_text(serialize_instance(d))
+    (tmp_path / "key.dlq").write_text(key)
+    monkeypatch.chdir(tmp_path)
+    # the report rebuilt from the engine's null repairs, every change written per repair
+    entries = sorted(
+        ({"facts": _names(r.result.facts), "diff": sorted(map(str, r.diff))}
+         for r in preferences.null_repairs(d, constraint_set(key))),
+        key=lambda e: e["diff"],
+    )
+    calls = 0
+    written = preferences.AttrChange.__str__
+
+    def counting(change):
+        nonlocal calls
+        calls += 1
+        return written(change)
+
+    monkeypatch.setattr(preferences.AttrChange, "__str__", counting)
+    argv = ["repairs", "-i", "keyed.facts", "-c", "key.dlq", "--semantics", "null", "--json"]
+    code, out, err = execute(argv)
+    assert code == 0, err
+    report = json.loads(out)
+    assert out == json.dumps({**report, "result": {"semantics": "null", "repairs": entries}},
+                             indent=2, sort_keys=True) + "\n"
+    changes = {c for e in entries for c in e["diff"]}
+    assert len(entries) == 256 and len(changes) == 16
+    assert calls <= len(changes)
+
+
 @pytest.mark.parametrize("semantics", ["s", "c", "endo"])
 def test_deletion_repairs_build_no_kept_instance(tmp_path, monkeypatch, semantics):
     _keyed_files(tmp_path, keys=8, conflicts=8)
@@ -522,14 +553,11 @@ def _engine_result(files, argv):
         lines = [f"repair: {{{', '.join(e['facts'])}}}  diff {{{', '.join(e['diff'])}}}"
                  for e in entries]
         return {"semantics": semantics, "repairs": entries}, lines
+    priority = None
     if semantics == "go":
         pairs = parse_priorities((files / "e.prio").read_text())
-        found = preferences.global_optimal_repairs(
-            d, sigma, preferences.validate_priority(d, sigma, pairs))
-    elif semantics == "endo":
-        found = preferences.endogenous_repairs(d, sigma)
-    else:
-        found = repairs(d, sigma, semantics)
+        priority = preferences.validate_priority(d, sigma, pairs)
+    found = repairs(d, sigma, semantics, priority=priority)
     entries = [{"kept": _names(r.kept.facts), "removed": _names(r.removed)} for r in found]
     lines = [f"repair: keep {{{', '.join(e['kept'])}}}  remove {{{', '.join(e['removed'])}}}"
              for e in entries]

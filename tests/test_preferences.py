@@ -27,8 +27,6 @@ from causerepair.preferences import (
     _kill_sets,
     attr_key,
     check_preference_contingency,
-    endogenous_repairs,
-    global_optimal_repairs,
     null_causes,
     null_repairs,
     preferred_causes,
@@ -118,7 +116,7 @@ def test_global_optimal_total_priorities_single_repair():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
     rel = validate_priority(d, sigma, _load_prio("ex14a.prio"))
-    assert _removed(global_optimal_repairs(d, sigma, rel)) == {
+    assert _removed(repairs(d, sigma, "go", priority=rel)) == {
         frozenset({'Author("John","TKDE")', 'Author("John","TODS")'})
     }
 
@@ -127,7 +125,7 @@ def test_global_optimal_partial_priorities_two_repairs():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
     rel = validate_priority(d, sigma, _load_prio("ex14b.prio"))
-    assert _removed(global_optimal_repairs(d, sigma, rel)) == {
+    assert _removed(repairs(d, sigma, "go", priority=rel)) == {
         frozenset({'Author("John","TKDE")', 'Author("John","TODS")'}),
         frozenset({'Author("John","TKDE")', 'Journal("TODS",32,"XML")'}),
     }
@@ -137,7 +135,7 @@ def test_empty_priority_keeps_all_subset_repairs():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
     rel = validate_priority(d, sigma, [])
-    assert _removed(global_optimal_repairs(d, sigma, rel)) == _removed(
+    assert _removed(repairs(d, sigma, "go", priority=rel)) == _removed(
         repairs(d, sigma, "s")
     )
 
@@ -211,7 +209,7 @@ def test_global_optimal_repairs_and_preferred_causes_match_all_pairs_randomized(
         edges = support_sets(d, violation_view(sigma))
         priority = validate_priority(d, sigma, _random_acyclic_pairs(rng, d, edges))
         expected = [r.removed for r in _global_optimal_reference(d, sigma, priority)]
-        assert [r.removed for r in global_optimal_repairs(d, sigma, priority)] == expected
+        assert [r.removed for r in repairs(d, sigma, "go", priority=priority)] == expected
         pruned += len(expected) < len(repairs(d, sigma, "s"))
         pc = validate_causal_priority(d, q, _random_acyclic_pairs(rng, d, support_sets(d, q)))
         assert list(preferred_causes(d, q, pc)) == _preferred_causes_reference(d, q, pc)
@@ -232,6 +230,18 @@ def test_preferred_causes_fixture():
         ('Author("John","TODS")', Fraction(1, 2)),
         ('Journal("TODS",32,"XML")', Fraction(1, 2)),
     }
+
+
+def test_preferred_causes_need_a_boolean_query():
+    d = load_instance("ex1.facts")
+    q = single_query("q :- S(X), R(X,Y), S(Y).\n")
+    # the query's own disjuncts are those of its denial constraints' view
+    assert violation_view(dc_of_query(q)).disjuncts == q.disjuncts
+    open_q = single_query("q(X) :- S(X), R(X,Y), S(Y).\n")
+    for run in (preferred_causes, lambda *args: check_preference_contingency(
+            *args, parse_fact("S(a3)"), frozenset())):
+        with pytest.raises(SemanticError, match="boolean queries"):
+            run(d, open_q, CausalPriorityRelation(frozenset()))
 
 
 def test_empty_causal_priority_reduces_to_actual_causes():
@@ -347,12 +357,12 @@ def test_check_preference_contingency_keyed_2x40():
 def test_endogenous_repairs_fixture():
     d13 = load_instance("ex13.facts")
     sigma = load_constraints("ex2.dlq")
-    assert _removed(endogenous_repairs(d13, sigma)) == {frozenset({"S(a3)"})}
+    assert _removed(repairs(d13, sigma, "endo")) == {frozenset({"S(a3)"})}
 
 
 def test_endogenous_repairs_all_endogenous_equals_subset_repairs(chain_instance):
     sigma = load_constraints("ex2.dlq")
-    assert _removed(endogenous_repairs(chain_instance, sigma)) == _removed(
+    assert _removed(repairs(chain_instance, sigma, "endo")) == _removed(
         repairs(chain_instance, sigma, "s")
     )
 
@@ -360,20 +370,20 @@ def test_endogenous_repairs_all_endogenous_equals_subset_repairs(chain_instance)
 def test_endogenous_repairs_can_be_empty():
     d = parse_instance("@exogenous\nP(a). Q(a,b).\n@endogenous\nS(z).")
     _, sigma = parse_program(":- P(X), Q(X,Y).\n")
-    assert endogenous_repairs(d, sigma) == ()
+    assert repairs(d, sigma, "endo") == ()
 
 
 def test_endogenous_repairs_consistent_instance():
     d = parse_instance("@exogenous\nP(a).\n")
     _, sigma = parse_program(":- P(X), Q(X,Y).\n")
-    (only,) = endogenous_repairs(d, sigma)
+    (only,) = repairs(d, sigma, "endo")
     assert only.kept == d
 
 
 def test_endogenous_repairs_keep_all_exogenous_and_are_maximal():
     d13 = load_instance("ex13.facts")
     sigma = load_constraints("ex2.dlq")
-    for r in endogenous_repairs(d13, sigma):
+    for r in repairs(d13, sigma, "endo"):
         assert d13.exogenous <= r.kept.facts
         assert is_consistent(r.kept, sigma)
         for f in r.removed:
@@ -384,11 +394,11 @@ def test_endogenous_encoding_fixture():
     d13 = load_instance("ex13.facts")
     sigma = load_constraints("ex2.dlq")
     extended, guarded, priority = endogenous_encoding(d13, sigma)
-    go = global_optimal_repairs(extended, guarded, priority)
+    go = repairs(extended, guarded, "go", priority=priority)
     go_removed = _removed(go)
     guard_only = frozenset({"guard(on)"})
     assert guard_only in go_removed
-    direct = _removed(endogenous_repairs(d13, sigma))
+    direct = _removed(repairs(d13, sigma, "endo"))
     assert go_removed - {guard_only} == direct
 
 
@@ -402,10 +412,10 @@ def test_endogenous_encoding_randomized():
         if is_consistent(d, sigma):
             continue
         extended, guarded, priority = endogenous_encoding(d, sigma)
-        go_removed = _removed(global_optimal_repairs(extended, guarded, priority))
+        go_removed = _removed(repairs(extended, guarded, "go", priority=priority))
         guard_only = frozenset({"guard(on)"})
         assert guard_only in go_removed
-        assert go_removed - {guard_only} == _removed(endogenous_repairs(d, sigma))
+        assert go_removed - {guard_only} == _removed(repairs(d, sigma, "endo"))
         rounds += 1
     assert rounds >= 10
 

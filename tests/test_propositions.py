@@ -4,14 +4,15 @@ propositions.
 The bridges run in both directions: deletion sets of repairs avoiding a
 fact recover that fact's causal status and responsibility, and repairs can
 be reassembled from causes paired with their minimal contingency sets.
-The minimal diagnoses, removed from the instance, are its repairs, and
-the endogenous repairs are the global-optimal repairs of a guarded
-encoding.  Each function below composes the engines to state one of these
-propositions, and is the reference it is checked by: against the engine
-that computes the same notion directly, and against the brute-force
-oracle, on the ``hypothesis`` instances and queries of ``conftest``,
-within the oracle's bound.  No library code calls them.  Their example
-tests live beside the engines they are compared with, in
+The minimal diagnoses, removed from the instance, are its repairs, and the
+endogenous repairs are both the global-optimal repairs of a guarded
+encoding and, where the instance violates the constraints, the minimal
+diagnoses of its violation view.  Each function below composes the engines
+to state one of these propositions, and is the reference it is checked by:
+against the engine that computes the same notion directly, and against the
+brute-force oracle, on the ``hypothesis`` instances and queries of
+``conftest``, within the oracle's bound.  No library code calls them.
+Their example tests live beside the engines they are compared with, in
 ``test_repairs``, ``test_diagnosis`` and ``test_preferences``.
 
 Beyond the oracle's bound, key constraints have closed forms: a key
@@ -39,11 +40,7 @@ from causerepair.diagnosis import DiagnosisProblem, build_problem, diagnoses
 from causerepair.errors import SemanticError
 from causerepair.oracle import oracle_causes_and_responsibility, oracle_repairs
 from causerepair.parsing import constraint_set, single_query
-from causerepair.preferences import (
-    PriorityRelation,
-    endogenous_repairs,
-    global_optimal_repairs,
-)
+from causerepair.preferences import PriorityRelation
 from causerepair.queries import (
     Atom,
     ConjunctiveQuery,
@@ -257,12 +254,25 @@ def test_endogenous_repairs_are_the_global_optimal_repairs_of_the_encoding(drawn
     sigma = DenialConstraintSet((DenialConstraint(cq),))
     extended, guarded, priority = endogenous_encoding(d, sigma)
     (guard,) = extended.facts - d.facts
-    go_removed = {r.removed for r in global_optimal_repairs(extended, guarded, priority)}
+    go_removed = {r.removed for r in repairs(extended, guarded, "go", priority=priority)}
     guard_only = frozenset({guard})
     assert (guard_only in go_removed) == eval_boolean(d.facts, violation_view(sigma))
-    endogenous = {r.removed for r in endogenous_repairs(d, sigma)}
+    endogenous = {r.removed for r in repairs(d, sigma, "endo")}
     assert go_removed - {guard_only} == endogenous
     assert {d.facts - s for s in endogenous} == set(oracle_repairs(d, sigma, "endo"))
+
+
+@settings(max_examples=100)
+@given(_instances_and_queries())
+def test_endogenous_repairs_are_the_minimal_diagnoses_of_the_violation_view(drawn):
+    d, cq = drawn  # with exogenous facts, unlike the diagnosis bridge above
+    sigma = DenialConstraintSet((DenialConstraint(cq),))
+    view = violation_view(sigma)
+    if not eval_boolean(d.facts, view):
+        return  # a consistent instance poses no diagnosis problem
+    removed = [r.removed for r in repairs(d, sigma, "endo")]
+    assert removed == [x.abnormal for x in diagnoses(build_problem(d, view), "s")]
+    assert {d.facts - s for s in removed} == set(oracle_repairs(d, sigma, "endo"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ import pytest
 from causerepair import hitting, oracle, queries, relational
 from causerepair.causality import actual_causes, most_responsible_causes, responsibility
 from causerepair.cli import execute
+from causerepair.diagnosis import build_problem, diagnoses
 from causerepair.errors import CapExceededError, SemanticError
 from causerepair.hitting import support_sets
 from causerepair.oracle import oracle_repairs
-from causerepair.preferences import endogenous_repairs, global_optimal_repairs, validate_priority
+from causerepair.preferences import validate_priority
 from causerepair.parsing import (
     constraint_set,
     parse_fact,
@@ -72,8 +73,8 @@ def test_repairs_keep_their_instance_less_what_they_remove():
     d = parse_instance("A(1;k,a). A(2;k,b). A(3;j,a). A(4;j,b). A(5;j,c). A(6;m,a).")
     sigma = constraint_set(":- A(X,Y), A(X,Z), Y != Z.\n")
     priority = validate_priority(d, sigma, parse_priorities("A(1;k,a) > A(2;k,b).\n"))
-    for found in (repairs(d, sigma, "s"), repairs(d, sigma, "c"), endogenous_repairs(d, sigma),
-                  global_optimal_repairs(d, sigma, priority)):
+    for found in (repairs(d, sigma, "s"), repairs(d, sigma, "c"), repairs(d, sigma, "endo"),
+                  repairs(d, sigma, "go", priority=priority)):
         assert found
         for r in found:
             assert "kept" not in vars(r)  # built on first read only
@@ -345,11 +346,38 @@ def test_oracle_repairs_rejects_other_semantics(semantics, monkeypatch):
             oracle_repairs(d, load_constraints("ex2.dlq"), semantics)
 
 
+@pytest.mark.parametrize("semantics", ["endo", "go", "null"])
+def test_only_the_repair_engine_takes_the_endogenous_and_global_optimal_semantics(semantics):
+    d, sigma = load_instance("ex1.facts"), load_constraints("ex2.dlq")
+    problem = build_problem(d, violation_view(sigma))
+    checks = [
+        lambda: is_repair(d, sigma, d, semantics),
+        lambda: consistent_answer(d, sigma, [parse_fact("S(a3)")], semantics),
+        lambda: diagnoses(problem, semantics),
+    ]
+    if semantics == "null":  # null repairs change values: ``null_repairs``
+        checks.append(lambda: repairs(d, sigma, semantics))
+    for check in checks:
+        with pytest.raises(SemanticError, match="unknown repair semantics"):
+            check()
+
+
+def test_global_optimal_repairs_and_they_only_take_a_priority():
+    d, sigma = load_instance("ex1.facts"), load_constraints("ex2.dlq")
+    with pytest.raises(SemanticError, match="global-optimal repairs need a priority"):
+        repairs(d, sigma, "go")
+    priority = validate_priority(d, sigma, [])
+    for semantics in ("s", "c", "endo", "null"):
+        with pytest.raises(SemanticError, match="applies to global-optimal repairs only"):
+            repairs(d, sigma, semantics, priority=priority)
+
+
 def test_oracle_and_engines_refuse_an_empty_constraint_set():
     d, empty = load_instance("ex1.facts"), queries.DenialConstraintSet(())
-    for run in (oracle_repairs, repairs, endogenous_repairs):
-        with pytest.raises(SemanticError, match="violation view of an empty constraint set"):
-            run(d, empty)
+    for semantics in ("s", "endo"):
+        for run in (oracle_repairs, repairs):
+            with pytest.raises(SemanticError, match="violation view of an empty constraint set"):
+                run(d, empty, semantics)
 
 
 def test_repairs_via_causes_rejects_exogenous():
