@@ -6,8 +6,10 @@ facts that actually cause the answer, their minimal contingency sets and
 exact rational responsibilities, the deletion repairs of the database
 under the matching denial constraints (``repairs``: subset, cardinality,
 endogenous-only and global-optimal semantics), and the equivalent
-consistency-based diagnoses; preferred causes and null-based repairs
-refine the picture.  A brute-force oracle scans the definitions
+consistency-based diagnoses, each a set of abnormal facts; preferred
+causes and null-based repairs refine the picture.  A priority is a list
+of ``(stronger, weaker)`` fact pairs (``parse_priorities``), checked by
+the engine that takes it.  A brute-force oracle scans the definitions
 of causes and responsibility, of subset, cardinality and endogenous
 repairs, and of minimal hitting sets, for cross-validation (it has no
 global-optimal, null-based or preferred scans), and a CLI exposes the lot.
@@ -25,7 +27,6 @@ from .causality import (
     responsibility,
 )
 from .diagnosis import (
-    Diagnosis,
     DiagnosisProblem,
     build_problem,
     diagnoses,
@@ -56,15 +57,11 @@ from .parsing import (
 )
 from .preferences import (
     AttrChange,
-    CausalPriorityRelation,
     NullRepair,
-    PriorityRelation,
     check_preference_contingency,
     null_causes,
     null_repairs,
     preferred_causes,
-    validate_causal_priority,
-    validate_priority,
 )
 from .queries import (
     Atom,

@@ -33,8 +33,11 @@ alone requires 0 or 1/k.  ``--max-enum`` caps the enumerations of
 three only.  ``repairs`` hands every deletion semantics to the one
 engine, ``repairs.repairs``, which requires a priority under
 ``--semantics go``; ``--priority`` under any other is rejected before
-its file is read.  The ``oracle`` subcommands have handlers of their
-own, apart from the engines they check.
+its file is read.  A priority file's pairs go to the engine as parsed,
+and the engine checks them against the family it searches
+(``repairs.repairs`` and ``preferences.preferred_causes``).  The
+``oracle`` subcommands have handlers of their own, apart from the
+engines they check.
 
 Exit codes: 0 success (including negative decisions), 1 usage or parse
 errors (a negative ``--max-enum``, ``--max-enum`` on a subcommand that
@@ -292,9 +295,7 @@ def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
         raise SemanticError("--priority applies to --semantics go only")
     if args.semantics == "null":
         return _null_repairs_report(args, inputs, d, sigma)
-    priority = None
-    if args.priority:
-        priority = preferences.validate_priority(d, sigma, inputs.priorities())
+    priority = inputs.priorities() if args.priority else None
     found = _compute_repairs(d, sigma, args.semantics, args.max_enum, priority)
     return _repairs_report(args, inputs, d, [r.removed for r in found])
 
@@ -346,7 +347,7 @@ def _cmd_diagnose(args, inputs: _Inputs, d, q) -> str:
 
     # the empty conflict of an unexplainable observation is not listed
     conflicts = [named(e) for e in problem.conflicts if e]
-    diagnoses = [named(x.abnormal) for x in found]
+    diagnoses = [named(x) for x in found]
     result = {"kind": args.kind, "conflicts": conflicts, "diagnoses": diagnoses}
     if args.emit_theory:
         result["theory"] = diagnosis.render_theory(problem).splitlines()
@@ -359,9 +360,8 @@ def _cmd_diagnose(args, inputs: _Inputs, d, q) -> str:
 
 
 def _cmd_preferred_causes(args, inputs: _Inputs, d, q) -> str:
-    pc = preferences.validate_causal_priority(d, q, inputs.priorities())
-    pairs = preferences.preferred_causes(d, q, pc, args.max_enum)
-    result, lines = _cause_listing(pairs, "no preferred causes")
+    found = preferences.preferred_causes(d, q, inputs.priorities(), args.max_enum)
+    result, lines = _cause_listing(found, "no preferred causes")
     return _render(args, inputs, result, lines)
 
 

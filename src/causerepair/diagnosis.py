@@ -44,11 +44,6 @@ class DiagnosisProblem:
         return frozenset() in self.conflicts
 
 
-@dataclass(frozen=True)
-class Diagnosis:
-    abnormal: frozenset[Fact]
-
-
 def build_problem(d: Instance, q: UnionQuery) -> DiagnosisProblem:
     """Set up the diagnosis problem for the observation that ``q`` holds."""
     if not q.is_boolean:
@@ -64,8 +59,9 @@ def diagnoses(
     kind: str = SUBSET,
     containing: Fact | None = None,
     cap: int | None = None,
-) -> tuple[Diagnosis, ...]:
-    """Minimal diagnoses, optionally restricted to those containing a fact.
+) -> tuple[frozenset[Fact], ...]:
+    """Minimal diagnoses, each the set of facts it declares abnormal,
+    optionally restricted to those containing a fact.
 
     Kind 's' returns all subset-minimal diagnoses; kind 'c' the minimum-
     cardinality ones (within the restricted family when ``containing`` is
@@ -80,7 +76,7 @@ def diagnoses(
     solution = enumerate_minimal_hitting_sets(m.conflicts, cap)
     if containing is not None:
         solution = solution.containing(containing)
-    return tuple(map(Diagnosis, solution.kept(keep).sets))
+    return solution.kept(keep).sets
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Deletion repairs of every semantics, global-optimal and endogenous ones
 included, come from ``repairs.repairs``; what lives here refines them:
 
-* Priorities: a repair priority relates mutually conflicting facts, and
-  its ``unimproved`` choice is what global-optimal repairs keep of each
-  conflict component.  Preferred causes invert a priority on
-  jointly-contributing facts into a repair priority and read causes off
-  each conflict component's unimproved deletion sets.
+* Priorities: a priority is a list of ``(stronger, weaker)`` fact pairs
+  as ``parsing.parse_priorities`` reads them, checked by each engine that
+  takes one on the family it then searches (``_acyclic``, ``_unimproved``).
+  ``_unimproved`` is what global-optimal repairs keep of each conflict
+  component.  Preferred causes invert a priority on jointly-contributing
+  facts and read causes off each component's unimproved deletion sets.
 
 * Null-based repairs replace attribute values by the non-joining null
   instead of deleting tuples.  A violation witness dies exactly when one
@@ -42,41 +43,8 @@ from .queries import (
     _Index,
     dc_of_query,
     iter_matches,
-    violation_view,
 )
 from .relational import NULL, Fact, Instance, fact_key
-
-
-@dataclass(frozen=True)
-class PriorityRelation:
-    """``t > t'`` pairs over mutually conflicting facts (used for repairs)."""
-
-    pairs: frozenset[tuple[Fact, Fact]]
-
-    def prefers(self, t: Fact, weaker: Fact) -> bool:
-        return (t, weaker) in self.pairs
-
-    def improves(self, candidate: frozenset, over: frozenset) -> bool:
-        """Whether deleting ``candidate`` globally improves on deleting
-        ``over``: a higher-priority tuple gained outweighs each lost."""
-        if candidate == over:
-            return False
-        lost, gained = candidate - over, over - candidate
-        return all(any(self.prefers(g, t) for g in gained) for t in lost)
-
-    def unimproved(self, deletions: list) -> list:
-        """The deletion sets that no other of them globally improves."""
-        return [p for p in deletions if not any(self.improves(o, p) for o in deletions)]
-
-
-@dataclass(frozen=True)
-class CausalPriorityRelation:
-    """``t > t'`` pairs over jointly-contributing facts (used for causes)."""
-
-    pairs: frozenset[tuple[Fact, Fact]]
-
-    def inverted(self) -> PriorityRelation:
-        return PriorityRelation(frozenset((b, a) for a, b in self.pairs))
 
 
 @dataclass(frozen=True)
@@ -123,14 +91,12 @@ class NullRepair:
 
 
 # ---------------------------------------------------------------------------
-# Priority validation
+# Priorities
 
 
-def _validated(
-    d: Instance, q: UnionQuery, pairs: Iterable[tuple[Fact, Fact]], relation: str
-) -> frozenset[tuple[Fact, Fact]]:
-    """``pairs`` resolved in ``d``, checked to be acyclic (a self-pair is a
-    cycle) and each to lie on one support set of ``q``."""
+def _acyclic(d: Instance, pairs: Iterable[tuple[Fact, Fact]]) -> list[tuple[Fact, Fact]]:
+    """The ``(stronger, weaker)`` pairs resolved in ``d``, checked to be
+    acyclic (a self-pair is a cycle)."""
     resolved = [(d.resolve(strong), d.resolve(weak)) for strong, weak in pairs]
     graph: dict[Fact, set[Fact]] = {}
     for a, b in resolved:
@@ -139,55 +105,60 @@ def _validated(
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         raise SemanticError("priority relation contains a cycle") from exc
-    together = support_sets(d, q)
-    for a, b in resolved:
-        if not any(a in s and b in s for s in together):
+    return resolved
+
+
+def _unimproved(pairs: list[tuple[Fact, Fact]], edges, relation: str, inverted: bool = False):
+    """What a priority keeps of each conflict component's deletion sets:
+    those that no other of them globally improves (a higher-priority fact
+    kept outweighs each fact lost).  Each pair must lie on one of the
+    ``edges``, or its facts are not ``relation``; ``inverted`` reads a
+    pair ``(a, b)`` as ``b`` over ``a``."""
+    for a, b in pairs:
+        if not any(a in e and b in e for e in edges):
             raise SemanticError(f"{a} and {b} are not {relation}")
-    return frozenset(resolved)
+    ranked = {(b, a) if inverted else (a, b) for a, b in pairs}
 
+    def improves(candidate: frozenset, over: frozenset) -> bool:
+        lost, gained = candidate - over, over - candidate
+        return candidate != over and all(any((g, t) in ranked for g in gained) for t in lost)
 
-def validate_priority(
-    d: Instance, sigma: DenialConstraintSet, pairs: Iterable[tuple[Fact, Fact]]
-) -> PriorityRelation:
-    """Build a repair priority: acyclic, and every pair mutually conflicting."""
-    view = violation_view(sigma)
-    return PriorityRelation(_validated(d, view, pairs, "mutually conflicting"))
-
-
-def validate_causal_priority(
-    d: Instance, q: UnionQuery, pairs: Iterable[tuple[Fact, Fact]]
-) -> CausalPriorityRelation:
-    """Build a causal priority: acyclic, every pair jointly contributing."""
-    return CausalPriorityRelation(_validated(d, q, pairs, "jointly contributing"))
+    return lambda deletions: [p for p in deletions if not any(improves(o, p) for o in deletions)]
 
 
 # ---------------------------------------------------------------------------
 # Preferred causes
 
 
-def _preferred_parts(d: Instance, q: UnionQuery, pc: CausalPriorityRelation, cap) -> list:
+def _preferred_parts(d: Instance, q: UnionQuery, pairs: Iterable[tuple[Fact, Fact]], cap) -> list:
     """Per conflict component of ``q``'s constraints, the endogenous parts
     of the global-optimal deletion sets under the inverted priority
     (preferring a cause is preferring to delete it); an endogenous
-    global-optimal deletion set joins one part from each."""
-    solution = enumerate_minimal_hitting_sets(support_sets(d, q), cap).kept(pc.inverted().unimproved)
+    global-optimal deletion set joins one part from each.  Each pair must
+    lie on one support set, its facts jointly contributing."""
+    pairs = _acyclic(d, pairs)
+    edges = support_sets(d, q)
+    keep = _unimproved(pairs, edges, "jointly contributing", inverted=True)
+    solution = enumerate_minimal_hitting_sets(edges, cap).kept(keep)
     return [[s for s in part if s <= d.endogenous] for part in solution.parts]
 
 
 def preferred_causes(
     d: Instance,
     q: UnionQuery,
-    pc: CausalPriorityRelation,
+    pairs: Iterable[tuple[Fact, Fact]],
     cap: int | None = None,
 ) -> tuple[tuple[Fact, Fraction], ...]:
-    """Causes surviving the priority, with their restricted responsibilities.
+    """Causes surviving the causal priority ``pairs``, ``(stronger,
+    weaker)`` as ``parsing.parse_priorities`` reads them, with their
+    restricted responsibilities.
 
     A fact is a preferred cause when some endogenous global-optimal
     deletion set removes it, and its responsibility minimizes over those
     sets only: its component's smallest part holding it plus every other
     component's smallest part.  No deletion set is built.
     """
-    parts = _preferred_parts(d, q, pc, cap)
+    parts = _preferred_parts(d, q, pairs, cap)
     if not all(parts):
         return ()  # no global-optimal deletion set is endogenous
     least = [min(map(len, part)) for part in parts]
@@ -201,12 +172,13 @@ def preferred_causes(
 def check_preference_contingency(
     d: Instance,
     q: UnionQuery,
-    pc: CausalPriorityRelation,
+    pairs: Iterable[tuple[Fact, Fact]],
     t: Fact,
     gamma: frozenset[Fact],
     cap: int | None = None,
 ) -> bool:
-    """Membership test for preference-restricted minimal contingency sets.
+    """Membership test for preference-restricted minimal contingency sets
+    under the causal priority ``pairs``, as for ``preferred_causes``.
 
     ``{t} ∪ gamma`` must be an endogenous global-optimal deletion set:
     each component holds exactly one of its parts inside it, and those
@@ -219,7 +191,7 @@ def check_preference_contingency(
         raise SemanticError(f"{t} cannot belong to its own contingency set")
     target = gamma | {t}
     joined = set()
-    for part in _preferred_parts(d, q, pc, cap):
+    for part in _preferred_parts(d, q, pairs, cap):
         inside = [s for s in part if s <= target]
         if len(inside) != 1:
             return False

@@ -6,7 +6,8 @@ choices: the family (the violation witnesses, or under 'endo' their
 endogenous parts) and what each conflict component keeps of its minimal
 hitting sets (all under 's' and 'endo', the smallest under 'c', those a
 priority leaves unimproved under 'go'; Staworko, Chomicki and
-Marcinkowski, AMAI 2012).  Null repairs live in ``preferences``.
+Marcinkowski, AMAI 2012).  A priority is checked on the family it
+selects from.  Null repairs live in ``preferences``.
 
 Consistent-answer checks use the cause-based criterion directly, with no
 repair enumeration.  Under subset semantics an atom is in every repair
@@ -16,6 +17,10 @@ through ``t`` is a witness through ``t`` from which no single fact can be
 dropped with the violation view still true, so the check walks the
 witnesses through the asked atoms only (seeded joins, ``queries``) and
 decides each one with at most one boolean evaluation per fact of it.
+Under cardinality semantics an atom is in every repair iff it lies in no
+minimum hitting set of the conflict family: iff the least minimal hitting
+set through it is larger than the minimum, which the decision mode of
+``minimum_hitting_set_containing`` settles for the asked atoms only.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from . import causality
 from .errors import SemanticError
 from .hitting import (
     endogenous_support_sets,
@@ -41,7 +45,7 @@ from .queries import (
     iter_matches,
     violation_view,
 )
-from .preferences import PriorityRelation
+from .preferences import _acyclic, _unimproved
 from .relational import Fact, Instance
 
 SUBSET = "s"
@@ -90,11 +94,15 @@ def repairs(
     sigma: DenialConstraintSet,
     semantics: str = SUBSET,
     cap: int | None = None,
-    priority: PriorityRelation | None = None,
+    priority: Iterable[tuple[Fact, Fact]] | None = None,
 ) -> tuple[Repair, ...]:
     """All repairs under subset ('s'), cardinality ('c'), endogenous
     ('endo') or global-optimal ('go') semantics, the last under
-    ``priority`` (from ``preferences.validate_priority``).
+    ``priority``: ``(stronger, weaker)`` fact pairs as
+    ``parsing.parse_priorities`` reads them (``[]``, the empty priority,
+    keeps every subset repair).  Its facts must be in ``d``, its pairs
+    acyclic and each on one violation witness, checked on the family the
+    repairs are then read off.
 
     An endogenous repair deletes endogenous facts only, so a violation
     witness of exogenous facts alone leaves none; other semantics always
@@ -106,13 +114,15 @@ def repairs(
     if semantics == GLOBAL_OPTIMAL:
         if priority is None:
             raise SemanticError("global-optimal repairs need a priority")
-        keep = priority.unimproved
+        pairs = _acyclic(d, priority)
     elif priority is not None:
         raise SemanticError("a priority applies to global-optimal repairs only")
     else:
         keep = list if semantics == ENDOGENOUS_ONLY else _pick(semantics)
     family = endogenous_support_sets if semantics == ENDOGENOUS_ONLY else support_sets
     edges = family(d, violation_view(sigma))
+    if semantics == GLOBAL_OPTIMAL:
+        keep = _unimproved(pairs, edges, "mutually conflicting")
     deletions = enumerate_minimal_hitting_sets(edges, cap).kept(keep).sets
     return tuple(Repair(d, s) for s in deletions)
 
@@ -153,6 +163,10 @@ def consistent_answer(
     through it is minimal: no single fact can be dropped from it with the
     view still true on the rest.  Only the witnesses through the asked
     atoms are walked, on one shared index, never the whole support family.
+    Under cardinality semantics the support family is built once, with
+    its minimum ``m``, and an asked atom fails when some minimal hitting
+    set through it has ``m`` members; no other fact's responsibility is
+    computed.
     """
     _pick(semantics)  # 's' and 'c' only
     if d.exogenous:
@@ -163,11 +177,12 @@ def consistent_answer(
             raise SemanticError(f"predicate {a.pred} is not in the schema")
     view = violation_view(sigma)
     resolved = [d.find(a.pred, a.args, a.fact_id) for a in atoms]
-    if semantics == CARDINALITY:
-        excluded, _ = causality.most_responsible_causes(d, view)
-        return not any(t is None or t in excluded for t in resolved)
     if any(t is None for t in resolved):
         return False
+    if semantics == CARDINALITY:
+        edges = support_sets(d, view)
+        least = minimum_hitting_set_containing(edges)
+        return not any(minimum_hitting_set_containing(edges, t, budget=least + 1) for t in resolved)
     index, verdicts = _Index(d), {}
     return not any(_on_minimal_violation(index, view, t, verdicts) for t in resolved)
 

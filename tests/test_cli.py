@@ -539,7 +539,7 @@ def _engine_result(files, argv):
     if argv[0] == "diagnose":
         problem = diagnosis.build_problem(d, single_query((files / "eq.dlq").read_text()))
         conflicts = [_names(e) for e in problem.conflicts if e]
-        found = [_names(x.abnormal) for x in diagnosis.diagnoses(problem, argv[-1])]
+        found = [_names(x) for x in diagnosis.diagnoses(problem, argv[-1])]
         lines = [f"conflict: {{{', '.join(c)}}}" for c in conflicts]
         lines += [f"diagnosis: {{{', '.join(x)}}}" for x in found]
         return {"kind": argv[-1], "conflicts": conflicts, "diagnoses": found}, lines
@@ -555,8 +555,7 @@ def _engine_result(files, argv):
         return {"semantics": semantics, "repairs": entries}, lines
     priority = None
     if semantics == "go":
-        pairs = parse_priorities((files / "e.prio").read_text())
-        priority = preferences.validate_priority(d, sigma, pairs)
+        priority = parse_priorities((files / "e.prio").read_text())
     found = repairs(d, sigma, semantics, priority=priority)
     entries = [{"kept": _names(r.kept.facts), "removed": _names(r.removed)} for r in found]
     lines = [f"repair: keep {{{', '.join(e['kept'])}}}  remove {{{', '.join(e['removed'])}}}"

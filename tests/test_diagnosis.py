@@ -8,7 +8,6 @@ from causerepair import hitting
 from causerepair.causality import contingency_sets, responsibility
 from causerepair.cli import execute
 from causerepair.diagnosis import (
-    Diagnosis,
     DiagnosisProblem,
     build_problem,
     diagnoses,
@@ -34,7 +33,7 @@ from test_propositions import contingencies_read_off, repairs_from_diagnoses
 
 
 def _sets(diags):
-    return {frozenset(str(f) for f in d.abnormal) for d in diags}
+    return {frozenset(str(f) for f in d) for d in diags}
 
 
 def test_build_problem_conflict_set():
@@ -94,7 +93,7 @@ def test_diagnoses_containing_and_kinds(chain_instance, chain_query):
     assert _sets(containing) == {frozenset({"R(a4,a3)", "R(a3,a3)"})}
     smallest = diagnoses(m, "c", containing=t)
     # the smallest diagnosis through t fixes the responsibility of t
-    assert {len(d.abnormal) for d in smallest} == {2}
+    assert {len(d) for d in smallest} == {2}
     assert responsibility(chain_instance, chain_query, t) == Fraction(1, 2)
     global_smallest = diagnoses(m, "c")
     assert _sets(global_smallest) == {frozenset({"S(a3)"})}
@@ -108,7 +107,7 @@ def test_diagnoses_containing_build_only_the_sets_through_it():
     t = d.find("R", ("a0", "a39"))
     found = diagnoses(m, "c", containing=t)
     # here the smallest through t are as small as any diagnosis
-    assert found == tuple(x for x in diagnoses(m, "c") if t in x.abnormal)
+    assert found == tuple(x for x in diagnoses(m, "c") if t in x)
     assert len(found) == 33
     with pytest.raises(CapExceededError):  # the kept product is counted
         diagnoses(m, "s", containing=t)
@@ -126,8 +125,8 @@ def test_sets_containing_a_fact_equal_the_filtered_enumeration_randomized():
         everything = enumerate_minimal_hitting_sets(m.conflicts).sets
         for t in d.endogenous:
             through = [s for s in everything if t in s]
-            assert [x.abnormal for x in diagnoses(m, "s", t)] == through
-            assert [x.abnormal for x in diagnoses(m, "c", t)] == _smallest(through)
+            assert list(diagnoses(m, "s", t)) == through
+            assert list(diagnoses(m, "c", t)) == _smallest(through)
             # the conflicts are the endogenous support sets
             assert contingency_sets(d, q, t) == contingencies_read_off(everything, t)
             compared += 1

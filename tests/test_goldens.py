@@ -1,7 +1,11 @@
-"""Replay every golden CLI report and compare it byte for byte."""
+"""Replay every golden CLI report and compare it byte for byte, and
+count the support families each invocation builds."""
+
+import sys
 
 import pytest
 
+from causerepair import hitting
 from causerepair.cli import execute
 
 from conftest import DATA
@@ -16,3 +20,28 @@ def test_golden_replay(name, argv, monkeypatch):
     code, out, err = execute(argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (DATA / "golden" / name).read_bytes()
+
+
+def test_each_invocation_builds_its_family_once(monkeypatch):
+    # every module that binds ``support_sets`` counts, so a family built
+    # inside another helper (``endogenous_support_sets``) counts too
+    monkeypatch.chdir(DATA)
+    calls = 0
+    build = hitting.support_sets
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return build(*args)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("causerepair")
+                and getattr(module, "support_sets", None) is build):
+            monkeypatch.setattr(module, "support_sets", counting)
+    built = {}
+    for name, argv in CASES:
+        calls = 0
+        assert execute(argv)[0] == 0, name
+        built[name] = calls
+    assert {name: n for name, n in built.items() if n > 1} == {}
+    assert set(built.values()) == {0, 1}  # the oracle, null repairs and some decisions build none

@@ -22,7 +22,6 @@ from causerepair.parsing import (
 )
 from causerepair.preferences import (
     AttrChange,
-    CausalPriorityRelation,
     _change_applier,
     _kill_sets,
     attr_key,
@@ -30,8 +29,6 @@ from causerepair.preferences import (
     null_causes,
     null_repairs,
     preferred_causes,
-    validate_causal_priority,
-    validate_priority,
 )
 from causerepair.queries import dc_of_query, is_consistent, violation_view
 from causerepair.relational import ENDOGENOUS, EXOGENOUS, NULL, Fact, Instance, fact, fact_key
@@ -59,14 +56,28 @@ def _load_prio(name):
 
 
 # ---------------------------------------------------------------------------
-# Priority validation
+# Priority validation, inside the engines that take a priority
+
+
+def _priority_engines(d, sigma):
+    """Each engine that takes priority pairs, on ``sigma`` or its violation
+    view, with the relation its pairs must lie in."""
+    q = violation_view(sigma)
+    return [
+        (lambda pairs: repairs(d, sigma, "go", priority=pairs), "mutually conflicting"),
+        (lambda pairs: preferred_causes(d, q, pairs), "jointly contributing"),
+        (lambda pairs: check_preference_contingency(
+            d, q, pairs, sorted(d.facts, key=fact_key)[0], frozenset()), "jointly contributing"),
+    ]
 
 
 def test_priority_validation_accepts_fixture():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
-    rel = validate_priority(d, sigma, _load_prio("ex14a.prio"))
-    assert len(rel.pairs) == 2
+    pairs = _load_prio("ex14a.prio")
+    assert len(pairs) == 2
+    assert repairs(d, sigma, "go", priority=pairs)
+    assert preferred_causes(d, violation_view(sigma), pairs)
 
 
 def test_priority_validation_rejects_cycles():
@@ -74,8 +85,9 @@ def test_priority_validation_rejects_cycles():
     sigma = load_constraints("ex14.dlq")
     pairs = _load_prio("ex14b.prio")
     cycle = pairs + [(pairs[0][1], pairs[0][0])]
-    with pytest.raises(SemanticError):
-        validate_priority(d, sigma, cycle)
+    for run, _ in _priority_engines(d, sigma):
+        with pytest.raises(SemanticError, match="cycle"):
+            run(cycle)
 
 
 def test_priority_validation_long_chains_and_self_pairs():
@@ -83,29 +95,32 @@ def test_priority_validation_long_chains_and_self_pairs():
     d = parse_instance(" ".join(f"P(a{i})." for i in range(1501)))
     sigma = constraint_set(":- P(X), Q(X).\n")
     chain = [(fact("P", f"a{i}"), fact("P", f"a{i + 1}")) for i in range(1500)]
-    # acyclic, so validation gets as far as the conflict check
-    with pytest.raises(SemanticError, match="not mutually conflicting"):
-        validate_priority(d, sigma, chain)
     closed = chain + [(fact("P", "a1500"), fact("P", "a0"))]
-    with pytest.raises(SemanticError, match="cycle"):
-        validate_priority(d, sigma, closed)
-    with pytest.raises(SemanticError, match="cycle"):
-        validate_priority(d, sigma, [(fact("P", "a0"), fact("P", "a0"))])
+    for run, relation in _priority_engines(d, sigma):
+        # acyclic, so validation gets as far as the conflict check
+        with pytest.raises(SemanticError, match=f"not {relation}"):
+            run(chain)
+        with pytest.raises(SemanticError, match="cycle"):
+            run(closed)
+        with pytest.raises(SemanticError, match="cycle"):
+            run([(fact("P", "a0"), fact("P", "a0"))])
 
 
 def test_priority_validation_rejects_non_conflicting_pairs():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
     bogus = [(parse_fact('Author("Tom","TKDE")'), parse_fact('Author("John","TKDE")'))]
-    with pytest.raises(SemanticError):
-        validate_priority(d, sigma, bogus)
+    for run, relation in _priority_engines(d, sigma):
+        with pytest.raises(SemanticError, match=f'^Author\\("Tom","TKDE"\\) and .* are not {relation}$'):
+            run(bogus)
 
 
 def test_priority_validation_rejects_unknown_facts():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
-    with pytest.raises(SemanticError):
-        validate_priority(d, sigma, [(parse_fact("Zzz(a)"), parse_fact("Zzz(b)"))])
+    for run, _ in _priority_engines(d, sigma):
+        with pytest.raises(SemanticError, match="not in the instance"):
+            run([(parse_fact("Zzz(a)"), parse_fact("Zzz(b)"))])
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +130,8 @@ def test_priority_validation_rejects_unknown_facts():
 def test_global_optimal_total_priorities_single_repair():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
-    rel = validate_priority(d, sigma, _load_prio("ex14a.prio"))
-    assert _removed(repairs(d, sigma, "go", priority=rel)) == {
+    pairs = _load_prio("ex14a.prio")
+    assert _removed(repairs(d, sigma, "go", priority=pairs)) == {
         frozenset({'Author("John","TKDE")', 'Author("John","TODS")'})
     }
 
@@ -124,8 +139,8 @@ def test_global_optimal_total_priorities_single_repair():
 def test_global_optimal_partial_priorities_two_repairs():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
-    rel = validate_priority(d, sigma, _load_prio("ex14b.prio"))
-    assert _removed(repairs(d, sigma, "go", priority=rel)) == {
+    pairs = _load_prio("ex14b.prio")
+    assert _removed(repairs(d, sigma, "go", priority=pairs)) == {
         frozenset({'Author("John","TKDE")', 'Author("John","TODS")'}),
         frozenset({'Author("John","TKDE")', 'Journal("TODS",32,"XML")'}),
     }
@@ -134,30 +149,32 @@ def test_global_optimal_partial_priorities_two_repairs():
 def test_empty_priority_keeps_all_subset_repairs():
     d = load_instance("ex14.facts")
     sigma = load_constraints("ex14.dlq")
-    rel = validate_priority(d, sigma, [])
-    assert _removed(repairs(d, sigma, "go", priority=rel)) == _removed(
+    assert _removed(repairs(d, sigma, "go", priority=[])) == _removed(
         repairs(d, sigma, "s")
     )
 
 
 def _improves_reference(candidate, over, priority):
-    """Global improvement between two repairs, read off their kept facts."""
+    """Global improvement between two repairs, read off their kept facts;
+    ``priority`` is a set of (stronger, weaker) pairs."""
     lost = over.kept.facts - candidate.kept.facts
     gained = candidate.kept.facts - over.kept.facts
     return candidate.removed != over.removed and all(
-        any(priority.prefers(g, t) for g in gained) for t in lost
+        any((g, t) in priority for g in gained) for t in lost
     )
 
 
 def _global_optimal_reference(d, sigma, priority):
-    """Every subset repair compared with every other."""
+    """Every subset repair compared with every other under the pairs."""
     base = repairs(d, sigma, "s")
     return [r for r in base if not any(_improves_reference(o, r, priority) for o in base)]
 
 
-def _preferred_causes_reference(d, q, pc):
+def _preferred_causes_reference(d, q, pairs):
+    """Causes read off the endogenous global-optimal repairs under the
+    inverted pairs (preferring a cause is preferring to delete it)."""
     scores = {}
-    for r in _global_optimal_reference(d, dc_of_query(q), pc.inverted()):
+    for r in _global_optimal_reference(d, dc_of_query(q), {(b, a) for a, b in pairs}):
         if r.removed <= d.endogenous:
             for t in r.removed:
                 scores[t] = min(scores.get(t, len(r.removed)), len(r.removed))
@@ -207,12 +224,12 @@ def test_global_optimal_repairs_and_preferred_causes_match_all_pairs_randomized(
     for _ in range(150):
         d, sigma, q = _random_case(rng, keyed)
         edges = support_sets(d, violation_view(sigma))
-        priority = validate_priority(d, sigma, _random_acyclic_pairs(rng, d, edges))
-        expected = [r.removed for r in _global_optimal_reference(d, sigma, priority)]
+        priority = _random_acyclic_pairs(rng, d, edges)
+        expected = [r.removed for r in _global_optimal_reference(d, sigma, set(priority))]
         assert [r.removed for r in repairs(d, sigma, "go", priority=priority)] == expected
         pruned += len(expected) < len(repairs(d, sigma, "s"))
-        pc = validate_causal_priority(d, q, _random_acyclic_pairs(rng, d, support_sets(d, q)))
-        assert list(preferred_causes(d, q, pc)) == _preferred_causes_reference(d, q, pc)
+        pairs = _random_acyclic_pairs(rng, d, support_sets(d, q))
+        assert list(preferred_causes(d, q, pairs)) == _preferred_causes_reference(d, q, set(pairs))
     assert pruned >= 100  # the priorities rule out some subset repair
 
 
@@ -223,8 +240,7 @@ def test_global_optimal_repairs_and_preferred_causes_match_all_pairs_randomized(
 def test_preferred_causes_fixture():
     d = load_instance("ex14.facts")
     q = load_query("ex15.dlq")
-    pc = validate_causal_priority(d, q, _load_prio("ex15.prio"))
-    found = preferred_causes(d, q, pc)
+    found = preferred_causes(d, q, _load_prio("ex15.prio"))
     assert {(str(t), rho) for t, rho in found} == {
         ('Author("John","TKDE")', Fraction(1, 2)),
         ('Author("John","TODS")', Fraction(1, 2)),
@@ -241,14 +257,13 @@ def test_preferred_causes_need_a_boolean_query():
     for run in (preferred_causes, lambda *args: check_preference_contingency(
             *args, parse_fact("S(a3)"), frozenset())):
         with pytest.raises(SemanticError, match="boolean queries"):
-            run(d, open_q, CausalPriorityRelation(frozenset()))
+            run(d, open_q, [])
 
 
 def test_empty_causal_priority_reduces_to_actual_causes():
     d = load_instance("ex14.facts")
     q = load_query("ex15.dlq")
-    pc = CausalPriorityRelation(frozenset())
-    found = dict(preferred_causes(d, q, pc))
+    found = dict(preferred_causes(d, q, []))
     expected = {
         t: responsibility(d, q, t) for t in actual_causes(d, q)
     }
@@ -265,8 +280,7 @@ def test_preferred_causes_are_actual_causes_randomized():
             causes = actual_causes(d, q)
         except Exception:
             continue
-        pc = CausalPriorityRelation(frozenset())
-        found = dict(preferred_causes(d, q, pc))
+        found = dict(preferred_causes(d, q, []))
         assert set(found) == set(causes)
         for t, rho in found.items():
             assert rho == responsibility(d, q, t)
@@ -277,17 +291,17 @@ def test_preferred_causes_are_actual_causes_randomized():
 def test_check_preference_contingency_fixture():
     d = load_instance("ex14.facts")
     q = load_query("ex15.dlq")
-    pc = validate_causal_priority(d, q, _load_prio("ex15.prio"))
+    pairs = _load_prio("ex15.prio")
     t = parse_fact('Author("John","TKDE")')
     gamma = frozenset({parse_fact('Author("John","TODS")')})
-    assert check_preference_contingency(d, q, pc, t, gamma) is True
+    assert check_preference_contingency(d, q, pairs, t, gamma) is True
     padded = gamma | {parse_fact('Author("Tom","TKDE")')}
-    assert check_preference_contingency(d, q, pc, t, padded) is False
+    assert check_preference_contingency(d, q, pairs, t, padded) is False
 
 
 def test_check_preference_contingency_empty_priority_matches_unrestricted():
     rng = random.Random(11)
-    pc = CausalPriorityRelation(frozenset())
+    pairs = []  # the empty causal priority
     rounds = 0
     for _ in range(25):
         d = random_instance(rng, max_facts=5)
@@ -301,7 +315,7 @@ def test_check_preference_contingency_empty_priority_matches_unrestricted():
             for gamma in combinations(others, size):
                 gamma = frozenset(gamma)
                 assert check_preference_contingency(
-                    d, q, pc, t, gamma
+                    d, q, pairs, t, gamma
                 ) == check_minimal_contingency(d, q, t, gamma)
                 rounds += 1
     assert rounds > 50
@@ -313,19 +327,19 @@ KEY_QUERY = "q :- A(X,Y), A(X,Z), Y != Z.\n"
 def test_check_preference_contingency_refuses_what_the_plain_check_refuses():
     d = parse_instance("A(k,a). A(k,b). A(j,c). A(j,d).")
     q = single_query(KEY_QUERY)
-    pc = CausalPriorityRelation(frozenset())
+    pairs = []  # the empty causal priority
     t = parse_fact("A(k,a)")
     gamma = frozenset({t, parse_fact("A(j,c)")})
     with pytest.raises(SemanticError, match="cannot belong to its own contingency set"):
         check_minimal_contingency(d, q, t, gamma)
     with pytest.raises(SemanticError, match="cannot belong to its own contingency set"):
-        check_preference_contingency(d, q, pc, t, gamma)
+        check_preference_contingency(d, q, pairs, t, gamma)
     d = parse_instance("@exogenous A(k,a). @endogenous A(k,b). A(j,c). A(j,d).")
     gamma = frozenset({parse_fact("A(j,c)")})
     with pytest.raises(SemanticError, match="is exogenous"):
         check_minimal_contingency(d, q, t, gamma)
     with pytest.raises(SemanticError, match="is exogenous"):
-        check_preference_contingency(d, q, pc, t, gamma)
+        check_preference_contingency(d, q, pairs, t, gamma)
 
 
 @pytest.mark.parametrize("k", [10, 20, 40, 200])
@@ -333,21 +347,19 @@ def test_preferred_causes_keyed_scaling_reference(k):
     # from 2x40 on there are more global-optimal repairs than the default cap
     d, _, pairs, causes = keyed_preferences(k)
     q = single_query(KEY_QUERY)
-    pc = validate_causal_priority(d, q, pairs)
-    assert list(preferred_causes(d, q, pc)) == [(t, Fraction(1, k)) for t in causes]
+    assert list(preferred_causes(d, q, pairs)) == [(t, Fraction(1, k)) for t in causes]
 
 
 def test_check_preference_contingency_keyed_2x40():
     d, groups, pairs, _ = keyed_preferences(40)
     q = single_query(KEY_QUERY)
-    pc = validate_causal_priority(d, q, pairs)
     member = [g[0] if i % 2 == 0 else g[1] for i, g in enumerate(groups)]
     t, gamma = member[0], frozenset(member[1:])
-    assert check_preference_contingency(d, q, pc, t, gamma) is True
+    assert check_preference_contingency(d, q, pairs, t, gamma) is True
     # deleting a preferred group's second fact instead is improved upon
     swapped = gamma - {groups[2][0]} | {groups[2][1]}
-    assert check_preference_contingency(d, q, pc, t, swapped) is False
-    assert check_preference_contingency(d, q, pc, t, gamma - {groups[1][1]}) is False
+    assert check_preference_contingency(d, q, pairs, t, swapped) is False
+    assert check_preference_contingency(d, q, pairs, t, gamma - {groups[1][1]}) is False
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from causerepair.diagnosis import DiagnosisProblem, build_problem, diagnoses
 from causerepair.errors import SemanticError
 from causerepair.oracle import oracle_causes_and_responsibility, oracle_repairs
 from causerepair.parsing import constraint_set, single_query
-from causerepair.preferences import PriorityRelation
 from causerepair.queries import (
     Atom,
     ConjunctiveQuery,
@@ -126,14 +125,14 @@ def repairs_from_diagnoses(
     if m.instance.exogenous:
         raise SemanticError("repairs from diagnoses assume all facts endogenous")
     return tuple(
-        Repair(m.instance.without(diag.abnormal), diag.abnormal)
-        for diag in diagnoses(m, kind, cap=cap)
+        Repair(m.instance.without(abnormal), abnormal)
+        for abnormal in diagnoses(m, kind, cap=cap)
     )
 
 
 def endogenous_encoding(
     d: Instance, sigma: DenialConstraintSet
-) -> tuple[Instance, DenialConstraintSet, PriorityRelation]:
+) -> tuple[Instance, DenialConstraintSet, frozenset[tuple[Fact, Fact]]]:
     """Priority formulation of endogenous repairs.
 
     Adds an endogenous guard fact, conjoins it to every constraint, and
@@ -167,7 +166,7 @@ def endogenous_encoding(
             for e in c:
                 if e.is_endogenous:
                     pairs.add((x, e))
-    return extended, guarded, PriorityRelation(frozenset(pairs))
+    return extended, guarded, frozenset(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_repairs_are_the_minimal_diagnoses_removed(drawn):
     m = build_problem(d, view)
     for kind in ("s", "c"):
         via_diagnoses = repairs_from_diagnoses(m, kind)
-        assert [r.removed for r in via_diagnoses] == [x.abnormal for x in diagnoses(m, kind)]
+        assert [r.removed for r in via_diagnoses] == list(diagnoses(m, kind))
         assert _kept(via_diagnoses) == _kept(repairs(d, sigma, kind))
         assert _kept(via_diagnoses) == set(oracle_repairs(d, sigma, kind))
 
@@ -271,7 +270,7 @@ def test_endogenous_repairs_are_the_minimal_diagnoses_of_the_violation_view(draw
     if not eval_boolean(d.facts, view):
         return  # a consistent instance poses no diagnosis problem
     removed = [r.removed for r in repairs(d, sigma, "endo")]
-    assert removed == [x.abnormal for x in diagnoses(build_problem(d, view), "s")]
+    assert removed == list(diagnoses(build_problem(d, view), "s"))
     assert {d.facts - s for s in removed} == set(oracle_repairs(d, sigma, "endo"))
 
 

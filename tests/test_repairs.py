@@ -14,7 +14,6 @@ from causerepair.diagnosis import build_problem, diagnoses
 from causerepair.errors import CapExceededError, SemanticError
 from causerepair.hitting import support_sets
 from causerepair.oracle import oracle_repairs
-from causerepair.preferences import validate_priority
 from causerepair.parsing import (
     constraint_set,
     parse_fact,
@@ -27,6 +26,7 @@ from causerepair.repairs import Repair, consistent_answer, is_repair, repairs
 from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact, fact_key, set_key
 
 from conftest import (
+    DATA,
     load_constraints,
     load_instance,
     load_query,
@@ -72,7 +72,7 @@ def test_consistent_instance_repairs_to_itself():
 def test_repairs_keep_their_instance_less_what_they_remove():
     d = parse_instance("A(1;k,a). A(2;k,b). A(3;j,a). A(4;j,b). A(5;j,c). A(6;m,a).")
     sigma = constraint_set(":- A(X,Y), A(X,Z), Y != Z.\n")
-    priority = validate_priority(d, sigma, parse_priorities("A(1;k,a) > A(2;k,b).\n"))
+    priority = parse_priorities("A(1;k,a) > A(2;k,b).\n")
     for found in (repairs(d, sigma, "s"), repairs(d, sigma, "c"), repairs(d, sigma, "endo"),
                   repairs(d, sigma, "go", priority=priority)):
         assert found
@@ -366,7 +366,7 @@ def test_global_optimal_repairs_and_they_only_take_a_priority():
     d, sigma = load_instance("ex1.facts"), load_constraints("ex2.dlq")
     with pytest.raises(SemanticError, match="global-optimal repairs need a priority"):
         repairs(d, sigma, "go")
-    priority = validate_priority(d, sigma, [])
+    priority = []  # the empty priority, not none
     for semantics in ("s", "c", "endo", "null"):
         with pytest.raises(SemanticError, match="applies to global-optimal repairs only"):
             repairs(d, sigma, semantics, priority=priority)
@@ -484,18 +484,24 @@ def _cqa_shaped(tmp_path):
 _CQA_DCS = ":- S(X), R(X,Y), S(Y).\n:- A(X,Y), A(X,Z), Y != Z.\n"
 
 
+def _refuse_everywhere(monkeypatch, fn):
+    """Make every package module's binding of ``fn`` raise when called."""
+    name = fn.__name__
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("causerepair") and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, refuse)
+
+
 def test_subset_cqa_walks_only_through_the_asked_atoms(tmp_path, monkeypatch):
     d = _cqa_shaped(tmp_path)
     assert 900 < len(d) < 1100
     # no support family, no whole witness set and no hitting-set search
-    refused = [("support_sets", hitting.support_sets), ("witnesses", queries.witnesses),
-               ("_reduced", hitting._reduced), ("_search", hitting._search)]
-    for name, fn in refused:
-        def refuse(*args, name=name):
-            raise AssertionError(f"{name} was called")
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("causerepair") and getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, refuse)
+    for fn in (hitting.support_sets, queries.witnesses, hitting._reduced, hitting._search):
+        _refuse_everywhere(monkeypatch, fn)
     calls = 0
     extend = queries._extend
 
@@ -559,3 +565,54 @@ def test_subset_cqa_makes_no_whole_instance_pass(tmp_path, monkeypatch):
     code, out, err = execute(["cqa", "-i", str(tmp_path / "d.facts"), "-c", str(tmp_path / "dc.dlq"),
                               "--atoms", f"{calm[0]}; {calm[-1]}", "--semantics", "s", "--json"])
     assert code == 0 and json.loads(out)["result"]["consistent"] is True, err
+
+
+# ---------------------------------------------------------------------------
+# Cardinality CQA through the asked atoms
+
+
+def test_cardinality_cqa_agrees_with_the_oracle_and_the_responsibilities_randomized():
+    answers = Counter()
+    for seed in range(400):
+        d, sigma, lists = seeded_cqa(seed, max_facts=8)
+        kept = oracle_repairs(d, sigma, "c")
+        top, _ = most_responsible_causes(d, violation_view(sigma))
+        for atoms in lists:
+            resolved = [d.find(a.pred, a.args, a.fact_id) for a in atoms]
+            expected = all(t is not None and all(t in r for r in kept) for t in resolved)
+            assert expected is all(t is not None and t not in top for t in resolved)
+            assert consistent_answer(d, sigma, atoms, "c") is expected, (str(d), str(sigma), atoms)
+            answers[expected] += 1
+    assert min(answers.values()) > 400
+
+
+def test_cardinality_cqa_answers_an_absent_atom_before_any_join(monkeypatch):
+    d, sigma = load_instance("cqa2.facts"), load_constraints("cqa2.dlq")
+    for fn in (hitting.support_sets, queries.witnesses):
+        _refuse_everywhere(monkeypatch, fn)
+    assert consistent_answer(d, sigma, [parse_fact("R(z,z)")], "c") is False
+    assert consistent_answer(d, sigma, [parse_fact("R(a,d)"), parse_fact("R(z,z)")], "c") is False
+
+
+def test_cardinality_cqa_asks_about_the_given_atoms_only(monkeypatch):
+    # an atom fails when it lies in some minimum hitting set of the
+    # violations, decided per asked atom: no cause's responsibility is needed
+    keyed = seeded_keyed((2, 3, 2), 30)
+    mixed = Instance(keyed.facts | seeded_chain(12, 10).facts)
+    cases = [(load_instance("cqa2.facts"), load_constraints("cqa2.dlq")),
+             (keyed, constraint_set(_CQA_DCS)), (mixed, constraint_set(_CQA_DCS))]
+    expected = []
+    for d, sigma in cases:
+        top, _ = most_responsible_causes(d, violation_view(sigma))  # the whole-family criterion
+        facts = sorted(d.facts, key=fact_key)
+        asked = [[t] for t in facts] + [list(pair) for pair in zip(facts, facts[1:])]
+        expected.append((d, sigma, asked, [not any(t in top for t in atoms) for atoms in asked]))
+    assert {answer for *_, answers in expected for answer in answers} == {True, False}
+    golden = (DATA / "golden" / "cqa_ground.json").read_bytes()
+    monkeypatch.chdir(DATA)
+    _refuse_everywhere(monkeypatch, hitting.forced_minima)
+    code, out, err = execute(["cqa", "-i", "cqa2.facts", "-c", "cqa2.dlq",
+                              "--atoms", "R(a,d)", "--semantics", "c", "--json"])
+    assert (code, err) == (0, "") and out.encode() == golden
+    for d, sigma, asked, answers in expected:
+        assert [consistent_answer(d, sigma, atoms, "c") for atoms in asked] == answers

@@ -30,6 +30,7 @@ INVOCATIONS = [
     ["repairs", "-i", "ex1.facts", "-c", "ex2.dlq", "--semantics", "s"],
     ["repairs", "-i", "ex1.facts", "-c", "ex2.dlq", "--semantics", "c"],
     ["repairs", "-i", "ex16.facts", "-c", "ex2.dlq", "--semantics", "null"],
+    ["repairs", "-i", "ex14.facts", "-c", "ex14.dlq", "--semantics", "go", "--priority", "ex14a.prio"],
     ["diagnose", "-i", "ex1b.facts", "-q", "ex1.dlq"],
     ["diagnose", "-i", "ex1.facts", "-q", "ex1.dlq", "--containing", "R(a4,a3)"],
     ["preferred-causes", "-i", "ex14.facts", "-q", "ex15.dlq", "--priority", "ex15.prio"],
