@@ -16,12 +16,12 @@ and joins the report, trailing newline included, once; it is
 byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``.  Text
 lines are built only when no ``--json`` is given, and joined once too.
 Each fact of the instance is formatted once per invocation, and under
-``--json`` escaped once per report, as is each nulled fact and change;
-every set of its facts is named by the facts' positions in canonical
-order, in a list marked ``_Names`` that ``_json`` joins as it is.
-A repair's facts are the instance's sorted names spliced once
-(``_spliced``): the deleted or nulled originals cut out, and the nulled
-versions, named by the engine's null repair, put in where their keys sort.
+``--json`` escaped once per report, as is each nulled fact and change.
+A report of repairs, null repairs, conflicts or diagnoses writes each
+entry as pieces: slices of all the names joined once (``_Slices``),
+between the sorted positions of the facts it lists or leaves out; the
+engines' hitting solutions give those once per report.  The entries go
+into a ``_Names`` list, whose pieces ``_json`` adds as they are.
 
 The front end checks syntax only; the engines check meaning.  A typed
 fact (``--tuple``, ``--gamma``, ``--containing``, ``--atoms``, a priority
@@ -51,7 +51,6 @@ cap counts each conflict component's minimal sets and the product that
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import hashlib
 import itertools
@@ -62,7 +61,7 @@ from fractions import Fraction
 from . import causality, diagnosis, oracle, preferences
 from .errors import BoundExceededError, CapExceededError, ParseError, SemanticError
 from .repairs import consistent_answer as _consistent_answer
-from .repairs import repairs as _compute_repairs
+from .repairs import repair_solution
 from .parsing import (
     constraint_set,
     parse_fact,
@@ -71,7 +70,7 @@ from .parsing import (
     parse_priorities,
     single_query,
 )
-from .relational import fact_key, format_fact, set_key
+from .relational import fact_key, format_fact
 
 _encode_string = json.encoder.encode_basestring_ascii
 
@@ -108,15 +107,15 @@ def _sorted_facts(facts) -> list[str]:
 
 
 class _Names(list):
-    """Names as printed, escaped under ``--json``: ``_json`` joins them as they are."""
+    """JSON values written at the list's depth, each a string or the list
+    of its pieces: ``_json`` adds them as they are."""
 
 
-def _named(d, escape: bool):
-    """The names of ``d``'s facts in canonical order, each fact's position
-    there (a set of them is named by its sorted positions), and ``name``,
-    which gives the names: escaped once per report when ``escape``."""
+def _named(facts, escape: bool):
+    """The names of ``facts``, given in canonical order, each fact's
+    position there (a set of them is named by its sorted positions), and
+    ``name``, which gives the names: escaped once per report when ``escape``."""
     name = functools.cache(_encode_string) if escape else str
-    facts = d.sorted_facts
     return [name(format_fact(f)) for f in facts], {f: i for i, f in enumerate(facts)}, name
 
 
@@ -137,10 +136,13 @@ def _json(value, end: str = "") -> str:
             try:  # most lists hold names only, escaped without a call per name
                 pieces.extend(("[" + inner, ("," + inner).join(
                     value if type(value) is _Names else map(_encode_string, value))))
-            except TypeError:
+            except TypeError:  # or a _Names list holds the pieces of each item
                 for opening, v in zip("[" + "," * len(value), value):
                     pieces.append(opening + inner)
-                    write(v, inner)
+                    if type(value) is _Names:
+                        pieces.extend(v)
+                    else:
+                        write(v, inner)
             pieces.append(indent + "]")
         else:  # a string, a number, true, false, null, [] or {}
             pieces.append(_encode_string(value) if isinstance(value, str) else json.dumps(value))
@@ -209,34 +211,61 @@ def _cause_listing(pairs, none_found: str) -> tuple[dict, list[str]]:
     return result, lines or [none_found]
 
 
-def _spliced(names: list[str], cuts: list[int], inserted=()) -> list[str]:
-    """``names`` without the sorted positions ``cuts``, and with the name
-    of each inserted (position, key, name) before ``names[position]``:
-    inserted names in key order, and before a cut at the same position."""
-    kept, start = _Names(), 0
-    for i in cuts:
-        kept += names[start:i]
-        start = i + 1
-    kept += names[start:]
-    for position, _, name in sorted(inserted, reverse=True):
-        kept.insert(position - bisect.bisect_left(cuts, position), name)
-    return kept
+# Under --json a result list's entry, and then its keys, at their depths
+_ITEM = "\n" + "  " * 3
+_KEY = _ITEM + "  "
 
 
-def _repairs_report(args, inputs: _Inputs, d, removed_sets) -> str:
-    """The report of deletion repairs of ``d``, one entry per removed set,
-    both lists in canonical order."""
-    names, position, _ = _named(d, args.json)
-    entries = []
-    for removed in removed_sets:
-        cuts = sorted(map(position.__getitem__, removed))
-        entries.append({"kept": _spliced(names, cuts), "removed": _Names(map(names.__getitem__, cuts))})
-    lines = (
-        "repair: keep {%s}  remove {%s}" % (", ".join(e["kept"]), ", ".join(e["removed"]))
-        for e in entries
+class _Slices:
+    """Names joined once, each behind a comma and a line of its own at
+    ``depth`` of the report, or in text (no depth) behind ", ".  ``picked``
+    and ``kept`` add to an entry's pieces the slices that list the names at
+    some sorted positions, or all others, closed on the bracket's line, and
+    then the entry's next ``head``; a list drops its first separator."""
+
+    def __init__(self, names: list[str], depth: int | None):
+        indent = "\n" + "  " * (depth or 0)
+        self.lead, self.close = (2, "") if depth is None else (1, indent[:-2])
+        self.items = [(", " if depth is None else "," + indent) + name for name in names]
+        self.firsts = [item[self.lead:] for item in self.items]
+        self.text = "".join(self.items)
+        self.at = list(itertools.accumulate(map(len, self.items), initial=0))
+        self.runs = {}  # (start, end, lead) -> the slice: entries share most runs
+
+    def picked(self, pieces: list[str], cuts: list[int], head: str) -> list[str]:
+        if cuts:
+            pieces.append(self.firsts[cuts[0]])
+            pieces += map(self.items.__getitem__, cuts[1:])
+            pieces.append(self.close)
+        pieces.append(head)
+        return pieces
+
+    def kept(self, pieces: list[str], cuts: list[int], head: str) -> list[str]:
+        text, at, runs, start, lead = self.text, self.at, self.runs, 0, self.lead
+        for cut in [*cuts, len(self.items)]:
+            if start < cut:
+                run = runs.get((start, cut, lead))
+                if run is None:
+                    run = runs[start, cut, lead] = text[at[start] + lead:at[cut]]
+                pieces.append(run)
+                lead = 0
+            start = cut + 1
+        if not lead:  # something is listed
+            pieces.append(self.close)
+        pieces.append(head)
+        return pieces
+
+
+def _repairs_report(args, inputs: _Inputs, names: list[str], removed) -> str:
+    """The report of deletion repairs, one entry per sorted list of the
+    positions of the ``names`` it removes, in the order given."""
+    slices = _Slices(names, 5 if args.json else None)
+    start, middle, end = (
+        ("{" + _KEY + '"kept": [', "]," + _KEY + '"removed": [', "]" + _ITEM + "}") if args.json
+        else ("repair: keep {", "}  remove {", "}")
     )
-    result = {"semantics": args.semantics, "repairs": entries}
-    return _render(args, inputs, result, lines)
+    entries = _Names(slices.picked(slices.kept([start], cuts, middle), cuts, end) for cuts in removed)
+    return _render(args, inputs, {"semantics": args.semantics, "repairs": entries}, map("".join, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +325,32 @@ def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
     if args.semantics == "null":
         return _null_repairs_report(args, inputs, d, sigma)
     priority = inputs.priorities() if args.priority else None
-    found = _compute_repairs(d, sigma, args.semantics, args.max_enum, priority)
-    return _repairs_report(args, inputs, d, [r.removed for r in found])
+    solution = repair_solution(d, sigma, args.semantics, args.max_enum, priority)
+    names, position, _ = _named(d.sorted_facts, args.json)
+    # the vertices sort by ``fact_key`` too, so their positions increase
+    return _repairs_report(args, inputs, names, solution.indexes([position[v] for v in solution.vertices]))
 
 
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
-    names, position, name = _named(d, args.json)
-    keys = [fact_key(f) for f in d.sorted_facts]
-
-    @functools.cache
-    def insert(f):  # a nulled fact's position among d's keys, its key and its name
-        key = fact_key(f)
-        return bisect.bisect(keys, key), key, name(format_fact(f))
-
-    rows, written = [], functools.cache(str)  # each change written once
-    for r in preferences.null_repairs(d, sigma, args.max_enum):
-        cuts = sorted(map(position.__getitem__, r.originals))
-        rows.append((sorted(map(written, r.diff)), _spliced(names, cuts, map(insert, r.nulled))))
-    rows.sort(key=lambda row: row[0])  # by the changes as written, not as escaped
-    entries = [{"facts": facts, "diff": _Names(map(name, diff))} for diff, facts in rows]
-    lines = (
-        "repair: {%s}  diff {%s}" % (", ".join(e["facts"]), ", ".join(e["diff"]))
-        for e in entries
-    )
-    result = {"semantics": "null", "repairs": entries}
-    return _render(args, inputs, result, lines)
+    """One entry per null repair, by its changes: those, and its facts cut
+    from ``d``'s and every nulled version less its originals and the
+    versions it lacks.  Each change and each fact is written once."""
+    found = preferences.null_repairs(d, sigma, args.max_enum)
+    every = frozenset().union(*(r.nulled for r in found))
+    names, position, name = _named(sorted(d.facts | every, key=fact_key), args.json)
+    changes = sorted((str(c), c) for c in frozenset().union(*(r.diff for r in found)))
+    rank = {c: i for i, (_, c) in enumerate(changes)}
+    slices, diffs = (_Slices(x, 5 if args.json else None) for x in (names, [name(w) for w, _ in changes]))
+    versions = frozenset(map(position.__getitem__, every))  # a repair's cuts, toggled by its own facts
+    rows = sorted((sorted(map(rank.__getitem__, r.diff)), sorted(versions.symmetric_difference(
+        map(position.__getitem__, itertools.chain(r.originals, r.nulled))))) for r in found)
+    if args.json:
+        start, middle, end = "{" + _KEY + '"diff": [', "]," + _KEY + '"facts": [', "]" + _ITEM + "}"
+        entries = _Names(slices.kept(diffs.picked([start], diff, middle), cuts, end) for diff, cuts in rows)
+    else:
+        entries = _Names(diffs.picked(slices.kept(["repair: {"], cuts, "}  diff {"), diff, "}")
+                         for diff, cuts in rows)
+    return _render(args, inputs, {"semantics": "null", "repairs": entries}, map("".join, entries))
 
 
 def _cmd_cqa(args, inputs: _Inputs, d, sigma) -> str:
@@ -339,23 +369,21 @@ def _cmd_cqa(args, inputs: _Inputs, d, sigma) -> str:
 def _cmd_diagnose(args, inputs: _Inputs, d, q) -> str:
     problem = diagnosis.build_problem(d, q)
     containing = parse_fact(args.containing) if args.containing else None
-    found = diagnosis.diagnoses(problem, args.kind, containing, args.max_enum)
-    names, position, _ = _named(d, args.json)
-
-    def named(facts):
-        return _Names(map(names.__getitem__, sorted(map(position.__getitem__, facts))))
-
+    solution = diagnosis.diagnosis_solution(problem, args.kind, containing, args.max_enum)
+    names, position, _ = _named(d.sorted_facts, args.json)
+    slices = _Slices(names, 4 if args.json else None)
     # the empty conflict of an unexplainable observation is not listed
-    conflicts = [named(e) for e in problem.conflicts if e]
-    diagnoses = [named(x) for x in found]
-    result = {"kind": args.kind, "conflicts": conflicts, "diagnoses": diagnoses}
+    listed = {
+        "conflicts": [sorted(map(position.__getitem__, e)) for e in problem.conflicts if e],
+        "diagnoses": solution.indexes([position[v] for v in solution.vertices]),
+    }
+    for key, label in (("conflicts", "conflict"), ("diagnoses", "diagnosis")):
+        start, end = ("[", "]") if args.json else (label + ": {", "}")
+        listed[key] = _Names(slices.picked([start], cuts, end) for cuts in listed[key])
+    result = {"kind": args.kind, **listed}
     if args.emit_theory:
         result["theory"] = diagnosis.render_theory(problem).splitlines()
-    lines = itertools.chain(
-        ("conflict: {%s}" % ", ".join(names) for names in conflicts),
-        ("diagnosis: {%s}" % ", ".join(names) for names in diagnoses),
-        result.get("theory", ()),
-    )
+    lines = itertools.chain(map("".join, listed["conflicts"] + listed["diagnoses"]), result.get("theory", ()))
     return _render(args, inputs, result, lines)
 
 
@@ -377,8 +405,9 @@ def _cmd_oracle_causes(args, inputs: _Inputs, d, q) -> str:
 
 def _cmd_oracle_repairs(args, inputs: _Inputs, d, sigma) -> str:
     kept_sets = oracle.oracle_repairs(d, sigma, args.semantics)
-    removed_sets = sorted((d.facts - kept for kept in kept_sets), key=set_key)
-    return _repairs_report(args, inputs, d, removed_sets)
+    names, position, _ = _named(d.sorted_facts, args.json)
+    return _repairs_report(args, inputs, names, sorted(
+        sorted(map(position.__getitem__, d.facts - kept)) for kept in kept_sets))
 
 
 # ---------------------------------------------------------------------------

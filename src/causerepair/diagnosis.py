@@ -5,7 +5,8 @@ negation of the query holds whenever no involved tuple is abnormal; the
 observation is that the query is true.  Restoring consistency means
 declaring a set of endogenous facts abnormal, and the minimal such sets
 are exactly the minimal hitting sets of the conflict family, which here
-coincides with the endogenous support sets of the query.
+coincides with the endogenous support sets of the query
+(``diagnosis_solution``; ``diagnoses`` reads the sets off it).
 
 ``render_theory`` materializes the first-order theory itself (predicate
 completions, unique names, the abnormality-qualified constraint as a
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from .causality import _require_endogenous
 from .errors import SemanticError
-from .hitting import endogenous_support_sets, enumerate_minimal_hitting_sets
+from .hitting import HittingSolution, endogenous_support_sets, enumerate_minimal_hitting_sets
 from .queries import ConjunctiveQuery, UnionQuery, Var
 from .relational import Fact, Instance, format_constant
 from .repairs import SUBSET, _pick
@@ -54,16 +55,17 @@ def build_problem(d: Instance, q: UnionQuery) -> DiagnosisProblem:
     return DiagnosisProblem(d, q, conflicts)
 
 
-def diagnoses(
+def diagnosis_solution(
     m: DiagnosisProblem,
     kind: str = SUBSET,
     containing: Fact | None = None,
     cap: int | None = None,
-) -> tuple[frozenset[Fact], ...]:
-    """Minimal diagnoses, each the set of facts it declares abnormal,
-    optionally restricted to those containing a fact.
+) -> HittingSolution:
+    """Minimal diagnoses, each the set of facts it declares abnormal, as
+    the product of what each conflict component keeps of its minimal
+    hitting sets, optionally restricted to those containing a fact.
 
-    Kind 's' returns all subset-minimal diagnoses; kind 'c' the minimum-
+    Kind 's' keeps all subset-minimal diagnoses; kind 'c' the minimum-
     cardinality ones (within the restricted family when ``containing`` is
     given, matching the responsibility correspondence); none, with no
     search, when ``containing`` lies on no conflict.
@@ -72,11 +74,16 @@ def diagnoses(
     if containing is not None:
         containing = _require_endogenous(m.instance, containing)
         if not any(containing in e for e in m.conflicts):
-            return ()
+            return HittingSolution([], ({},), 0)  # an empty product, not searched
     solution = enumerate_minimal_hitting_sets(m.conflicts, cap)
     if containing is not None:
         solution = solution.containing(containing)
-    return solution.kept(keep).sets
+    return solution.kept(keep)
+
+
+def diagnoses(m, kind=SUBSET, containing=None, cap=None) -> tuple[frozenset[Fact], ...]:
+    """The diagnoses that ``diagnosis_solution`` lists, in its order."""
+    return diagnosis_solution(m, kind, containing, cap).sets
 
 
 # ---------------------------------------------------------------------------

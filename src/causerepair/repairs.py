@@ -1,13 +1,14 @@
 """Deletion repairs for denial constraints, and consistent answers.
 
 Under denial constraints a repair deletes a minimal hitting set of one
-conflict family, and ``repairs`` names each deletion semantics by two
-choices: the family (the violation witnesses, or under 'endo' their
+conflict family, and ``repair_solution`` names each deletion semantics by
+two choices: the family (the violation witnesses, or under 'endo' their
 endogenous parts) and what each conflict component keeps of its minimal
 hitting sets (all under 's' and 'endo', the smallest under 'c', those a
 priority leaves unimproved under 'go'; Staworko, Chomicki and
 Marcinkowski, AMAI 2012).  A priority is checked on the family it
-selects from.  Null repairs live in ``preferences``.
+selects from; ``repairs`` reads the repairs off the hitting solution it
+returns.  Null repairs live in ``preferences``.
 
 Consistent-answer checks use the cause-based criterion directly, with no
 repair enumeration.  Under subset semantics an atom is in every repair
@@ -31,6 +32,7 @@ from typing import Iterable
 
 from .errors import SemanticError
 from .hitting import (
+    HittingSolution,
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     minimum_hitting_set_containing,
@@ -89,20 +91,21 @@ def _pick(semantics: str):
     raise SemanticError(f"unknown repair semantics {semantics!r}")
 
 
-def repairs(
+def repair_solution(
     d: Instance,
     sigma: DenialConstraintSet,
     semantics: str = SUBSET,
     cap: int | None = None,
     priority: Iterable[tuple[Fact, Fact]] | None = None,
-) -> tuple[Repair, ...]:
-    """All repairs under subset ('s'), cardinality ('c'), endogenous
-    ('endo') or global-optimal ('go') semantics, the last under
-    ``priority``: ``(stronger, weaker)`` fact pairs as
+) -> HittingSolution:
+    """The deletion sets of all repairs under subset ('s'), cardinality
+    ('c'), endogenous ('endo') or global-optimal ('go') semantics, the
+    last under ``priority``: ``(stronger, weaker)`` fact pairs as
     ``parsing.parse_priorities`` reads them (``[]``, the empty priority,
     keeps every subset repair).  Its facts must be in ``d``, its pairs
     acyclic and each on one violation witness, checked on the family the
-    repairs are then read off.
+    deletion sets are then read off, as the product of what each
+    conflict component keeps.
 
     An endogenous repair deletes endogenous facts only, so a violation
     witness of exogenous facts alone leaves none; other semantics always
@@ -123,8 +126,12 @@ def repairs(
     edges = family(d, violation_view(sigma))
     if semantics == GLOBAL_OPTIMAL:
         keep = _unimproved(pairs, edges, "mutually conflicting")
-    deletions = enumerate_minimal_hitting_sets(edges, cap).kept(keep).sets
-    return tuple(Repair(d, s) for s in deletions)
+    return enumerate_minimal_hitting_sets(edges, cap).kept(keep)
+
+
+def repairs(d, sigma, semantics=SUBSET, cap=None, priority=None) -> tuple[Repair, ...]:
+    """The repairs whose deletion sets ``repair_solution`` lists, in its order."""
+    return tuple(Repair(d, s) for s in repair_solution(d, sigma, semantics, cap, priority).sets)
 
 
 def is_repair(

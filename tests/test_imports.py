@@ -209,6 +209,8 @@ API_ONLY = {
     "eval_answers": "the answers of an open query",
     "is_consistent": "whether an instance satisfies a denial constraint set",
     "is_repair": "repair checking without enumeration",
+    "repairs": "the repairs as ``Repair`` objects (the CLI writes from ``repair_solution``)",
+    "diagnoses": "the diagnoses as fact sets (the CLI writes from ``diagnosis_solution``)",
     "check_preference_contingency": "membership among the preference-restricted contingency sets",
     "null_causes": "attribute- and tuple-level causes under null-based repairs",
     "check_wellformed": "the one public check of an instance built in code",
