@@ -6,13 +6,15 @@ facts that actually cause the answer, their minimal contingency sets and
 exact rational responsibilities, the deletion repairs of the database
 under the matching denial constraints (``repairs``: subset, cardinality,
 endogenous-only and global-optimal semantics), and the equivalent
-consistency-based diagnoses, each a set of abnormal facts; preferred
-causes and null-based repairs refine the picture.  A priority is a list
-of ``(stronger, weaker)`` fact pairs (``parse_priorities``), checked by
-the engine that takes it.  A brute-force oracle scans the definitions
-of causes and responsibility, of subset, cardinality and endogenous
-repairs, and of minimal hitting sets, for cross-validation (it has no
-global-optimal, null-based or preferred scans), and a CLI exposes the lot.
+consistency-based diagnoses (``diagnoses``), each a ``HittingSolution``
+whose ``sets`` are the sets deleted (a repair is ``d.without(s)``) or
+declared abnormal; preferred causes and null-based repairs refine the
+picture.  A priority is a list of ``(stronger, weaker)`` fact pairs
+(``parse_priorities``), checked by the engine that takes it.  A
+brute-force oracle scans the definitions of causes and responsibility,
+of subset, cardinality and endogenous repairs, and of minimal hitting
+sets, for cross-validation (it has no global-optimal, null-based or
+preferred scans), and a CLI exposes the lot.
 """
 
 from .causality import (
@@ -89,7 +91,6 @@ from .relational import (
     violations,
 )
 from .repairs import (
-    Repair,
     consistent_answer,
     is_repair,
     repairs,

@@ -130,6 +130,15 @@ def most_responsible_causes(
     return frozenset(t for t, rho in scores.items() if rho == best), best
 
 
+def _contingency_target(d: Instance, t: Fact, gamma) -> frozenset[Fact]:
+    """``gamma | {t}`` resolved as endogenous facts of ``d``, ``t`` not in ``gamma``."""
+    t = _require_endogenous(d, t)
+    gamma = frozenset(_require_endogenous(d, g) for g in gamma)
+    if t in gamma:
+        raise SemanticError(f"{t} cannot belong to its own contingency set")
+    return gamma | {t}
+
+
 def check_minimal_contingency(
     d: Instance, q: UnionQuery, t: Fact, gamma: frozenset[Fact]
 ) -> bool:
@@ -140,11 +149,7 @@ def check_minimal_contingency(
     ``gamma`` and ``t`` yields a maximal consistent sub-instance, i.e. the
     query is false afterwards and putting any removed fact back revives it.
     """
-    t = _require_endogenous(d, t)
-    gamma = frozenset(_require_endogenous(d, g) for g in gamma)
-    if t in gamma:
-        raise SemanticError(f"{t} cannot belong to its own contingency set")
-    return _maximal_deletion(d, gamma | {t}, q)
+    return _maximal_deletion(d, _contingency_target(d, t, gamma), q)
 
 
 def explain(d: Instance, q: UnionQuery, t: Fact, cap: int | None = None) -> CauseReport:

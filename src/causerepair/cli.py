@@ -60,8 +60,7 @@ from fractions import Fraction
 
 from . import causality, diagnosis, oracle, preferences
 from .errors import BoundExceededError, CapExceededError, ParseError, SemanticError
-from .repairs import consistent_answer as _consistent_answer
-from .repairs import repair_solution
+from .repairs import consistent_answer as _consistent_answer, repairs
 from .parsing import (
     constraint_set,
     parse_fact,
@@ -325,7 +324,7 @@ def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
     if args.semantics == "null":
         return _null_repairs_report(args, inputs, d, sigma)
     priority = inputs.priorities() if args.priority else None
-    solution = repair_solution(d, sigma, args.semantics, args.max_enum, priority)
+    solution = repairs(d, sigma, args.semantics, args.max_enum, priority)
     names, position, _ = _named(d.sorted_facts, args.json)
     # the vertices sort by ``fact_key`` too, so their positions increase
     return _repairs_report(args, inputs, names, solution.indexes([position[v] for v in solution.vertices]))
@@ -369,7 +368,7 @@ def _cmd_cqa(args, inputs: _Inputs, d, sigma) -> str:
 def _cmd_diagnose(args, inputs: _Inputs, d, q) -> str:
     problem = diagnosis.build_problem(d, q)
     containing = parse_fact(args.containing) if args.containing else None
-    solution = diagnosis.diagnosis_solution(problem, args.kind, containing, args.max_enum)
+    solution = diagnosis.diagnoses(problem, args.kind, containing, args.max_enum)
     names, position, _ = _named(d.sorted_facts, args.json)
     slices = _Slices(names, 4 if args.json else None)
     # the empty conflict of an unexplainable observation is not listed

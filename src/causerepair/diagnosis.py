@@ -5,8 +5,8 @@ negation of the query holds whenever no involved tuple is abnormal; the
 observation is that the query is true.  Restoring consistency means
 declaring a set of endogenous facts abnormal, and the minimal such sets
 are exactly the minimal hitting sets of the conflict family, which here
-coincides with the endogenous support sets of the query
-(``diagnosis_solution``; ``diagnoses`` reads the sets off it).
+coincides with the endogenous support sets of the query: ``diagnoses``
+returns that hitting solution, and its ``sets`` are the diagnoses.
 
 ``render_theory`` materializes the first-order theory itself (predicate
 completions, unique names, the abnormality-qualified constraint as a
@@ -55,7 +55,7 @@ def build_problem(d: Instance, q: UnionQuery) -> DiagnosisProblem:
     return DiagnosisProblem(d, q, conflicts)
 
 
-def diagnosis_solution(
+def diagnoses(
     m: DiagnosisProblem,
     kind: str = SUBSET,
     containing: Fact | None = None,
@@ -63,7 +63,8 @@ def diagnosis_solution(
 ) -> HittingSolution:
     """Minimal diagnoses, each the set of facts it declares abnormal, as
     the product of what each conflict component keeps of its minimal
-    hitting sets, optionally restricted to those containing a fact.
+    hitting sets, optionally restricted to those containing a fact; the
+    solution's ``sets`` lists them in canonical order.
 
     Kind 's' keeps all subset-minimal diagnoses; kind 'c' the minimum-
     cardinality ones (within the restricted family when ``containing`` is
@@ -79,11 +80,6 @@ def diagnosis_solution(
     if containing is not None:
         solution = solution.containing(containing)
     return solution.kept(keep)
-
-
-def diagnoses(m, kind=SUBSET, containing=None, cap=None) -> tuple[frozenset[Fact], ...]:
-    """The diagnoses that ``diagnosis_solution`` lists, in its order."""
-    return diagnosis_solution(m, kind, containing, cap).sets
 
 
 # ---------------------------------------------------------------------------

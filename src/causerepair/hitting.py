@@ -40,9 +40,10 @@ Enumeration searches each component with no bound, caps the sets each
 yields, and keeps them per component.  The sets that hold a given vertex
 are those of its component that hold it times the other components' sets
 (``containing``).  Each set keeps its ascending vertex indexes.  Only
-``sets`` and ``indexes`` read the product, through one routine that caps
-it first (the cap counts what was kept): a member is one set per
-component, in the order of the sorted join of their index lists.
+``indexes`` reads the product, and it caps it first (the cap counts what
+was kept): a member is one set per component, written as the sorted join
+of their index lists, and the members come in the order of those lists;
+``sets`` maps each list onto the vertices.
 Minima are read off a kernel (``_reduced``), valid for the minimum size
 but not for enumeration, since it loses minimal sets: a one-vertex edge
 takes its vertex and every edge through it goes (Abu-Khzam's unit-edge
@@ -77,7 +78,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import chain, product
 from math import prod
-from operator import itemgetter
 from typing import Iterable
 
 from .errors import CapExceededError, SemanticError
@@ -299,27 +299,22 @@ class HittingSolution:
             return replace(self, parts=({},))
         return replace(self, parts=tuple(own or part for own, part in zip(through, self.parts)))
 
-    def _product(self, at=None) -> list[tuple[list[int], tuple]]:
-        """The product, capped, in canonical order: each member's vertex
-        indexes (the sorted join of its sets'), or the numbers the
-        increasing ``at`` gives them, and its set from each component."""
+    def indexes(self, at=None) -> list[list[int]]:
+        """The product, in canonical order: each member's vertex indexes,
+        the sorted join of one set's from each component, or the numbers
+        the increasing ``at`` gives them; ``CapExceededError`` once it has
+        more than ``cap`` members."""
         if prod(map(len, self.parts)) > self.cap:
             raise CapExceededError(self.cap)
-        parts = self.parts if at is None else [
-            {s: [at[i] for i in indexes] for s, indexes in part.items()} for part in self.parts]
-        joined = map(sorted, map(chain.from_iterable, product(*(part.values() for part in parts))))
-        return sorted(zip(joined, product(*parts)), key=itemgetter(0))
-
-    def indexes(self, at=None) -> list[list[int]]:
-        """The members' index lists, or ``at``'s numbers, in canonical order."""
-        return [indexes for indexes, _ in self._product(at)]
+        lists = [part.values() if at is None else [[at[i] for i in indexes] for indexes in part.values()]
+                 for part in self.parts]
+        return sorted(map(sorted, map(chain.from_iterable, product(*lists))))
 
     @property
     def sets(self) -> tuple[frozenset, ...]:
-        """The product of the components' sets, in canonical order under
-        the key; ``CapExceededError`` once it has more than ``cap``.  A
-        member is the union of one set per component."""
-        return tuple(frozenset().union(*sets) for _, sets in self._product())
+        """The members of ``indexes`` as sets of vertices."""
+        vertices = self.vertices
+        return tuple(frozenset(map(vertices.__getitem__, indexes)) for indexes in self.indexes())
 
 
 def enumerate_minimal_hitting_sets(

@@ -27,7 +27,7 @@ from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
-from .causality import _require_endogenous
+from .causality import _contingency_target
 from .errors import SemanticError
 from .hitting import (
     antichain,
@@ -185,11 +185,7 @@ def check_preference_contingency(
     parts join to all of it.  Unlike the unrestricted variant there is no
     polynomial shortcut here.
     """
-    t = _require_endogenous(d, t)
-    gamma = frozenset(_require_endogenous(d, g) for g in gamma)
-    if t in gamma:
-        raise SemanticError(f"{t} cannot belong to its own contingency set")
-    target = gamma | {t}
+    target = _contingency_target(d, t, gamma)
     joined = set()
     for part in _preferred_parts(d, q, pairs, cap):
         inside = [s for s in part if s <= target]

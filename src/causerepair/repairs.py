@@ -1,14 +1,15 @@
 """Deletion repairs for denial constraints, and consistent answers.
 
 Under denial constraints a repair deletes a minimal hitting set of one
-conflict family, and ``repair_solution`` names each deletion semantics by
-two choices: the family (the violation witnesses, or under 'endo' their
+conflict family, and ``repairs`` names each deletion semantics by two
+choices: the family (the violation witnesses, or under 'endo' their
 endogenous parts) and what each conflict component keeps of its minimal
 hitting sets (all under 's' and 'endo', the smallest under 'c', those a
 priority leaves unimproved under 'go'; Staworko, Chomicki and
 Marcinkowski, AMAI 2012).  A priority is checked on the family it
-selects from; ``repairs`` reads the repairs off the hitting solution it
-returns.  Null repairs live in ``preferences``.
+selects from.  ``repairs`` returns the hitting solution itself: each of
+its ``sets`` is one repair's deletion set ``s``, and the repair is
+``d.without(s)``.  Null repairs live in ``preferences``.
 
 Consistent-answer checks use the cause-based criterion directly, with no
 repair enumeration.  Under subset semantics an atom is in every repair
@@ -26,8 +27,6 @@ set through it is larger than the minimum, which the decision mode of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .errors import SemanticError
@@ -56,25 +55,6 @@ ENDOGENOUS_ONLY = "endo"
 GLOBAL_OPTIMAL = "go"
 
 
-@dataclass(frozen=True, eq=False)
-class Repair:
-    """The repair of ``source`` that deletes ``removed``.  ``kept`` is built
-    on first read; repairs are equal when their ``kept`` and ``removed`` are."""
-
-    source: Instance
-    removed: frozenset[Fact]
-
-    @cached_property
-    def kept(self) -> Instance:
-        return self.source.without(self.removed)
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is Repair and self.removed == other.removed and self.kept == other.kept
-
-    def __hash__(self) -> int:
-        return hash(self.removed)
-
-
 def _smallest(sets: list) -> list:
     """The members of least size."""
     least = min(map(len, sets), default=0)
@@ -91,21 +71,23 @@ def _pick(semantics: str):
     raise SemanticError(f"unknown repair semantics {semantics!r}")
 
 
-def repair_solution(
+def repairs(
     d: Instance,
     sigma: DenialConstraintSet,
     semantics: str = SUBSET,
     cap: int | None = None,
     priority: Iterable[tuple[Fact, Fact]] | None = None,
 ) -> HittingSolution:
-    """The deletion sets of all repairs under subset ('s'), cardinality
-    ('c'), endogenous ('endo') or global-optimal ('go') semantics, the
-    last under ``priority``: ``(stronger, weaker)`` fact pairs as
+    """The repairs under subset ('s'), cardinality ('c'), endogenous
+    ('endo') or global-optimal ('go') semantics, the last under
+    ``priority``: ``(stronger, weaker)`` fact pairs as
     ``parsing.parse_priorities`` reads them (``[]``, the empty priority,
     keeps every subset repair).  Its facts must be in ``d``, its pairs
     acyclic and each on one violation witness, checked on the family the
     deletion sets are then read off, as the product of what each
-    conflict component keeps.
+    conflict component keeps.  Each ``s`` in the solution's ``sets`` is
+    one repair's deletion set, in canonical order, and ``d.without(s)``
+    is the repair.
 
     An endogenous repair deletes endogenous facts only, so a violation
     witness of exogenous facts alone leaves none; other semantics always
@@ -127,11 +109,6 @@ def repair_solution(
     if semantics == GLOBAL_OPTIMAL:
         keep = _unimproved(pairs, edges, "mutually conflicting")
     return enumerate_minimal_hitting_sets(edges, cap).kept(keep)
-
-
-def repairs(d, sigma, semantics=SUBSET, cap=None, priority=None) -> tuple[Repair, ...]:
-    """The repairs whose deletion sets ``repair_solution`` lists, in its order."""
-    return tuple(Repair(d, s) for s in repair_solution(d, sigma, semantics, cap, priority).sets)
 
 
 def is_repair(

@@ -1,7 +1,8 @@
-"""Shared fixture loading, the randomized instance generators and the
-one ``hypothesis`` profile of the tier-1 suite."""
+"""Shared fixture loading, the report comparison, the randomized instance
+generators and the one ``hypothesis`` profile of the tier-1 suite."""
 
 import random
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,15 @@ def load_query(name: str) -> UnionQuery:
 
 def load_constraints(name: str):
     return constraint_set(data_path(name).read_text())
+
+
+def assert_same(written: str, expected: str):
+    """Byte equality of two reports, failing on their first different line
+    (pytest's diff of two long reports takes minutes to show)."""
+    if written != expected:
+        pairs = zip_longest(written.split("\n"), expected.split("\n"))
+        line, (got, want) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"line {line} differs: {got!r} != {want!r}")
 
 
 @pytest.fixture

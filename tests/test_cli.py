@@ -11,7 +11,7 @@ from causerepair.parsing import constraint_set, parse_instance, parse_priorities
 from causerepair.repairs import repairs
 from causerepair.relational import fact_key, format_fact, serialize_instance
 
-from conftest import DATA, keyed_preferences, seeded_chain, seeded_keyed
+from conftest import DATA, assert_same, keyed_preferences, seeded_chain, seeded_keyed
 
 
 @pytest.fixture(autouse=True)
@@ -104,6 +104,32 @@ def test_oracle_bound_exceeded_exit_code(tmp_path):
     inst.write_text(" ".join(f"S(a{i})." for i in range(16)) + "\n")
     code, out, err = execute(["oracle", "causes", "-i", str(inst), "-q", "ex1.dlq"])
     assert code == 3 and out == "" and "bound" in err
+
+
+@pytest.mark.parametrize("argv, files, code, message", [
+    (["causes", "-q", "two.dlq"], {"two.dlq": "q :- S(X).\nr :- R(X,Y).\n"},
+     2, "expected exactly one named query, found 2"),
+    (["causes", "-q", "bare.dlq"], {"bare.dlq": "q :- X != Y.\n"}, 2, "has no positive atom"),
+    (["responsibility", "-q", "q.dlq", "--tuple", "S(a). x"], {"q.dlq": "q :- S(X).\n"},
+     1, "trailing input 'x'"),
+    (["diagnose", "-q", "open.dlq"], {"open.dlq": "ans(X) :- S(X), R(X,Y).\n"},
+     2, "diagnosis problems are built from boolean queries"),
+    (["cqa", "-c", "dc.dlq", "--atoms", "S(a)"],
+     {"dc.dlq": ":- S(X), R(X,Y).\n", "e.facts": "@exogenous\nS(a).\n@endogenous\nR(a,b).\n"},
+     2, "consistent answers assume all facts endogenous"),
+    (["oracle", "repairs", "-c", "dc.dlq"],
+     {"dc.dlq": ":- S(X), S(Y), X != Y.\n", "e.facts": " ".join(f"S(a{i})." for i in range(15))},
+     3, "15 facts exceed bound 14"),
+], ids=["two-queries", "no-positive-atom", "trailing-input", "open-diagnosis", "exogenous-cqa",
+        "oracle-bound"])
+def test_error_paths_exit_with_their_code_and_message(tmp_path, argv, files, code, message):
+    files = {"e.facts": "S(a). R(a,b).\n", **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    exit_code, out, err = execute(argv + ["-i", str(tmp_path / "e.facts")])
+    assert (exit_code, out) == (code, "")
+    assert err.startswith("error: ") and err.endswith(message + "\n"), err
 
 
 def test_negative_enumeration_cap_is_usage_error():
@@ -390,7 +416,7 @@ def test_each_name_is_escaped_once_per_report(tmp_path, monkeypatch, command, co
     result = report["result"]
     assert len(result.get("repairs", result.get("diagnoses"))) == 256
     assert calls <= 2 * size + 50
-    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert_same(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     assert keys < 50 or len(out) > 128 * 1024
 
 
@@ -418,8 +444,8 @@ def test_each_change_is_written_once_per_report(tmp_path, monkeypatch):
     code, out, err = execute(argv)
     assert code == 0, err
     report = json.loads(out)
-    assert out == json.dumps({**report, "result": {"semantics": "null", "repairs": entries}},
-                             indent=2, sort_keys=True) + "\n"
+    assert_same(out, json.dumps({**report, "result": {"semantics": "null", "repairs": entries}},
+                                indent=2, sort_keys=True) + "\n")
     changes = {c for e in entries for c in e["diff"]}
     assert len(entries) == 256 and len(changes) == 16
     assert calls <= len(changes)
@@ -539,7 +565,7 @@ def _engine_result(files, argv):
     if argv[0] == "diagnose":
         problem = diagnosis.build_problem(d, single_query((files / "eq.dlq").read_text()))
         conflicts = [_names(e) for e in problem.conflicts if e]
-        found = [_names(x) for x in diagnosis.diagnoses(problem, argv[-1])]
+        found = [_names(x) for x in diagnosis.diagnoses(problem, argv[-1]).sets]
         lines = [f"conflict: {{{', '.join(c)}}}" for c in conflicts]
         lines += [f"diagnosis: {{{', '.join(x)}}}" for x in found]
         return {"kind": argv[-1], "conflicts": conflicts, "diagnoses": found}, lines
@@ -556,8 +582,8 @@ def _engine_result(files, argv):
     priority = None
     if semantics == "go":
         priority = parse_priorities((files / "e.prio").read_text())
-    found = repairs(d, sigma, semantics, priority=priority)
-    entries = [{"kept": _names(r.kept.facts), "removed": _names(r.removed)} for r in found]
+    found = repairs(d, sigma, semantics, priority=priority).sets
+    entries = [{"kept": _names(d.without(s).facts), "removed": _names(s)} for s in found]
     lines = [f"repair: keep {{{', '.join(e['kept'])}}}  remove {{{', '.join(e['removed'])}}}"
              for e in entries]
     return {"semantics": semantics, "repairs": entries}, lines

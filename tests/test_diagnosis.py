@@ -32,8 +32,8 @@ from conftest import (
 from test_propositions import contingencies_read_off, repairs_from_diagnoses
 
 
-def _sets(diags):
-    return {frozenset(str(f) for f in d) for d in diags}
+def _sets(solution):
+    return {frozenset(str(f) for f in d) for d in solution.sets}
 
 
 def test_build_problem_conflict_set():
@@ -83,7 +83,7 @@ def test_unexplainable_observation_has_no_diagnosis():
     q = load_query("ex1.dlq")
     m = build_problem(d, q)
     assert m.unexplainable
-    assert diagnoses(m, "s") == ()
+    assert diagnoses(m, "s").sets == ()
 
 
 def test_diagnoses_containing_and_kinds(chain_instance, chain_query):
@@ -91,7 +91,7 @@ def test_diagnoses_containing_and_kinds(chain_instance, chain_query):
     t = chain_instance.find("R", ("a4", "a3"))
     containing = diagnoses(m, "s", containing=t)
     assert _sets(containing) == {frozenset({"R(a4,a3)", "R(a3,a3)"})}
-    smallest = diagnoses(m, "c", containing=t)
+    smallest = diagnoses(m, "c", containing=t).sets
     # the smallest diagnosis through t fixes the responsibility of t
     assert {len(d) for d in smallest} == {2}
     assert responsibility(chain_instance, chain_query, t) == Fraction(1, 2)
@@ -105,12 +105,12 @@ def test_diagnoses_containing_build_only_the_sets_through_it():
     d = seeded_chain(50, 50)
     m = build_problem(d, single_query("q :- S(X), R(X,Y), S(Y)."))
     t = d.find("R", ("a0", "a39"))
-    found = diagnoses(m, "c", containing=t)
+    found = diagnoses(m, "c", containing=t).sets
     # here the smallest through t are as small as any diagnosis
-    assert found == tuple(x for x in diagnoses(m, "c") if t in x)
+    assert found == tuple(x for x in diagnoses(m, "c").sets if t in x)
     assert len(found) == 33
     with pytest.raises(CapExceededError):  # the kept product is counted
-        diagnoses(m, "s", containing=t)
+        diagnoses(m, "s", containing=t).sets
 
 
 def test_sets_containing_a_fact_equal_the_filtered_enumeration_randomized():
@@ -125,8 +125,8 @@ def test_sets_containing_a_fact_equal_the_filtered_enumeration_randomized():
         everything = enumerate_minimal_hitting_sets(m.conflicts).sets
         for t in d.endogenous:
             through = [s for s in everything if t in s]
-            assert list(diagnoses(m, "s", t)) == through
-            assert list(diagnoses(m, "c", t)) == _smallest(through)
+            assert list(diagnoses(m, "s", t).sets) == through
+            assert list(diagnoses(m, "c", t).sets) == _smallest(through)
             # the conflicts are the endogenous support sets
             assert contingency_sets(d, q, t) == contingencies_read_off(everything, t)
             compared += 1
@@ -144,7 +144,7 @@ def test_a_fact_on_no_edge_is_answered_before_any_search(monkeypatch):
     t = parse_fact("R(a2,a1)")
     assert contingency_sets(d, q, t) == ()
     for kind in ("s", "c"):
-        assert diagnoses(build_problem(d, q), kind, containing=t) == ()
+        assert diagnoses(build_problem(d, q), kind, containing=t).sets == ()
     argv = ["diagnose", "-i", str(data_path("ex1.facts")), "-q", str(data_path("ex1.dlq"))]
     code, out, err = execute(argv + ["--containing", "R(a2,a1)", "--json"])
     assert code == 0 and err == "" and json.loads(out)["result"]["diagnoses"] == []
@@ -161,7 +161,7 @@ def test_repairs_from_diagnoses_triple():
     d = load_instance("ex12.facts")
     m = build_problem(d, load_query("ex1.dlq"))
     reps = repairs_from_diagnoses(m, "s")
-    assert {frozenset(str(f) for f in r.kept.facts) for r in reps} == {
+    assert {frozenset(str(f) for f in r.facts) for r in reps} == {
         frozenset({"S(a3)", "R(a4,a3)"}),
         frozenset({"S(a4)", "R(a4,a3)"}),
         frozenset({"S(a3)", "S(a4)"}),
@@ -174,8 +174,8 @@ def test_repairs_from_diagnoses_matches_repair_engine():
         sigma = load_constraints(cname)
         m = build_problem(d, violation_view(sigma))
         for kind in ("s", "c"):
-            via_diag = {r.kept.facts for r in repairs_from_diagnoses(m, kind)}
-            direct = {r.kept.facts for r in repairs(d, sigma, kind)}
+            via_diag = {r.facts for r in repairs_from_diagnoses(m, kind)}
+            direct = {d.without(s).facts for s in repairs(d, sigma, kind).sets}
             assert via_diag == direct
 
 

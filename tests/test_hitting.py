@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import causerepair
 from causerepair import hitting
 from causerepair.causality import most_responsible_causes
-from causerepair.errors import CapExceededError
+from causerepair.errors import BoundExceededError, CapExceededError
 from causerepair.hitting import (
     antichain,
     endogenous_part,
@@ -298,6 +298,14 @@ def test_forced_element_must_be_irredundant():
     assert minimum_hitting_set_containing(edges, t) == 3
     _, _, per_element = oracle_hitting({t, a, b, c}, edges)
     assert per_element[t] == 3
+
+
+def test_oracle_hitting_refuses_a_universe_above_its_bound():
+    universe = [fact("V", f"v{i}") for i in range(21)]
+    edges = [frozenset(universe[:2])]
+    assert oracle_hitting(universe[:20], edges)[1] == 1
+    with pytest.raises(BoundExceededError, match="universe of 21 exceeds bound 20"):
+        oracle_hitting(universe, edges)
 
 
 def _assert_agrees_with_oracle(universe, edges):

@@ -4,8 +4,10 @@ every parameter of every function is read in its body (``self`` and
 ``cls`` excepted: an override keeps its signature), no field of a
 ``Fact`` is assigned outside ``Fact.__init__`` (a fact hashes once, so
 it is immutable by convention), the command-line front end uses
-only the engines' public names, and every public function or class is
-used by some package module or listed in ``API_ONLY`` with its reason.
+only the engines' public names, every public function or class is used
+by some package module or listed in ``API_ONLY`` with its reason, and no
+public function only hands its parameters on to another package function
+(a thin wrapper), unless ``API_ONLY`` lists it.
 
 A stdlib ``ast`` check standing in for a linter.  ``__init__`` exists to
 re-export, so it is exempt from the import check.  String annotations
@@ -86,13 +88,17 @@ def test_every_private_definition_is_referenced(path):
     assert orphans == []
 
 
+def _parameters(node) -> list[ast.arg]:
+    a = node.args
+    return [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     unread = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            a = node.args
-            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            params = _parameters(node)
             body = node.body if isinstance(node.body, list) else [node.body]
             read = {
                 n.id for stmt in body for n in ast.walk(stmt)
@@ -209,8 +215,6 @@ API_ONLY = {
     "eval_answers": "the answers of an open query",
     "is_consistent": "whether an instance satisfies a denial constraint set",
     "is_repair": "repair checking without enumeration",
-    "repairs": "the repairs as ``Repair`` objects (the CLI writes from ``repair_solution``)",
-    "diagnoses": "the diagnoses as fact sets (the CLI writes from ``diagnosis_solution``)",
     "check_preference_contingency": "membership among the preference-restricted contingency sets",
     "null_causes": "attribute- and tuple-level causes under null-based repairs",
     "check_wellformed": "the one public check of an instance built in code",
@@ -265,3 +269,70 @@ def test_the_public_use_lint_catches_a_planted_definition():
     for name, extra in uses:
         used = dict(planted, **{name: planted[name] + extra})
         assert "repairs.py bridge" not in _unused_public(used), extra
+
+
+def _thin_wrappers(sources: dict[str, str], allowed=API_ONLY) -> list[str]:
+    """Each public top-level function in ``sources`` whose whole body, a
+    docstring aside, is ``return f(...)`` or ``return f(...).attr``, where
+    ``f`` is a top-level function of ``sources``, by name or read off a
+    module, and every argument is a parameter passed on unchanged; unless
+    ``allowed`` lists it."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    functions = {node.name for tree in trees.values() for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    modules = {name.removesuffix(".py") for name in sources}
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                    or node.name in allowed):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if isinstance(call, ast.Attribute):
+                call = call.value
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            on_module = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules
+            callee = func.attr if on_module else getattr(func, "id", None)
+            params = {p.arg for p in _parameters(node)}
+            passed = [v.value if isinstance(v, ast.Starred) else v
+                      for v in (*call.args, *(k.value for k in call.keywords))]
+            if callee in functions and all(getattr(v, "id", None) in params for v in passed):
+                found.append(f"{name} {node.name}")
+    return found
+
+
+def test_no_public_function_is_a_thin_wrapper():
+    assert _thin_wrappers(_layer_sources()) == []
+
+
+def test_the_thin_wrapper_lint_catches_a_planted_wrapper():
+    sources = _layer_sources()
+    assert _thin_wrappers(sources, allowed=()) == []  # no exception is needed
+
+    def planted(extra):
+        return dict(sources, **{"diagnosis.py": sources["diagnosis.py"] + "\n\n" + extra})
+
+    wrappers = {
+        "listed": "def listed(m, kind=SUBSET, containing=None, cap=None):\n"
+                  "    return diagnoses(m, kind, containing, cap).sets\n",
+        "family": 'def family(d, q):\n    """Doc."""\n    return hitting.support_sets(d, q=q)\n',
+        "passed": "def passed(*args, **kwargs):\n    return diagnoses(*args, **kwargs)\n",
+    }
+    for name, extra in wrappers.items():
+        assert _thin_wrappers(planted(extra)) == [f"diagnosis.py {name}"], extra
+    others = [
+        "def viewed(d, sigma):\n    return support_sets(d, violation_view(sigma))\n",  # built
+        "def fixed(m):\n    return diagnoses(m, 'c')\n",  # a constant
+        "def chosen(m, kind):\n    return diagnoses(m, kind.lower())\n",  # an argument changed
+        "def outside(x):\n    return sorted(x)\n",  # not a package function
+        "def method(d, q):\n    return d.support_sets(q)\n",  # a method, not a module's function
+        "def _private(m):\n    return diagnoses(m)\n",  # private
+        "def first(m):\n    return diagnoses(m).sets[0]\n",  # a subscript of the result
+        "def more(m):\n    print(m)\n    return diagnoses(m)\n",  # more than the return
+    ]
+    for extra in others:
+        assert _thin_wrappers(planted(extra)) == [], extra
+    assert _thin_wrappers(planted(wrappers["listed"]), allowed={"listed": "a reason"}) == []

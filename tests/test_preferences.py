@@ -47,8 +47,8 @@ from conftest import (
 from test_propositions import endogenous_encoding
 
 
-def _removed(reps):
-    return {frozenset(str(f) for f in r.removed) for r in reps}
+def _removed(solution):
+    return {frozenset(str(f) for f in s) for s in solution.sets}
 
 
 def _load_prio(name):
@@ -76,7 +76,7 @@ def test_priority_validation_accepts_fixture():
     sigma = load_constraints("ex14.dlq")
     pairs = _load_prio("ex14a.prio")
     assert len(pairs) == 2
-    assert repairs(d, sigma, "go", priority=pairs)
+    assert repairs(d, sigma, "go", priority=pairs).sets
     assert preferred_causes(d, violation_view(sigma), pairs)
 
 
@@ -154,20 +154,22 @@ def test_empty_priority_keeps_all_subset_repairs():
     )
 
 
-def _improves_reference(candidate, over, priority):
-    """Global improvement between two repairs, read off their kept facts;
-    ``priority`` is a set of (stronger, weaker) pairs."""
-    lost = over.kept.facts - candidate.kept.facts
-    gained = candidate.kept.facts - over.kept.facts
-    return candidate.removed != over.removed and all(
+def _improves_reference(d, candidate, over, priority):
+    """Global improvement between the repairs of ``d`` that delete
+    ``candidate`` and ``over``, read off their kept facts; ``priority`` is
+    a set of (stronger, weaker) pairs."""
+    kept, other = d.without(candidate).facts, d.without(over).facts
+    lost, gained = other - kept, kept - other
+    return candidate != over and all(
         any((g, t) in priority for g in gained) for t in lost
     )
 
 
 def _global_optimal_reference(d, sigma, priority):
-    """Every subset repair compared with every other under the pairs."""
-    base = repairs(d, sigma, "s")
-    return [r for r in base if not any(_improves_reference(o, r, priority) for o in base)]
+    """Every subset repair's deletion set compared with every other under
+    the pairs."""
+    base = repairs(d, sigma, "s").sets
+    return [r for r in base if not any(_improves_reference(d, o, r, priority) for o in base)]
 
 
 def _preferred_causes_reference(d, q, pairs):
@@ -175,9 +177,9 @@ def _preferred_causes_reference(d, q, pairs):
     inverted pairs (preferring a cause is preferring to delete it)."""
     scores = {}
     for r in _global_optimal_reference(d, dc_of_query(q), {(b, a) for a, b in pairs}):
-        if r.removed <= d.endogenous:
-            for t in r.removed:
-                scores[t] = min(scores.get(t, len(r.removed)), len(r.removed))
+        if r <= d.endogenous:
+            for t in r:
+                scores[t] = min(scores.get(t, len(r)), len(r))
     return [(t, Fraction(1, scores[t])) for t in sorted(scores, key=fact_key)]
 
 
@@ -225,9 +227,9 @@ def test_global_optimal_repairs_and_preferred_causes_match_all_pairs_randomized(
         d, sigma, q = _random_case(rng, keyed)
         edges = support_sets(d, violation_view(sigma))
         priority = _random_acyclic_pairs(rng, d, edges)
-        expected = [r.removed for r in _global_optimal_reference(d, sigma, set(priority))]
-        assert [r.removed for r in repairs(d, sigma, "go", priority=priority)] == expected
-        pruned += len(expected) < len(repairs(d, sigma, "s"))
+        expected = _global_optimal_reference(d, sigma, set(priority))
+        assert list(repairs(d, sigma, "go", priority=priority).sets) == expected
+        pruned += len(expected) < len(repairs(d, sigma, "s").sets)
         pairs = _random_acyclic_pairs(rng, d, support_sets(d, q))
         assert list(preferred_causes(d, q, pairs)) == _preferred_causes_reference(d, q, set(pairs))
     assert pruned >= 100  # the priorities rule out some subset repair
@@ -325,21 +327,28 @@ KEY_QUERY = "q :- A(X,Y), A(X,Z), Y != Z.\n"
 
 
 def test_check_preference_contingency_refuses_what_the_plain_check_refuses():
-    d = parse_instance("A(k,a). A(k,b). A(j,c). A(j,d).")
     q = single_query(KEY_QUERY)
-    pairs = []  # the empty causal priority
-    t = parse_fact("A(k,a)")
-    gamma = frozenset({t, parse_fact("A(j,c)")})
-    with pytest.raises(SemanticError, match="cannot belong to its own contingency set"):
-        check_minimal_contingency(d, q, t, gamma)
-    with pytest.raises(SemanticError, match="cannot belong to its own contingency set"):
-        check_preference_contingency(d, q, pairs, t, gamma)
-    d = parse_instance("@exogenous A(k,a). @endogenous A(k,b). A(j,c). A(j,d).")
-    gamma = frozenset({parse_fact("A(j,c)")})
-    with pytest.raises(SemanticError, match="is exogenous"):
-        check_minimal_contingency(d, q, t, gamma)
-    with pytest.raises(SemanticError, match="is exogenous"):
-        check_preference_contingency(d, q, pairs, t, gamma)
+    plain = parse_instance("A(k,a). A(k,b). A(j,c). A(j,d).")
+    exogenous_t = parse_instance("@exogenous A(k,a). @endogenous A(k,b). A(j,c). A(j,d).")
+    exogenous_gamma = parse_instance("@exogenous A(j,c). @endogenous A(k,a). A(k,b). A(j,d).")
+    t, c = parse_fact("A(k,a)"), parse_fact("A(j,c)")
+    cases = [
+        (plain, {t, c}, "A(k,a) cannot belong to its own contingency set"),
+        (exogenous_t, {c}, "A(k,a) is exogenous"),
+        (exogenous_t, {t}, "A(k,a) is exogenous"),  # t is resolved before gamma is checked
+        (exogenous_gamma, {c}, "A(j,c) is exogenous"),
+        (exogenous_gamma, {t, c}, "A(j,c) is exogenous"),  # gamma is resolved before t is sought
+        (plain, {parse_fact("A(z,z)")}, "A(z,z) is not in the instance"),
+    ]
+    for d, gamma, message in cases:
+        engines = [
+            lambda: check_minimal_contingency(d, q, t, frozenset(gamma)),
+            lambda: check_preference_contingency(d, q, [], t, frozenset(gamma)),  # no priority pair
+        ]
+        for engine in engines:
+            with pytest.raises(SemanticError) as raised:
+                engine()
+            assert str(raised.value).startswith(message), (message, str(raised.value))
 
 
 @pytest.mark.parametrize("k", [10, 20, 40, 200])
@@ -382,24 +391,25 @@ def test_endogenous_repairs_all_endogenous_equals_subset_repairs(chain_instance)
 def test_endogenous_repairs_can_be_empty():
     d = parse_instance("@exogenous\nP(a). Q(a,b).\n@endogenous\nS(z).")
     _, sigma = parse_program(":- P(X), Q(X,Y).\n")
-    assert repairs(d, sigma, "endo") == ()
+    assert repairs(d, sigma, "endo").sets == ()
 
 
 def test_endogenous_repairs_consistent_instance():
     d = parse_instance("@exogenous\nP(a).\n")
     _, sigma = parse_program(":- P(X), Q(X,Y).\n")
-    (only,) = repairs(d, sigma, "endo")
-    assert only.kept == d
+    (only,) = repairs(d, sigma, "endo").sets
+    assert d.without(only) == d
 
 
 def test_endogenous_repairs_keep_all_exogenous_and_are_maximal():
     d13 = load_instance("ex13.facts")
     sigma = load_constraints("ex2.dlq")
-    for r in repairs(d13, sigma, "endo"):
-        assert d13.exogenous <= r.kept.facts
-        assert is_consistent(r.kept, sigma)
-        for f in r.removed:
-            assert not is_consistent(Instance(r.kept.facts | {f}), sigma)
+    for removed in repairs(d13, sigma, "endo").sets:
+        kept = d13.without(removed)
+        assert d13.exogenous <= kept.facts
+        assert is_consistent(kept, sigma)
+        for f in removed:
+            assert not is_consistent(Instance(kept.facts | {f}), sigma)
 
 
 def test_endogenous_encoding_fixture():

@@ -51,7 +51,7 @@ from causerepair.queries import (
     violation_view,
 )
 from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact_key, set_key
-from causerepair.repairs import SUBSET, Repair, _pick, _smallest, consistent_answer, repairs
+from causerepair.repairs import SUBSET, _pick, _smallest, consistent_answer, repairs
 
 from conftest import conjunctive_queries, seeded_keyed, small_instances
 
@@ -97,8 +97,9 @@ def repairs_via_causes(
     sigma: DenialConstraintSet,
     semantics: str = SUBSET,
     cap: int | None = None,
-) -> tuple[Repair, ...]:
-    """Reassemble repairs from causes and their minimal contingency sets.
+) -> tuple[frozenset[Fact], ...]:
+    """Reassemble the deletion sets of repairs from causes and their
+    minimal contingency sets, in canonical order.
 
     Requires a fully endogenous instance.  One support family and one
     enumeration of its minimal hitting sets (under 'c', the smallest of
@@ -113,21 +114,17 @@ def repairs_via_causes(
     transversal = hitting.enumerate_minimal_hitting_sets(edges, cap).kept(_pick(semantics)).sets
     causes = {f for edge in edges for f in edge}
     assembled = {gamma | {t} for t in causes for gamma in contingencies_read_off(transversal, t)}
-    removed_sets = sorted(assembled, key=set_key) if edges else [frozenset()]
-    return tuple(Repair(d.without(s), s) for s in removed_sets)
+    return tuple(sorted(assembled, key=set_key)) if edges else (frozenset(),)
 
 
 def repairs_from_diagnoses(
     m: DiagnosisProblem, kind: str = SUBSET, cap: int | None = None
-) -> tuple[Repair, ...]:
+) -> tuple[Instance, ...]:
     """Each minimal diagnosis, removed from the instance, is a repair
     (in the canonical order of the diagnoses)."""
     if m.instance.exogenous:
         raise SemanticError("repairs from diagnoses assume all facts endogenous")
-    return tuple(
-        Repair(m.instance.without(abnormal), abnormal)
-        for abnormal in diagnoses(m, kind, cap=cap)
-    )
+    return tuple(m.instance.without(abnormal) for abnormal in diagnoses(m, kind, cap=cap).sets)
 
 
 def endogenous_encoding(
@@ -199,8 +196,9 @@ def _all_endogenous(d: Instance) -> Instance:
     return Instance(frozenset(Fact(f.pred, f.args, ENDOGENOUS, f.fact_id) for f in d))
 
 
-def _kept(reps) -> set:
-    return {r.kept.facts for r in reps}
+def _kept(d: Instance, removed) -> set:
+    """The facts of each repair ``d.without(s)``."""
+    return {d.without(s).facts for s in removed}
 
 
 @settings(max_examples=100)
@@ -225,9 +223,9 @@ def test_repairs_are_reassembled_from_causes_and_contingencies(drawn):
     d, cq = _all_endogenous(drawn[0]), drawn[1]
     sigma = DenialConstraintSet((DenialConstraint(cq),))
     for semantics in ("s", "c"):
-        via_causes = repairs_via_causes(d, sigma, semantics)
-        assert _kept(via_causes) == _kept(repairs(d, sigma, semantics))
-        assert _kept(via_causes) == set(oracle_repairs(d, sigma, semantics))
+        via_causes = _kept(d, repairs_via_causes(d, sigma, semantics))
+        assert via_causes == _kept(d, repairs(d, sigma, semantics).sets)
+        assert via_causes == set(oracle_repairs(d, sigma, semantics))
 
 
 @settings(max_examples=100)
@@ -241,9 +239,10 @@ def test_repairs_are_the_minimal_diagnoses_removed(drawn):
     m = build_problem(d, view)
     for kind in ("s", "c"):
         via_diagnoses = repairs_from_diagnoses(m, kind)
-        assert [r.removed for r in via_diagnoses] == list(diagnoses(m, kind))
-        assert _kept(via_diagnoses) == _kept(repairs(d, sigma, kind))
-        assert _kept(via_diagnoses) == set(oracle_repairs(d, sigma, kind))
+        assert [d.facts - r.facts for r in via_diagnoses] == list(diagnoses(m, kind).sets)
+        kept = {r.facts for r in via_diagnoses}
+        assert kept == _kept(d, repairs(d, sigma, kind).sets)
+        assert kept == set(oracle_repairs(d, sigma, kind))
 
 
 @settings(max_examples=100)
@@ -253,10 +252,10 @@ def test_endogenous_repairs_are_the_global_optimal_repairs_of_the_encoding(drawn
     sigma = DenialConstraintSet((DenialConstraint(cq),))
     extended, guarded, priority = endogenous_encoding(d, sigma)
     (guard,) = extended.facts - d.facts
-    go_removed = {r.removed for r in repairs(extended, guarded, "go", priority=priority)}
+    go_removed = set(repairs(extended, guarded, "go", priority=priority).sets)
     guard_only = frozenset({guard})
     assert (guard_only in go_removed) == eval_boolean(d.facts, violation_view(sigma))
-    endogenous = {r.removed for r in repairs(d, sigma, "endo")}
+    endogenous = set(repairs(d, sigma, "endo").sets)
     assert go_removed - {guard_only} == endogenous
     assert {d.facts - s for s in endogenous} == set(oracle_repairs(d, sigma, "endo"))
 
@@ -269,8 +268,8 @@ def test_endogenous_repairs_are_the_minimal_diagnoses_of_the_violation_view(draw
     view = violation_view(sigma)
     if not eval_boolean(d.facts, view):
         return  # a consistent instance poses no diagnosis problem
-    removed = [r.removed for r in repairs(d, sigma, "endo")]
-    assert removed == list(diagnoses(build_problem(d, view), "s"))
+    removed = repairs(d, sigma, "endo").sets
+    assert removed == diagnoses(build_problem(d, view), "s").sets
     assert {d.facts - s for s in removed} == set(oracle_repairs(d, sigma, "endo"))
 
 
@@ -296,10 +295,10 @@ def test_key_constraints_follow_their_group_sizes():
         assert len(d) == facts and sorted(map(len, groups)) == sorted(shape)
         conflicted = frozenset(f for g in groups for f in g)
         # a repair keeps one fact of each group: the product of the sizes
-        s_repairs = repairs(d, sigma, "s")
+        s_repairs = repairs(d, sigma, "s").sets
         assert len(s_repairs) == prod(shape) == count
-        assert all(len(r.removed) == len(conflicted) - len(groups) for r in s_repairs)
-        assert _kept(repairs(d, sigma, "c")) == _kept(s_repairs)
+        assert all(len(s) == len(conflicted) - len(groups) for s in s_repairs)
+        assert repairs(d, sigma, "c").sets == s_repairs
         # keeping t and one other fact of its group, and one fact of every
         # other group, leaves a single violation through t
         rho = Fraction(1, sum(len(g) - 1 for g in groups))

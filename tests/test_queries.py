@@ -10,6 +10,7 @@ from causerepair.parsing import parse_instance, parse_program, single_query
 from causerepair.queries import (
     Atom,
     ConjunctiveQuery,
+    UnionQuery,
     Var,
     _extend,
     _inequalities_hold,
@@ -487,3 +488,12 @@ def test_seeded_walks_share_one_index_and_build_the_steps_they_reach():
     # one table per bound position, whatever the steps and walks using it
     assert set(index.tables) == {(("R", 2), (0,)), (("R", 2), (1,))}
     assert list(iter_matches(index, cq, (fact("S", "a"), 0))) == []
+
+
+def test_query_checks_the_parser_cannot_reach():
+    # the parser builds no empty union, and ``eval_boolean`` is for boolean queries
+    with pytest.raises(SemanticError, match="at least one disjunct"):
+        UnionQuery(())
+    (cq,) = single_query("ans(X) :- S(X).\n").disjuncts
+    with pytest.raises(SemanticError, match="without free variables"):
+        eval_boolean(parse_instance("S(a)."), UnionQuery((cq,)))

@@ -21,8 +21,8 @@ from causerepair.parsing import (
     parse_priorities,
     single_query,
 )
-from causerepair.queries import dc_of_query, iter_matches, violation_view
-from causerepair.repairs import Repair, consistent_answer, is_repair, repairs
+from causerepair.queries import dc_of_query, is_consistent, iter_matches, violation_view
+from causerepair.repairs import consistent_answer, is_repair, repairs
 from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact, fact_key, set_key
 
 from conftest import (
@@ -39,12 +39,9 @@ from conftest import (
 from test_propositions import causes_via_repairs, repair_responsibility, repairs_via_causes
 
 
-def _kept(reps):
-    return {frozenset(str(f) for f in r.kept.facts) for r in reps}
-
-
-def _removed(reps):
-    return {frozenset(str(f) for f in r.removed) for r in reps}
+def _kept(d, removed):
+    """The names of the facts of each repair ``d.without(s)``."""
+    return {frozenset(str(f) for f in d.without(s).facts) for s in removed}
 
 
 D1 = frozenset({"R(a4,a3)", "R(a2,a1)", "R(a3,a3)", "S(a4)", "S(a2)"})
@@ -54,19 +51,19 @@ D3 = frozenset({"R(a4,a3)", "R(a2,a1)", "S(a2)", "S(a3)"})
 
 def test_subset_repairs_chain_example(chain_instance):
     sigma = load_constraints("ex2.dlq")
-    assert _kept(repairs(chain_instance, sigma, "s")) == {D1, D2, D3}
+    assert _kept(chain_instance, repairs(chain_instance, sigma, "s").sets) == {D1, D2, D3}
 
 
 def test_cardinality_repair_chain_example(chain_instance):
     sigma = load_constraints("ex2.dlq")
-    assert _kept(repairs(chain_instance, sigma, "c")) == {D1}
+    assert _kept(chain_instance, repairs(chain_instance, sigma, "c").sets) == {D1}
 
 
 def test_consistent_instance_repairs_to_itself():
     d = parse_instance("S(a1). R(a1,a2).")
     sigma = load_constraints("ex2.dlq")
-    (only,) = repairs(d, sigma, "s")
-    assert only.kept == d and only.removed == frozenset()
+    (only,) = repairs(d, sigma, "s").sets
+    assert only == frozenset() and d.without(only) == d
 
 
 def test_repairs_keep_their_instance_less_what_they_remove():
@@ -75,16 +72,10 @@ def test_repairs_keep_their_instance_less_what_they_remove():
     priority = parse_priorities("A(1;k,a) > A(2;k,b).\n")
     for found in (repairs(d, sigma, "s"), repairs(d, sigma, "c"), repairs(d, sigma, "endo"),
                   repairs(d, sigma, "go", priority=priority)):
-        assert found
-        for r in found:
-            assert "kept" not in vars(r)  # built on first read only
-            assert r.kept == d.without(r.removed)
-    # equal kept instances and removed sets, whatever instance they came from
-    first, second = repairs(d, sigma, "s")[:2]
-    twin = Repair(d.without(first.removed), first.removed)
-    assert twin == first and hash(twin) == hash(first) and len({twin, first}) == 1
-    assert first != second and first != Repair(first.kept, frozenset())
-    assert first != Repair(Instance(d.facts | {fact("A", "n", "a")}), first.removed)
+        assert found.sets
+        for s in found.sets:
+            kept = d.without(s)
+            assert s <= d.facts and kept.facts == d.facts - s and is_consistent(kept, sigma)
 
 
 def test_is_repair_examples(chain_instance):
@@ -231,11 +222,11 @@ def test_cap_counts_the_cardinality_repairs_kept(tmp_path):
     facts.write_text(text, encoding="utf-8")
     dc.write_text(":- S(X), R(X,Y), S(Y).\n", encoding="utf-8")
     d, sigma = parse_instance(text), constraint_set(dc.read_text())
-    assert len(repairs(d, sigma, "s")) == 125
+    assert len(repairs(d, sigma, "s").sets) == 125
     with pytest.raises(CapExceededError):
-        repairs(d, sigma, "s", cap=10)
-    (only,) = repairs(d, sigma, "c", cap=10)
-    assert {str(f) for f in only.removed} == {"S(a0)", "S(a1)", "S(a2)"}
+        repairs(d, sigma, "s", cap=10).sets
+    (only,) = repairs(d, sigma, "c", cap=10).sets
+    assert {str(f) for f in only} == {"S(a0)", "S(a1)", "S(a2)"}
     argv = ["repairs", "-i", str(facts), "-c", str(dc), "--max-enum", "10", "--json"]
     code, out, err = execute(argv + ["--semantics", "c"])
     assert code == 0 and err == "" and out.count('"removed"') == 1
@@ -248,20 +239,20 @@ def test_cap_counts_the_product_of_the_components():
     d = parse_instance("A(1,a). A(1,b). A(2,a). A(2,b). A(3,a). A(3,b).")
     sigma = constraint_set(":- A(X,Y), A(X,Z), Y != Z.\n")
     for semantics in ("s", "c"):
-        assert len(repairs(d, sigma, semantics, cap=8)) == 8
+        assert len(repairs(d, sigma, semantics, cap=8).sets) == 8
         with pytest.raises(CapExceededError):
-            repairs(d, sigma, semantics, cap=7)
+            repairs(d, sigma, semantics, cap=7).sets
 
 
 def test_repairs_via_causes_union_example():
     d4 = load_instance("ex4.facts")
     sigma = load_constraints("ex4.dlq")
     via_causes = repairs_via_causes(d4, sigma, "s")
-    assert _kept(via_causes) == {
+    assert _kept(d4, via_causes) == {
         frozenset({"P(a)", "P(e)"}),
         frozenset({"P(e)", "Q(a,b)", "R(a,c)"}),
     }
-    assert _kept(repairs_via_causes(d4, sigma, "c")) == {
+    assert _kept(d4, repairs_via_causes(d4, sigma, "c")) == {
         frozenset({"P(e)", "Q(a,b)", "R(a,c)"})
     }
 
@@ -271,8 +262,8 @@ def test_repairs_via_causes_matches_direct_enumeration(chain_instance):
         sigma = load_constraints(name)
         base = chain_instance if name == "ex2.dlq" else load_instance("ex4.facts")
         for semantics in ("s", "c"):
-            assert _kept(repairs_via_causes(base, sigma, semantics)) == _kept(
-                repairs(base, sigma, semantics)
+            assert _kept(base, repairs_via_causes(base, sigma, semantics)) == _kept(
+                base, repairs(base, sigma, semantics).sets
             )
 
 
@@ -280,7 +271,7 @@ def test_repairs_via_causes_consistent_instance():
     d = parse_instance("P(a,b).")
     sigma = load_constraints("cqa2.dlq")
     (only,) = repairs_via_causes(d, sigma, "s")
-    assert only.kept == d
+    assert d.without(only) == d
 
 
 def _count_calls(monkeypatch, name):
@@ -325,9 +316,9 @@ def test_repair_engines_agree_with_oracle_randomized():
         inconsistent += d.facts not in oracle_repairs(d, sigma, "s")
         for semantics in ("s", "c"):
             expected = set(oracle_repairs(d, sigma, semantics))
-            assert {r.kept.facts for r in repairs(d, sigma, semantics)} == expected
+            assert {d.without(s).facts for s in repairs(d, sigma, semantics).sets} == expected
             assert {
-                r.kept.facts for r in repairs_via_causes(d, sigma, semantics)
+                d.without(s).facts for s in repairs_via_causes(d, sigma, semantics)
             } == expected
             assert {
                 s.facts for s in subsets if is_repair(d, sigma, s, semantics)
@@ -420,9 +411,9 @@ def test_consistent_answer_agrees_with_repair_scan():
     d = load_instance("cqa2.facts")
     sigma = load_constraints("cqa2.dlq")
     for semantics in ("s", "c"):
-        reps = repairs(d, sigma, semantics)
+        removed = repairs(d, sigma, semantics).sets
         for f in d:
-            definitional = all(f in r.kept.facts for r in reps)
+            definitional = all(f in d.without(s).facts for s in removed)
             assert consistent_answer(d, sigma, [f], semantics) == definitional
 
 

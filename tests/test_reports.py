@@ -11,7 +11,6 @@ and names that need escaping.
 """
 
 import json
-from itertools import zip_longest
 
 import pytest
 
@@ -27,7 +26,7 @@ from causerepair.parsing import (
 from causerepair.relational import fact_key, format_fact, serialize_instance, set_key
 from causerepair.repairs import repairs
 
-from conftest import seeded_keyed
+from conftest import assert_same, seeded_keyed
 
 KEY_DC = ":- A(X,Y), A(X,Z), Y != Z.\n"
 KEY_QUERY = "q :- A(X,Y), A(X,Z), Y != Z.\n"
@@ -52,7 +51,7 @@ def _rebuilt(argv):
     if argv[0] == "diagnose":
         problem = diagnosis.build_problem(d, single_query(open(_option(argv, "-q")).read()))
         kind, containing = _option(argv, "--kind", "s"), _option(argv, "--containing")
-        found = diagnosis.diagnoses(problem, kind, containing and parse_fact(containing))
+        found = diagnosis.diagnoses(problem, kind, containing and parse_fact(containing)).sets
         conflicts = [_names(e) for e in problem.conflicts if e]
         diagnoses = [_names(x) for x in found]
         result = {"kind": kind, "conflicts": conflicts, "diagnoses": diagnoses}
@@ -78,19 +77,11 @@ def _rebuilt(argv):
     else:
         priority = _option(argv, "--priority")
         priority = priority and parse_priorities(open(priority).read())
-        pairs = [(r.kept.facts, r.removed) for r in repairs(d, sigma, semantics, priority=priority)]
+        found = repairs(d, sigma, semantics, priority=priority).sets
+        pairs = [(d.without(s).facts, s) for s in found]
     entries = [{"kept": _names(kept), "removed": _names(removed)} for kept, removed in pairs]
     lines = [_listed("repair: keep ", e["kept"]) + _listed("  remove ", e["removed"]) for e in entries]
     return {"semantics": semantics, "repairs": entries}, lines
-
-
-def _assert_same(written: str, expected: str):
-    """Byte equality of two reports, failing on their first different line
-    (a diff of two long reports takes too long to show)."""
-    if written != expected:
-        pairs = zip_longest(written.split("\n"), expected.split("\n"))
-        line, (got, want) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
-        pytest.fail(f"line {line} differs: {got!r} != {want!r}")
 
 
 def _assert_reports(argv):
@@ -100,10 +91,10 @@ def _assert_reports(argv):
     code, out, err = execute(argv + ["--json"])
     assert (code, err) == (0, "")
     report = json.loads(out)
-    _assert_same(out, json.dumps({**report, "result": result}, indent=2, sort_keys=True) + "\n")
+    assert_same(out, json.dumps({**report, "result": result}, indent=2, sort_keys=True) + "\n")
     code, text, err = execute(argv)
     assert (code, err) == (0, "")
-    _assert_same(text, "".join(line + "\n" for line in lines))
+    assert_same(text, "".join(line + "\n" for line in lines))
     return result, out
 
 
@@ -253,4 +244,4 @@ def test_reports_are_written_from_index_lists(tmp_path, monkeypatch, argv):
         _rebuilt(argv)
     code, out, err = execute(argv + ["--json"])
     assert (code, err) == (0, "")
-    _assert_same(out, json.dumps({**json.loads(out), "result": result}, indent=2, sort_keys=True) + "\n")
+    assert_same(out, json.dumps({**json.loads(out), "result": result}, indent=2, sort_keys=True) + "\n")
