@@ -18,7 +18,6 @@ found bounds the other causes on it (``hitting.forced_minima``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SemanticError
@@ -34,14 +33,27 @@ from .relational import Fact, Instance, set_key
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class CauseReport:
     """Everything known about one fact's causal status for one query."""
 
-    fact: Fact
-    is_cause: bool
-    responsibility: Fraction
-    minimal_contingencies: tuple[frozenset[Fact], ...]
+    __slots__ = ("fact", "is_cause", "responsibility", "minimal_contingencies")
+
+    def __init__(self, fact: Fact, is_cause: bool, responsibility: Fraction,
+                 minimal_contingencies: tuple[frozenset[Fact], ...]):
+        self.fact = fact
+        self.is_cause = is_cause
+        self.responsibility = responsibility
+        self.minimal_contingencies = minimal_contingencies
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fact == other.fact and self.is_cause == other.is_cause
+                and self.responsibility == other.responsibility
+                and self.minimal_contingencies == other.minimal_contingencies)
+
+    def __hash__(self) -> int:
+        return hash((self.fact, self.is_cause, self.responsibility, self.minimal_contingencies))
 
 
 def _require_endogenous(d: Instance, t: Fact) -> Fact:

@@ -27,11 +27,12 @@ The front end checks syntax only; the engines check meaning.  A typed
 fact (``--tuple``, ``--gamma``, ``--containing``, ``--atoms``, a priority
 file) names the instance's fact with its atom and, if it has one, its
 tuple id; an absent one is an error, except that ``rdp`` and ``cqa``
-answer false.  ``--threshold`` is read as a fraction, and ``rdp_decide``
-alone requires 0 or 1/k.  ``--max-enum`` caps the enumerations of
-``repairs``, ``diagnose`` and ``preferred-causes`` and exists on those
-three only.  ``repairs`` hands every deletion semantics to the one
-engine, ``repairs.repairs``, which requires a priority under
+answer false.  ``--threshold`` is read as a fraction, malformed if its
+numerator or denominator as written has more than 4,300 digits, and
+``rdp_decide`` alone requires 0 or 1/k.  ``--max-enum`` caps the
+enumerations of ``repairs``, ``diagnose`` and ``preferred-causes`` and
+exists on those three only.  ``repairs`` hands every deletion semantics
+to the one engine, ``repairs.repairs``, which requires a priority under
 ``--semantics go``; ``--priority`` under any other is rejected before
 its file is read.  A priority file's pairs go to the engine as parsed,
 and the engine checks them against the family it searches
@@ -303,12 +304,31 @@ def _cmd_check_contingency(args, inputs: _Inputs, d, q) -> str:
     return _render(args, inputs, result, [str(verdict).lower()])
 
 
+# CPython's default limit on the digits of an int read from or written as text
+_MAX_DIGITS = 4300
+
+
+def _threshold(text: str) -> Fraction:
+    """``text`` as a fraction.  Its size is decided on the text first:
+    ``Fraction`` would compute ``10**exponent`` however large, and ``str``
+    refuses a number past ``_MAX_DIGITS`` digits, so a numerator or
+    denominator that would have more, as written, is malformed."""
+    try:
+        if "/" not in text:  # a ratio's terms are ints, which hold the limit themselves
+            mantissa, e, exponent = text.lower().partition("e")
+            whole, _, places = mantissa.partition(".")
+            shift, places = int(exponent) if e else 0, sum(map(str.isdigit, places))
+            if (sum(map(str.isdigit, whole)) + places + max(shift, 0) > _MAX_DIGITS
+                    or places + max(-shift, 0) >= _MAX_DIGITS):  # 10**n has n + 1 digits
+                raise ValueError(text)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SemanticError(f"malformed threshold {text!r}") from exc
+
+
 def _cmd_rdp(args, inputs: _Inputs, d, q) -> str:
     t = parse_fact(args.tuple)
-    try:
-        threshold = Fraction(args.threshold)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SemanticError(f"malformed threshold {args.threshold!r}") from exc
+    threshold = _threshold(args.threshold)
     verdict = causality.rdp_decide(d, q, t, threshold)
     result = {
         "fact": format_fact(t),

@@ -17,7 +17,6 @@ reasoning, however, goes through the conflict-set identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .causality import _require_endogenous
@@ -28,14 +27,25 @@ from .relational import Fact, Instance, format_constant
 from .repairs import SUBSET, _pick
 
 
-@dataclass(frozen=True)
 class DiagnosisProblem:
     """An observation ``query`` on ``instance`` and its conflict family,
     the endogenous support sets (``hitting.endogenous_support_sets``)."""
 
-    instance: Instance
-    query: UnionQuery
-    conflicts: tuple[frozenset[Fact], ...]
+    __slots__ = ("instance", "query", "conflicts")
+
+    def __init__(self, instance: Instance, query: UnionQuery, conflicts: tuple[frozenset[Fact], ...]):
+        self.instance = instance
+        self.query = query
+        self.conflicts = conflicts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.instance == other.instance and self.query == other.query
+                and self.conflicts == other.conflicts)
+
+    def __hash__(self) -> int:
+        return hash((self.instance, self.query, self.conflicts))
 
     @property
     def unexplainable(self) -> bool:

@@ -75,7 +75,6 @@ add their own minima, found once for the whole family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import chain, product
 from math import prod
 from typing import Iterable
@@ -276,28 +275,39 @@ def _search(masks: list[int], found, most: int | None = None) -> None:
             bound = len(masks)  # a minimal set needs one edge per member
 
 
-@dataclass(frozen=True)
 class HittingSolution:
     """A family's subset-minimal hitting sets per connected component,
     each with its indexes into ``vertices``, ascending; an empty edge's
-    component has none, and a family with no edge has no component."""
+    component has none, and a family with no edge has no component.
+    Unhashable: its fields are a list and dicts."""
 
-    vertices: list
-    parts: tuple[dict[frozenset, list[int]], ...]
-    cap: int
+    __slots__ = ("vertices", "parts", "cap")
+
+    def __init__(self, vertices: list, parts: tuple[dict[frozenset, list[int]], ...], cap: int):
+        self.vertices = vertices
+        self.parts = parts
+        self.cap = cap
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.parts == other.parts and self.cap == other.cap
+
+    __hash__ = None
 
     def kept(self, choice) -> HittingSolution:
         """``choice`` applied to each component's list of sets."""
         parts = tuple({s: part[s] for s in choice(list(part))} for part in self.parts)
-        return replace(self, parts=parts)
+        return HittingSolution(self.vertices, parts, self.cap)
 
     def containing(self, t) -> HittingSolution:
         """The sets that hold ``t``: in ``t``'s component those that hold
         it, elsewhere all; none when no set holds ``t``."""
         through = [{s: i for s, i in part.items() if t in s} for part in self.parts]
         if not any(through):
-            return replace(self, parts=({},))
-        return replace(self, parts=tuple(own or part for own, part in zip(through, self.parts)))
+            return HittingSolution(self.vertices, ({},), self.cap)
+        return HittingSolution(self.vertices, tuple(own or part for own, part in zip(through, self.parts)),
+                               self.cap)
 
     def indexes(self, at=None) -> list[list[int]]:
         """The product, in canonical order: each member's vertex indexes,

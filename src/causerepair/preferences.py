@@ -21,7 +21,6 @@ included, come from ``repairs.repairs``; what lives here refines them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -47,13 +46,29 @@ from .queries import (
 from .relational import NULL, Fact, Instance, fact_key
 
 
-@dataclass(frozen=True)
 class AttrChange:
-    """One attribute position nulled in a tuple, rendered ``R[id;pos]``."""
+    """One attribute position nulled in a tuple, rendered ``R[id;pos]``;
+    like ``Fact``, it hashes once, when it is built."""
 
-    pred: str
-    fact_id: int
-    position: int  # 1-based
+    __slots__ = ("pred", "fact_id", "position", "_hash")
+
+    def __init__(self, pred: str, fact_id: int, position: int):  # position: 1-based
+        self.pred = pred
+        self.fact_id = fact_id
+        self.position = position
+        self._hash = hash((pred, fact_id, position))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pred == other.pred and self.fact_id == other.fact_id and self.position == other.position
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: string hashes differ between processes
+        return (AttrChange, (self.pred, self.fact_id, self.position))
 
     def __str__(self) -> str:
         return f"{self.pred}[{self.fact_id};{self.position}]"
@@ -63,7 +78,6 @@ def attr_key(c: AttrChange) -> tuple:
     return (c.pred, c.fact_id, c.position)
 
 
-@dataclass(frozen=True, eq=False)
 class NullRepair:
     """The null repair of ``source`` that nulls the positions ``diff``;
     ``nulled``/``originals``: the facts only in ``result``/``source``.
@@ -71,12 +85,16 @@ class NullRepair:
     facts, plus their nulled ``versions``.  Null repairs are equal when
     their ``result``, ``diff``, ``nulled`` and ``originals`` are."""
 
-    diff: frozenset[AttrChange]
-    nulled: frozenset[Fact]
-    originals: frozenset[Fact]
-    source: Instance
-    changed: frozenset[Fact]
-    versions: frozenset[Fact]
+    __slots__ = ("diff", "nulled", "originals", "source", "changed", "versions", "__dict__")
+
+    def __init__(self, diff: frozenset[AttrChange], nulled: frozenset[Fact], originals: frozenset[Fact],
+                 source: Instance, changed: frozenset[Fact], versions: frozenset[Fact]):
+        self.diff = diff
+        self.nulled = nulled
+        self.originals = originals
+        self.source = source
+        self.changed = changed
+        self.versions = versions
 
     @cached_property
     def result(self) -> Instance:

@@ -40,7 +40,6 @@ fact without joining the rest of the instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
@@ -50,18 +49,38 @@ from .errors import SemanticError
 from .relational import NULL, Fact, Instance, group_relations, is_null
 
 
-@dataclass(frozen=True)
 class Var:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True)
 class Atom:
-    pred: str
-    terms: tuple  # of Var | str
+    __slots__ = ("pred", "terms")
+
+    def __init__(self, pred: str, terms: tuple):  # terms: of Var | str
+        self.pred = pred
+        self.terms = terms
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pred == other.pred and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.pred, self.terms))
 
     def __str__(self) -> str:
         return f"{self.pred}({','.join(_term_str(t) for t in self.terms)})"
@@ -71,13 +90,25 @@ def _term_str(t) -> str:
     return t.name if isinstance(t, Var) else t
 
 
-@dataclass(frozen=True)
 class ConjunctiveQuery:
     """A conjunction of atoms with optional inequalities and free variables."""
 
-    atoms: tuple[Atom, ...]
-    inequalities: tuple[tuple, ...] = ()
-    free_vars: tuple[str, ...] = ()
+    __slots__ = ("atoms", "inequalities", "free_vars", "__dict__")
+
+    def __init__(self, atoms: tuple[Atom, ...], inequalities: tuple[tuple, ...] = (),
+                 free_vars: tuple[str, ...] = ()):
+        self.atoms = atoms
+        self.inequalities = inequalities
+        self.free_vars = free_vars
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.atoms == other.atoms and self.inequalities == other.inequalities
+                and self.free_vars == other.free_vars)
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.inequalities, self.free_vars))
 
     def variables(self) -> set[str]:
         return {t.name for a in self.atoms for t in a.terms if isinstance(t, Var)}
@@ -122,11 +153,25 @@ class ConjunctiveQuery:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
 class UnionQuery:
     """A union of conjunctive queries sharing one free-variable list."""
 
-    disjuncts: tuple[ConjunctiveQuery, ...]
+    __slots__ = ("disjuncts",)
+
+    def __init__(self, disjuncts: tuple[ConjunctiveQuery, ...]):
+        if not disjuncts:
+            raise SemanticError("a union query needs at least one disjunct")
+        if len({cq.free_vars for cq in disjuncts}) > 1:
+            raise SemanticError("disjuncts carry different free-variable lists")
+        self.disjuncts = disjuncts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.disjuncts == other.disjuncts
+
+    def __hash__(self) -> int:
+        return hash((self.disjuncts,))
 
     @property
     def free_vars(self) -> tuple[str, ...]:
@@ -136,29 +181,40 @@ class UnionQuery:
     def is_boolean(self) -> bool:
         return not self.free_vars
 
-    def __post_init__(self):
-        if not self.disjuncts:
-            raise SemanticError("a union query needs at least one disjunct")
-        lists = {cq.free_vars for cq in self.disjuncts}
-        if len(lists) > 1:
-            raise SemanticError("disjuncts carry different free-variable lists")
 
-
-@dataclass(frozen=True)
 class DenialConstraint:
-    body: ConjunctiveQuery
+    __slots__ = ("body",)
 
-    def __post_init__(self):
-        if self.body.free_vars:
+    def __init__(self, body: ConjunctiveQuery):
+        if body.free_vars:
             raise SemanticError("a denial constraint body has no free variables")
+        self.body = body
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
 
     def __str__(self) -> str:
         return f":- {self.body}."
 
 
-@dataclass(frozen=True)
 class DenialConstraintSet:
-    constraints: tuple[DenialConstraint, ...]
+    __slots__ = ("constraints",)
+
+    def __init__(self, constraints: tuple[DenialConstraint, ...]):
+        self.constraints = constraints
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.constraints == other.constraints
+
+    def __hash__(self) -> int:
+        return hash((self.constraints,))
 
     def __len__(self) -> int:
         return len(self.constraints)

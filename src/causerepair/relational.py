@@ -9,11 +9,19 @@ atom and, when it carries one, by its tuple id (``Instance.find`` and
 ``Instance.resolve``); without an id it names the atom's first fact in
 canonical order.
 
-A ``Fact`` is a slotted class that hashes its identity once, when it is
-built; its hash is that of ``(pred, args, fact_id)``.  It is immutable by
-convention: no code assigns a field after ``__init__``, which an AST
-check in ``tests/test_imports.py`` enforces.  Copies and pickles rebuild
-the fact, so the hash is computed again in the process that loads it.
+The package's records (``Fact`` and ``Instance`` here, the query and
+constraint classes, and the engines' ``HittingSolution``, ``CauseReport``,
+``DiagnosisProblem``, ``AttrChange`` and ``NullRepair``) are slotted
+classes written out by hand; a class with a cached property keeps a
+``__dict__`` for it.  They are immutable by convention: no code assigns
+a field outside its class's ``__init__``, which an AST check in
+``tests/test_imports.py`` enforces.  A record equals only a record of
+its own class with equal fields, and hashes as the tuple of its fields
+(``HittingSolution``, with a list and dicts, does not hash).  A ``Fact``'s
+fields for both are its identity, ``(pred, args, fact_id)``, and
+``NullRepair`` compares results and hashes its diff.  A ``Fact`` and an
+``AttrChange`` hash once, when they are built; copies and pickles
+rebuild them, so the hash is computed again in the process that loads it.
 ``Instance.relations`` groups an instance's facts by predicate and arity
 once, each relation in iteration order; typed lookups and every join
 over the instance read it.
@@ -40,7 +48,6 @@ which is enforced by the query evaluator, not by string equality here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -135,11 +142,21 @@ def format_fact(f: Fact) -> str:
     return f"{f.pred}({args})"
 
 
-@dataclass(frozen=True)
 class Instance:
     """An immutable set of facts, implicitly partitioned by their tags."""
 
-    facts: frozenset[Fact]
+    __slots__ = ("facts", "__dict__")
+
+    def __init__(self, facts: frozenset[Fact]):
+        self.facts = facts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.facts == other.facts
+
+    def __hash__(self) -> int:
+        return hash((self.facts,))
 
     @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:

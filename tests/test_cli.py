@@ -1,7 +1,11 @@
 import bisect
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,27 @@ def test_bad_threshold_exit_code():
     assert code == 2 and "threshold must be 0 or 1/k, got 2/3" in err
     code, _, err = execute(argv + ["1/x"])
     assert code == 2 and "malformed threshold '1/x'" in err
+
+
+_THRESHOLDS = [
+    ("1e4400", (2, "", "error: malformed threshold '1e4400'\n")),  # ``str`` refuses its numerator
+    ("1e-4400", (2, "", "error: malformed threshold '1e-4400'\n")),  # and its denominator
+    ("1e999999999", (2, "", "error: malformed threshold '1e999999999'\n")),  # ``Fraction``: 10**999999999
+    ("0", (0, "true\n", "")),
+    ("1/2", (0, "false\n", "")),
+    ("0.25", (0, "true\n", "")),
+    ("1e-3", (0, "true\n", "")),
+]
+
+
+@pytest.mark.parametrize("threshold, answer", _THRESHOLDS, ids=[t for t, _ in _THRESHOLDS])
+def test_threshold_digits_are_bounded_on_the_text(threshold, answer):
+    # in a child process, so that a hang fails the test at its timeout
+    argv = ["rdp", "-i", "ex1.facts", "-q", "ex1.dlq", "--tuple", "R(a4,a3)", "--threshold", threshold]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "causerepair.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == answer
 
 
 def test_cap_exhaustion_exit_code(tmp_path):

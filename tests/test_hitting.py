@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -17,6 +16,7 @@ from causerepair import hitting
 from causerepair.causality import most_responsible_causes
 from causerepair.errors import BoundExceededError, CapExceededError
 from causerepair.hitting import (
+    HittingSolution,
     antichain,
     endogenous_part,
     endogenous_support_sets,
@@ -184,11 +184,11 @@ def _assert_sets_as_built_bit_by_bit(edges):
         assert through.sets == _sets_bit_by_bit(through)
     # the cap counts the product before any member is built
     n = len(everything)
-    assert replace(solution, cap=n).sets == everything
+    assert HittingSolution(solution.vertices, solution.parts, n).sets == everything
     if n:  # else an empty edge's component has no set, and others may have some
         assert enumerate_minimal_hitting_sets(edges, cap=n).sets == everything
         with pytest.raises(CapExceededError):
-            replace(solution, cap=n - 1).sets
+            HittingSolution(solution.vertices, solution.parts, n - 1).sets
         with pytest.raises(CapExceededError):
             enumerate_minimal_hitting_sets(edges, cap=n - 1).sets
 

@@ -2,12 +2,15 @@
 module-level private function and class is referenced from elsewhere,
 every parameter of every function is read in its body (``self`` and
 ``cls`` excepted: an override keeps its signature), no field of a
-``Fact`` is assigned outside ``Fact.__init__`` (a fact hashes once, so
-it is immutable by convention), the command-line front end uses
-only the engines' public names, every public function or class is used
-by some package module or listed in ``API_ONLY`` with its reason, and no
-public function only hands its parameters on to another package function
-(a thin wrapper), unless ``API_ONLY`` lists it.
+record (``Fact``, ``Instance``, the query classes and the engines'
+result classes) is assigned outside its class's ``__init__`` (records
+are immutable by convention; ``Fact`` and ``AttrChange`` hash once),
+importing the CLI loads neither ``dataclasses`` nor ``inspect``, the
+command-line front end uses only the engines' public names, every public
+function or class is used by some package module or listed in
+``API_ONLY`` with its reason, and no public function only hands its
+parameters on to another package function (a thin wrapper), unless
+``API_ONLY`` lists it.
 
 A stdlib ``ast`` check standing in for a linter.  ``__init__`` exists to
 re-export, so it is exempt from the import check.  String annotations
@@ -17,6 +20,8 @@ inside its own body (recursion) do not keep it alive.
 
 import ast
 import functools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,15 +117,46 @@ def test_every_parameter_is_read(path):
     assert unread == []
 
 
-# The fields of ``relational.Fact`` and where they may be assigned: its
-# own ``__init__``, and the one other class with a field of the same name.
-FACT_FIELDS = {"pred", "args", "tag", "fact_id", "_hash"}
-FIELD_OWNERS = {("relational.py", "Fact.__init__"), ("cli.py", "_Inputs.__init__")}
+# The records, immutable by convention: each field, as its class's
+# ``__slots__`` names it, is assigned only in that class's ``__init__``.
+# A cached property's value is no field: ``vars(d).update(...)`` may set it.
+RECORDS = {
+    "relational.py": ("Fact", "Instance"),
+    "queries.py": ("Var", "Atom", "ConjunctiveQuery", "UnionQuery", "DenialConstraint",
+                   "DenialConstraintSet"),
+    "hitting.py": ("HittingSolution",),
+    "causality.py": ("CauseReport",),
+    "diagnosis.py": ("DiagnosisProblem",),
+    "preferences.py": ("AttrChange", "NullRepair"),
+}
+# Other classes' ``__init__`` with a field of a record's name, and those names.
+OTHER_OWNERS = {
+    ("cli.py", "_Inputs.__init__"): {"args"},
+    ("parsing.py", "_Parser.__init__"): {"source"},
+    ("errors.py", "CapExceededError.__init__"): {"cap"},
+}
+
+
+@functools.cache
+def _record_owners() -> dict[tuple[str, str], frozenset[str]]:
+    """``(module, "Class.__init__")`` -> the fields that ``__init__`` may
+    assign: a record's own ``__slots__``, or an ``OTHER_OWNERS`` entry."""
+    owners = {key: frozenset(names) for key, names in OTHER_OWNERS.items()}
+    for module, names in RECORDS.items():
+        classes = {node.name: node for node in ast.parse((PACKAGE / module).read_text()).body
+                   if isinstance(node, ast.ClassDef)}
+        for name in names:
+            (slots,) = [stmt.value for stmt in classes[name].body if isinstance(stmt, ast.Assign)
+                        and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]]
+            owners[module, f"{name}.__init__"] = frozenset(ast.literal_eval(slots)) - {"__dict__"}
+    return owners
 
 
 def _field_assignments(name: str, source: str) -> list[str]:
-    """Each assignment, deletion or ``setattr`` of a ``Fact`` field name in
+    """Each assignment, deletion or ``setattr`` of a record's field name in
     ``source`` outside the functions allowed to make it."""
+    owners = _record_owners()
+    fields = frozenset().union(*owners.values())
     found = []
 
     def visit(node, scope):
@@ -141,7 +177,7 @@ def _field_assignments(name: str, source: str) -> list[str]:
                 attrs.append(node.args[1].value)
         found.extend(
             f"{name}:{node.lineno} {attr}" for attr in attrs
-            if attr in FACT_FIELDS and (name, scope) not in FIELD_OWNERS
+            if attr in fields and attr not in owners.get((name, scope), ())
         )
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -150,6 +186,7 @@ def _field_assignments(name: str, source: str) -> list[str]:
     return found
 
 
+# named for ``Fact``, the first record it covered; it checks every record
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_fact_field_is_assigned_after_construction(path):
     assert _field_assignments(path.name, path.read_text()) == []
@@ -169,6 +206,48 @@ def test_the_fact_field_lint_catches_a_planted_assignment():
     for extra in planted:
         assert len(_field_assignments("relational.py", source + extra)) == 1, extra
     assert len(_field_assignments("cli.py", planted[0])) == 1  # only ``_Inputs.__init__`` is exempt there
+
+
+def test_the_record_field_lint_catches_a_planted_assignment():
+    assert len(_record_owners()) == sum(map(len, RECORDS.values())) + len(OTHER_OWNERS)
+    planted = {
+        "relational.py": [
+            "def grow(d, f):\n    d.facts |= {f}\n",
+            "class Instance:\n    def __init__(self, facts):\n        self.pred = facts\n",  # not its field
+        ],
+        "queries.py": [
+            "def rebind(v):\n    v.name = 'Y'\n",
+            "def shrink(q):\n    setattr(q, 'disjuncts', ())\n",
+            "class ConjunctiveQuery:\n    def close(self):\n        self.free_vars = ()\n",
+        ],
+        "hitting.py": ["def narrow(solution, parts):\n    solution.parts = parts\n"],
+        "preferences.py": [
+            "def move(c):\n    c.position += 1\n",
+            "def swap(r, d):\n    r.source = d\n",
+        ],
+        "cli.py": ["def rank(report):\n    report.responsibility = 0\n"],
+    }
+    for module, extras in planted.items():
+        source = (PACKAGE / module).read_text()
+        assert _field_assignments(module, source) == []
+        for extra in extras:
+            assert len(_field_assignments(module, source + extra)) == 1, extra
+    # an exempt ``__init__`` may assign only its own fields
+    assert len(_field_assignments("parsing.py", "class _Parser:\n    def __init__(self):\n"
+                                                "        self.source = self.cap = 0\n")) == 1
+    allowed = "def cache(d, relations):\n    vars(d).update(relations=relations)\n"
+    assert _field_assignments("relational.py", allowed) == []
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    # and compiles each record's methods: about half of the CLI's import time
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import causerepair.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n"
 
 
 def _private_engine_names(source: str) -> list[str]:

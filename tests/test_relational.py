@@ -9,15 +9,27 @@ import string
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import causerepair
 from causerepair import parsing
+from causerepair.causality import CauseReport
+from causerepair.diagnosis import DiagnosisProblem
 from causerepair.errors import ParseError, SemanticError
+from causerepair.hitting import HittingSolution
 from causerepair.parsing import parse_instance
-from causerepair.queries import Atom
+from causerepair.preferences import AttrChange
+from causerepair.queries import (
+    Atom,
+    ConjunctiveQuery,
+    DenialConstraint,
+    DenialConstraintSet,
+    UnionQuery,
+    Var,
+)
 from causerepair.relational import (
     ENDOGENOUS,
     EXOGENOUS,
@@ -102,7 +114,7 @@ def test_fact_identity_ignores_tag():
 ], ids=str)
 def test_fact_contract(f):
     identity = (f.pred, f.args, f.fact_id)
-    assert hash(f) == hash(identity)  # the frozen dataclass's value: sets keep their order
+    assert hash(f) == hash(identity)  # as its identity's tuple hashes: sets keep their order
     other_tag = EXOGENOUS if f.tag == ENDOGENOUS else ENDOGENOUS
     assert f == Fact(f.pred, f.args, other_tag, f.fact_id)
     assert not f != Fact(f.pred, f.args, other_tag, f.fact_id)
@@ -135,6 +147,58 @@ def test_fact_pickles_across_processes():
     assert out.returncode == 0, out.stderr
     (f,) = loaded = pickle.loads(out.stdout)
     assert fact("R", "a", "b", fact_id=3) in loaded and hash(f) == hash(("R", ("a", "b"), 3))
+
+
+_F, _G = fact("R", "a", "b", fact_id=1), fact("R", "a", "c")
+_CQ = ConjunctiveQuery((Atom("R", (Var("X"), "b")),), ((Var("X"), "c"),))
+_CQ2 = ConjunctiveQuery((Atom("R", (Var("X"), "c")),))
+# Each record but ``Fact`` (above) and ``NullRepair`` (it hashes its diff
+# and compares results): its fields in constructor order, and for each
+# field another value.
+_RECORDS = [
+    (Var, ("X",), ("Y",)),
+    (Atom, ("R", (Var("X"), "b")), ("S", (Var("Y"), "b"))),
+    (ConjunctiveQuery, (_CQ.atoms, _CQ.inequalities, ()), (_CQ2.atoms, (), ("X",))),
+    (UnionQuery, ((_CQ,),), ((_CQ2,),)),
+    (DenialConstraint, (_CQ,), (_CQ2,)),
+    (DenialConstraintSet, ((DenialConstraint(_CQ),),), ((),)),
+    (Instance, (frozenset({_F}),), (frozenset({_G}),)),
+    (HittingSolution, ([_F], ({frozenset({_F}): [0]},), 5), ([_G], ({},), 6)),
+    (CauseReport, (_F, True, Fraction(1, 2), (frozenset({_F}),)), (_G, False, Fraction(1, 3), ())),
+    (DiagnosisProblem, (Instance(frozenset({_F})), UnionQuery((_CQ,)), (frozenset({_F}),)),
+     (Instance(frozenset({_G})), UnionQuery((_CQ2,)), ())),
+    (AttrChange, ("R", 1, 2), ("S", 2, 1)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, others", _RECORDS, ids=[cls.__name__ for cls, _, _ in _RECORDS])
+def test_record_contract(cls, fields, others):
+    r = cls(*fields)
+    assert tuple(getattr(r, name) for name in cls.__slots__ if name not in ("__dict__", "_hash")) == fields
+    try:
+        want = hash(fields)
+    except TypeError:  # a list or dict field, as in ``HittingSolution``
+        with pytest.raises(TypeError):
+            hash(r)
+    else:  # as the fields' tuple hashes: sets and dicts keep their order
+        assert hash(r) == want and hash(cls(*fields)) == want
+    assert r == cls(*fields) and not r != cls(*fields)
+    twin = type("Twin", (cls,), {"__slots__": ()})(*fields)  # another class, the same fields
+    assert r != twin and twin != r and r.__eq__(twin) is NotImplemented
+    assert r != fields and r.__eq__(fields) is NotImplemented
+    for i, other in enumerate(others):  # each field takes part
+        assert r != cls(*fields[:i], other, *fields[i + 1:]), i
+
+
+def test_attr_change_pickles_across_processes():
+    # string hashes differ between processes: the hash is computed again
+    code = "import pickle, sys; from causerepair.preferences import AttrChange; " \
+           "sys.stdout.buffer.write(pickle.dumps({AttrChange('R', 3, 2)}))"
+    env = dict(os.environ, PYTHONHASHSEED="5", PYTHONPATH=str(Path(causerepair.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    (c,) = loaded = pickle.loads(out.stdout)
+    assert AttrChange("R", 3, 2) in loaded and hash(c) == hash(("R", 3, 2))
 
 
 def delta(d: Instance, d_prime: Instance) -> frozenset[Fact]:
