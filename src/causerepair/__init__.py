@@ -9,7 +9,8 @@ endogenous-only and global-optimal semantics), and the equivalent
 consistency-based diagnoses (``diagnoses``), each a ``HittingSolution``
 whose ``sets`` are the sets deleted (a repair is ``d.without(s)``) or
 declared abnormal; preferred causes and null-based repairs refine the
-picture.  A priority is a list of ``(stronger, weaker)`` fact pairs
+picture, the latter (``null_repairs``) a ``HittingSolution`` too, whose
+``sets`` are the positions nulled (``change_applier`` applies one).  A priority is a list of ``(stronger, weaker)`` fact pairs
 (``parse_priorities``), checked by the engine that takes it.  A
 brute-force oracle scans the definitions of causes and responsibility,
 of subset, cardinality and endogenous repairs, and of minimal hitting
@@ -59,7 +60,7 @@ from .parsing import (
 )
 from .preferences import (
     AttrChange,
-    NullRepair,
+    change_applier,
     check_preference_contingency,
     null_causes,
     null_repairs,

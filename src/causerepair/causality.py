@@ -10,10 +10,12 @@ on some edge of the endogenous support family, minimal contingency sets
 are minimal hitting sets with ``t`` stripped out, and responsibility
 questions become minimum-hitting-set questions, answered from the
 family's kernel and a bounded branching search of what is left, never by
-enumeration.  ``responsibilities`` (behind ``most_responsible_causes``
-and the cardinality-repair CQA check) asks for every cause at once, so
-each component's minimum is found once and shared, and each minimal set
-found bounds the other causes on it (``hitting.forced_minima``).
+enumeration.  ``responsibilities`` (behind ``most_responsible_causes``)
+asks for every cause at once, so each component's minimum is found once
+and shared, and each minimal set found bounds the other causes on it
+(``hitting.forced_minima``).  The cardinality-repair CQA check asks
+about the given atoms only, with the decision mode of
+``hitting.minimum_hitting_set_containing``.
 """
 
 from __future__ import annotations

@@ -20,8 +20,10 @@ Each fact of the instance is formatted once per invocation, and under
 A report of repairs, null repairs, conflicts or diagnoses writes each
 entry as pieces: slices of all the names joined once (``_Slices``),
 between the sorted positions of the facts it lists or leaves out; the
-engines' hitting solutions give those once per report.  The entries go
-into a ``_Names`` list, whose pieces ``_json`` adds as they are.
+engines' hitting solutions give those once per report, as index lists
+(a null repair's changes by their places in name order, its change set
+applied once by ``preferences.change_applier``).  The entries go into a
+``_Names`` list, whose pieces ``_json`` adds as they are.
 
 The front end checks syntax only; the engines check meaning.  A typed
 fact (``--tuple``, ``--gamma``, ``--containing``, ``--atoms``, a priority
@@ -353,16 +355,25 @@ def _cmd_repairs(args, inputs: _Inputs, d, sigma) -> str:
 def _null_repairs_report(args, inputs: _Inputs, d, sigma) -> str:
     """One entry per null repair, by its changes: those, and its facts cut
     from ``d``'s and every nulled version less its originals and the
-    versions it lacks.  Each change and each fact is written once."""
-    found = preferences.null_repairs(d, sigma, args.max_enum)
-    every = frozenset().union(*(r.nulled for r in found))
+    versions it lacks.  Each change and each fact is written once, and
+    each repair's change set is applied once."""
+    solution = preferences.null_repairs(d, sigma, args.max_enum)
+    shown = list(map(str, solution.vertices))
+    order = sorted(range(len(shown)), key=shown.__getitem__)  # the changes in name order
+    changes = list(map(solution.vertices.__getitem__, order))
+    apply = preferences.change_applier(d)
+    # each diff lists its changes' places in name order, the diffs in report order
+    applied = [(diff, apply(map(changes.__getitem__, diff)))
+               for diff in solution.indexes({i: r for r, i in enumerate(order)})]
+    every = frozenset().union(*(v.values() for _, v in applied)) - d.facts
     names, position, name = _named(sorted(d.facts | every, key=fact_key), args.json)
-    changes = sorted((str(c), c) for c in frozenset().union(*(r.diff for r in found)))
-    rank = {c: i for i, (_, c) in enumerate(changes)}
-    slices, diffs = (_Slices(x, 5 if args.json else None) for x in (names, [name(w) for w, _ in changes]))
+    slices, diffs = (_Slices(x, 5 if args.json else None) for x in (names, [name(shown[i]) for i in order]))
     versions = frozenset(map(position.__getitem__, every))  # a repair's cuts, toggled by its own facts
-    rows = sorted((sorted(map(rank.__getitem__, r.diff)), sorted(versions.symmetric_difference(
-        map(position.__getitem__, itertools.chain(r.originals, r.nulled))))) for r in found)
+    rows = []
+    for diff, v in applied:
+        new = frozenset(v.values())  # less its originals, plus its nulled facts
+        rows.append((diff, sorted(versions.symmetric_difference(
+            map(position.__getitem__, itertools.chain(v.keys() - new, new - d.facts))))))
     if args.json:
         start, middle, end = "{" + _KEY + '"diff": [', "]," + _KEY + '"facts": [', "]" + _ITEM + "}"
         entries = _Names(slices.kept(diffs.picked([start], diff, middle), cuts, end) for diff, cuts in rows)

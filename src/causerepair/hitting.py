@@ -312,8 +312,9 @@ class HittingSolution:
     def indexes(self, at=None) -> list[list[int]]:
         """The product, in canonical order: each member's vertex indexes,
         the sorted join of one set's from each component, or the numbers
-        the increasing ``at`` gives them; ``CapExceededError`` once it has
-        more than ``cap`` members."""
+        that ``at`` (a list or a dict) gives them, sorted after the
+        renumbering, so any one-to-one ``at`` works; ``CapExceededError``
+        once it has more than ``cap`` members."""
         if prod(map(len, self.parts)) > self.cap:
             raise CapExceededError(self.cap)
         lists = [part.values() if at is None else [[at[i] for i in indexes] for indexes in part.values()]

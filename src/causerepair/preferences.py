@@ -14,21 +14,24 @@ included, come from ``repairs.repairs``; what lives here refines them:
   instead of deleting tuples.  A violation witness dies exactly when one
   of its constrained positions (a join variable, an inequality variable,
   or a constant match) is nulled, so minimal change sets are once more
-  minimal hitting sets, over attribute positions instead of facts.  Null
-  causes read each position's least change set off that family
-  directly, without enumerating the repairs.
+  minimal hitting sets, over attribute positions instead of facts:
+  ``null_repairs`` returns that ``HittingSolution``, and
+  ``change_applier`` turns a change set into the facts it changes and
+  their nulled versions.  Null causes read each position's least change
+  set off that family directly, without enumerating the repairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
 from .causality import _contingency_target
 from .errors import SemanticError
 from .hitting import (
+    HittingSolution,
     antichain,
     enumerate_minimal_hitting_sets,
     forced_minima,
@@ -76,36 +79,6 @@ class AttrChange:
 
 def attr_key(c: AttrChange) -> tuple:
     return (c.pred, c.fact_id, c.position)
-
-
-class NullRepair:
-    """The null repair of ``source`` that nulls the positions ``diff``;
-    ``nulled``/``originals``: the facts only in ``result``/``source``.
-    ``result`` is built on first read: ``source`` less the ``changed``
-    facts, plus their nulled ``versions``.  Null repairs are equal when
-    their ``result``, ``diff``, ``nulled`` and ``originals`` are."""
-
-    __slots__ = ("diff", "nulled", "originals", "source", "changed", "versions", "__dict__")
-
-    def __init__(self, diff: frozenset[AttrChange], nulled: frozenset[Fact], originals: frozenset[Fact],
-                 source: Instance, changed: frozenset[Fact], versions: frozenset[Fact]):
-        self.diff = diff
-        self.nulled = nulled
-        self.originals = originals
-        self.source = source
-        self.changed = changed
-        self.versions = versions
-
-    @cached_property
-    def result(self) -> Instance:
-        return Instance(self.source.facts.difference(self.changed).union(self.versions))
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is NullRepair and all(
-            getattr(self, a) == getattr(other, a) for a in ("diff", "nulled", "originals", "result"))
-
-    def __hash__(self) -> int:
-        return hash(self.diff)
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +219,24 @@ def _kill_sets(d: Instance, sigma: DenialConstraintSet) -> list[frozenset[AttrCh
     return kill
 
 
-def _change_applier(d: Instance):
-    """A function from a change set to the null repair of ``d`` that
-    nulls those positions.  ``d``'s facts are keyed by predicate and tuple
-    id once, and each fact is nulled at each set of positions once, here;
-    set algebra over the few changed facts names them without a scan."""
+def change_applier(d: Instance):
+    """A function from a change set to ``v``, each fact of ``d`` that it
+    changes mapped to its nulled version; the null repair of ``d`` that
+    nulls those positions is
+    ``Instance(d.facts.difference(v).union(v.values()))``.  ``d``'s facts
+    are keyed by predicate and tuple id once, and each fact is nulled at
+    each set of positions once, here."""
     holding: dict[tuple[str, int], list[Fact]] = {}
     for f in d.facts:
         holding.setdefault((f.pred, f.fact_id), []).append(f)
     version = cache(_nulled)
 
-    def apply(changes: frozenset[AttrChange]) -> NullRepair:
+    def apply(changes: Iterable[AttrChange]) -> dict[Fact, Fact]:
         positions: dict[Fact, set[int]] = {}
         for c in changes:
             for f in holding.get((c.pred, c.fact_id), ()):
                 positions.setdefault(f, set()).add(c.position - 1)
-        changed = frozenset(positions)
-        versions = frozenset(version(f, frozenset(at)) for f, at in positions.items())
-        return NullRepair(changes, versions - d.facts, changed - versions, d, changed, versions)
+        return {f: version(f, frozenset(at)) for f, at in positions.items()}
 
     return apply
 
@@ -282,17 +255,18 @@ def _kill_family(d: Instance, sigma: DenialConstraintSet) -> tuple[frozenset[Att
     return antichain(_kill_sets(d, sigma), key=attr_key)
 
 
-def null_repairs(
-    d: Instance, sigma: DenialConstraintSet, cap: int | None = None
-) -> tuple[NullRepair, ...]:
-    """Consistency restoration by nulling a subset-minimal set of positions.
+def null_repairs(d: Instance, sigma: DenialConstraintSet, cap: int | None = None) -> HittingSolution:
+    """Consistency restoration by nulling a subset-minimal set of positions:
+    the minimal hitting sets of the kill sets.  Each ``s`` in the
+    solution's ``sets`` is one repair's change set, in canonical order;
+    with ``v = change_applier(d)(s)``, the repair is
+    ``Instance(d.facts.difference(v).union(v.values()))``.
 
     Facts are never deleted.  Some constraints (e.g. a single atom with
     no joins) cannot be repaired this way, in which case the family is
     empty.
     """
-    solution = enumerate_minimal_hitting_sets(_kill_family(d, sigma), cap, key=attr_key)
-    return tuple(map(_change_applier(d), solution.sets))
+    return enumerate_minimal_hitting_sets(_kill_family(d, sigma), cap, key=attr_key)
 
 
 def null_causes(d: Instance, q: UnionQuery) -> tuple[

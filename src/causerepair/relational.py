@@ -11,17 +11,16 @@ canonical order.
 
 The package's records (``Fact`` and ``Instance`` here, the query and
 constraint classes, and the engines' ``HittingSolution``, ``CauseReport``,
-``DiagnosisProblem``, ``AttrChange`` and ``NullRepair``) are slotted
-classes written out by hand; a class with a cached property keeps a
-``__dict__`` for it.  They are immutable by convention: no code assigns
-a field outside its class's ``__init__``, which an AST check in
-``tests/test_imports.py`` enforces.  A record equals only a record of
-its own class with equal fields, and hashes as the tuple of its fields
-(``HittingSolution``, with a list and dicts, does not hash).  A ``Fact``'s
-fields for both are its identity, ``(pred, args, fact_id)``, and
-``NullRepair`` compares results and hashes its diff.  A ``Fact`` and an
-``AttrChange`` hash once, when they are built; copies and pickles
-rebuild them, so the hash is computed again in the process that loads it.
+``DiagnosisProblem`` and ``AttrChange``) are slotted classes written out
+by hand; a class with a cached property keeps a ``__dict__`` for it.
+They are immutable by convention: no code assigns a field outside its
+class's ``__init__``, which an AST check in ``tests/test_imports.py``
+enforces.  A record equals only a record of its own class with equal
+fields, and hashes as the tuple of its fields (``HittingSolution``, with
+a list and dicts, does not hash).  A ``Fact``'s fields for both are its
+identity, ``(pred, args, fact_id)``.  A ``Fact`` and an ``AttrChange``
+hash once, when they are built; copies and pickles rebuild them, so the
+hash is computed again in the process that loads it.
 ``Instance.relations`` groups an instance's facts by predicate and arity
 once, each relation in iteration order; typed lookups and every join
 over the instance read it.

@@ -451,11 +451,7 @@ def test_each_change_is_written_once_per_report(tmp_path, monkeypatch):
     (tmp_path / "key.dlq").write_text(key)
     monkeypatch.chdir(tmp_path)
     # the report rebuilt from the engine's null repairs, every change written per repair
-    entries = sorted(
-        ({"facts": _names(r.result.facts), "diff": sorted(map(str, r.diff))}
-         for r in preferences.null_repairs(d, constraint_set(key))),
-        key=lambda e: e["diff"],
-    )
+    entries = _null_entries(d, constraint_set(key))
     calls = 0
     written = preferences.AttrChange.__str__
 
@@ -502,6 +498,8 @@ _NEAR_NULL = ("a", "nulk", "nullx", "num")
 _KEYED_PROGRAMS = (
     ":- A(X,Y), A(X,Z), Y != Z.\n",
     ":- A(X,Y), A(X,Z), Y != Z.\n:- A(X,Y), B(Y).\n",
+    # an A fact's key and value join B facts in two conflict components
+    ":- A(X,Y), B(X).\n:- A(X,Y), B(Y).\n",
 )
 
 
@@ -542,11 +540,13 @@ def test_repair_reports_equal_a_plain_rebuild(tmp_path, monkeypatch):
         code, out, err = execute(["repairs", "-i", "d.facts", "-c", "c.dlq",
                                   "--semantics", "null", "--json"])
         assert code == 0, err
-        by_diff = {tuple(sorted(str(c) for c in r.diff)): r for r in preferences.null_repairs(d, sigma)}
+        by_diff = {tuple(sorted(str(c) for c in s)): s for s in preferences.null_repairs(d, sigma).sets}
         entries = json.loads(out)["result"]["repairs"]
         assert len(entries) == len(by_diff)
+        apply = preferences.change_applier(d)
         for entry in entries:
-            rebuilt = by_diff[tuple(entry["diff"])].result.sorted_facts
+            v = apply(by_diff[tuple(entry["diff"])])
+            rebuilt = sorted(d.facts.difference(v).union(v.values()), key=fact_key)
             assert entry["facts"] == [format_fact(f) for f in rebuilt], text
             nulled_beside_original += any(  # no fact of d sorts between the two
                 bisect.bisect(keys, fact_key(f)) - position[f.fact_id] in (0, 1)
@@ -583,6 +583,17 @@ def _names(facts):
     return [format_fact(f) for f in sorted(facts, key=fact_key)]
 
 
+def _null_entries(d, sigma):
+    """The null repairs' report entries, in diff order, rebuilt from the
+    engine's change sets and its applier, with plain lists of plain names."""
+    apply = preferences.change_applier(d)
+    entries = []
+    for s in preferences.null_repairs(d, sigma).sets:
+        v = apply(s)
+        entries.append({"facts": _names(d.facts.difference(v).union(v.values())), "diff": sorted(map(str, s))})
+    return sorted(entries, key=lambda e: e["diff"])
+
+
 def _engine_result(files, argv):
     """The report's result and text lines rebuilt from the engines' own
     results, with plain lists of plain names."""
@@ -596,11 +607,7 @@ def _engine_result(files, argv):
         return {"kind": argv[-1], "conflicts": conflicts, "diagnoses": found}, lines
     sigma, semantics = constraint_set((files / "e.dlq").read_text()), argv[-1]
     if semantics == "null":
-        entries = sorted(
-            ({"facts": _names(r.result.facts), "diff": sorted(map(str, r.diff))}
-             for r in preferences.null_repairs(d, sigma)),
-            key=lambda e: e["diff"],
-        )
+        entries = _null_entries(d, sigma)
         lines = [f"repair: {{{', '.join(e['facts'])}}}  diff {{{', '.join(e['diff'])}}}"
                  for e in entries]
         return {"semantics": semantics, "repairs": entries}, lines

@@ -182,6 +182,11 @@ def _assert_sets_as_built_bit_by_bit(edges):
     for t in solution.vertices + [fact("S", "absent")]:
         through = solution.containing(t)
         assert through.sets == _sets_bit_by_bit(through)
+    # any one-to-one ``at`` renumbers before the sorts: here a decreasing
+    # dict, which reverses each member's numbers and reorders the members
+    at = {i: 2 * (len(solution.vertices) - i) for i in range(len(solution.vertices))}
+    position = {v: i for i, v in enumerate(solution.vertices)}
+    assert solution.indexes(at) == sorted(sorted(at[position[v]] for v in s) for s in everything)
     # the cap counts the product before any member is built
     n = len(everything)
     assert HittingSolution(solution.vertices, solution.parts, n).sets == everything

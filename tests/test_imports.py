@@ -127,7 +127,7 @@ RECORDS = {
     "hitting.py": ("HittingSolution",),
     "causality.py": ("CauseReport",),
     "diagnosis.py": ("DiagnosisProblem",),
-    "preferences.py": ("AttrChange", "NullRepair"),
+    "preferences.py": ("AttrChange",),
 }
 # Other classes' ``__init__`` with a field of a record's name, and those names.
 OTHER_OWNERS = {

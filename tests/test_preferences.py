@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ from causerepair.causality import (
     check_minimal_contingency,
     responsibility,
 )
+from causerepair.cli import execute
 from causerepair.errors import SemanticError
 from causerepair.hitting import support_sets
 from causerepair.parsing import (
@@ -22,9 +24,9 @@ from causerepair.parsing import (
 )
 from causerepair.preferences import (
     AttrChange,
-    _change_applier,
     _kill_sets,
     attr_key,
+    change_applier,
     check_preference_contingency,
     null_causes,
     null_repairs,
@@ -446,8 +448,13 @@ def test_endogenous_encoding_randomized():
 # Null-based repairs and causes
 
 
-def _diffs(reps):
-    return {frozenset(str(c) for c in r.diff) for r in reps}
+def _diffs(solution):
+    return {frozenset(str(c) for c in s) for s in solution.sets}
+
+
+def _repaired(d, v):
+    """The null repair that ``v``, a change applier's map, gives of ``d``."""
+    return Instance(d.facts.difference(v).union(v.values()))
 
 
 PUBLISHED_DIFFS = {
@@ -473,12 +480,12 @@ def test_null_repairs_fixture_with_brute_force_certification():
     positions = [
         AttrChange(f.pred, f.fact_id, i + 1) for f in d16 for i in range(f.arity)
     ]
-    apply = _change_applier(d16)
+    apply = change_applier(d16)
     consistent_sets = [
         frozenset(combo)
         for size in range(len(positions) + 1)
         for combo in combinations(positions, size)
-        if is_consistent(apply(frozenset(combo)).result, sigma)
+        if is_consistent(_repaired(d16, apply(combo)), sigma)
     ]
     minimal = {
         s for s in consistent_sets if not any(t < s for t in consistent_sets)
@@ -520,23 +527,28 @@ def test_apply_changes_equals_full_rebuild_randomized():
             AttrChange(f.pred, f.fact_id, rng.randint(1, f.arity))
             for f in rng.choices(facts, k=rng.randint(0, 4))
         )
-        repair, want = _change_applier(d)(changes), _rebuilt_with_changes(d, changes)
-        got = repair.result
-        assert got == want and repair.diff == changes
+        v, want = change_applier(d)(changes), _rebuilt_with_changes(d, changes)
+        got = _repaired(d, v)
+        assert got == want
         assert {(f, f.tag) for f in got.facts} == {(f, f.tag) for f in want.facts}
         # the changed facts are named without a scan, as the scans name them
-        assert repair.nulled == want.facts - d.facts
-        assert repair.originals == d.facts - want.facts
+        assert set(v) == {f for f in d.facts for c in changes if (f.pred, f.fact_id) == (c.pred, c.fact_id)}
+        nulled = set(v.values()) - d.facts
+        assert nulled == want.facts - d.facts
+        assert v.keys() - v.values() == d.facts - want.facts
         unchanged += any(f.fact_id == c.fact_id and f.args[c.position - 1:c.position] == (NULL,)
                          for c in changes for f in d.facts)
-        changed += bool(repair.nulled)
+        changed += bool(nulled)
     assert min(unchanged, changed) > 30  # some positions were null already
 
 
-def test_null_repairs_build_each_nulled_fact_once(monkeypatch):
+def test_null_repairs_build_each_nulled_fact_once(tmp_path, monkeypatch):
     # four two-fact key conflicts: each repair nulls one of the four
-    # positions of each pair, 4^4 repairs from 16 distinct nulled facts
-    d = parse_instance(" ".join(f"A({2 * k + v + 1};k{k},v{v})." for k in range(4) for v in range(2)))
+    # positions of each pair, 4^4 repairs from 16 distinct nulled facts,
+    # each built once for the whole report
+    (tmp_path / "d.facts").write_text(" ".join(f"A({2 * k + v + 1};k{k},v{v})." for k in range(4) for v in range(2)))
+    (tmp_path / "key.dlq").write_text(":- A(X,Y), A(X,Z), Y != Z.\n")
+    monkeypatch.chdir(tmp_path)
     builds = []
     nulled = preferences._nulled
 
@@ -545,8 +557,12 @@ def test_null_repairs_build_each_nulled_fact_once(monkeypatch):
         return nulled(f, positions)
 
     monkeypatch.setattr(preferences, "_nulled", counting)
-    found = null_repairs(d, constraint_set(":- A(X,Y), A(X,Z), Y != Z.\n"))
-    assert len(found) == 256 and all(len(r.nulled) == len(r.originals) == 4 for r in found)
+    code, out, err = execute(["repairs", "-i", "d.facts", "-c", "key.dlq", "--semantics", "null", "--json"])
+    assert (code, err) == (0, "")
+    found = json.loads(out)["result"]["repairs"]
+    # each repair keeps the four facts it does not change and has four nulled ones
+    assert len(found) == 256
+    assert all(len(r["facts"]) == 8 and sum("null" in f for f in r["facts"]) == 4 == len(r["diff"]) for r in found)
     assert len(builds) == len(set(builds)) == 16
 
 
@@ -555,12 +571,31 @@ def test_changes_and_tuple_causes_go_by_predicate_and_id():
     # R[1;2] leaves S(1;...) alone, and each is a tuple-level cause
     r, s = Fact("R", ("a", "b"), fact_id=1), Fact("S", ("b", "d"), fact_id=1)
     d = Instance(frozenset({r, s}))
-    repair = _change_applier(d)(frozenset({AttrChange("R", 1, 2)}))
-    assert repair.result.facts == {Fact("R", ("a", NULL), fact_id=1), s}
-    assert (repair.nulled, repair.originals) == ({Fact("R", ("a", NULL), fact_id=1)}, {r})
+    v = change_applier(d)(frozenset({AttrChange("R", 1, 2)}))
+    assert v == {r: Fact("R", ("a", NULL), fact_id=1)}
+    assert _repaired(d, v).facts == {Fact("R", ("a", NULL), fact_id=1), s}
     attr, tuples = null_causes(d, single_query("q :- R(X,Y), S(Y,Z).\n"))
     assert [(str(c), rho) for c, rho in attr] == [("R[1;2]", 1), ("S[1;1]", 1)]
     assert tuples == ((r, Fraction(1)), (s, Fraction(1)))
+
+
+def test_a_fact_nulled_across_two_conflict_components():
+    # A(1)'s first position joins B(2), its second B(3): two components,
+    # and a change set that takes A's position from both nulls it once, at both
+    d = parse_instance("A(1;k,v). B(2;k). B(3;v).")
+    _, sigma = parse_program(":- A(X,Y), B(X).\n:- A(X,Y), B(Y).\n")
+    solution = null_repairs(d, sigma)
+    assert len(solution.parts) == 2
+    assert _diffs(solution) == {
+        frozenset({"A[1;1]", "A[1;2]"}),
+        frozenset({"A[1;1]", "B[3;1]"}),
+        frozenset({"B[2;1]", "A[1;2]"}),
+        frozenset({"B[2;1]", "B[3;1]"}),
+    }
+    a = Fact("A", ("k", "v"), fact_id=1)
+    v = change_applier(d)(frozenset({AttrChange("A", 1, 1), AttrChange("A", 1, 2)}))
+    assert v == {a: Fact("A", (NULL, NULL), fact_id=1)}
+    assert _repaired(d, v).facts == d.facts - {a} | {Fact("A", (NULL, NULL), fact_id=1)}
 
 
 def test_null_repair_published_diff_values():
@@ -574,11 +609,12 @@ def test_null_repair_published_diff_values():
 def test_null_repair_results_are_consistent_and_diffs_antichain():
     d16 = load_instance("ex16.facts")
     sigma = load_constraints("ex2.dlq")
-    reps = null_repairs(d16, sigma)
-    for r in reps:
-        assert is_consistent(r.result, sigma)
-        assert len(r.result) == len(d16)  # no deletions, ever
-    diffs = [r.diff for r in reps]
+    diffs = null_repairs(d16, sigma).sets
+    apply = change_applier(d16)
+    for s in diffs:
+        repaired = _repaired(d16, apply(s))
+        assert is_consistent(repaired, sigma)
+        assert len(repaired) == len(d16)  # no deletions, ever
     for a in diffs:
         for b in diffs:
             assert not (a < b)
@@ -587,8 +623,8 @@ def test_null_repair_results_are_consistent_and_diffs_antichain():
 def test_null_repairs_consistent_instance():
     d = parse_instance("S(1;a1).")
     sigma = load_constraints("ex2.dlq")
-    (only,) = null_repairs(d, sigma)
-    assert only.result == d and only.diff == frozenset()
+    (only,) = null_repairs(d, sigma).sets
+    assert only == frozenset() and change_applier(d)(only) == {}
 
 
 def test_null_repairs_require_ids():
@@ -600,7 +636,7 @@ def test_null_repairs_require_ids():
 def test_null_repairs_unrepairable_single_atom_constraint():
     d = parse_instance("P(1;a).")
     _, sigma = parse_program(":- P(X).\n")
-    assert null_repairs(d, sigma) == ()
+    assert null_repairs(d, sigma).sets == ()
 
 
 def test_null_causes_fixture():
@@ -627,9 +663,9 @@ def _null_causes_by_enumeration(d, q):
     """``null_causes`` as it was: every null repair enumerated, and the
     smallest change set kept per position and per tuple."""
     attr_best, tuple_best = {}, {}
-    for r in null_repairs(d, dc_of_query(q)):
-        size = len(r.diff)
-        for c in r.diff:
+    for s in null_repairs(d, dc_of_query(q)).sets:
+        size = len(s)
+        for c in s:
             attr_best[c] = min(size, attr_best.get(c, size))
             tuple_best[c.fact_id] = min(size, tuple_best.get(c.fact_id, size))
     by_id = {f.fact_id: f for f in d.facts}

@@ -152,9 +152,8 @@ def test_fact_pickles_across_processes():
 _F, _G = fact("R", "a", "b", fact_id=1), fact("R", "a", "c")
 _CQ = ConjunctiveQuery((Atom("R", (Var("X"), "b")),), ((Var("X"), "c"),))
 _CQ2 = ConjunctiveQuery((Atom("R", (Var("X"), "c")),))
-# Each record but ``Fact`` (above) and ``NullRepair`` (it hashes its diff
-# and compares results): its fields in constructor order, and for each
-# field another value.
+# Each record but ``Fact`` (above): its fields in constructor order, and
+# for each field another value.
 _RECORDS = [
     (Var, ("X",), ("Y",)),
     (Atom, ("R", (Var("X"), "b")), ("S", (Var("Y"), "b"))),

@@ -64,11 +64,11 @@ def _rebuilt(argv):
     sigma = constraint_set(open(_option(argv, "-c")).read())
     semantics = _option(argv, "--semantics", "s")
     if semantics == "null":
-        entries = sorted(
-            ({"facts": _names(r.result.facts), "diff": sorted(map(str, r.diff))}
-             for r in preferences.null_repairs(d, sigma)),
-            key=lambda e: e["diff"],
-        )
+        apply, entries = preferences.change_applier(d), []
+        for s in preferences.null_repairs(d, sigma).sets:
+            v = apply(s)
+            entries.append({"facts": _names(d.facts.difference(v).union(v.values())), "diff": sorted(map(str, s))})
+        entries.sort(key=lambda e: e["diff"])
         lines = [_listed("repair: ", e["facts"]) + _listed("  diff ", e["diff"]) for e in entries]
         return {"semantics": semantics, "repairs": entries}, lines
     if argv[0] == "oracle":
@@ -219,19 +219,21 @@ def test_diagnosis_reports_at_the_edges_equal_the_engines(tmp_path, monkeypatch,
 # Work done for a report
 
 
-@pytest.mark.parametrize("argv", [
-    ["repairs", "-c", "key.dlq", "--semantics", "s"],
-    ["repairs", "-c", "key.dlq", "--semantics", "c"],
-    ["repairs", "-c", "key.dlq", "--semantics", "endo", "-i", "mixed.facts"],
-    ["repairs", "-c", "key.dlq", "--semantics", "go", "--priority", "p.prio"],
-    ["diagnose", "-q", "keyq.dlq"],
-    ["diagnose", "-q", "keyq.dlq", "--kind", "c"],
-], ids=["s", "c", "endo", "go", "diagnose", "diagnose-c"])
-def test_reports_are_written_from_index_lists(tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("argv, conflicts", [
+    (["repairs", "-c", "key.dlq", "--semantics", "s"], 8),
+    (["repairs", "-c", "key.dlq", "--semantics", "c"], 8),
+    (["repairs", "-c", "key.dlq", "--semantics", "endo", "-i", "mixed.facts"], 8),
+    (["repairs", "-c", "key.dlq", "--semantics", "go", "--priority", "p.prio"], 8),
+    (["repairs", "-c", "key.dlq", "--semantics", "null"], 4),
+    (["diagnose", "-q", "keyq.dlq"], 8),
+    (["diagnose", "-q", "keyq.dlq", "--kind", "c"], 8),
+], ids=["s", "c", "endo", "go", "null", "diagnose", "diagnose-c"])
+def test_reports_are_written_from_index_lists(tmp_path, monkeypatch, argv, conflicts):
     # no report builds the product's member sets: patched to raise, the
-    # CLI still answers, with the report the engines' sets give
+    # CLI still answers, with the report the engines' sets give; four
+    # conflicts of four change sets each give 256 null repairs
     monkeypatch.chdir(tmp_path)
-    _keyed_files(tmp_path, 8, 50)
+    _keyed_files(tmp_path, conflicts, 50)
     if "-i" not in argv:
         argv = argv + ["-i", "d.facts"]
     result, _ = _rebuilt(argv)
