@@ -10,7 +10,8 @@ consistency-based diagnoses (``diagnoses``), each a ``HittingSolution``
 whose ``sets`` are the sets deleted (a repair is ``d.without(s)``) or
 declared abnormal; preferred causes and null-based repairs refine the
 picture, the latter (``null_repairs``) a ``HittingSolution`` too, whose
-``sets`` are the positions nulled (``change_applier`` applies one).  A priority is a list of ``(stronger, weaker)`` fact pairs
+``sets`` are the positions nulled (``change_applier`` applies one).  A
+priority is a list of ``(stronger, weaker)`` fact pairs
 (``parse_priorities``), checked by the engine that takes it.  A
 brute-force oracle scans the definitions of causes and responsibility,
 of subset, cardinality and endogenous repairs, and of minimal hitting
@@ -49,7 +50,7 @@ from .hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
-    minimum_hitting_set_containing,
+    minimum_size,
     support_sets,
 )
 from .parsing import (

@@ -10,12 +10,12 @@ on some edge of the endogenous support family, minimal contingency sets
 are minimal hitting sets with ``t`` stripped out, and responsibility
 questions become minimum-hitting-set questions, answered from the
 family's kernel and a bounded branching search of what is left, never by
-enumeration.  ``responsibilities`` (behind ``most_responsible_causes``)
-asks for every cause at once, so each component's minimum is found once
-and shared, and each minimal set found bounds the other causes on it
-(``hitting.forced_minima``).  The cardinality-repair CQA check asks
-about the given atoms only, with the decision mode of
-``hitting.minimum_hitting_set_containing``.
+enumeration (``hitting.forced_minima``).  ``responsibilities`` asks for
+every cause at once, so each component's minimum is found once and
+shared, and each minimal set found bounds the other causes on it.
+``most_responsible_causes`` is decided within the minimum: a cause is
+most responsible iff some minimum hitting set holds it, so no forced
+rest is searched at or above its component's minimum.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
-    minimum_hitting_set_containing,
+    minimum_size,
 )
 from .queries import UnionQuery, _maximal_deletion
 from .relational import Fact, Instance, set_key
@@ -91,7 +91,7 @@ def contingency_sets(
 def responsibility(d: Instance, q: UnionQuery, t: Fact) -> Fraction:
     """Exact responsibility of ``t``, without enumerating contingency sets."""
     t = _require_endogenous(d, t)
-    size = minimum_hitting_set_containing(endogenous_support_sets(d, q), t)
+    size = forced_minima(endogenous_support_sets(d, q), among=[t])[t]
     return ZERO if size is None else Fraction(1, size)
 
 
@@ -111,11 +111,11 @@ def responsibilities(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
 def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
     """Decide whether ``t``'s responsibility strictly exceeds ``v``.
 
-    ``v`` must be 0 or 1/k.  For positive thresholds the decision runs in
-    budgeted mode with ``k`` as the parameter: the search never adds more
-    than ``k - 2`` facts beyond ``t``, so a responsibility at or below
-    ``v`` is never computed exactly; facts that are absent or exogenous
-    fail before any join.
+    ``v`` must be 0 or 1/k.  For positive thresholds the forced minimum
+    is asked within ``most=k - 1``: the search never adds more than
+    ``k - 2`` facts beyond ``t``, so a responsibility at or below ``v``
+    is never computed exactly; facts that are absent or exogenous fail
+    before any join.
     """
     v = Fraction(v)
     if v < 0 or (v > 0 and v.numerator != 1):
@@ -126,7 +126,7 @@ def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
     edges = endogenous_support_sets(d, q)
     if v == 0:
         return any(resolved in edge for edge in edges)
-    return minimum_hitting_set_containing(edges, resolved, budget=v.denominator)
+    return forced_minima(edges, among=[resolved], most=v.denominator - 1)[resolved] is not None
 
 
 def most_responsible_causes(
@@ -134,14 +134,15 @@ def most_responsible_causes(
 ) -> tuple[frozenset[Fact], Fraction]:
     """The causes of maximal responsibility, with the shared value.
 
-    A minimum hitting set is subset-minimal, so the global minimum is the
-    smallest per-cause size and the top value is the largest score.
+    A minimum hitting set is subset-minimal, so the most responsible
+    causes are the facts in some minimum hitting set, and the top value
+    is one over the minimum: each is decided within the minimum, and no
+    other cause's exact responsibility is computed.
     """
-    scores = responsibilities(d, q)
-    if not scores:
-        return frozenset(), ZERO
-    best = max(scores.values())
-    return frozenset(t for t, rho in scores.items() if rho == best), best
+    edges = endogenous_support_sets(d, q)
+    least = minimum_size(edges)
+    top = frozenset(t for t, size in forced_minima(edges, most=least).items() if size is not None)
+    return (top, Fraction(1, least)) if top else (top, ZERO)
 
 
 def _contingency_target(d: Instance, t: Fact, gamma) -> frozenset[Fact]:

@@ -54,7 +54,7 @@ which most often reduces to nothing.  Only what is left is split into
 components and searched by branch and bound, the bound lowered below
 every set found; the minimum is the taken vertices plus the components'
 minima, and the taken vertices joined with the sets found are one
-minimum hitting set (``_least``).
+minimum hitting set (``_least``, whose size is ``minimum_size``).
 
 When an element ``t`` is forced, the relevant quantity is the minimum
 size of an *irredundant* hitting set containing ``t`` (one in which some
@@ -66,11 +66,15 @@ changes: choose a witness edge for ``t``, forbid that edge's other
 vertices, and take the plain minimum of the component's ``t``-free
 edges (its forced rest); the witness edges share one bound.  A least
 forced rest joined with ``t`` is a minimal hitting set, and so is a
-minimum hitting set, so ``forced_minima``, which answers every vertex at once,
-settles the members of a component's minimum set at its minimum, starts
-each other vertex's search below the smallest such set through it, and
-answers twins, vertices on the same edges, once.  The other components
-add their own minima, found once for the whole family.
+minimum hitting set.  ``forced_minima`` is the one routine for this
+question: it answers the asked vertices at once, settles the members of
+a component's minimum set at its minimum, starts each other vertex's
+search below the smallest such set through it, and answers twins,
+vertices on the same edges, once; the other components add their own
+minima, found once for the whole family.  Its bound ``most`` decides
+"at most k" questions without finding larger sizes: at the family's
+minimum it asks which vertices lie in some minimum hitting set, the
+most responsible causes and the facts that cardinality repairs delete.
 """
 
 from __future__ import annotations
@@ -360,11 +364,10 @@ def _least(masks: list[int], most: int | None = None) -> int | None:
     are checked against ``most``: its components one by one, each within
     what the taken vertices and the earlier components left of ``most``."""
     kernel = _reduced(masks)
-    if kernel is None:
+    most = len(masks) if most is None else most  # no minimal hitting set is larger
+    if kernel is None or kernel[0].bit_count() > most:
         return None
     chosen, edges = kernel
-    if most is not None and chosen.bit_count() > most:
-        return None
     best = None
 
     def found(mask):
@@ -374,14 +377,20 @@ def _least(masks: list[int], most: int | None = None) -> int | None:
 
     for _, group in _components(edges):
         best = None
-        _search(group, found, None if most is None else most - chosen.bit_count())
+        _search(group, found, most - chosen.bit_count())
         if best is None:
             return None
         chosen |= best
     return chosen
 
 
-def _forced_rest(edges: list[int], t: int, most: int | None = None, floor: int = 0):
+def minimum_size(edges: Iterable[frozenset]) -> int | None:
+    """The size of a minimum hitting set; ``None`` when an edge is empty."""
+    least = _least(_table(edges)[1])
+    return None if least is None else least.bit_count()
+
+
+def _forced_rest(edges: list[int], t: int, most: int, floor: int):
     """A least hitting set, as a mask, of the edges without ``t`` that
     avoids the other vertices of one of ``t``'s witness edges, if it has
     at most ``most`` members; ``None`` otherwise.  The witness edges share
@@ -390,93 +399,65 @@ def _forced_rest(edges: list[int], t: int, most: int | None = None, floor: int =
     rest = [e for e in edges if not e & t]
     best = None
     for w in edges:
-        if w & t:
-            if best is not None:
-                most = best.bit_count() - 1
-            if most is not None and most < floor:
-                break
-            found = _least([e & ~w for e in rest], most)
-            if found is not None:
-                best = found
+        if most < floor:
+            break
+        if w & t and (found := _least([e & ~w for e in rest], most)) is not None:
+            best, most = found, found.bit_count() - 1
     return best
 
 
-def minimum_hitting_set_containing(
-    edges: Iterable[frozenset],
-    t=None,
-    budget: int | None = None,
-):
-    """Minimum-cardinality hitting-set sizes with an optional forced element.
+def forced_minima(edges: Iterable[frozenset], key=fact_key, *, among=None, most: int | None = None) -> dict:
+    """For each vertex ``t`` of ``among`` (by default every vertex of the
+    family, in ``key`` order), the least size of a subset-minimal hitting
+    set holding ``t``, in which ``t`` is irredundant; ``None`` when there
+    is none, as when ``t`` lies on no edge, or when it has more than
+    ``most`` members.
 
-    Without ``t``: the size of a minimum hitting set, ``None`` if an edge
-    is empty.
-
-    With ``t``: the minimum size of a hitting set in which ``t`` is
-    irredundant (equivalently, of a subset-minimal hitting set containing
-    ``t``); ``None`` if there is none, as when ``t`` lies on no edge.
-
-    With ``t`` and ``budget``: decision mode, answering only whether that
-    size is strictly below ``budget``; the search never goes deeper than
-    ``budget - 2`` vertices beyond ``t``.  ``budget`` is read only
-    together with ``t``.
-    """
-    vertices, masks = _table(edges)
-    if t is None:
-        least = _least(masks)
-        return None if least is None else least.bit_count()
-    most = None if budget is None else budget - 2  # the vertices beyond t
-    size = None
-    if t in vertices:  # else t lies on no edge
-        bit = 1 << vertices.index(t)
-        own, others = [], []
-        for part, group in _components(masks):
-            (own if part & bit else others).extend(group)
-        other = _least(others, most)
-        if other is not None:
-            other = other.bit_count()
-            rest = _forced_rest(own, bit, None if most is None else most - other)
-            size = None if rest is None else 1 + rest.bit_count() + other
-    return size if budget is None else size is not None
-
-
-def forced_minima(edges: Iterable[frozenset], key=fact_key) -> dict:
-    """``minimum_hitting_set_containing(edges, t)`` for every vertex ``t``
-    of the family, in ``key`` order.
-
-    Each component's minimum is found once: ``t``'s size is 1, plus the
-    forced rest within its own component, plus the other components'
-    minima.  Within the component the size is at least its minimum ``m``,
-    which lets the search over witness edges stop early, and a minimal
-    hitting set through ``t`` bounds it from above, which starts that
-    search lower.  The minimum set found settles each of its members at
-    ``m``; each forced rest found, joined with its ``t``, is a minimal
-    hitting set that bounds each of its members; and twins, vertices on
-    the same edges, share one answer.
+    The whole family's minimum is found first (``_least``), so taken
+    vertices beyond ``most`` answer before any search, and no component's
+    minimum is searched beyond what ``most`` leaves.  ``t``'s size is 1,
+    plus the forced rest within its own component, plus the other
+    components' minima.  Within the component the size is at least its
+    minimum ``m``, which lets the search over witness edges stop early,
+    and a minimal hitting set through ``t`` bounds it from above, which
+    starts that search lower; ``most`` caps it too, so under ``most`` at
+    the family's minimum each rest is searched below ``m`` only.  The
+    minimum set found settles each of its members at ``m``; each forced
+    rest found, joined with its ``t``, is a minimal hitting set that
+    bounds each of its members; and twins, vertices on the same edges,
+    share one answer.  Only the components of ``among`` are walked.
     """
     vertices, masks = _table(edges, key)
-    parts = _components(masks)
-    minima = [_least(group) for _, group in parts]
-    if None in minima:
-        return dict.fromkeys(vertices)
-    total = sum(least.bit_count() for least in minima)
-    sizes = {}
-    for (part, group), least in zip(parts, minima):
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    among = vertices if among is None else list(among)
+    asked = sum({bit.get(v, 0) for v in among})
+    most = len(masks) if most is None else most  # no minimal hitting set is larger
+    chosen = _least(masks, most)  # a minimum set of each component, joined
+    if chosen is None:
+        return dict.fromkeys(among)
+    total = chosen.bit_count()
+    sizes: dict[int, int] = {}  # vertex -> its size, if at most most
+    for part, group in _components(masks):
+        if not part & asked:
+            continue
+        least = chosen & part
         m = least.bit_count()
-        on: dict[int, int] = {}  # vertex -> mask of the edges it lies on
+        limit = most - total + m  # the most members of a set through t here
+        on = dict.fromkeys(_bits(part & asked), 0)  # asked vertex -> mask of the edges it lies on
         for i, e in enumerate(group):
-            for v in _bits(e):
-                on[v] = on.get(v, 0) | 1 << i
+            for v in _bits(e & asked):
+                on[v] |= 1 << i
         upper = dict.fromkeys(_bits(least), m)  # vertex -> a minimal set's size through it
-        within: dict[int, int | None] = {}  # the edges a vertex lies on -> its size here
-        for t in _bits(part):
+        within: dict[int, int] = {}  # the edges a vertex lies on -> its size here
+        for t in on:
             if on[t] not in within:
-                bound = upper.get(t)
-                most = None if bound is None else bound - 2  # a strictly smaller rest
-                if bound != m and (rest := _forced_rest(group, t, most, floor=m - 1)) is not None:
+                bound = upper.get(t, limit + 1)  # a known size through t, else one past limit
+                # only a strictly smaller rest improves on it
+                if bound != m and (rest := _forced_rest(group, t, bound - 2, floor=m - 1)) is not None:
                     bound = 1 + rest.bit_count()
                     for u in _bits(rest | t):
                         upper[u] = min(bound, upper.get(u, bound))
                 within[on[t]] = bound
-            size = within[on[t]]
-            sizes[t] = None if size is None else size + total - m
-    return {v: sizes[1 << i] for i, v in enumerate(vertices)}
+            if within[on[t]] <= limit:
+                sizes[t] = within[on[t]] + total - m
+    return {v: sizes.get(bit.get(v)) for v in among}

@@ -21,8 +21,8 @@ witnesses through the asked atoms only (seeded joins, ``queries``) and
 decides each one with at most one boolean evaluation per fact of it.
 Under cardinality semantics an atom is in every repair iff it lies in no
 minimum hitting set of the conflict family: iff the least minimal hitting
-set through it is larger than the minimum, which the decision mode of
-``minimum_hitting_set_containing`` settles for the asked atoms only.
+set through it is larger than the minimum, which one ``forced_minima``
+call, bounded at the minimum, settles for the asked atoms only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .hitting import (
     HittingSolution,
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
-    minimum_hitting_set_containing,
+    forced_minima,
+    minimum_size,
     support_sets,
 )
 from .queries import (
@@ -128,7 +129,7 @@ def is_repair(
     removed = d.facts - candidate.facts
     if not _maximal_deletion(d, removed, view):
         return False
-    return semantics == SUBSET or len(removed) == minimum_hitting_set_containing(support_sets(d, view))
+    return semantics == SUBSET or len(removed) == minimum_size(support_sets(d, view))
 
 
 def consistent_answer(
@@ -149,8 +150,8 @@ def consistent_answer(
     atoms are walked, on one shared index, never the whole support family.
     Under cardinality semantics the support family is built once, with
     its minimum ``m``, and an asked atom fails when some minimal hitting
-    set through it has ``m`` members; no other fact's responsibility is
-    computed.
+    set through it has ``m`` members, asked for all of them at once; no
+    other fact's responsibility is computed.
     """
     _pick(semantics)  # 's' and 'c' only
     if d.exogenous:
@@ -165,8 +166,8 @@ def consistent_answer(
         return False
     if semantics == CARDINALITY:
         edges = support_sets(d, view)
-        least = minimum_hitting_set_containing(edges)
-        return not any(minimum_hitting_set_containing(edges, t, budget=least + 1) for t in resolved)
+        sizes = forced_minima(edges, among=resolved, most=minimum_size(edges))
+        return all(size is None for size in sizes.values())
     index, verdicts = _Index(d), {}
     return not any(_on_minimal_violation(index, view, t, verdicts) for t in resolved)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from causerepair import hitting
 from causerepair.causality import (
@@ -17,8 +18,8 @@ from causerepair.causality import (
 )
 from causerepair.errors import SemanticError
 from causerepair.oracle import oracle_causes_and_responsibility
-from causerepair.parsing import parse_fact, parse_instance, parse_program
-from causerepair.queries import violation_view
+from causerepair.parsing import parse_fact, parse_instance, parse_program, single_query
+from causerepair.queries import UnionQuery, violation_view
 from causerepair.relational import Instance, fact_key
 
 from conftest import (
@@ -27,7 +28,9 @@ from conftest import (
     load_query,
     random_boolean_query,
     random_instance,
+    seeded_chain,
 )
+from test_propositions import _instances_and_queries
 
 
 def _gammas(sets):
@@ -175,6 +178,45 @@ def test_most_responsible_causes_examples():
     assert ({str(f) for f in top8}, value8) == ({"P(a)"}, Fraction(1))
     empty_top, zero = most_responsible_causes(parse_instance("P(z)."), load_query("ex8.dlq"))
     assert (empty_top, zero) == (frozenset(), Fraction(0))
+
+
+def _mrc_by_responsibilities(d, q):
+    """The most responsible causes as the largest of every cause's exact
+    responsibility, kept as the reference."""
+    scores = responsibilities(d, q)
+    best = max(scores.values(), default=Fraction(0))
+    return frozenset(t for t, rho in scores.items() if rho == best), best
+
+
+def _assert_mrc_within_the_minimum(d, q):
+    """``most_responsible_causes`` equals the reference, and searches each
+    forced rest below its component's minimum only; the number of rests
+    searched."""
+    expected = _mrc_by_responsibilities(d, q)
+    forced_rest, rests = hitting._forced_rest, []
+
+    def bounded(edges, t, most=None, floor=0):
+        least = hitting._least(edges).bit_count()  # edges: t's component
+        assert most is not None and most <= least - 1, (most, least)
+        rests.append(t)
+        return forced_rest(edges, t, most, floor)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hitting, "_forced_rest", bounded)
+        assert most_responsible_causes(d, q) == expected
+    return len(rests)
+
+
+@settings(max_examples=150)
+@given(_instances_and_queries(max_facts=4, images=6))
+def test_most_responsible_causes_are_the_largest_responsibilities(drawn):
+    d, cq = drawn
+    _assert_mrc_within_the_minimum(d, UnionQuery((cq,)))
+
+
+def test_most_responsible_causes_are_the_largest_responsibilities_on_a_dense_chain():
+    d = seeded_chain(100, 40)
+    assert _assert_mrc_within_the_minimum(d, single_query("q :- S(X), R(X,Y), S(Y).")) > 0
 
 
 def test_check_minimal_contingency_examples(chain_instance, chain_query):

@@ -23,7 +23,7 @@ from causerepair.hitting import (
     enumerate_minimal_hitting_sets,
     forced_minima,
     minimal_sets,
-    minimum_hitting_set_containing,
+    minimum_size,
     support_sets,
 )
 from causerepair.oracle import oracle_hitting
@@ -48,6 +48,16 @@ from conftest import (
 
 def _names(family):
     return [sorted(str(f) for f in e) for e in family]
+
+
+def _through(edges, t):
+    """The least size of a minimal hitting set holding ``t``."""
+    return forced_minima(edges, among=[t])[t]
+
+
+def _below(edges, t, k):
+    """Whether that size is below ``k``: asked within ``most=k - 1``."""
+    return forced_minima(edges, among=[t], most=k - 1)[t] is not None
 
 
 def test_support_sets_union_example():
@@ -158,8 +168,8 @@ def test_hitting_sets_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 100
     edges = tuple(frozenset({fact("V", str(i))}) for i in range(n))
     assert enumerate_minimal_hitting_sets(edges).sets == (frozenset().union(*edges),)
-    assert minimum_hitting_set_containing(edges) == n
-    assert minimum_hitting_set_containing(edges, fact("V", "0")) == n
+    assert minimum_size(edges) == n
+    assert _through(edges, fact("V", "0")) == n
 
 
 def _sets_bit_by_bit(solution):
@@ -264,34 +274,34 @@ def test_minimum_with_forced_element_example_seven():
     d4 = load_instance("ex4.facts")
     view = violation_view(load_constraints("ex4.dlq"))
     edges = endogenous_support_sets(d4, view)
-    assert minimum_hitting_set_containing(edges, d4.find("P", ("a",))) == 1
+    assert _through(edges, d4.find("P", ("a",))) == 1
 
 
 def test_minimum_with_forced_element_self_join():
     d8 = load_instance("ex8.facts")
     edges = endogenous_support_sets(d8, load_query("ex8.dlq"))
-    assert minimum_hitting_set_containing(edges, d8.find("R", ("a", "a"))) == 2
+    assert _through(edges, d8.find("R", ("a", "a"))) == 2
 
 
 def test_budget_one_is_always_no():
     d4 = load_instance("ex4.facts")
     view = violation_view(load_constraints("ex4.dlq"))
     edges = endogenous_support_sets(d4, view)
-    assert minimum_hitting_set_containing(edges, d4.find("P", ("a",)), budget=1) is False
-    assert minimum_hitting_set_containing(edges, d4.find("P", ("a",)), budget=2) is True
+    assert _below(edges, d4.find("P", ("a",)), 1) is False
+    assert _below(edges, d4.find("P", ("a",)), 2) is True
 
 
 def test_global_minimum_without_forced_element():
     d4 = load_instance("ex4.facts")
     edges = endogenous_support_sets(d4, violation_view(load_constraints("ex4.dlq")))
-    assert minimum_hitting_set_containing(edges) == 1
+    assert minimum_size(edges) == 1
 
 
 def test_forced_element_on_no_edge():
     a, b, c = fact("P", "a"), fact("P", "b"), fact("P", "c")
     edges = (frozenset({a, b}),)
-    assert minimum_hitting_set_containing(edges, c) is None
-    assert minimum_hitting_set_containing(edges, c, budget=5) is False
+    assert _through(edges, c) is None
+    assert _below(edges, c, 5) is False
 
 
 def test_forced_element_must_be_irredundant():
@@ -300,7 +310,7 @@ def test_forced_element_must_be_irredundant():
     # {t,b,c}.  Deletion semantics needs the latter.
     t, a, b, c = (fact("V", x) for x in ("t", "a", "b", "c"))
     edges = antichain([frozenset({t, a}), frozenset({a, b}), frozenset({a, c})])
-    assert minimum_hitting_set_containing(edges, t) == 3
+    assert _through(edges, t) == 3
     _, _, per_element = oracle_hitting({t, a, b, c}, edges)
     assert per_element[t] == 3
 
@@ -322,13 +332,14 @@ def _assert_agrees_with_oracle(universe, edges):
     brute_sets, brute_min, per_element = oracle_hitting(universe, edges)
     assert set(enumerated) == set(brute_sets)
     smallest = min((len(s) for s in enumerated), default=None)
-    assert minimum_hitting_set_containing(edges) == brute_min == smallest
+    assert minimum_size(edges) == brute_min == smallest
     for u in universe:
         through = min((len(s) for s in enumerated if u in s), default=None)
-        assert minimum_hitting_set_containing(edges, u) == per_element[u] == through
+        assert _through(edges, u) == per_element[u] == through
         for k in range(1, 7):
             expected = through is not None and through < k
-            assert minimum_hitting_set_containing(edges, u, budget=k) is expected
+            assert _below(edges, u, k) is expected
+            assert forced_minima(edges, among=[u], most=k - 1) == {u: through if expected else None}
     on_edges = {v for e in edges for v in e}
     assert forced_minima(edges) == {u: per_element[u] for u in on_edges}
 
@@ -485,13 +496,17 @@ def test_kernel_and_forced_minima_agree_with_the_oracle(masks):
         for chosen in (found, taken | rest):
             assert all(e & chosen for e in masks)
             assert chosen.bit_count() == least
-    assert minimum_hitting_set_containing(edges) == least
+    assert minimum_size(edges) == least
     assert forced_minima(edges) == {u: per_element[u] for u in sorted(universe, key=fact_key)}
     for u in universe:
         # every budget up to two past the size, where the answer turns
         size = per_element[u]
         for k in range(-1, (size or 0) + 3):
-            assert minimum_hitting_set_containing(edges, u, budget=k) is (size is not None and size < k)
+            assert _below(edges, u, k) is (size is not None and size < k)
+    # every vertex at once, each size kept only within the bound
+    for most in range(-2, len(masks) + 1):
+        assert forced_minima(edges, most=most) == {
+            u: None if size is None or size > most else size for u, size in per_element.items()}
 
 
 def test_an_empty_family_fits_no_negative_budget():
@@ -513,19 +528,19 @@ def test_unit_edges_over_the_budget_answer_before_any_search(monkeypatch):
     units = [frozenset({fact("V", f"c{i}")}) for i in range(3)]
     edges = star + cycle + units
     _, _, per_element = oracle_hitting({v for e in edges for v in e}, edges)
-    assert per_element[t] == minimum_hitting_set_containing(edges, t) == 10
+    assert per_element[t] == _through(edges, t) == 10
     for k in range(-1, 13):
-        assert minimum_hitting_set_containing(edges, t, budget=k) is (10 < k)
+        assert _below(edges, t, k) is (10 < k)
 
     def no_search(*args):
         raise AssertionError("searched")
 
     monkeypatch.setattr(hitting, "_search", no_search)
     for k in range(-1, 5):
-        assert minimum_hitting_set_containing(edges, t, budget=k) is False
+        assert _below(edges, t, k) is False
     # the star and the unit edges alone take no search at any budget
     for k in range(-1, 9):
-        assert minimum_hitting_set_containing(star + units, t, budget=k) is (7 < k)
+        assert _below(star + units, t, k) is (7 < k)
 
 
 def _nodes(call):
@@ -653,7 +668,72 @@ def test_forced_minima_equal_the_round_based_reduction(instance, query, null):
     assert all(e & least for e in masks)
     if not null:
         for t in list(expected)[::7]:
-            assert minimum_hitting_set_containing(edges, t) == expected[t]
+            assert _through(edges, t) == expected[t]
+
+
+def _maximum_matching(pairs):
+    """A maximum matching of a bipartite graph given as (left, right)
+    pairs, by augmenting paths (Kuhn), as ``{right: its left mate}``."""
+    adjacent = {}
+    for x, y in sorted(pairs, key=str):
+        adjacent.setdefault(x, []).append(y)
+    mate = {}
+
+    def augment(x, seen):
+        for y in adjacent[x]:
+            if y not in seen:
+                seen.add(y)
+                if y not in mate or augment(mate[y], seen):
+                    mate[y] = x
+                    return True
+        return False
+
+    for x in adjacent:
+        augment(x, set())
+    return mate
+
+
+def _koenig_cover(pairs, mate):
+    """König's vertex cover from a maximum matching: the left vertices not
+    reached, and the right ones reached, by the alternating paths from the
+    unmatched left vertices."""
+    adjacent = {}
+    for x, y in pairs:
+        adjacent.setdefault(x, []).append(y)
+    matched = set(mate.values())
+    stack = [x for x in adjacent if x not in matched]
+    left, right = set(stack), set()
+    while stack:
+        for y in adjacent[stack.pop()]:
+            if y not in right:
+                right.add(y)
+                if mate[y] not in left:  # matched, else the path augments
+                    left.add(mate[y])
+                    stack.append(mate[y])
+    return (set(adjacent) - left) | right
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_minimum_size_is_a_maximum_matching_on_bipartite_graphs(seed):
+    # past the oracle's 20-vertex bound: on a bipartite graph a minimum
+    # vertex cover is as large as a maximum matching (König), every vertex
+    # of König's cover lies in a minimum hitting set, and a vertex lies in
+    # one iff the graph without it has a matching one smaller
+    rng = random.Random(seed)
+    n = rng.randint(15, 25)
+    left, right = [fact("L", str(i)) for i in range(n)], [fact("R", str(i)) for i in range(n)]
+    pairs = {(rng.choice(left), rng.choice(right)) for _ in range(rng.randint(2 * n, 4 * n))}
+    edges = [frozenset(p) for p in pairs]
+    mate = _maximum_matching(pairs)
+    cover = _koenig_cover(pairs, mate)
+    assert len(cover) == len(mate) and all(e & cover for e in edges)
+    m = minimum_size(edges)
+    assert m == len(mate)
+    sizes = forced_minima(edges, most=m)
+    assert {v: sizes[v] for v in cover} == dict.fromkeys(cover, m)
+    assert sizes == {
+        v: m if len(_maximum_matching({p for p in pairs if v not in p})) == m - 1 else None
+        for v in sorted({v for e in edges for v in e}, key=fact_key)}
 
 
 def test_hitting_vertex_cover_duality():

@@ -475,16 +475,19 @@ def _cqa_shaped(tmp_path):
 _CQA_DCS = ":- S(X), R(X,Y), S(Y).\n:- A(X,Y), A(X,Z), Y != Z.\n"
 
 
+def _replace_everywhere(monkeypatch, fn, replacement):
+    """Put ``replacement`` in place of every package module's binding of ``fn``."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("causerepair") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, replacement)
+
+
 def _refuse_everywhere(monkeypatch, fn):
     """Make every package module's binding of ``fn`` raise when called."""
-    name = fn.__name__
-
     def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
+        raise AssertionError(f"{fn.__name__} was called")
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("causerepair") and getattr(module, name, None) is fn:
-            monkeypatch.setattr(module, name, refuse)
+    _replace_everywhere(monkeypatch, fn, refuse)
 
 
 def test_subset_cqa_walks_only_through_the_asked_atoms(tmp_path, monkeypatch):
@@ -587,7 +590,8 @@ def test_cardinality_cqa_answers_an_absent_atom_before_any_join(monkeypatch):
 
 def test_cardinality_cqa_asks_about_the_given_atoms_only(monkeypatch):
     # an atom fails when it lies in some minimum hitting set of the
-    # violations, decided per asked atom: no cause's responsibility is needed
+    # violations, decided for the asked atoms at once within the minimum:
+    # no other fact's responsibility is needed
     keyed = seeded_keyed((2, 3, 2), 30)
     mixed = Instance(keyed.facts | seeded_chain(12, 10).facts)
     cases = [(load_instance("cqa2.facts"), load_constraints("cqa2.dlq")),
@@ -601,9 +605,29 @@ def test_cardinality_cqa_asks_about_the_given_atoms_only(monkeypatch):
     assert {answer for *_, answers in expected for answer in answers} == {True, False}
     golden = (DATA / "golden" / "cqa_ground.json").read_bytes()
     monkeypatch.chdir(DATA)
-    _refuse_everywhere(monkeypatch, hitting.forced_minima)
+    forced_minima, forced_rest = hitting.forced_minima, hitting._forced_rest
+    calls, rests = [], []  # each call's asked vertices as a mask; each rest's vertex
+
+    def spied(edges, key=fact_key, *, among=None, most=None):
+        assert among is not None and most is not None
+        vertices, asked = hitting._table(edges, key)[0], set(among)
+        calls.append(sum(1 << i for i, v in enumerate(vertices) if v in asked))
+        return forced_minima(edges, key, among=among, most=most)
+
+    def rest(edges, t, most, floor):
+        assert t & calls[-1] == t, "a forced rest of an atom not asked about"
+        rests.append(t)
+        return forced_rest(edges, t, most, floor)
+
+    _replace_everywhere(monkeypatch, forced_minima, spied)
+    monkeypatch.setattr(hitting, "_forced_rest", rest)
     code, out, err = execute(["cqa", "-i", "cqa2.facts", "-c", "cqa2.dlq",
                               "--atoms", "R(a,d)", "--semantics", "c", "--json"])
     assert (code, err) == (0, "") and out.encode() == golden
+    assert len(calls) == 1
     for d, sigma, asked, answers in expected:
-        assert [consistent_answer(d, sigma, atoms, "c") for atoms in asked] == answers
+        for atoms, answer in zip(asked, answers):
+            calls.clear()
+            assert consistent_answer(d, sigma, atoms, "c") is answer
+            assert len(calls) == 1  # one question for all the asked atoms
+    assert rests
