@@ -30,12 +30,12 @@ from .hitting import (
     minimum_size,
 )
 from .queries import UnionQuery, _maximal_deletion
-from .relational import Fact, Instance, set_key
+from .relational import Fact, Instance, Record, set_key
 
 ZERO = Fraction(0)
 
 
-class CauseReport:
+class CauseReport(Record):
     """Everything known about one fact's causal status for one query."""
 
     __slots__ = ("fact", "is_cause", "responsibility", "minimal_contingencies")
@@ -46,16 +46,6 @@ class CauseReport:
         self.is_cause = is_cause
         self.responsibility = responsibility
         self.minimal_contingencies = minimal_contingencies
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.fact == other.fact and self.is_cause == other.is_cause
-                and self.responsibility == other.responsibility
-                and self.minimal_contingencies == other.minimal_contingencies)
-
-    def __hash__(self) -> int:
-        return hash((self.fact, self.is_cause, self.responsibility, self.minimal_contingencies))
 
 
 def _require_endogenous(d: Instance, t: Fact) -> Fact:

@@ -23,11 +23,11 @@ from .causality import _require_endogenous
 from .errors import SemanticError
 from .hitting import HittingSolution, endogenous_support_sets, enumerate_minimal_hitting_sets
 from .queries import ConjunctiveQuery, UnionQuery, Var
-from .relational import Fact, Instance, format_constant
+from .relational import Fact, Instance, Record, format_constant
 from .repairs import SUBSET, _pick
 
 
-class DiagnosisProblem:
+class DiagnosisProblem(Record):
     """An observation ``query`` on ``instance`` and its conflict family,
     the endogenous support sets (``hitting.endogenous_support_sets``)."""
 
@@ -37,15 +37,6 @@ class DiagnosisProblem:
         self.instance = instance
         self.query = query
         self.conflicts = conflicts
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.instance == other.instance and self.query == other.query
-                and self.conflicts == other.conflicts)
-
-    def __hash__(self) -> int:
-        return hash((self.instance, self.query, self.conflicts))
 
     @property
     def unexplainable(self) -> bool:

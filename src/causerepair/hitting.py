@@ -85,7 +85,7 @@ from typing import Iterable
 
 from .errors import CapExceededError, SemanticError
 from .queries import UnionQuery, _Index, witnesses
-from .relational import Fact, Instance, fact_key, set_key
+from .relational import Fact, Instance, Record, fact_key, set_key
 
 DEFAULT_CAP = 100_000
 
@@ -279,7 +279,7 @@ def _search(masks: list[int], found, most: int | None = None) -> None:
             bound = len(masks)  # a minimal set needs one edge per member
 
 
-class HittingSolution:
+class HittingSolution(Record):
     """A family's subset-minimal hitting sets per connected component,
     each with its indexes into ``vertices``, ascending; an empty edge's
     component has none, and a family with no edge has no component.
@@ -291,11 +291,6 @@ class HittingSolution:
         self.vertices = vertices
         self.parts = parts
         self.cap = cap
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices and self.parts == other.parts and self.cap == other.cap
 
     __hash__ = None
 

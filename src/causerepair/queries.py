@@ -46,41 +46,25 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SemanticError
-from .relational import NULL, Fact, Instance, group_relations, is_null
+from .relational import NULL, Fact, Instance, Record, group_relations, is_null
 
 
-class Var:
+class Var(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
     def __repr__(self) -> str:
         return f"Var({self.name})"
 
 
-class Atom:
+class Atom(Record):
     __slots__ = ("pred", "terms")
 
     def __init__(self, pred: str, terms: tuple):  # terms: of Var | str
         self.pred = pred
         self.terms = terms
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pred == other.pred and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.pred, self.terms))
 
     def __str__(self) -> str:
         return f"{self.pred}({','.join(_term_str(t) for t in self.terms)})"
@@ -90,7 +74,7 @@ def _term_str(t) -> str:
     return t.name if isinstance(t, Var) else t
 
 
-class ConjunctiveQuery:
+class ConjunctiveQuery(Record):
     """A conjunction of atoms with optional inequalities and free variables."""
 
     __slots__ = ("atoms", "inequalities", "free_vars", "__dict__")
@@ -100,15 +84,6 @@ class ConjunctiveQuery:
         self.atoms = atoms
         self.inequalities = inequalities
         self.free_vars = free_vars
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.atoms == other.atoms and self.inequalities == other.inequalities
-                and self.free_vars == other.free_vars)
-
-    def __hash__(self) -> int:
-        return hash((self.atoms, self.inequalities, self.free_vars))
 
     def variables(self) -> set[str]:
         return {t.name for a in self.atoms for t in a.terms if isinstance(t, Var)}
@@ -153,7 +128,7 @@ class ConjunctiveQuery:
         return ", ".join(parts)
 
 
-class UnionQuery:
+class UnionQuery(Record):
     """A union of conjunctive queries sharing one free-variable list."""
 
     __slots__ = ("disjuncts",)
@@ -165,14 +140,6 @@ class UnionQuery:
             raise SemanticError("disjuncts carry different free-variable lists")
         self.disjuncts = disjuncts
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.disjuncts == other.disjuncts
-
-    def __hash__(self) -> int:
-        return hash((self.disjuncts,))
-
     @property
     def free_vars(self) -> tuple[str, ...]:
         return self.disjuncts[0].free_vars
@@ -182,7 +149,7 @@ class UnionQuery:
         return not self.free_vars
 
 
-class DenialConstraint:
+class DenialConstraint(Record):
     __slots__ = ("body",)
 
     def __init__(self, body: ConjunctiveQuery):
@@ -190,31 +157,15 @@ class DenialConstraint:
             raise SemanticError("a denial constraint body has no free variables")
         self.body = body
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.body == other.body
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
-
     def __str__(self) -> str:
         return f":- {self.body}."
 
 
-class DenialConstraintSet:
+class DenialConstraintSet(Record):
     __slots__ = ("constraints",)
 
     def __init__(self, constraints: tuple[DenialConstraint, ...]):
         self.constraints = constraints
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.constraints == other.constraints
-
-    def __hash__(self) -> int:
-        return hash((self.constraints,))
 
     def __len__(self) -> int:
         return len(self.constraints)

@@ -11,16 +11,18 @@ canonical order.
 
 The package's records (``Fact`` and ``Instance`` here, the query and
 constraint classes, and the engines' ``HittingSolution``, ``CauseReport``,
-``DiagnosisProblem`` and ``AttrChange``) are slotted classes written out
-by hand; a class with a cached property keeps a ``__dict__`` for it.
+``DiagnosisProblem`` and ``AttrChange``) are slotted classes; one with a
+cached property keeps a ``__dict__`` for it, whose values are no fields.
 They are immutable by convention: no code assigns a field outside its
-class's ``__init__``, which an AST check in ``tests/test_imports.py``
-enforces.  A record equals only a record of its own class with equal
-fields, and hashes as the tuple of its fields (``HittingSolution``, with
-a list and dicts, does not hash).  A ``Fact``'s fields for both are its
-identity, ``(pred, args, fact_id)``.  A ``Fact`` and an ``AttrChange``
-hash once, when they are built; copies and pickles rebuild them, so the
-hash is computed again in the process that loads it.
+class's ``__init__``.  ``Record`` is the one place that defines their
+equality and hashing: a record equals only a record of its own class
+with equal fields, and hashes as the tuple of its fields
+(``HittingSolution``, with a list and dicts, sets ``__hash__ = None``).
+``Fact`` and ``AttrChange``, the hot keys, are the exceptions: each
+writes that rule out over its identity (a ``Fact``'s is ``(pred, args,
+fact_id)``) and hashes once, when it is built; copies and pickles
+rebuild them, so the hash is computed again in the process that loads
+it.  AST checks in ``tests/test_imports.py`` enforce both conventions.
 ``Instance.relations`` groups an instance's facts by predicate and arity
 once, each relation in iteration order; typed lookups and every join
 over the instance read it.
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import SemanticError
@@ -69,6 +72,37 @@ def format_constant(value: str) -> str:
         return value
     escaped = value.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
+
+
+class Record:
+    """A value equal to a record of its own class with equal fields, and
+    hashed as their tuple.  Its fields are those its class's own
+    ``__slots__`` names, ``__dict__`` aside; a subclass that names none
+    keeps its parent's, and a class that sets ``__hash__`` keeps it."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = [name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__"]
+        if not fields:
+            return
+        get = attrgetter(*fields)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
+
+        if len(fields) == 1:  # ``get`` gives the bare value, not a tuple
+            def __hash__(self):
+                return hash((get(self),))
+        else:
+            def __hash__(self):
+                return hash(get(self))
+
+        cls.__eq__ = __eq__
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = __hash__
 
 
 class Fact:
@@ -141,21 +175,13 @@ def format_fact(f: Fact) -> str:
     return f"{f.pred}({args})"
 
 
-class Instance:
+class Instance(Record):
     """An immutable set of facts, implicitly partitioned by their tags."""
 
     __slots__ = ("facts", "__dict__")
 
     def __init__(self, facts: frozenset[Fact]):
         self.facts = facts
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.facts == other.facts
-
-    def __hash__(self) -> int:
-        return hash((self.facts,))
 
     @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:

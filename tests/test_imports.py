@@ -5,7 +5,9 @@ every parameter of every function is read in its body (``self`` and
 record (``Fact``, ``Instance``, the query classes and the engines'
 result classes) is assigned outside its class's ``__init__`` (records
 are immutable by convention; ``Fact`` and ``AttrChange`` hash once),
-importing the CLI loads neither ``dataclasses`` nor ``inspect``, the
+no class but ``Record``, ``Fact`` and ``AttrChange`` defines ``__eq__``
+or ``__hash__`` (``Record`` gives the other records both), importing the
+CLI loads neither ``dataclasses`` nor ``inspect``, the
 command-line front end uses only the engines' public names, every public
 function or class is used by some package module or listed in
 ``API_ONLY`` with its reason, and no public function only hands its
@@ -237,6 +239,72 @@ def test_the_record_field_lint_catches_a_planted_assignment():
                                                 "        self.source = self.cap = 0\n")) == 1
     allowed = "def cache(d, relations):\n    vars(d).update(relations=relations)\n"
     assert _field_assignments("relational.py", allowed) == []
+
+
+# The classes that define equality and hashing: ``Record`` for every other
+# record, and the hot keys ``Fact`` and ``AttrChange``, which cache their
+# hashes.  ``__hash__ = None`` defines none (``HittingSolution``).
+EQUALITY_OWNERS = {"relational.py": {"Record", "Fact"}, "preferences.py": {"AttrChange"}}
+
+
+def _equality_definitions(name: str, source: str) -> list[str]:
+    """Each ``__eq__`` or ``__hash__`` in ``source`` that a class body
+    defines or assigns, or that code assigns as an attribute, with the
+    class it is in, unless ``EQUALITY_OWNERS`` lists that class."""
+    found = []
+
+    def visit(node, owner):
+        defined = []
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.append((stmt.lineno, stmt.name))
+                elif isinstance(stmt, ast.Assign):
+                    unhashable = isinstance(stmt.value, ast.Constant) and stmt.value.value is None
+                    defined += [(stmt.lineno, t.id) for target in stmt.targets for t in ast.walk(target)
+                                if isinstance(t, ast.Name) and not (unhashable and t.id == "__hash__")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.append((node.lineno, node.attr))
+        found.extend(f"{name}:{line} {owner}.{method}" for line, method in defined
+                     if method in ("__eq__", "__hash__") and owner not in EQUALITY_OWNERS.get(name, ()))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_record_fact_and_attr_change_define_equality(path):
+    assert _equality_definitions(path.name, path.read_text()) == []
+
+
+def test_the_equality_lint_catches_a_planted_definition():
+    planted = {
+        "queries.py": [
+            "class Var:\n    def __eq__(self, other):\n        return True\n",
+            "class Atom:\n    __hash__ = object.__hash__\n",
+            "class ConjunctiveQuery:\n    __eq__ = __hash__ = None\n",  # ``__eq__ = None`` is one
+            "Var.__hash__ = lambda v: 0\n",
+            "def patch(cls):\n    cls.__eq__ = lambda a, b: True\n",
+        ],
+        "hitting.py": ["class HittingSolution:\n    __hash__ = lambda s: 0\n"],
+        "preferences.py": ["class Fact:\n    def __hash__(self):\n        return 0\n"],  # not this module's
+        "relational.py": ["class Instance:\n    class Record:\n        pass\n    __eq__ = object.__eq__\n"],
+    }
+    for module, extras in planted.items():
+        source = (PACKAGE / module).read_text()
+        assert _equality_definitions(module, source) == []
+        for extra in extras:
+            assert len(_equality_definitions(module, source + extra)) == 1, extra
+    allowed = [
+        "class HittingSolution:\n    __hash__ = None\n",
+        "class Fact:\n    def __eq__(self, other):\n        return True\n",
+        "class Record:\n    def __init_subclass__(cls):\n        cls.__eq__ = cls.__hash__ = None\n",
+    ]
+    for extra in allowed:
+        assert _equality_definitions("relational.py", extra) == [], extra
 
 
 def test_the_cli_loads_neither_dataclasses_nor_inspect():

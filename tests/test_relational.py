@@ -1,8 +1,10 @@
 import collections
 import copy
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import random
 import re
 import string
@@ -35,6 +37,7 @@ from causerepair.relational import (
     EXOGENOUS,
     Fact,
     Instance,
+    Record,
     check_wellformed,
     fact,
     fact_key,
@@ -153,7 +156,9 @@ _F, _G = fact("R", "a", "b", fact_id=1), fact("R", "a", "c")
 _CQ = ConjunctiveQuery((Atom("R", (Var("X"), "b")),), ((Var("X"), "c"),))
 _CQ2 = ConjunctiveQuery((Atom("R", (Var("X"), "c")),))
 # Each record but ``Fact`` (above): its fields in constructor order, and
-# for each field another value.
+# for each field another value.  Every ``Record`` subclass in the package
+# must have a case (``test_every_record_has_a_contract_case``);
+# ``AttrChange``, which writes the same rule out, has one too.
 _RECORDS = [
     (Var, ("X",), ("Y",)),
     (Atom, ("R", (Var("X"), "b")), ("S", (Var("Y"), "b"))),
@@ -187,6 +192,30 @@ def test_record_contract(cls, fields, others):
     assert r != fields and r.__eq__(fields) is NotImplemented
     for i, other in enumerate(others):  # each field takes part
         assert r != cls(*fields[:i], other, *fields[i + 1:]), i
+
+
+def test_every_record_has_a_contract_case():
+    for module in pkgutil.iter_modules(causerepair.__path__):
+        importlib.import_module(f"causerepair.{module.name}")
+    found, stack = set(), [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("causerepair."):  # not a test's ``Twin``
+                found.add(sub)
+    assert found and found <= {cls for cls, _, _ in _RECORDS}
+
+
+def test_cached_properties_are_no_fields():
+    # a cached property's value lives in ``__dict__``, which ``Record`` skips
+    d, fresh = Instance(frozenset({_F, _G})), Instance(frozenset({_F, _G}))
+    assert d.sorted_facts and d.relations and vars(d) and not vars(fresh)
+    parsed = parse_instance("R(1;a,b).\nR(a,c).\n")  # its cache is filled as it is built
+    for other in (d, parsed):
+        assert other == fresh and fresh == other and hash(other) == hash(fresh) == hash((fresh.facts,))
+    q, fresh_q = (ConjunctiveQuery(_CQ.atoms, _CQ.inequalities) for _ in range(2))
+    assert q._start and "_start" in vars(q) and not vars(fresh_q)
+    assert q == fresh_q and fresh_q == q and hash(q) == hash(fresh_q) == hash((q.atoms, q.inequalities, ()))
 
 
 def test_attr_change_pickles_across_processes():
