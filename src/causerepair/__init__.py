@@ -50,6 +50,7 @@ from .hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
+    minimum_members,
     minimum_size,
     support_sets,
 )

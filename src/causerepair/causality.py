@@ -27,7 +27,7 @@ from .hitting import (
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
     forced_minima,
-    minimum_size,
+    minimum_members,
 )
 from .queries import UnionQuery, _maximal_deletion
 from .relational import Fact, Instance, Record, set_key
@@ -129,10 +129,8 @@ def most_responsible_causes(
     is one over the minimum: each is decided within the minimum, and no
     other cause's exact responsibility is computed.
     """
-    edges = endogenous_support_sets(d, q)
-    least = minimum_size(edges)
-    top = frozenset(t for t, size in forced_minima(edges, most=least).items() if size is not None)
-    return (top, Fraction(1, least)) if top else (top, ZERO)
+    least, top = minimum_members(endogenous_support_sets(d, q))
+    return (frozenset(top), Fraction(1, least)) if top else (frozenset(), ZERO)
 
 
 def _contingency_target(d: Instance, t: Fact, gamma) -> frozenset[Fact]:

@@ -146,7 +146,9 @@ def _json(value, end: str = "") -> str:
                     else:
                         write(v, inner)
             pieces.append(indent + "]")
-        else:  # a string, a number, true, false, null, [] or {}
+        elif value is None or type(value) in (int, bool):  # as Python writes it, lower-cased
+            pieces.append("null" if value is None else str(value).lower())
+        else:  # a string, a float, [] or {}
             pieces.append(_encode_string(value) if isinstance(value, str) else json.dumps(value))
 
     write(value, "\n")
@@ -200,17 +202,19 @@ def _render(args, inputs: _Inputs, result: dict, text_lines):
 
 
 def _cause_listing(pairs, none_found: str) -> tuple[dict, list[str]]:
-    """The report and text lines of scored causes; ``none_found`` is the
-    one line printed when there are none."""
-    ordered = sorted(pairs, key=lambda p: (-p[1], fact_key(p[0])))
-    result = {
-        "causes": [
-            {"fact": format_fact(t), "responsibility": _fraction_json(rho)}
-            for t, rho in ordered
-        ]
-    }
-    lines = [f"{format_fact(t)}  {rho!s}" for t, rho in ordered]
-    return result, lines or [none_found]
+    """The report and text lines of scored causes, by falling value, each
+    sorted and written once, and then in canonical order; ``none_found``
+    is the one line printed when there are none."""
+    groups: dict[Fraction, list] = {}
+    for t, rho in pairs:
+        groups.setdefault(rho, []).append(t)
+    causes, lines = [], []
+    for rho in sorted(groups, reverse=True):
+        value, shown = _fraction_json(rho), str(rho)
+        for name in _sorted_facts(groups[rho]):
+            causes.append({"fact": name, "responsibility": value})
+            lines.append(f"{name}  {shown}")
+    return {"causes": causes}, lines or [none_found]
 
 
 # Under --json a result list's entry, and then its keys, at their depths

@@ -185,15 +185,17 @@ def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
     return list(parts.values())
 
 
-def _reduced(masks: list[int]) -> tuple[int, list[int]] | None:
+def _reduced(masks: list[int], most: int | None = None) -> tuple[int, list[int]] | None:
     """The kernel of a family for its minimum hitting-set size: the mask
     of the vertices it takes, and the edges left; ``None`` when an edge is
-    empty.  A one-vertex edge takes its vertex, and every edge through
-    that vertex goes; an edge that contains another goes; and a vertex
-    goes when another vertex lies on every edge it lies on (of two such
-    twins the first stays).  The taken vertices joined with a minimum
-    hitting set of the edges left are a minimum hitting set of the family,
-    but minimal hitting sets are lost, so this serves minima only."""
+    empty, or once more than ``most`` vertices are taken.  A one-vertex
+    edge takes its vertex, and every edge through that vertex goes; an
+    edge that contains another goes; and a vertex goes when another vertex
+    lies on every edge it lies on (of two such twins the first stays).
+    The taken vertices joined with a minimum hitting set of the edges left
+    are a minimum hitting set of the family, but minimal hitting sets are
+    lost, so this serves minima only.  The loops run on the masks' bits
+    directly: this is the hot spot of every minimum."""
     taken = 0
     while True:
         kept: list[int] = []
@@ -205,20 +207,43 @@ def _reduced(masks: list[int]) -> tuple[int, list[int]] | None:
                 if not e:
                     return None
                 taken |= e
-            elif not any(k & e == k for v in _bits(e) for k in lowest.get(v, ())):
+                continue
+            rest = e
+            while rest:  # is a kept edge inside e? its lowest vertex is in e
+                v = rest & -rest
+                rest ^= v
+                for k in lowest.get(v, ()):
+                    if k & e == k:
+                        break
+                else:
+                    continue
+                break
+            else:
                 kept.append(e)
                 lowest.setdefault(e & -e, []).append(e)
+        if most is not None and taken.bit_count() > most:
+            return None
         common: dict[int, int] = {}  # vertex -> the vertices on all its edges
         for e in kept:
-            for v in _bits(e):
+            rest = e
+            while rest:
+                v = rest & -rest
+                rest ^= v
                 common[v] = common.get(v, e) & e
         dropped = 0
         for v, others in common.items():
             others &= ~v
             # an earlier vertex there dominates v or is its twin; a later
             # one dominates it only if v is not on all of its edges
-            if others & (v - 1) or any(not common[u] & v for u in _bits(others)):
+            if others & (v - 1):
                 dropped |= v
+                continue
+            while others:
+                u = others & -others
+                others ^= u
+                if not common[u] & v:
+                    dropped |= v
+                    break
         if not dropped:
             return taken, kept
         masks = [e & ~dropped for e in kept]
@@ -355,14 +380,18 @@ def enumerate_minimal_hitting_sets(
 def _least(masks: list[int], most: int | None = None) -> int | None:
     """The mask of a minimum hitting set of the edge masks, if it has at
     most ``most`` members; ``None`` otherwise, as when an edge is empty.
-    Only the kernel is searched (``_reduced``), after its taken vertices
-    are checked against ``most``: its components one by one, each within
-    what the taken vertices and the earlier components left of ``most``."""
-    kernel = _reduced(masks)
+    Only the kernel is searched (``_reduced``, which checks its taken
+    vertices against ``most`` in every round), and a kernel with no edge
+    left is the answer at once; else its components one by one, each
+    within what the taken vertices and the earlier components left of
+    ``most``."""
     most = len(masks) if most is None else most  # no minimal hitting set is larger
-    if kernel is None or kernel[0].bit_count() > most:
+    kernel = _reduced(masks, most)
+    if kernel is None:
         return None
     chosen, edges = kernel
+    if not edges:
+        return chosen
     best = None
 
     def found(mask):
@@ -423,13 +452,31 @@ def forced_minima(edges: Iterable[frozenset], key=fact_key, *, among=None, most:
     share one answer.  Only the components of ``among`` are walked.
     """
     vertices, masks = _table(edges, key)
+    most = len(masks) if most is None else most  # no minimal hitting set is larger
+    return _forced(vertices, masks, _least(masks, most), among, most)
+
+
+def minimum_members(edges: Iterable[frozenset], key=fact_key, *, among=None) -> tuple[int | None, list]:
+    """The size of a minimum hitting set, ``None`` when an edge is empty,
+    and the vertices of ``among`` (by default every vertex, in ``key``
+    order) that lie in some minimum hitting set: ``forced_minima`` at most
+    that size, with the minimum found once."""
+    vertices, masks = _table(edges, key)
+    chosen = _least(masks)
+    least = None if chosen is None else chosen.bit_count()
+    sizes = _forced(vertices, masks, chosen, among, least)
+    return least, [v for v, size in sizes.items() if size is not None]
+
+
+def _forced(vertices: list, masks: list[int], chosen: int | None, among, most: int | None) -> dict:
+    """``forced_minima`` from the family's table and ``chosen``, a minimum
+    set of each component joined, ``None`` when there is none within
+    ``most``."""
     bit = {v: 1 << i for i, v in enumerate(vertices)}
     among = vertices if among is None else list(among)
-    asked = sum({bit.get(v, 0) for v in among})
-    most = len(masks) if most is None else most  # no minimal hitting set is larger
-    chosen = _least(masks, most)  # a minimum set of each component, joined
     if chosen is None:
         return dict.fromkeys(among)
+    asked = sum({bit.get(v, 0) for v in among})
     total = chosen.bit_count()
     sizes: dict[int, int] = {}  # vertex -> its size, if at most most
     for part, group in _components(masks):

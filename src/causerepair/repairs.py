@@ -21,8 +21,8 @@ witnesses through the asked atoms only (seeded joins, ``queries``) and
 decides each one with at most one boolean evaluation per fact of it.
 Under cardinality semantics an atom is in every repair iff it lies in no
 minimum hitting set of the conflict family: iff the least minimal hitting
-set through it is larger than the minimum, which one ``forced_minima``
-call, bounded at the minimum, settles for the asked atoms only.
+set through it is larger than the minimum, which one ``minimum_members``
+call, which finds the minimum once, settles for the asked atoms only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .hitting import (
     HittingSolution,
     endogenous_support_sets,
     enumerate_minimal_hitting_sets,
-    forced_minima,
+    minimum_members,
     minimum_size,
     support_sets,
 )
@@ -165,9 +165,7 @@ def consistent_answer(
     if any(t is None for t in resolved):
         return False
     if semantics == CARDINALITY:
-        edges = support_sets(d, view)
-        sizes = forced_minima(edges, among=resolved, most=minimum_size(edges))
-        return all(size is None for size in sizes.values())
+        return not minimum_members(support_sets(d, view), among=resolved)[1]
     index, verdicts = _Index(d), {}
     return not any(_on_minimal_violation(index, view, t, verdicts) for t in resolved)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from causerepair.hitting import support_sets
 from causerepair.parsing import (
     constraint_set,
     parse_instance,
@@ -110,15 +111,28 @@ def random_boolean_query(rng: random.Random) -> UnionQuery:
     return UnionQuery(tuple(disjuncts))
 
 
-def seeded_chain(n: int, domain: int) -> Instance:
-    """The benchmark's chain generator at seed 0: ``n`` draws of
-    ``R(a_j,a_k)`` and ``S(a_m)`` over ``domain`` constants."""
-    rng = random.Random(0)
+def seeded_chain(n: int, domain: int, seed: int = 0) -> Instance:
+    """The benchmark's chain generator, by default at seed 0: ``n`` draws
+    of ``R(a_j,a_k)`` and ``S(a_m)`` over ``domain`` constants."""
+    rng = random.Random(seed)
     facts = set()
     for _ in range(n):
         j, k, m = (rng.randrange(domain) for _ in range(3))
         facts |= {fact("R", f"a{j}", f"a{k}"), fact("S", f"a{m}")}
     return Instance(frozenset(facts))
+
+
+def explain_pool() -> list[Instance]:
+    """The instances of the benchmark's ``explain-small`` pool: the first
+    12 generator seeds whose chain instance, ``24 + seed % 5`` draws over
+    as many constants, has 5 to 16 support sets under the chain query."""
+    q, pool, seed = single_query("q :- S(X), R(X,Y), S(Y)."), [], 0
+    while len(pool) < 12:
+        d = seeded_chain(24 + seed % 5, 24 + seed % 5, seed)
+        if 5 <= len(support_sets(d, q)) <= 16:
+            pool.append(d)
+        seed += 1
+    return pool
 
 
 def seeded_keyed(shape, n_keys: int) -> Instance:

@@ -17,10 +17,12 @@ from causerepair.causality import (
     responsibility,
 )
 from causerepair.errors import SemanticError
+from causerepair.hitting import endogenous_support_sets, support_sets
 from causerepair.oracle import oracle_causes_and_responsibility
 from causerepair.parsing import parse_fact, parse_instance, parse_program, single_query
 from causerepair.queries import UnionQuery, violation_view
 from causerepair.relational import Instance, fact_key
+from causerepair.repairs import consistent_answer
 
 from conftest import (
     load_constraints,
@@ -28,7 +30,9 @@ from conftest import (
     load_query,
     random_boolean_query,
     random_instance,
+    explain_pool,
     seeded_chain,
+    seeded_keyed,
 )
 from test_propositions import _instances_and_queries
 
@@ -217,6 +221,57 @@ def test_most_responsible_causes_are_the_largest_responsibilities(drawn):
 def test_most_responsible_causes_are_the_largest_responsibilities_on_a_dense_chain():
     d = seeded_chain(100, 40)
     assert _assert_mrc_within_the_minimum(d, single_query("q :- S(X), R(X,Y), S(Y).")) > 0
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls of the named ``hitting`` functions, by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(hitting, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(hitting, name, counted)
+    return counts
+
+
+def test_kernel_and_search_calls_stay_within_their_budget(monkeypatch):
+    # counts repeat exactly, so they guard the kernel's gains.  Before the
+    # flat kernel, on this instance, ``responsibilities`` made 104
+    # ``_reduced`` and 79 ``_search`` calls, and ``most_responsible_causes``
+    # 105 and 80, finding the family's minimum twice; it now makes 104 and 79
+    d, q = seeded_chain(100, 40), single_query("q :- S(X), R(X,Y), S(Y).")
+    counts = _counting(monkeypatch, "_reduced", "_search")
+    responsibilities(d, q)
+    assert counts["_reduced"] <= 104 and counts["_search"] <= 79, counts
+    counts.update(_reduced=0, _search=0)
+    most_responsible_causes(d, q)
+    assert counts["_reduced"] <= 104 and counts["_search"] <= 79, counts
+
+
+def test_the_family_minimum_is_found_once_per_mrc_and_cardinality_cqa(monkeypatch):
+    # a whole-family ``_least`` runs on the family's masks as they are;
+    # the forced rests run on smaller families
+    chain = single_query("q :- S(X), R(X,Y), S(Y).")
+    sigma = load_constraints("cqa2.dlq")
+    cases = [(d, chain, endogenous_support_sets(d, chain)) for d in explain_pool()[:4]]
+    cases += [(d, sigma, support_sets(d, violation_view(sigma)))
+              for d in (load_instance("cqa2.facts"), seeded_keyed((2, 3, 2), 30))]
+    least, whole = hitting._least, []
+
+    def spied(masks, most=None):
+        whole[-1] += list(masks) == family
+        return least(masks, most)
+
+    monkeypatch.setattr(hitting, "_least", spied)
+    for d, question, edges in cases:
+        family = hitting._table(edges)[1]
+        whole.append(0)
+        if question is chain:
+            most_responsible_causes(d, question)
+        else:
+            consistent_answer(d, question, sorted(d.facts, key=fact_key)[:2], "c")
+    assert whole == [1] * len(cases)
 
 
 def test_check_minimal_contingency_examples(chain_instance, chain_query):

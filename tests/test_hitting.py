@@ -37,6 +37,7 @@ from conftest import (
     load_constraints,
     load_instance,
     load_query,
+    explain_pool,
     mask_families,
     random_boolean_query,
     random_instance,
@@ -403,6 +404,73 @@ def test_sets_containing_a_vertex_are_the_filtered_enumeration_on_block_families
             assert solution.containing(t).kept(_smallest).sets == tuple(_smallest(through))
             shapes.add((bool(through), len(hitting._components(hitting._table(edges)[1]))))
     assert {(True, 2), (True, 4), (False, 2), (False, 4)} <= shapes
+
+
+def _generator_reduced(masks):
+    """The kernel as first written, kept as the reference for the flat
+    loops of ``hitting._reduced``: a generator of bits per edge, and
+    ``any`` over one for each subset and each domination test."""
+    taken = 0
+    while True:
+        kept = []
+        lowest = {}  # vertex -> kept edges it is lowest on
+        for e in sorted(set(masks), key=int.bit_count):  # units come first
+            if e & taken:
+                continue
+            if not e & (e - 1):  # no vertex or one
+                if not e:
+                    return None
+                taken |= e
+            elif not any(k & e == k for v in hitting._bits(e) for k in lowest.get(v, ())):
+                kept.append(e)
+                lowest.setdefault(e & -e, []).append(e)
+        common = {}  # vertex -> the vertices on all its edges
+        for e in kept:
+            for v in hitting._bits(e):
+                common[v] = common.get(v, e) & e
+        dropped = 0
+        for v, others in common.items():
+            others &= ~v
+            if others & (v - 1) or any(not common[u] & v for u in hitting._bits(others)):
+                dropped |= v
+        if not dropped:
+            return taken, kept
+        masks = [e & ~dropped for e in kept]
+
+
+def _assert_kernel_is_the_reference(masks, most=None):
+    """The same taken vertices and the same edges left, in the same order;
+    ``None`` past ``most`` taken vertices."""
+    expected = _generator_reduced(masks)
+    if expected is not None and most is not None and expected[0].bit_count() > most:
+        expected = None
+    assert hitting._reduced(masks, most) == expected, (masks, most)
+
+
+@settings(max_examples=300)
+@given(mask_families())
+def test_the_flat_kernel_is_the_generator_kernel(masks):
+    for most in (None, *range(-1, len(masks) + 1)):
+        _assert_kernel_is_the_reference(masks, most)
+
+
+def test_the_flat_kernel_is_the_generator_kernel_on_recorded_inputs(monkeypatch):
+    # every kernel input of forced_minima on a dense chain and on the
+    # families of the benchmark's explain-small pool, with its bound
+    q, reduced, inputs = single_query("q :- S(X), R(X,Y), S(Y)."), hitting._reduced, []
+
+    def recorded(masks, most=None):
+        inputs.append((list(masks), most))
+        return reduced(masks, most)
+
+    monkeypatch.setattr(hitting, "_reduced", recorded)
+    for d in [seeded_chain(100, 40), *explain_pool()]:
+        forced_minima(endogenous_support_sets(d, q))
+    monkeypatch.undo()
+    assert len(inputs) > 200
+    for masks, most in inputs:
+        _assert_kernel_is_the_reference(masks, most)
+        _assert_kernel_is_the_reference(masks)
 
 
 def _by_rounds_reduced(masks):

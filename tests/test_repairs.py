@@ -605,21 +605,24 @@ def test_cardinality_cqa_asks_about_the_given_atoms_only(monkeypatch):
     assert {answer for *_, answers in expected for answer in answers} == {True, False}
     golden = (DATA / "golden" / "cqa_ground.json").read_bytes()
     monkeypatch.chdir(DATA)
-    forced_minima, forced_rest = hitting.forced_minima, hitting._forced_rest
+    minimum_members, forced_rest = hitting.minimum_members, hitting._forced_rest
     calls, rests = [], []  # each call's asked vertices as a mask; each rest's vertex
 
-    def spied(edges, key=fact_key, *, among=None, most=None):
-        assert among is not None and most is not None
+    def spied(edges, key=fact_key, *, among=None):
+        assert among is not None
         vertices, asked = hitting._table(edges, key)[0], set(among)
         calls.append(sum(1 << i for i, v in enumerate(vertices) if v in asked))
-        return forced_minima(edges, key, among=among, most=most)
+        return minimum_members(edges, key, among=among)
 
     def rest(edges, t, most, floor):
         assert t & calls[-1] == t, "a forced rest of an atom not asked about"
+        # asked within the minimum: no rest at or above its component's
+        assert most < hitting._least(edges).bit_count(), most  # edges: t's component
         rests.append(t)
         return forced_rest(edges, t, most, floor)
 
-    _replace_everywhere(monkeypatch, forced_minima, spied)
+    _replace_everywhere(monkeypatch, minimum_members, spied)
+    _refuse_everywhere(monkeypatch, hitting.forced_minima)
     monkeypatch.setattr(hitting, "_forced_rest", rest)
     code, out, err = execute(["cqa", "-i", "cqa2.facts", "-c", "cqa2.dlq",
                               "--atoms", "R(a,d)", "--semantics", "c", "--json"])
