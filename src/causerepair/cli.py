@@ -202,9 +202,9 @@ def _render(args, inputs: _Inputs, result: dict, text_lines):
 
 
 def _cause_listing(pairs, none_found: str) -> tuple[dict, list[str]]:
-    """The report and text lines of scored causes, by falling value, each
-    sorted and written once, and then in canonical order; ``none_found``
-    is the one line printed when there are none."""
+    """The report and text lines of scored causes, by falling value (each
+    sorted and written once), then in canonical order; ``none_found`` is
+    the one line printed when there are none."""
     groups: dict[Fraction, list] = {}
     for t, rho in pairs:
         groups.setdefault(rho, []).append(t)
@@ -302,11 +302,7 @@ def _cmd_check_contingency(args, inputs: _Inputs, d, q) -> str:
     t = parse_fact(args.tuple)
     gamma = frozenset(parse_fact_list(args.gamma))
     verdict = causality.check_minimal_contingency(d, q, t, gamma)
-    result = {
-        "fact": format_fact(t),
-        "contingency": _sorted_facts(gamma),
-        "minimal_contingency": verdict,
-    }
+    result = {"fact": format_fact(t), "contingency": _sorted_facts(gamma), "minimal_contingency": verdict}
     return _render(args, inputs, result, [str(verdict).lower()])
 
 
@@ -336,11 +332,7 @@ def _cmd_rdp(args, inputs: _Inputs, d, q) -> str:
     t = parse_fact(args.tuple)
     threshold = _threshold(args.threshold)
     verdict = causality.rdp_decide(d, q, t, threshold)
-    result = {
-        "fact": format_fact(t),
-        "threshold": str(threshold),
-        "exceeds": verdict,
-    }
+    result = {"fact": format_fact(t), "threshold": str(threshold), "exceeds": verdict}
     return _render(args, inputs, result, [str(verdict).lower()])
 
 
@@ -392,11 +384,7 @@ def _cmd_cqa(args, inputs: _Inputs, d, sigma) -> str:
     if not atoms:
         raise SemanticError("--atoms names no ground atoms")
     verdict = _consistent_answer(d, sigma, atoms, args.semantics)
-    result = {
-        "atoms": _sorted_facts(atoms),
-        "semantics": args.semantics,
-        "consistent": verdict,
-    }
+    result = {"atoms": _sorted_facts(atoms), "semantics": args.semantics, "consistent": verdict}
     return _render(args, inputs, result, [str(verdict).lower()])
 
 

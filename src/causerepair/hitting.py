@@ -50,11 +50,14 @@ takes its vertex and every edge through it goes (Abu-Khzam's unit-edge
 rule), an edge that contains another goes, and a vertex goes when another
 vertex lies on every edge it lies on (Weihe's two domination rules).  On
 the chain query every ``R(x,y)`` goes and the family becomes a graph,
-which most often reduces to nothing.  Only what is left is split into
-components and searched by branch and bound, the bound lowered below
-every set found; the minimum is the taken vertices plus the components'
-minima, and the taken vertices joined with the sets found are one
-minimum hitting set (``_least``, whose size is ``minimum_size``).
+which most often reduces to nothing in two or three rounds; the rounds,
+most of a minimum's time, loop over the masks' bits with no generator,
+and each checks the taken vertices against the bound.  Only a kernel
+with edges left is split into components and searched by branch and
+bound, the bound lowered below every set found; the minimum is the taken
+vertices plus the components' minima, and the taken vertices joined
+with the sets found are one minimum hitting set (``_least``, whose size
+is ``minimum_size``).
 
 When an element ``t`` is forced, the relevant quantity is the minimum
 size of an *irredundant* hitting set containing ``t`` (one in which some
@@ -72,9 +75,10 @@ a component's minimum set at its minimum, starts each other vertex's
 search below the smallest such set through it, and answers twins,
 vertices on the same edges, once; the other components add their own
 minima, found once for the whole family.  Its bound ``most`` decides
-"at most k" questions without finding larger sizes: at the family's
-minimum it asks which vertices lie in some minimum hitting set, the
-most responsible causes and the facts that cardinality repairs delete.
+"at most k" questions without finding larger sizes; ``minimum_members``
+asks, at the family's minimum, found once, which vertices lie in some
+minimum hitting set: the most responsible causes, and the facts that
+cardinality repairs delete.
 """
 
 from __future__ import annotations
@@ -186,16 +190,11 @@ def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
 
 
 def _reduced(masks: list[int], most: int | None = None) -> tuple[int, list[int]] | None:
-    """The kernel of a family for its minimum hitting-set size: the mask
-    of the vertices it takes, and the edges left; ``None`` when an edge is
-    empty, or once more than ``most`` vertices are taken.  A one-vertex
-    edge takes its vertex, and every edge through that vertex goes; an
-    edge that contains another goes; and a vertex goes when another vertex
-    lies on every edge it lies on (of two such twins the first stays).
-    The taken vertices joined with a minimum hitting set of the edges left
-    are a minimum hitting set of the family, but minimal hitting sets are
-    lost, so this serves minima only.  The loops run on the masks' bits
-    directly: this is the hot spot of every minimum."""
+    """The kernel of a family for its minimum hitting-set size, by the
+    unit-edge, edge-inclusion and domination rules (of two twins the first
+    stays): the mask of the vertices it takes, and the edges left; ``None``
+    when an edge is empty, or once a round has taken more than ``most``
+    vertices.  Minimal hitting sets are lost: it serves minima only."""
     taken = 0
     while True:
         kept: list[int] = []
@@ -209,15 +208,11 @@ def _reduced(masks: list[int], most: int | None = None) -> tuple[int, list[int]]
                 taken |= e
                 continue
             rest = e
-            while rest:  # is a kept edge inside e? its lowest vertex is in e
+            while rest:  # a kept edge inside e has its lowest vertex in e
                 v = rest & -rest
                 rest ^= v
-                for k in lowest.get(v, ()):
-                    if k & e == k:
-                        break
-                else:
-                    continue
-                break
+                if v in lowest and any(k & e == k for k in lowest[v]):
+                    break
             else:
                 kept.append(e)
                 lowest.setdefault(e & -e, []).append(e)
@@ -233,15 +228,12 @@ def _reduced(masks: list[int], most: int | None = None) -> tuple[int, list[int]]
         dropped = 0
         for v, others in common.items():
             others &= ~v
-            # an earlier vertex there dominates v or is its twin; a later
-            # one dominates it only if v is not on all of its edges
-            if others & (v - 1):
-                dropped |= v
-                continue
             while others:
                 u = others & -others
                 others ^= u
-                if not common[u] & v:
+                # an earlier vertex there dominates v or is its twin; a
+                # later one dominates it only if v is not on all its edges
+                if u < v or not common[u] & v:
                     dropped |= v
                     break
         if not dropped:
@@ -380,19 +372,14 @@ def enumerate_minimal_hitting_sets(
 def _least(masks: list[int], most: int | None = None) -> int | None:
     """The mask of a minimum hitting set of the edge masks, if it has at
     most ``most`` members; ``None`` otherwise, as when an edge is empty.
-    Only the kernel is searched (``_reduced``, which checks its taken
-    vertices against ``most`` in every round), and a kernel with no edge
-    left is the answer at once; else its components one by one, each
-    within what the taken vertices and the earlier components left of
-    ``most``."""
+    Only the kernel (``_reduced``, bounded by ``most``) is searched, if it
+    has an edge left: its components one by one, each within what the
+    taken vertices and the earlier components left of ``most``."""
     most = len(masks) if most is None else most  # no minimal hitting set is larger
     kernel = _reduced(masks, most)
-    if kernel is None:
-        return None
+    if kernel is None or not kernel[1]:  # none within most, or no edge left to search
+        return kernel and kernel[0]
     chosen, edges = kernel
-    if not edges:
-        return chosen
-    best = None
 
     def found(mask):
         nonlocal best
@@ -435,43 +422,28 @@ def forced_minima(edges: Iterable[frozenset], key=fact_key, *, among=None, most:
     family, in ``key`` order), the least size of a subset-minimal hitting
     set holding ``t``, in which ``t`` is irredundant; ``None`` when there
     is none, as when ``t`` lies on no edge, or when it has more than
-    ``most`` members.
-
-    The whole family's minimum is found first (``_least``), so taken
-    vertices beyond ``most`` answer before any search, and no component's
-    minimum is searched beyond what ``most`` leaves.  ``t``'s size is 1,
-    plus the forced rest within its own component, plus the other
-    components' minima.  Within the component the size is at least its
-    minimum ``m``, which lets the search over witness edges stop early,
-    and a minimal hitting set through ``t`` bounds it from above, which
-    starts that search lower; ``most`` caps it too, so under ``most`` at
-    the family's minimum each rest is searched below ``m`` only.  The
-    minimum set found settles each of its members at ``m``; each forced
-    rest found, joined with its ``t``, is a minimal hitting set that
-    bounds each of its members; and twins, vertices on the same edges,
-    share one answer.  Only the components of ``among`` are walked.
-    """
+    ``most`` members.  The whole family's minimum is found first
+    (``_least``), so taken vertices beyond ``most`` answer before any
+    search, and no component's minimum is searched beyond what ``most``
+    leaves."""
     vertices, masks = _table(edges, key)
     most = len(masks) if most is None else most  # no minimal hitting set is larger
     return _forced(vertices, masks, _least(masks, most), among, most)
 
 
 def minimum_members(edges: Iterable[frozenset], key=fact_key, *, among=None) -> tuple[int | None, list]:
-    """The size of a minimum hitting set, ``None`` when an edge is empty,
-    and the vertices of ``among`` (by default every vertex, in ``key``
-    order) that lie in some minimum hitting set: ``forced_minima`` at most
-    that size, with the minimum found once."""
+    """The size of a minimum hitting set (``None`` when an edge is empty)
+    and the vertices of ``among`` (default: all, in ``key`` order) in some
+    minimum hitting set: ``forced_minima`` at most the minimum, found once."""
     vertices, masks = _table(edges, key)
-    chosen = _least(masks)
-    least = None if chosen is None else chosen.bit_count()
-    sizes = _forced(vertices, masks, chosen, among, least)
-    return least, [v for v, size in sizes.items() if size is not None]
+    least = None if (chosen := _least(masks)) is None else chosen.bit_count()
+    return least, [v for v, n in _forced(vertices, masks, chosen, among, least).items() if n is not None]
 
 
 def _forced(vertices: list, masks: list[int], chosen: int | None, among, most: int | None) -> dict:
-    """``forced_minima`` from the family's table and ``chosen``, a minimum
-    set of each component joined, ``None`` when there is none within
-    ``most``."""
+    """``forced_minima`` on the family's table, given ``chosen``, a
+    minimum set of each component joined (``None``: none within ``most``);
+    only the components of ``among`` are walked."""
     bit = {v: 1 << i for i, v in enumerate(vertices)}
     among = vertices if among is None else list(among)
     if chosen is None:
