@@ -302,7 +302,11 @@ def _cmd_check_contingency(args, inputs: _Inputs, d, q) -> str:
     t = parse_fact(args.tuple)
     gamma = frozenset(parse_fact_list(args.gamma))
     verdict = causality.check_minimal_contingency(d, q, t, gamma)
-    result = {"fact": format_fact(t), "contingency": _sorted_facts(gamma), "minimal_contingency": verdict}
+    result = {
+        "fact": format_fact(t),
+        "contingency": _sorted_facts(gamma),
+        "minimal_contingency": verdict,
+    }
     return _render(args, inputs, result, [str(verdict).lower()])
 
 
@@ -332,7 +336,11 @@ def _cmd_rdp(args, inputs: _Inputs, d, q) -> str:
     t = parse_fact(args.tuple)
     threshold = _threshold(args.threshold)
     verdict = causality.rdp_decide(d, q, t, threshold)
-    result = {"fact": format_fact(t), "threshold": str(threshold), "exceeds": verdict}
+    result = {
+        "fact": format_fact(t),
+        "threshold": str(threshold),
+        "exceeds": verdict,
+    }
     return _render(args, inputs, result, [str(verdict).lower()])
 
 
@@ -384,7 +392,11 @@ def _cmd_cqa(args, inputs: _Inputs, d, sigma) -> str:
     if not atoms:
         raise SemanticError("--atoms names no ground atoms")
     verdict = _consistent_answer(d, sigma, atoms, args.semantics)
-    result = {"atoms": _sorted_facts(atoms), "semantics": args.semantics, "consistent": verdict}
+    result = {
+        "atoms": _sorted_facts(atoms),
+        "semantics": args.semantics,
+        "consistent": verdict,
+    }
     return _render(args, inputs, result, [str(verdict).lower()])
 
 

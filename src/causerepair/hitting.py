@@ -372,9 +372,10 @@ def enumerate_minimal_hitting_sets(
 def _least(masks: list[int], most: int | None = None) -> int | None:
     """The mask of a minimum hitting set of the edge masks, if it has at
     most ``most`` members; ``None`` otherwise, as when an edge is empty.
-    Only the kernel (``_reduced``, bounded by ``most``) is searched, if it
-    has an edge left: its components one by one, each within what the
-    taken vertices and the earlier components left of ``most``."""
+    The kernel (``_reduced``) checks its taken vertices against ``most``
+    in every round, and with no edge left it is the answer at once; else
+    its components are searched one by one, each within what the taken
+    vertices and the earlier components left of ``most``."""
     most = len(masks) if most is None else most  # no minimal hitting set is larger
     kernel = _reduced(masks, most)
     if kernel is None or not kernel[1]:  # none within most, or no edge left to search
@@ -442,8 +443,12 @@ def minimum_members(edges: Iterable[frozenset], key=fact_key, *, among=None) -> 
 
 def _forced(vertices: list, masks: list[int], chosen: int | None, among, most: int | None) -> dict:
     """``forced_minima`` on the family's table, given ``chosen``, a
-    minimum set of each component joined (``None``: none within ``most``);
-    only the components of ``among`` are walked."""
+    minimum set of each component joined (``None``: none within ``most``).
+    ``t``'s size is 1, plus its forced rest, at least its component's
+    minimum ``m`` and at most a known minimal set's size through ``t``
+    (each bounds the witness edges' search, so at the family's minimum a
+    rest is searched below ``m`` only), plus the other components'
+    minima.  Only the components of ``among`` are walked."""
     bit = {v: 1 << i for i, v in enumerate(vertices)}
     among = vertices if among is None else list(among)
     if chosen is None:

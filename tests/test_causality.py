@@ -25,12 +25,12 @@ from causerepair.relational import Instance, fact_key
 from causerepair.repairs import consistent_answer
 
 from conftest import (
+    explain_pool,
     load_constraints,
     load_instance,
     load_query,
     random_boolean_query,
     random_instance,
-    explain_pool,
     seeded_chain,
     seeded_keyed,
 )

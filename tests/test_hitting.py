@@ -23,6 +23,7 @@ from causerepair.hitting import (
     enumerate_minimal_hitting_sets,
     forced_minima,
     minimal_sets,
+    minimum_members,
     minimum_size,
     support_sets,
 )
@@ -566,6 +567,9 @@ def test_kernel_and_forced_minima_agree_with_the_oracle(masks):
             assert chosen.bit_count() == least
     assert minimum_size(edges) == least
     assert forced_minima(edges) == {u: per_element[u] for u in sorted(universe, key=fact_key)}
+    # a vertex lies in some minimum hitting set iff its least minimal one is a minimum
+    assert minimum_members(edges) == (least, [u for u in sorted(universe, key=fact_key)
+                                              if least is not None and per_element[u] == least])
     for u in universe:
         # every budget up to two past the size, where the answer turns
         size = per_element[u]
