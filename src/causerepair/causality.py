@@ -66,15 +66,12 @@ def contingency_sets(
     """All subset-minimal contingency sets for ``t``.
 
     These are exactly ``H - {t}`` for the minimal hitting sets ``H`` of the
-    endogenous support family that contain ``t``; only those are built,
-    and the cap counts them.  They come smallest first.  A fact on no
-    edge has none, and no search.
+    endogenous support family that contain ``t``; only those are searched
+    for, and the cap counts them.  They come smallest first.  A fact on
+    no edge has none, and no search.
     """
     t = _require_endogenous(d, t)
-    edges = endogenous_support_sets(d, q)
-    if not any(t in e for e in edges):
-        return ()
-    through = enumerate_minimal_hitting_sets(edges, cap).containing(t).sets
+    through = enumerate_minimal_hitting_sets(endogenous_support_sets(d, q), cap, through=t).sets
     return tuple(sorted((s - {t} for s in through), key=lambda s: (len(s), set_key(s))))
 
 

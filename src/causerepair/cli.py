@@ -47,7 +47,8 @@ errors (a negative ``--max-enum``, ``--max-enum`` on a subcommand that
 does not enumerate, and an input file that is not UTF-8 text included),
 2 semantic errors (``--priority`` without ``--semantics go`` included),
 3 an enumeration cap exceeded or an oracle input above its bound.  The
-cap counts each conflict component's minimal sets and the product that
+cap counts the sets each conflict component keeps (``go`` and
+``preferred-causes`` keep all, then choose) and the product that
 ``repairs`` or ``diagnose`` lists; ``preferred-causes`` builds no product.
 """
 

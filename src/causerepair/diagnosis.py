@@ -24,7 +24,7 @@ from .errors import SemanticError
 from .hitting import HittingSolution, endogenous_support_sets, enumerate_minimal_hitting_sets
 from .queries import ConjunctiveQuery, UnionQuery, Var
 from .relational import Fact, Instance, Record, format_constant
-from .repairs import SUBSET, _pick
+from .repairs import SUBSET, _cardinality
 
 
 class DiagnosisProblem(Record):
@@ -69,18 +69,14 @@ def diagnoses(
 
     Kind 's' keeps all subset-minimal diagnoses; kind 'c' the minimum-
     cardinality ones (within the restricted family when ``containing`` is
-    given, matching the responsibility correspondence); none, with no
-    search, when ``containing`` lies on no conflict.
+    given, matching the responsibility correspondence).  Only the kept
+    diagnoses are searched for, and the cap counts them; none are, when
+    ``containing`` lies on no conflict.
     """
-    keep = _pick(kind)
+    smallest = _cardinality(kind)
     if containing is not None:
         containing = _require_endogenous(m.instance, containing)
-        if not any(containing in e for e in m.conflicts):
-            return HittingSolution([], ({},), 0)  # an empty product, not searched
-    solution = enumerate_minimal_hitting_sets(m.conflicts, cap)
-    if containing is not None:
-        solution = solution.containing(containing)
-    return solution.kept(keep)
+    return enumerate_minimal_hitting_sets(m.conflicts, cap, through=containing, smallest=smallest)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ class SemanticError(CauseRepairError):
 
 
 class CapExceededError(CauseRepairError):
-    """An enumeration would exceed the configured cap: in the minimal sets
-    of one component of its family, or in the product of the sets kept
-    per component, counted before that product is built."""
+    """An enumeration would exceed the configured cap: in the sets that
+    one component of its family keeps, or in the product of those sets,
+    counted before that product is built."""
 
     def __init__(self, cap, message=None):
         super().__init__(message or f"enumeration cap of {cap} exceeded")

@@ -34,14 +34,15 @@ own, exceed the bound.  An empty edge has no vertex to branch on, so a
 family holding one has no hitting set; no family need be an antichain.
 
 A family's minimal hitting sets are the product of its connected
-components' ones (``_components``), and so are the smallest of them, or
-any other choice made per component (``HittingSolution.kept``).
-Enumeration searches each component with no bound, caps the sets each
-yields, and keeps them per component.  The sets that hold a given vertex
-are those of its component that hold it times the other components' sets
-(``containing``).  Each set keeps its ascending vertex indexes.  Only
-``indexes`` reads the product, and it caps it first (the cap counts what
-was kept): a member is one set per component, written as the sorted join
+components' ones (``_components``), and so are the smallest of them, those
+through a given vertex, or any other choice made per component
+(``HittingSolution.kept``).  Enumeration visits only the sets each
+component keeps, and the cap counts those: its search has no bound for
+all of them, and the component's minimum (``_least``) for the smallest;
+in the vertex's component it starts with the vertex chosen, bounded for
+the smallest by the least set through it (``_forced``).  Each set keeps
+its ascending vertex indexes.  Only ``indexes`` reads the product, and it
+caps it first: a member is one set per component, written as the sorted join
 of their index lists, and the members come in the order of those lists;
 ``sets`` maps each list onto the vertices.
 Minima are read off a kernel (``_reduced``), valid for the minimum size
@@ -241,10 +242,11 @@ def _reduced(masks: list[int], most: int | None = None) -> tuple[int, list[int]]
         masks = [e & ~dropped for e in kept]
 
 
-def _search(masks: list[int], found, most: int | None = None) -> None:
+def _search(masks: list[int], found, most: int | None = None, through: int = 0) -> None:
     """Visit every subset-minimal hitting set of the edge masks with at
-    most ``most`` members once, calling ``found`` on its vertex mask;
-    ``found`` returns the new bound, ``None`` for none."""
+    most ``most`` members, and holding the vertex ``through`` if one is
+    given, once, calling ``found`` on its vertex mask; ``found`` returns
+    the new bound, ``None`` for none."""
     masks = sorted(masks, key=int.bit_count)  # small edges pack best
     on: dict[int, int] = {}  # vertex -> mask of the edges it lies on
     for i, e in enumerate(masks):
@@ -254,7 +256,7 @@ def _search(masks: list[int], found, most: int | None = None) -> None:
         sorted(((v, on[v]) for v in _bits(e)), key=lambda r: (-r[1].bit_count(), r[0]))
         for e in masks
     ]
-    chosen: list[int] = []
+    chosen = [through] if through else []
     bound = len(masks) if most is None else most
 
     def branches(uncovered, banned, crit):
@@ -284,8 +286,9 @@ def _search(masks: list[int], found, most: int | None = None) -> None:
                     chosen.pop()
             banned |= v
 
+    crit = [on[through]] if through else []  # at the root, through alone hits its edges
     # a stack of open nodes, not recursion: sets may be thousands deep
-    stack = [iter([((1 << len(masks)) - 1, 0, [])])]
+    stack = [iter([((1 << len(masks)) - 1 & ~sum(crit), 0, crit)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -297,10 +300,10 @@ def _search(masks: list[int], found, most: int | None = None) -> None:
 
 
 class HittingSolution(Record):
-    """A family's subset-minimal hitting sets per connected component,
-    each with its indexes into ``vertices``, ascending; an empty edge's
-    component has none, and a family with no edge has no component.
-    Unhashable: its fields are a list and dicts."""
+    """The subset-minimal hitting sets that a family's enumeration keeps,
+    per connected component, each with its indexes into ``vertices``,
+    ascending; an empty edge's component has none, and a family with no
+    edge has no component.  Unhashable: its fields are a list and dicts."""
 
     __slots__ = ("vertices", "parts", "cap")
 
@@ -315,15 +318,6 @@ class HittingSolution(Record):
         """``choice`` applied to each component's list of sets."""
         parts = tuple({s: part[s] for s in choice(list(part))} for part in self.parts)
         return HittingSolution(self.vertices, parts, self.cap)
-
-    def containing(self, t) -> HittingSolution:
-        """The sets that hold ``t``: in ``t``'s component those that hold
-        it, elsewhere all; none when no set holds ``t``."""
-        through = [{s: i for s, i in part.items() if t in s} for part in self.parts]
-        if not any(through):
-            return HittingSolution(self.vertices, ({},), self.cap)
-        return HittingSolution(self.vertices, tuple(own or part for own, part in zip(through, self.parts)),
-                               self.cap)
 
     def indexes(self, at=None) -> list[list[int]]:
         """The product, in canonical order: each member's vertex indexes,
@@ -345,26 +339,38 @@ class HittingSolution(Record):
 
 
 def enumerate_minimal_hitting_sets(
-    edges: Iterable[frozenset], cap: int | None = None, key=fact_key
+    edges: Iterable[frozenset], cap: int | None = None, key=fact_key, *, through=None, smallest: bool = False
 ) -> HittingSolution:
     """Each connected component's subset-minimal hitting sets, with the
-    vertices in ``key`` order.  Exponential families exist even for one
-    fixed constraint: ``CapExceededError`` is raised once a component
-    yields more than ``cap`` sets, and by ``sets`` once the product has
-    more."""
+    vertices in ``key`` order: in ``through``'s component only those that
+    hold it (none at all, with no search, when it lies on no edge), and
+    under ``smallest`` only the smallest a component keeps.  Only kept
+    sets are visited.  Exponential families exist even for one fixed
+    constraint: ``CapExceededError`` is raised once a component keeps
+    more than ``cap`` sets, and by ``sets`` once the product has more."""
     cap = DEFAULT_CAP if cap is None else cap
     vertices, masks = _table(edges, key)
+    if through is not None and through not in vertices:
+        return HittingSolution(vertices, ({},), cap)
+    t = 0 if through is None else 1 << vertices.index(through)
     parts = []
-    for _, group in _components(masks):
+    for part, group in _components(masks):
         found: dict[frozenset, list[int]] = {}  # each set found -> its vertex indexes
+        seed, most = t & part, None
+        if smallest:
+            least = _least(group)  # None: an empty edge, which no set hits
+            most = (_forced(vertices, group, least, [through], len(group))[through] if seed
+                    else least and least.bit_count())
 
         def add(chosen):
             indexes = [v.bit_length() - 1 for v in _bits(chosen)]  # ascending
             found[frozenset([vertices[i] for i in indexes])] = indexes
             if len(found) > cap:
                 raise CapExceededError(cap)
+            return most
 
-        _search(group, add)
+        if not smallest or most is not None:  # else the component keeps no set
+            _search(group, add, most, seed)
         parts.append(found)
     return HittingSolution(vertices, tuple(parts), cap)
 

@@ -6,10 +6,12 @@ choices: the family (the violation witnesses, or under 'endo' their
 endogenous parts) and what each conflict component keeps of its minimal
 hitting sets (all under 's' and 'endo', the smallest under 'c', those a
 priority leaves unimproved under 'go'; Staworko, Chomicki and
-Marcinkowski, AMAI 2012).  A priority is checked on the family it
-selects from.  ``repairs`` returns the hitting solution itself: each of
-its ``sets`` is one repair's deletion set ``s``, and the repair is
-``d.without(s)``.  Null repairs live in ``preferences``.
+Marcinkowski, AMAI 2012).  Under 'c' the search visits the smallest
+sets only, so the cap counts C-repairs; 'go' chooses among the sets
+found.  A priority is checked on the family it selects from.
+``repairs`` returns the hitting solution itself: each of its ``sets``
+is one repair's deletion set ``s``, and the repair is ``d.without(s)``.
+Null repairs live in ``preferences``.
 
 Consistent-answer checks use the cause-based criterion directly, with no
 repair enumeration.  Under subset semantics an atom is in every repair
@@ -56,20 +58,11 @@ ENDOGENOUS_ONLY = "endo"
 GLOBAL_OPTIMAL = "go"
 
 
-def _smallest(sets: list) -> list:
-    """The members of least size."""
-    least = min(map(len, sets), default=0)
-    return [s for s in sets if len(s) == least]
-
-
-def _pick(semantics: str):
-    """What a semantics keeps of each conflict component's deletion sets:
-    all of them under 's', the smallest under 'c'."""
-    if semantics == SUBSET:
-        return list
-    if semantics == CARDINALITY:
-        return _smallest
-    raise SemanticError(f"unknown repair semantics {semantics!r}")
+def _cardinality(semantics: str) -> bool:
+    """Whether ``semantics`` is 'c', not 's'; any other is an error."""
+    if semantics not in (SUBSET, CARDINALITY):
+        raise SemanticError(f"unknown repair semantics {semantics!r}")
+    return semantics == CARDINALITY
 
 
 def repairs(
@@ -103,13 +96,13 @@ def repairs(
         pairs = _acyclic(d, priority)
     elif priority is not None:
         raise SemanticError("a priority applies to global-optimal repairs only")
-    else:
-        keep = list if semantics == ENDOGENOUS_ONLY else _pick(semantics)
+    smallest = semantics not in (GLOBAL_OPTIMAL, ENDOGENOUS_ONLY) and _cardinality(semantics)
     family = endogenous_support_sets if semantics == ENDOGENOUS_ONLY else support_sets
     edges = family(d, violation_view(sigma))
+    solution = enumerate_minimal_hitting_sets(edges, cap, smallest=smallest)
     if semantics == GLOBAL_OPTIMAL:
-        keep = _unimproved(pairs, edges, "mutually conflicting")
-    return enumerate_minimal_hitting_sets(edges, cap).kept(keep)
+        return solution.kept(_unimproved(pairs, edges, "mutually conflicting"))
+    return solution
 
 
 def is_repair(
@@ -122,14 +115,14 @@ def is_repair(
     semantics additionally compares the deletion count with the global
     minimum from the branching solver.
     """
-    _pick(semantics)  # 's' and 'c' only
+    cardinality = _cardinality(semantics)
     if not candidate.facts <= d.facts:
         raise SemanticError("candidate repair is not a sub-instance")
     view = violation_view(sigma)
     removed = d.facts - candidate.facts
     if not _maximal_deletion(d, removed, view):
         return False
-    return semantics == SUBSET or len(removed) == minimum_size(support_sets(d, view))
+    return not cardinality or len(removed) == minimum_size(support_sets(d, view))
 
 
 def consistent_answer(
@@ -153,7 +146,7 @@ def consistent_answer(
     set through it has ``m`` members, asked for all of them at once; no
     other fact's responsibility is computed.
     """
-    _pick(semantics)  # 's' and 'c' only
+    cardinality = _cardinality(semantics)
     if d.exogenous:
         raise SemanticError("consistent answers assume all facts endogenous")
     atoms = list(ground_atoms)
@@ -164,7 +157,7 @@ def consistent_answer(
     resolved = [d.find(a.pred, a.args, a.fact_id) for a in atoms]
     if any(t is None for t in resolved):
         return False
-    if semantics == CARDINALITY:
+    if cardinality:
         return not minimum_members(support_sets(d, view), among=resolved)[1]
     index, verdicts = _Index(d), {}
     return not any(_on_minimal_violation(index, view, t, verdicts) for t in resolved)

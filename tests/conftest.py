@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from causerepair.hitting import support_sets
+from causerepair.hitting import HittingSolution, support_sets
 from causerepair.parsing import (
     constraint_set,
     parse_instance,
@@ -56,6 +56,26 @@ def assert_same(written: str, expected: str):
         pairs = zip_longest(written.split("\n"), expected.split("\n"))
         line, (got, want) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
         pytest.fail(f"line {line} differs: {got!r} != {want!r}")
+
+
+# ---------------------------------------------------------------------------
+# References for ``smallest`` and ``through``: filters of a whole enumeration
+
+
+def smallest(sets: list) -> list:
+    """The members of least size."""
+    least = min(map(len, sets), default=0)
+    return [s for s in sets if len(s) == least]
+
+
+def containing(solution: HittingSolution, t) -> HittingSolution:
+    """The sets of ``solution`` that hold ``t``: in ``t``'s component
+    those that hold it, elsewhere all; none when no set holds ``t``."""
+    through = [{s: i for s, i in part.items() if t in s} for part in solution.parts]
+    if not any(through):
+        return HittingSolution(solution.vertices, ({},), solution.cap)
+    parts = tuple(own or part for own, part in zip(through, solution.parts))
+    return HittingSolution(solution.vertices, parts, solution.cap)
 
 
 @pytest.fixture

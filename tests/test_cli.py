@@ -768,6 +768,21 @@ def test_smallest_diagnoses_through_a_fact_fit_the_default_cap(tmp_path):
     assert code == 3 and "cap" in err
 
 
+def test_cardinality_repairs_and_diagnoses_fit_the_default_cap(tmp_path):
+    # a component of chain n=80 has over 100,000 minimal sets, but there
+    # are 6,480 C-repairs, and only those are searched for
+    inst, dc, q = tmp_path / "chain80.facts", tmp_path / "chain.dc", tmp_path / "chain.dlq"
+    inst.write_text(serialize_instance(seeded_chain(80, 80)))
+    dc.write_text(":- S(X), R(X,Y), S(Y).\n")
+    q.write_text("q :- S(X), R(X,Y), S(Y).\n")
+    runs = [(["repairs", "-c", str(dc), "--semantics", "c"], "repairs"),
+            (["diagnose", "-q", str(q), "--kind", "c"], "diagnoses")]
+    for argv, key in runs:
+        code, out, err = execute(argv + ["-i", str(inst), "--json"])
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["result"][key]) == 6480
+
+
 @pytest.mark.parametrize("k", [40, 200])
 def test_preferred_causes_read_per_component_on_keyed_instances(tmp_path, k):
     # 2^(k/2) global-optimal repairs, far above the default cap; no

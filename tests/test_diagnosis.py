@@ -18,7 +18,7 @@ from causerepair.hitting import endogenous_support_sets, enumerate_minimal_hitti
 from causerepair.parsing import parse_fact, parse_instance, single_query
 from causerepair.queries import violation_view
 from causerepair.relational import Instance
-from causerepair.repairs import _smallest, repairs
+from causerepair.repairs import repairs
 
 from conftest import (
     data_path,
@@ -28,6 +28,7 @@ from conftest import (
     random_boolean_query,
     random_instance,
     seeded_chain,
+    smallest,
 )
 from test_propositions import contingencies_read_off, repairs_from_diagnoses
 
@@ -126,7 +127,7 @@ def test_sets_containing_a_fact_equal_the_filtered_enumeration_randomized():
         for t in d.endogenous:
             through = [s for s in everything if t in s]
             assert list(diagnoses(m, "s", t).sets) == through
-            assert list(diagnoses(m, "c", t).sets) == _smallest(through)
+            assert list(diagnoses(m, "c", t).sets) == smallest(through)
             # the conflicts are the endogenous support sets
             assert contingency_sets(d, q, t) == contingencies_read_off(everything, t)
             compared += 1
@@ -148,6 +149,33 @@ def test_a_fact_on_no_edge_is_answered_before_any_search(monkeypatch):
     argv = ["diagnose", "-i", str(data_path("ex1.facts")), "-q", str(data_path("ex1.dlq"))]
     code, out, err = execute(argv + ["--containing", "R(a2,a1)", "--json"])
     assert code == 0 and err == "" and json.loads(out)["result"]["diagnoses"] == []
+
+
+# one component, {T(t),X(x)}, {X(x),Y(yi)} and {Y(yi),Z(zi)} for i < 4, joined
+# by exogenous facts: 17 minimal hitting sets, one of them through T(t)
+_FORK = ("T(t). X(x). " + " ".join(f"Y(y{i}). Z(z{i})." for i in range(4)) + "\n@exogenous\nN(t,x). "
+         + " ".join(f"L(x,y{i}). M(y{i},z{i})." for i in range(4)) + "\n")
+_FORK_QUERY = "q :- T(A), N(A,B), X(B).\nq :- X(A), L(A,B), Y(B).\nq :- Y(A), M(A,B), Z(B).\n"
+
+
+def test_the_cap_counts_only_the_sets_through_the_fact(tmp_path):
+    d, q, t = parse_instance(_FORK), single_query(_FORK_QUERY), parse_fact("T(t)")
+    m = build_problem(d, q)
+    assert len(enumerate_minimal_hitting_sets(m.conflicts).sets) == 17
+    with pytest.raises(CapExceededError):
+        diagnoses(m, "s", cap=5)
+    (gamma,) = contingency_sets(d, q, t, cap=5)
+    assert {str(f) for f in gamma} == {"Y(y0)", "Y(y1)", "Y(y2)", "Y(y3)"}
+    for kind in ("s", "c"):
+        assert diagnoses(m, kind, t, cap=1).sets == (gamma | {t},)
+    inst, dlq = tmp_path / "fork.facts", tmp_path / "fork.dlq"
+    inst.write_text(_FORK)
+    dlq.write_text(_FORK_QUERY)
+    argv = ["diagnose", "-i", str(inst), "-q", str(dlq), "--containing", "T(t)", "--max-enum", "5", "--json"]
+    for kind in ("s", "c"):
+        code, out, err = execute(argv + ["--kind", kind])
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["diagnoses"] == [["T(t)", "Y(y0)", "Y(y1)", "Y(y2)", "Y(y3)"]]
 
 
 def test_diagnoses_containing_rejects_exogenous():

@@ -32,9 +32,9 @@ from causerepair.parsing import parse_instance, parse_program, single_query
 from causerepair.preferences import AttrChange, _kill_family, attr_key
 from causerepair.queries import dc_of_query, violation_view
 from causerepair.relational import Fact, Instance, fact, fact_key
-from causerepair.repairs import _smallest
 
 from conftest import (
+    containing,
     load_constraints,
     load_instance,
     load_query,
@@ -45,6 +45,7 @@ from conftest import (
     seeded_chain,
     seeded_keyed,
     small_instances,
+    smallest,
 )
 
 
@@ -190,10 +191,11 @@ def _assert_sets_as_built_bit_by_bit(edges):
     solution = enumerate_minimal_hitting_sets(edges)
     everything = _sets_bit_by_bit(solution)
     assert solution.sets == everything
-    assert solution.kept(_smallest).sets == _sets_bit_by_bit(solution.kept(_smallest))
+    least = enumerate_minimal_hitting_sets(edges, smallest=True)
+    assert least.sets == _sets_bit_by_bit(least) == _sets_bit_by_bit(solution.kept(smallest))
     for t in solution.vertices + [fact("S", "absent")]:
-        through = solution.containing(t)
-        assert through.sets == _sets_bit_by_bit(through)
+        through = enumerate_minimal_hitting_sets(edges, through=t)
+        assert through.sets == _sets_bit_by_bit(through) == _sets_bit_by_bit(containing(solution, t))
     # any one-to-one ``at`` renumbers before the sorts: here a decreasing
     # dict, which reverses each member's numbers and reorders the members
     at = {i: 2 * (len(solution.vertices) - i) for i in range(len(solution.vertices))}
@@ -216,6 +218,21 @@ def test_sets_equal_the_bit_by_bit_product_on_block_families(masks):
     # several components, now and then an empty edge
     edges = [frozenset(_VERTEX[v.bit_length() - 1] for v in hitting._bits(e)) for e in masks]
     _assert_sets_as_built_bit_by_bit(edges)
+
+
+@settings(max_examples=200)
+@given(mask_families())
+def test_kept_sets_are_the_filtered_enumeration_on_mask_families(masks):
+    # through every vertex, one absent vertex and none, each with and
+    # without smallest: the reference filters the whole enumeration
+    edges = [frozenset(_VERTEX[v.bit_length() - 1] for v in hitting._bits(e)) for e in masks]
+    solution = enumerate_minimal_hitting_sets(edges)
+    everything = list(solution.sets)
+    for t in [None, fact("S", "absent")] + solution.vertices:
+        through = everything if t is None else [s for s in everything if t in s]
+        for least in (False, True):
+            found = enumerate_minimal_hitting_sets(edges, through=t, smallest=least).sets
+            assert found == tuple(smallest(through) if least else through), (t, least)
 
 
 @st.composite
@@ -397,14 +414,56 @@ def test_sets_containing_a_vertex_are_the_filtered_enumeration_on_block_families
     shapes = set()
     for _ in range(200):
         edges = _block_family(rng)
-        solution = enumerate_minimal_hitting_sets(edges)
-        everything = solution.sets
+        everything = enumerate_minimal_hitting_sets(edges).sets
         for t in sorted({v for e in edges for v in e}, key=fact_key) + [fact("S", "absent")]:
             through = [s for s in everything if t in s]
-            assert solution.containing(t).sets == tuple(through)
-            assert solution.containing(t).kept(_smallest).sets == tuple(_smallest(through))
+            assert enumerate_minimal_hitting_sets(edges, through=t).sets == tuple(through)
+            least = enumerate_minimal_hitting_sets(edges, through=t, smallest=True)
+            assert least.sets == tuple(smallest(through))
             shapes.add((bool(through), len(hitting._components(hitting._table(edges)[1]))))
     assert {(True, 2), (True, 4), (False, 2), (False, 4)} <= shapes
+
+
+def test_the_smallest_search_visits_only_the_kept_sets(monkeypatch):
+    # a spy on each enumeration search: under smallest, ``found`` sees each
+    # kept set once (all of one size, through the asked vertex if any) and
+    # no other; without it, sets of other sizes are seen too
+    visits = []  # per enumeration search: its bound, vertex and the masks found
+    search = hitting._search
+
+    def spied(masks, found, most=None, through=0):
+        if found.__qualname__ == "enumerate_minimal_hitting_sets.<locals>.add":
+            seen = []
+            visits.append((most, through, seen))
+            found = lambda chosen, found=found: seen.append(chosen) or found(chosen)
+        search(masks, found, most, through)
+
+    monkeypatch.setattr(hitting, "_search", spied)
+    rng = random.Random(9)
+    families = [_block_family(rng) for _ in range(60)]
+    families.append(support_sets(seeded_chain(40, 40), single_query("q :- S(X), R(X,Y), S(Y).")))
+    sizes_without = set()
+    for edges in families:
+        for t in [None] + sorted({v for e in edges for v in e}, key=fact_key)[:6]:
+            visits.clear()
+            solution = enumerate_minimal_hitting_sets(edges, through=t, smallest=True)
+            assert sum(len(seen) for _, _, seen in visits) == sum(map(len, solution.parts))
+            for most, through, seen in visits:
+                assert {c.bit_count() for c in seen} <= {most}
+                assert all(c & through == through for c in seen)
+            visits.clear()
+            enumerate_minimal_hitting_sets(edges, through=t)
+            sizes_without |= {len({c.bit_count() for c in seen}) for _, _, seen in visits}
+    assert max(sizes_without) > 1
+
+
+def test_cardinality_sets_are_the_smallest_of_the_enumeration_on_chain_60():
+    # 76,383 C-sets; the reference keeps the smallest of each component's
+    # minimal sets, all of them enumerated
+    edges = support_sets(seeded_chain(60, 60), single_query("q :- S(X), R(X,Y), S(Y)."))
+    least = enumerate_minimal_hitting_sets(edges, smallest=True)
+    assert least.parts == enumerate_minimal_hitting_sets(edges).kept(smallest).parts
+    assert prod(map(len, least.parts)) == 76_383
 
 
 def _generator_reduced(masks):

@@ -51,7 +51,7 @@ from causerepair.queries import (
     violation_view,
 )
 from causerepair.relational import ENDOGENOUS, EXOGENOUS, Fact, Instance, fact_key, set_key
-from causerepair.repairs import SUBSET, _pick, _smallest, consistent_answer, repairs
+from causerepair.repairs import SUBSET, _cardinality, consistent_answer, repairs
 
 from conftest import conjunctive_queries, seeded_keyed, small_instances
 
@@ -66,16 +66,18 @@ def causes_via_repairs(
 
     The deletion sets within the endogenous facts are the minimal hitting
     sets of the endogenous support sets.  Returns those that hold ``t``,
-    smallest first (the cap counts these and each component's sets),
-    and those of them whose size is the least of all: the smallest of
-    every component.  ``t`` is an actual cause iff the first family is
+    smallest first (the cap counts these), and those of them whose size
+    is the least of all: the least through ``t``, if no hitting set is
+    smaller.  ``t`` is an actual cause iff the first family is
     non-empty, a most responsible cause iff the second is, and its
     responsibility is the inverse of the smallest member of the first.
     """
     resolved = _require_endogenous(d, t)
-    solution = hitting.enumerate_minimal_hitting_sets(hitting.endogenous_support_sets(d, q), cap)
-    through = solution.containing(resolved).sets  # in set_key order
-    return tuple(sorted(through, key=len)), solution.kept(_smallest).containing(resolved).sets
+    edges = hitting.endogenous_support_sets(d, q)
+    through = hitting.enumerate_minimal_hitting_sets(edges, cap, through=resolved).sets  # in set_key order
+    least = hitting.enumerate_minimal_hitting_sets(edges, cap, through=resolved, smallest=True).sets
+    least = least if least and len(least[0]) == hitting.minimum_size(edges) else ()
+    return tuple(sorted(through, key=len)), least
 
 
 def repair_responsibility(diff_s: tuple[frozenset[Fact], ...]) -> Fraction:
@@ -111,7 +113,7 @@ def repairs_via_causes(
     if d.exogenous:
         raise SemanticError("repairs-from-causes requires all facts endogenous")
     edges = hitting.endogenous_support_sets(d, violation_view(sigma))
-    transversal = hitting.enumerate_minimal_hitting_sets(edges, cap).kept(_pick(semantics)).sets
+    transversal = hitting.enumerate_minimal_hitting_sets(edges, cap, smallest=_cardinality(semantics)).sets
     causes = {f for edge in edges for f in edge}
     assembled = {gamma | {t} for t in causes for gamma in contingencies_read_off(transversal, t)}
     return tuple(sorted(assembled, key=set_key)) if edges else (frozenset(),)
