@@ -6,10 +6,11 @@ either plain text or, with ``--json``, a canonical report: fixed key
 order, facts in canonical order, responsibilities as exact ``{num, den}``
 pairs.  Repeated runs on identical inputs produce byte-identical output.
 
-Each subparser names its handler and ``execute`` parses the instance,
-then the query or the constraints, and hands both to it: an instance
-error comes before a program error, and both before any other.  The
-report's ``command`` is the subcommand (``oracle.causes`` and so on).
+``execute`` hands the words after the subcommand straight to its parser,
+which names the handler, then parses the instance, then the query or the
+constraints, and hands both to it: an instance error comes before a
+program error, and both before any other.  The report's ``command`` is
+the subcommand (``oracle.causes`` and so on).
 
 The report is written by ``_json``, which appends its pieces to one list
 and joins the report, trailing newline included, once; it is
@@ -82,13 +83,20 @@ SEMANTIC_ERROR = 2
 CAP_ERROR = 3
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """An invocation ended by its parser: (exit code, stdout, stderr)."""
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises ``_Exit`` with a usage error or help where argparse prints and exits."""
+
     def error(self, message):
-        raise _UsageError(message)
+        raise _Exit(USAGE_ERROR, "", f"usage error: {message}\n")
+
+    def print_help(self, file=None):
+        if file is not None:  # asked for by a caller, not by -h
+            return super().print_help(file)
+        raise _Exit(0, self.format_help(), "")
 
 
 def _enumeration_cap(text: str) -> int:
@@ -126,35 +134,37 @@ def _json(value, end: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True) + end`` for str keys,
     joined once from its pieces: strings escaped in C, each dict key once
     per call, a ``_Names`` list as it is (a tuple is a list)."""
-    pieces, keys = [], {}
-
-    def write(value, indent):
-        inner = indent + "  "
-        if isinstance(value, dict) and value:
-            for opening, k in zip("{" + "," * len(value), sorted(value)):
-                pieces.extend((opening + inner, keys.get(k) or keys.setdefault(k, _encode_string(k) + ": ")))
-                write(value[k], inner)
-            pieces.append(indent + "}")
-        elif isinstance(value, (list, tuple)) and value:
-            try:  # most lists hold names only, escaped without a call per name
-                pieces.extend(("[" + inner, ("," + inner).join(
-                    value if type(value) is _Names else map(_encode_string, value))))
-            except TypeError:  # or a _Names list holds the pieces of each item
-                for opening, v in zip("[" + "," * len(value), value):
-                    pieces.append(opening + inner)
-                    if type(value) is _Names:
-                        pieces.extend(v)
-                    else:
-                        write(v, inner)
-            pieces.append(indent + "]")
-        elif value is None or type(value) in (int, bool):  # as Python writes it, lower-cased
-            pieces.append("null" if value is None else str(value).lower())
-        else:  # a string, a float, [] or {}
-            pieces.append(_encode_string(value) if isinstance(value, str) else json.dumps(value))
-
-    write(value, "\n")
+    pieces = []
+    _write(pieces, {}, value, "\n")
     pieces.append(end)
     return "".join(pieces)
+
+
+def _write(pieces: list[str], keys: dict[str, str], value, indent: str) -> None:
+    """Appends ``value``'s pieces at ``indent``; ``keys`` holds each dict key as
+    written.  A closure that called itself would hold ``pieces`` in a cycle."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        for opening, k in zip("{" + "," * len(value), sorted(value)):
+            pieces.extend((opening + inner, keys.get(k) or keys.setdefault(k, _encode_string(k) + ": ")))
+            _write(pieces, keys, value[k], inner)
+        pieces.append(indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        try:  # most lists hold names only, escaped without a call per name
+            pieces.extend(("[" + inner, ("," + inner).join(
+                value if type(value) is _Names else map(_encode_string, value))))
+        except TypeError:  # or a _Names list holds the pieces of each item
+            for opening, v in zip("[" + "," * len(value), value):
+                pieces.append(opening + inner)
+                if type(value) is _Names:
+                    pieces.extend(v)
+                else:
+                    _write(pieces, keys, v, inner)
+        pieces.append(indent + "]")
+    elif value is None or type(value) in (int, bool):  # as Python writes it, lower-cased
+        pieces.append("null" if value is None else str(value).lower())
+    else:  # a string, a float, [] or {}
+        pieces.append(_encode_string(value) if isinstance(value, str) else json.dumps(value))
 
 
 class _Inputs:
@@ -451,14 +461,18 @@ def _cmd_oracle_repairs(args, inputs: _Inputs, d, sigma) -> str:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The argument parser, built on the first call and reused after."""
+    """The full parser, built on the first call and reused after: the one
+    definition of help and error text for an argv that names no subcommand
+    first.  ``commands`` maps each subcommand to its own parser, which
+    ``execute`` hands the words after it."""
     parser = _Parser(prog="causerepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.commands = {}
 
-    def common(p, run, query=False, enumerates=False):
-        """The instance, the query (or else the constraints) and the
-        handler; ``--max-enum`` where the handler enumerates."""
-        p.set_defaults(run=run)
+    def common(p, name, run, query=False, enumerates=False):
+        """The command's name and handler, the instance, the query (or
+        else the constraints); ``--max-enum`` where the handler enumerates."""
+        p.set_defaults(command=name, run=run)
         p.add_argument("-i", "--instance", required=True)
         if query:
             p.add_argument("-q", "--query", required=True)
@@ -467,56 +481,49 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true")
         if enumerates:
             p.add_argument("--max-enum", type=_enumeration_cap, default=None)
+        return p
 
-    p = sub.add_parser("causes", help="actual causes with responsibilities")
-    common(p, _cmd_causes, query=True)
+    def command(name, help, run, **options):
+        commands[name] = p = sub.add_parser(name, help=help)
+        return common(p, name, run, **options)
 
-    p = sub.add_parser("responsibility", help="responsibility of one fact")
-    common(p, _cmd_responsibility, query=True)
+    command("causes", "actual causes with responsibilities", _cmd_causes, query=True)
+
+    p = command("responsibility", "responsibility of one fact", _cmd_responsibility, query=True)
     p.add_argument("--tuple", required=True)
 
-    p = sub.add_parser("mrc", help="most responsible causes")
-    common(p, _cmd_mrc, query=True)
+    command("mrc", "most responsible causes", _cmd_mrc, query=True)
 
-    p = sub.add_parser("check-contingency", help="minimal contingency test")
-    common(p, _cmd_check_contingency, query=True)
+    p = command("check-contingency", "minimal contingency test", _cmd_check_contingency, query=True)
     p.add_argument("--tuple", required=True)
     p.add_argument("--gamma", default="")
 
-    p = sub.add_parser("rdp", help="responsibility threshold decision")
-    common(p, _cmd_rdp, query=True)
+    p = command("rdp", "responsibility threshold decision", _cmd_rdp, query=True)
     p.add_argument("--tuple", required=True)
     p.add_argument("--threshold", required=True)
 
-    p = sub.add_parser("repairs", help="repairs under a chosen semantics")
-    common(p, _cmd_repairs, enumerates=True)
+    p = command("repairs", "repairs under a chosen semantics", _cmd_repairs, enumerates=True)
     p.add_argument("--semantics", default="s", choices=["s", "c", "go", "endo", "null"])
     p.add_argument("--priority")
 
-    p = sub.add_parser("cqa", help="consistent answers for ground atoms")
-    common(p, _cmd_cqa)
+    p = command("cqa", "consistent answers for ground atoms", _cmd_cqa)
     p.add_argument("--atoms", required=True)
     p.add_argument("--semantics", default="s", choices=["s", "c"])
 
-    p = sub.add_parser("diagnose", help="conflicts and minimal diagnoses")
-    common(p, _cmd_diagnose, query=True, enumerates=True)
+    p = command("diagnose", "conflicts and minimal diagnoses", _cmd_diagnose, query=True, enumerates=True)
     p.add_argument("--kind", default="s", choices=["s", "c"])
     p.add_argument("--containing")
     p.add_argument("--emit-theory", action="store_true")
 
-    p = sub.add_parser("preferred-causes", help="causes under a causal priority")
-    common(p, _cmd_preferred_causes, query=True, enumerates=True)
+    p = command("preferred-causes", "causes under a causal priority", _cmd_preferred_causes,
+                query=True, enumerates=True)
     p.add_argument("--priority", required=True)
 
-    p = sub.add_parser("oracle", help="brute-force reference results")
+    # the oracle's parser hands its subcommand's words on, so they are parsed twice
+    commands["oracle"] = p = sub.add_parser("oracle", help="brute-force reference results")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
-    # a subcommand's defaults overwrite the outer "oracle" command name
-    p = oracle_sub.add_parser("causes")
-    p.set_defaults(command="oracle.causes")
-    common(p, _cmd_oracle_causes, query=True)
-    p = oracle_sub.add_parser("repairs")
-    p.set_defaults(command="oracle.repairs")
-    common(p, _cmd_oracle_repairs)
+    common(oracle_sub.add_parser("causes"), "oracle.causes", _cmd_oracle_causes, query=True)
+    p = common(oracle_sub.add_parser("repairs"), "oracle.repairs", _cmd_oracle_repairs)
     p.add_argument("--semantics", default="s", choices=["s", "c", "endo"])
 
     return parser
@@ -527,10 +534,11 @@ def execute(argv: list[str]) -> tuple[int, str, str]:
     The instance is parsed first, then the query or the constraints, and
     both are handed to the subcommand's handler."""
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return USAGE_ERROR, "", f"usage error: {exc}\n"
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    except _Exit as exc:
+        return exc.args
     args.raw_argv = list(argv)
     inputs = _Inputs(args)
     try:

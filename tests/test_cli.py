@@ -1,3 +1,4 @@
+import argparse
 import bisect
 import hashlib
 import json
@@ -16,6 +17,7 @@ from causerepair.repairs import repairs
 from causerepair.relational import fact_key, format_fact, serialize_instance
 
 from conftest import DATA, assert_same, keyed_preferences, seeded_chain, seeded_keyed
+from make_goldens import golden_cases
 
 
 @pytest.fixture(autouse=True)
@@ -681,6 +683,102 @@ def test_other_subcommands_reject_the_cap(argv):
     assert execute(argv)[0] == 0
     code, out, err = execute(argv + ["--max-enum", "0"])
     assert code == 1 and out == "" and err.startswith("usage error:") and "--max-enum" in err
+
+
+# ---------------------------------------------------------------------------
+# Each invocation is parsed once, by its subcommand's parser
+
+_REPAIRS = ["repairs", "-i", "ex4.facts", "-c", "ex4.dlq"]
+_MALFORMED = [  # usage errors and help, and an abbreviated flag, which parses
+    [],
+    ["nope"],
+    ["--json", "causes", "-i", "ex1.facts", "-q", "ex1.dlq"],
+    ["causes", "-i", "ex1.facts", "-q", "ex1.dlq", "--nope"],
+    ["causes", "-q", "ex1.dlq"],
+    _REPAIRS + ["--max-enum", "-1"],
+    _REPAIRS + ["--max-enum", "many"],
+    _REPAIRS + ["--semantics", "x"],
+    _REPAIRS + ["--sem", "c"],
+    _REPAIRS + ["--", "--json"],
+    ["oracle"],
+    ["oracle", "nope"],
+    ["oracle", "causes", "-i", "ex1.facts", "-q", "ex1.dlq", "--max-enum", "0"],
+    ["-h"],
+    ["causes", "-h"],
+    ["oracle", "-h"],
+    ["oracle", "repairs", "--help"],
+]
+_INVOCATIONS = [list(argv) for argv in dict.fromkeys(  # the goldens repeat some of the others
+    tuple(argv) for argv in [argv for _, argv in golden_cases()] + _ENUMERATING + _NOT_ENUMERATING)]
+
+
+def _parsed(parse, argv):
+    """``parse(argv)``'s namespace as a dict, or the (exit code, stdout,
+    stderr) that the parser ended the invocation with."""
+    try:
+        return vars(parse(argv))
+    except cli._Exit as exc:
+        return exc.args
+
+
+def _dispatched(argv, monkeypatch):
+    """The namespace ``execute`` hands on, or what it returns when its
+    parser ends the invocation."""
+
+    class Parsed(Exception):
+        pass
+
+    def stop(args):
+        raise Parsed(args)
+
+    monkeypatch.setattr(cli, "_Inputs", stop)
+    try:
+        return cli.execute(argv)
+    except Parsed as parsed:
+        args = vars(parsed.args[0])
+        assert args.pop("raw_argv") == argv
+        return args
+
+
+@pytest.mark.parametrize("argv", _INVOCATIONS + _MALFORMED, ids=lambda argv: " ".join(argv) or "no words")
+def test_dispatch_parses_as_the_full_parser(argv, monkeypatch):
+    expected = _parsed(cli._build_parser().parse_args, list(argv))
+    assert _dispatched(list(argv), monkeypatch) == expected
+    if isinstance(expected, tuple):  # help on stdout, or a usage error on stderr
+        code, out, err = expected
+        assert (code, bool(out), bool(err)) in {(0, True, False), (1, False, True)}
+    else:
+        assert expected["command"] == ".".join(argv[:2] if argv[0] == "oracle" else argv[:1])
+
+
+def test_each_invocation_is_parsed_once(monkeypatch):
+    calls = 0
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    counts = {}
+    for argv in _INVOCATIONS:
+        calls = 0
+        assert execute(argv)[0] == 0, argv
+        counts[" ".join(argv)] = calls
+    # an oracle subcommand's words are parsed by the oracle's parser, then by its own
+    assert {argv: n for argv, n in counts.items() if n != 1 + argv.startswith("oracle ")} == {}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["causes", "-h"], ["oracle", "repairs", "--help"]], ids=" ".join)
+def test_help_is_returned_not_printed(argv, capsys, monkeypatch):
+    code, out, err = execute(argv)
+    assert capsys.readouterr() == ("", "")
+    assert (code, err) == (0, "") and out.startswith(" ".join(["usage:", "causerepair", *argv[:-1], "[-h]"]))
+    monkeypatch.setattr(sys, "argv", ["causerepair", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 0 and capsys.readouterr() == (out, "")
 
 
 # ---------------------------------------------------------------------------

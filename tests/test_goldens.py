@@ -1,6 +1,7 @@
 """Replay every golden CLI report and compare it byte for byte, and
 count the support families each invocation builds."""
 
+import gc
 import sys
 
 import pytest
@@ -20,6 +21,26 @@ def test_golden_replay(name, argv, monkeypatch):
     code, out, err = execute(argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (DATA / "golden" / name).read_bytes()
+
+
+def test_reports_leave_no_reference_cycles(monkeypatch):
+    # a report's pieces are freed when it is returned, not when the
+    # cyclic collector next runs
+    monkeypatch.chdir(DATA)
+    for _, argv in CASES:  # warm up: caches and lazy set-up fill first
+        execute(argv)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = {}
+        for name, argv in CASES:
+            execute(argv)
+            found[name] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert {name: n for name, n in found.items() if n} == {}
 
 
 def test_each_invocation_builds_its_family_once(monkeypatch):
