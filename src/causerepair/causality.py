@@ -16,11 +16,12 @@ shared, and each minimal set found bounds the other causes on it.
 ``most_responsible_causes`` is decided within the minimum: a cause is
 most responsible iff some minimum hitting set holds it, so no forced
 rest is searched at or above its component's minimum.
+
+Each function that builds a ``Fraction`` imports it, so ``fractions``
+loads on first use: a run that asks for no responsibility never loads it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import SemanticError
 from .hitting import (
@@ -31,8 +32,6 @@ from .hitting import (
 )
 from .queries import UnionQuery, _maximal_deletion
 from .relational import Fact, Instance, Record, set_key
-
-ZERO = Fraction(0)
 
 
 class CauseReport(Record):
@@ -77,9 +76,10 @@ def contingency_sets(
 
 def responsibility(d: Instance, q: UnionQuery, t: Fact) -> Fraction:
     """Exact responsibility of ``t``, without enumerating contingency sets."""
+    from fractions import Fraction
     t = _require_endogenous(d, t)
     size = forced_minima(endogenous_support_sets(d, q), among=[t])[t]
-    return ZERO if size is None else Fraction(1, size)
+    return Fraction(0) if size is None else Fraction(1, size)
 
 
 def responsibilities(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
@@ -91,6 +91,7 @@ def responsibilities(d: Instance, q: UnionQuery) -> dict[Fact, Fraction]:
     then its least forced rest within its own component plus the other
     components' minima, with bounds shared between the causes.
     """
+    from fractions import Fraction
     sizes = forced_minima(endogenous_support_sets(d, q))
     return {t: Fraction(1, size) for t, size in sizes.items()}
 
@@ -104,6 +105,7 @@ def rdp_decide(d: Instance, q: UnionQuery, t: Fact, v: Fraction) -> bool:
     is never computed exactly; facts that are absent or exogenous fail
     before any join.
     """
+    from fractions import Fraction
     v = Fraction(v)
     if v < 0 or (v > 0 and v.numerator != 1):
         raise SemanticError(f"threshold must be 0 or 1/k, got {v}")
@@ -126,8 +128,9 @@ def most_responsible_causes(
     is one over the minimum: each is decided within the minimum, and no
     other cause's exact responsibility is computed.
     """
+    from fractions import Fraction
     least, top = minimum_members(endogenous_support_sets(d, q))
-    return (frozenset(top), Fraction(1, least)) if top else (frozenset(), ZERO)
+    return (frozenset(top), Fraction(1, least)) if top else (frozenset(), Fraction(0))
 
 
 def _contingency_target(d: Instance, t: Fact, gamma) -> frozenset[Fact]:
@@ -158,7 +161,8 @@ def explain(d: Instance, q: UnionQuery, t: Fact, cap: int | None = None) -> Caus
     The responsibility is read off the smallest minimal contingency set
     (they come smallest first), so the support family is built once.
     """
+    from fractions import Fraction
     resolved = _require_endogenous(d, t)
     contingencies = contingency_sets(d, q, resolved, cap)
-    rho = Fraction(1, 1 + len(contingencies[0])) if contingencies else ZERO
+    rho = Fraction(1, 1 + len(contingencies[0])) if contingencies else Fraction(0)
     return CauseReport(resolved, bool(contingencies), rho, contingencies)

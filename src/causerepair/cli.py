@@ -14,8 +14,12 @@ the subcommand (``oracle.causes`` and so on).
 
 The report is written by ``_json``, which appends its pieces to one list
 and joins the report, trailing newline included, once; it is
-byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``.  Text
-lines are built only when no ``--json`` is given, and joined once too.
+byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``.  It
+escapes strings with the C escaper that ``json`` calls
+(``_json.encode_basestring_ascii``) and writes empty lists and dicts
+itself, so ``json`` is imported only to write a float, which no report
+holds.  Text lines are built only when no ``--json`` is given, and
+joined once too.
 Each fact of the instance is formatted once per invocation, and under
 ``--json`` escaped once per report, as is each nulled fact and change.
 A report of repairs, null repairs, conflicts or diagnoses writes each
@@ -41,7 +45,8 @@ its file is read.  A priority file's pairs go to the engine as parsed,
 and the engine checks them against the family it searches
 (``repairs.repairs`` and ``preferences.preferred_causes``).  The
 ``oracle`` subcommands have handlers of their own, apart from the
-engines they check.
+engines they check, and the ``oracle`` module is imported only when one
+of them runs.
 
 Exit codes: 0 success (including negative decisions), 1 usage or parse
 errors (a negative ``--max-enum``, ``--max-enum`` on a subcommand that
@@ -59,11 +64,10 @@ import argparse
 import functools
 import hashlib
 import itertools
-import json
 import sys
-from fractions import Fraction
+from _json import encode_basestring_ascii as _encode_string
 
-from . import causality, diagnosis, oracle, preferences
+from . import causality, diagnosis, preferences
 from .errors import BoundExceededError, CapExceededError, ParseError, SemanticError
 from .repairs import consistent_answer as _consistent_answer, repairs
 from .parsing import (
@@ -75,8 +79,6 @@ from .parsing import (
     single_query,
 )
 from .relational import fact_key, format_fact
-
-_encode_string = json.encoder.encode_basestring_ascii
 
 USAGE_ERROR = 1
 SEMANTIC_ERROR = 2
@@ -163,8 +165,13 @@ def _write(pieces: list[str], keys: dict[str, str], value, indent: str) -> None:
         pieces.append(indent + "]")
     elif value is None or type(value) in (int, bool):  # as Python writes it, lower-cased
         pieces.append("null" if value is None else str(value).lower())
-    else:  # a string, a float, [] or {}
-        pieces.append(_encode_string(value) if isinstance(value, str) else json.dumps(value))
+    elif isinstance(value, str):
+        pieces.append(_encode_string(value))
+    elif isinstance(value, (dict, list, tuple)):  # an empty one
+        pieces.append("{}" if isinstance(value, dict) else "[]")
+    else:  # a float, which no report holds, as ``json`` writes it
+        import json
+        pieces.append(json.dumps(value))
 
 
 class _Inputs:
@@ -338,6 +345,7 @@ def _threshold(text: str) -> Fraction:
             if (sum(map(str.isdigit, whole)) + places + max(shift, 0) > _MAX_DIGITS
                     or places + max(-shift, 0) >= _MAX_DIGITS):  # 10**n has n + 1 digits
                 raise ValueError(text)
+        from fractions import Fraction
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SemanticError(f"malformed threshold {text!r}") from exc
@@ -443,12 +451,14 @@ def _cmd_preferred_causes(args, inputs: _Inputs, d, q) -> str:
 
 
 def _cmd_oracle_causes(args, inputs: _Inputs, d, q) -> str:
+    from . import oracle
     scored = oracle.oracle_causes_and_responsibility(d, q).items()
     result, lines = _cause_listing([(t, rho) for t, rho in scored if rho > 0], "no causes")
     return _render(args, inputs, result, lines)
 
 
 def _cmd_oracle_repairs(args, inputs: _Inputs, d, sigma) -> str:
+    from . import oracle
     kept_sets = oracle.oracle_repairs(d, sigma, args.semantics)
     names, position, _ = _named(d.sorted_facts, args.json)
     return _repairs_report(args, inputs, names, sorted(
@@ -464,8 +474,11 @@ def _build_parser() -> _Parser:
     """The full parser, built on the first call and reused after: the one
     definition of help and error text for an argv that names no subcommand
     first.  ``commands`` maps each subcommand to its own parser, which
-    ``execute`` hands the words after it."""
-    parser = _Parser(prog="causerepair", description=__doc__)
+    ``execute`` hands the words after it.  Help shows a user two of the
+    module docstring's paragraphs: the one after its title, and the exit
+    codes, its last."""
+    paragraphs = __doc__.replace("``", "").split("\n\n") if __doc__ else [None, None]  # none under -OO
+    parser = _Parser(prog="causerepair", description=paragraphs[1], epilog=paragraphs[-1])
     sub = parser.add_subparsers(dest="command", required=True)
     commands = parser.commands = {}
 

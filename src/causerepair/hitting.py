@@ -84,9 +84,9 @@ cardinality repairs delete.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain, product
 from math import prod
-from typing import Iterable
 
 from .errors import CapExceededError, SemanticError
 from .queries import UnionQuery, _Index, witnesses

@@ -19,14 +19,16 @@ included, come from ``repairs.repairs``; what lives here refines them:
   ``change_applier`` turns a change set into the facts it changes and
   their nulled versions.  Null causes read each position's least change
   set off that family directly, without enumerating the repairs.
+
+``Fraction`` and ``graphlib`` are imported by the functions that use
+them, so they load on first use: a run that scores no cause and checks
+no priority loads neither.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable
 from functools import cache
-from graphlib import CycleError, TopologicalSorter
-from typing import Iterable
 
 from .causality import _contingency_target
 from .errors import SemanticError
@@ -88,6 +90,7 @@ def attr_key(c: AttrChange) -> tuple:
 def _acyclic(d: Instance, pairs: Iterable[tuple[Fact, Fact]]) -> list[tuple[Fact, Fact]]:
     """The ``(stronger, weaker)`` pairs resolved in ``d``, checked to be
     acyclic (a self-pair is a cycle)."""
+    from graphlib import CycleError, TopologicalSorter
     resolved = [(d.resolve(strong), d.resolve(weak)) for strong, weak in pairs]
     graph: dict[Fact, set[Fact]] = {}
     for a, b in resolved:
@@ -149,6 +152,7 @@ def preferred_causes(
     sets only: its component's smallest part holding it plus every other
     component's smallest part.  No deletion set is built.
     """
+    from fractions import Fraction
     parts = _preferred_parts(d, q, pairs, cap)
     if not all(parts):
         return ()  # no global-optimal deletion set is endogenous
@@ -281,6 +285,7 @@ def null_causes(d: Instance, q: UnionQuery) -> tuple[
     cause when one of its positions is, with the greatest responsibility
     among them.
     """
+    from fractions import Fraction
     sizes = forced_minima(_kill_family(d, dc_of_query(q)), key=attr_key)
     attr = tuple((c, Fraction(1, n)) for c, n in sizes.items() if n is not None)
     tuple_best: dict[tuple[int, str], Fraction] = {}  # by tuple id, then predicate

@@ -26,7 +26,9 @@ constants or by earlier atoms, ties in query order.  One generator
 atoms), at a logarithmic cost per raised count.  An order is the list of
 the steps built so far and that generator, kept on the query per first
 atom; a walk builds only the steps it reaches (``_step``), and the next
-walk finds them built.
+walk finds them built.  A step (``_JoinStep``) and a start state
+(``_Start``) are ``collections.namedtuple``s, so importing the package
+loads no ``typing``.
 
 A walk may be seeded with a fact ``t`` and an atom ``i``: atom ``i`` is
 its first step and ``t`` that step's only candidate, checked against the
@@ -40,10 +42,11 @@ fact without joining the rest of the instance.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SemanticError
 from .relational import NULL, Fact, Instance, Record, group_relations, is_null
@@ -207,20 +210,21 @@ def _inequalities_hold(cq: ConjunctiveQuery, binding: dict) -> bool:
     return True
 
 
-class _JoinStep(NamedTuple):
-    atom: int  # the atom's position in the query
-    relation: tuple[str, int]  # its predicate and arity
-    key_positions: tuple[int, ...]  # positions bound when the step runs
-    key_terms: tuple  # the terms at those positions
-    rest: tuple  # (position, term) at the others: first and repeated occurrences
+_JoinStep = namedtuple("_JoinStep", (
+    "atom",  # the atom's position in the query
+    "relation",  # its predicate and arity
+    "key_positions",  # positions bound when the step runs
+    "key_terms",  # the terms at those positions
+    "rest",  # (position, term) at the others: first and repeated occurrences
+))
 
-
-class _Start(NamedTuple):
-    counts: tuple[int, ...]  # per atom, its positions bound by constants
-    heap: list  # (-count, atom) of every atom, heapified: most first, ties in query order
-    occurs: dict  # variable -> the atom of each of its occurrences
-    relations: frozenset  # the (predicate, arity) pairs of the atoms
-    orders: dict  # first atom (None: none) -> the order as built so far
+_Start = namedtuple("_Start", (
+    "counts",  # per atom, its positions bound by constants
+    "heap",  # (-count, atom) of every atom, heapified: most first, ties in query order
+    "occurs",  # variable -> the atom of each of its occurrences
+    "relations",  # the (predicate, arity) pairs of the atoms
+    "orders",  # first atom (None: none) -> the order as built so far
+))
 
 
 def _steps(atoms: tuple[Atom, ...], start: _Start, first: int | None) -> Iterator[_JoinStep]:

@@ -49,9 +49,9 @@ which is enforced by the query evaluator, not by string equality here.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator
 
 from .errors import SemanticError
 

@@ -29,7 +29,7 @@ call, which finds the minimum once, settles for the asked atoms only.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import SemanticError
 from .hitting import (

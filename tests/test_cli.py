@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +371,17 @@ def test_report_writer_matches_json_dumps_randomized():
         assert cli._json(_marked(value)) == expected, value
         marked += _marked(value) != value
     assert marked > 200  # many values hold a marked list of escaped strings
+
+
+def test_report_writer_matches_json_dumps_on_floats_and_empty_containers():
+    leaves = [float("nan"), float("inf"), float("-inf"), -0.0, [], (), {}]
+    wraps = [lambda v: [v], lambda v: (v,), lambda v: {"k": v}, lambda v: [v, {"a": v, "b": (v,)}]]
+    values = layer = leaves
+    for _ in range(3):  # each leaf under one, two and three levels of containers
+        layer = [wrap(v) for v in layer for wrap in wraps]
+        values = values + layer
+    for value in values:
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True), value
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +791,16 @@ def test_help_is_returned_not_printed(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exited:
         cli.main()
     assert exited.value.code == 0 and capsys.readouterr() == (out, "")
+
+
+def test_help_lists_the_exit_codes_and_no_private_name():
+    code, out, err = execute(["-h"])
+    assert (code, err) == (0, "")
+    words = " ".join(out.split())  # the paragraphs are wrapped to the terminal
+    for listed in ("Exit codes: 0 success", "1 usage or parse errors", "2 semantic errors",
+                   "3 an enumeration cap exceeded"):
+        assert listed in words
+    assert re.findall(r"(?<![\w-])_\w+", out) == [] and "``" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ result classes) is assigned outside its class's ``__init__`` (records
 are immutable by convention; ``Fact`` and ``AttrChange`` hash once),
 no class but ``Record``, ``Fact`` and ``AttrChange`` defines ``__eq__``
 or ``__hash__`` (``Record`` gives the other records both), importing the
-CLI loads neither ``dataclasses`` nor ``inspect``, the
-command-line front end uses only the engines' public names, every public
-function or class is used by some package module or listed in
-``API_ONLY`` with its reason, and no public function only hands its
-parameters on to another package function (a thin wrapper), unless
-``API_ONLY`` lists it.
+CLI loads neither ``dataclasses`` nor ``inspect``, nor (without ``site``)
+``typing``, ``json``, ``decimal``, ``fractions``, ``graphlib`` or the
+oracle, nor do its repair, diagnosis and CQA runs, the command-line
+front end uses only the engines' public names, every public function or
+class is used by some package module or listed in ``API_ONLY`` with its
+reason, and no public function only hands its parameters on to another
+package function (a thin wrapper), unless ``API_ONLY`` lists it.
 
 A stdlib ``ast`` check standing in for a linter.  ``__init__`` exists to
 re-export, so it is exempt from the import check.  String annotations
@@ -316,6 +317,34 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[]\n"
+
+
+# Loaded neither by importing the CLI nor by its repair, diagnosis and CQA runs
+_COLD_START = """
+import sys
+unused = {"typing", "json", "decimal", "fractions", "graphlib", "causerepair.oracle"}
+sys.path.insert(0, sys.argv[1])
+import causerepair.cli
+print(sorted(unused & sys.modules.keys()))
+for argv in sys.argv[2:]:
+    code, out, err = causerepair.cli.execute(argv.split())
+    assert code == 0 and out, (argv, err)
+print(sorted(unused & sys.modules.keys()))
+"""
+
+
+def test_the_cli_cold_start_loads_only_what_its_runs_use(tmp_path):
+    # ``site`` imports ``typing`` itself, so the child runs without it (-S)
+    (tmp_path / "keyed.facts").write_text("A(1;k0,v0). A(2;k0,v1). A(3;k1,v0). A(4;k1,v1). A(5;k2,v0).\n")
+    (tmp_path / "key.dlq").write_text(":- A(X,Y), A(X,Z), Y != Z.\n")
+    (tmp_path / "keyq.dlq").write_text("q :- A(X,Y), A(X,Z), Y != Z.\n")
+    runs = [*(f"repairs -i keyed.facts -c key.dlq --semantics {s} --json" for s in ("s", "c", "null")),
+            "diagnose -i keyed.facts -q keyq.dlq --json",
+            "cqa -i keyed.facts -c key.dlq --atoms A(k2,v0) --semantics c --json"]
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _COLD_START, str(PACKAGE.parent), *runs],
+                          capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n[]\n"
 
 
 def _private_engine_names(source: str) -> list[str]:
