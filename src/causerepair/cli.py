@@ -12,6 +12,10 @@ constraints, and hands both to it: an instance error comes before a
 program error, and both before any other.  The report's ``command`` is
 the subcommand (``oracle.causes`` and so on).
 
+``execute`` pauses the cyclic garbage collector and restores the caller's
+state: a large parsed instance's promotions bring full collections that
+find nothing, as no invocation but help (argparse) leaves cyclic garbage.
+
 The report is written by ``_json``, which appends its pieces to one list
 and joins the report, trailing newline included, once; it is
 byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``.  It
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import itertools
 import sys
@@ -545,7 +550,20 @@ def _build_parser() -> _Parser:
 def execute(argv: list[str]) -> tuple[int, str, str]:
     """Run one invocation; returns (exit code, stdout text, stderr text).
     The instance is parsed first, then the query or the constraints, and
-    both are handed to the subcommand's handler."""
+    both are handed to the subcommand's handler.  The cyclic collector is
+    paused, as the instance's promotions bring full collections that find
+    nothing (no invocation but help leaves cyclic garbage), and the
+    caller's collector state restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _execute(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _execute(argv: list[str]) -> tuple[int, str, str]:
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     try:

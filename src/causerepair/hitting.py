@@ -97,11 +97,18 @@ DEFAULT_CAP = 100_000
 
 def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
     """Subset-minimal members of a family (its antichain), smallest first;
-    members of equal size keep their input order."""
+    members of equal size keep their input order; the empty set absorbs
+    all.  Each kept set is filed (``filed``) under its member with the
+    fewest filed, and a set is tested against those under its members only."""
     result: list[frozenset] = []
+    filed: dict = {}  # member -> the kept sets filed under it
     for s in sorted(dict.fromkeys(sets), key=len):
-        if not any(r <= s for r in result):
+        if not s:
+            return [s]
+        buckets = [filed.setdefault(v, []) for v in s]
+        if not any(r <= s for bucket in buckets for r in bucket):
             result.append(s)
+            min(buckets, key=len).append(s)
     return result
 
 

@@ -168,6 +168,16 @@ def seeded_keyed(shape, n_keys: int) -> Instance:
     return Instance(frozenset(facts))
 
 
+CQA_DC = ":- S(X), R(X,Y), S(Y).\n:- A(X,Y), A(X,Z), Y != Z.\n"
+
+
+def thousand_facts() -> Instance:
+    """An instance shaped as the benchmark's ``cqa-large`` ones, violating
+    ``CQA_DC``: 992 facts, 250 chain draws over 500 constants and 500 keys,
+    50 of them with two values."""
+    return Instance(seeded_chain(250, 500).facts | seeded_keyed((2,) * 50, 500).facts)
+
+
 def keyed_preferences(k: int):
     """The benchmark's keyed instance with ``k`` two-valued conflicts over
     ``max(50, 2k)`` keys, its conflict groups in the generator's order,

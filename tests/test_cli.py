@@ -1,5 +1,6 @@
 import argparse
 import bisect
+import gc
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from causerepair.parsing import constraint_set, parse_instance, parse_priorities
 from causerepair.repairs import repairs
 from causerepair.relational import fact_key, format_fact, serialize_instance
 
-from conftest import DATA, assert_same, keyed_preferences, seeded_chain, seeded_keyed
+from conftest import CQA_DC, DATA, assert_same, keyed_preferences, seeded_chain, seeded_keyed, thousand_facts
 from make_goldens import golden_cases
 
 
@@ -951,3 +952,67 @@ def test_long_chain_constraint_over_a_cycle(tmp_path):
         "repair: keep {R(a,b), R(c,a)}  remove {R(b,c)}\n"
         "repair: keep {R(a,b), R(b,c)}  remove {R(c,a)}\n"
     ), "")
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector is paused for each invocation
+
+_EXITS = [
+    (0, ["causes", "-i", "ex1.facts", "-q", "ex1.dlq", "--json"]),
+    (0, ["-h"]),
+    (1, ["causes", "-i", "missing.facts", "-q", "ex1.dlq"]),
+    (1, ["causes", "--nope"]),
+    (2, ["responsibility", "-i", "ex13.facts", "-q", "ex1.dlq", "--tuple", "S(a2)"]),
+    (3, ["repairs", "-i", "ex4.facts", "-c", "ex4.dlq", "--max-enum", "0"]),
+]
+
+
+@pytest.fixture
+def collector():
+    """Puts back the collector state the test found."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_collector_state_is_restored_on_every_exit(collector, monkeypatch, enabled):
+    (gc.enable if enabled else gc.disable)()
+    for code, argv in _EXITS:
+        assert execute(argv)[0] == code, argv
+        assert gc.isenabled() is enabled, argv
+    seen = []
+
+    def failing(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler failed")
+
+    # the parser is built once per process, with each subcommand's handler
+    monkeypatch.setitem(cli._build_parser().commands["causes"]._defaults, "run", failing)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        execute(_EXITS[0][1])
+    assert seen == [False] and gc.isenabled() is enabled
+
+
+def test_a_large_invocation_runs_no_collection(tmp_path, collector):
+    d = thousand_facts()
+    (tmp_path / "d.facts").write_text(serialize_instance(d))
+    (tmp_path / "dc.dlq").write_text(CQA_DC)
+    atoms = ";".join(format_fact(f) for f in sorted(d.facts, key=fact_key)[:3])
+    argv = ["cqa", "-i", str(tmp_path / "d.facts"), "-c", str(tmp_path / "dc.dlq"),
+            "--atoms", atoms, "--semantics", "s", "--json"]
+    assert execute(argv)[0] == 0  # warm up: caches and lazy set-up fill first
+    gc.enable()
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        code, out, err = execute(argv)
+    finally:
+        gc.callbacks.remove(record)
+    assert (code, err) == (0, "") and len(d.facts) == 992
+    assert collections == []

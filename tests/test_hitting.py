@@ -28,12 +28,13 @@ from causerepair.hitting import (
     support_sets,
 )
 from causerepair.oracle import oracle_hitting
-from causerepair.parsing import parse_instance, parse_program, single_query
+from causerepair.parsing import constraint_set, parse_instance, parse_program, single_query
 from causerepair.preferences import AttrChange, _kill_family, attr_key
-from causerepair.queries import dc_of_query, violation_view
-from causerepair.relational import Fact, Instance, fact, fact_key
+from causerepair.queries import _Index, dc_of_query, violation_view, witnesses
+from causerepair.relational import Fact, Instance, fact, fact_key, set_key
 
 from conftest import (
+    CQA_DC,
     containing,
     load_constraints,
     load_instance,
@@ -281,6 +282,45 @@ def test_enumeration_order_is_the_set_key_order_randomized(key):
         found = enumerate_minimal_hitting_sets(edges, key=key).sets
         assert found == _set_key_order(found, key)
         assert found and all(e & s for s in found for e in edges)
+
+
+def _minimal_sets_reference(sets):
+    """``minimal_sets`` without its index: each set tested against every
+    kept one."""
+    result = []
+    for s in sorted(dict.fromkeys(sets), key=len):
+        if not any(r <= s for r in result):
+            result.append(s)
+    return result
+
+
+def test_minimal_sets_equal_the_plain_filter_on_random_families():
+    rng = random.Random(0)
+    vertices = [fact("P", f"a{i}") for i in range(8)]
+    for trial in range(300):
+        family = [frozenset(rng.sample(vertices, rng.randint(0, 4))) for _ in range(rng.randint(0, 25))]
+        if trial % 3 == 0:
+            family.insert(rng.randint(0, len(family)), frozenset())
+        kept = minimal_sets(family)
+        assert kept == _minimal_sets_reference(family)
+        assert (kept == [frozenset()]) == (frozenset() in family)  # the empty set absorbs all
+
+
+def test_minimal_sets_equal_the_plain_filter_on_a_large_violation_family():
+    # the cqa-large family scaled up: 2,906 violations, in canonical order,
+    # 500 unions of two of them and 100 proper subsets, which absorb the
+    # ones they come from
+    d = Instance(seeded_chain(6000, 12000).facts | seeded_keyed((2,) * 2000, 20000).facts)
+    index = _Index(d)
+    images = sorted((e for cq in violation_view(constraint_set(CQA_DC)).disjuncts for e in witnesses(index, cq)),
+                    key=set_key)
+    rng = random.Random(0)
+    family = (images + [rng.choice(images) | rng.choice(images) for _ in range(500)]
+              + [e - {min(e, key=fact_key)} for e in rng.sample(images, 100)])
+    rng.shuffle(family)
+    kept = minimal_sets(family)
+    assert (len(images), len(kept)) == (2906, 2906)
+    assert kept == _minimal_sets_reference(family)
 
 
 def test_antichain_keeps_minimal_sets_in_canonical_order():
